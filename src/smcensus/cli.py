@@ -2,8 +2,10 @@
 
 Reports are JSON lines (one object per check, canonical key order) on
 stdout or --out FILE.  Exit codes: 0 success, 1 at least one check
-failed, 2 usage error.  SMCENSUS_THREADS sets the verify worker count;
-it affects speed only, never results.
+failed, 2 usage error; a rejected argument or input is reported as one
+JSON line ({"error": type, "message": text}) on stderr.
+SMCENSUS_THREADS sets the verify worker count; it affects speed only,
+never results.
 """
 
 from __future__ import annotations
@@ -14,12 +16,18 @@ import sys
 from math import comb
 
 from . import bounds, distributions, matchings, posets, rotations
-from .distributions import EXTENDED, PLAIN
-from .instances import parse_instance, random_instance, serialize_instance
+from .counting import FamilyError
+from .distributions import EXTENDED, PLAIN, DistributionError
+from .instances import (InstanceError, parse_instance, random_instance,
+                        serialize_instance)
+from .posets import PosetError
+from .rotations import StateCapError
 from .verify import RunConfig, run_verify_suite
 
 SERIES_VARIANTS = {"tg": PLAIN, "sm": EXTENDED}
 SERIES_LIMITS = {"tg": bounds.PLAIN_LOG_LIMIT, "sm": bounds.EXTENDED_LOG_LIMIT}
+USAGE_ERRORS = (InstanceError, FamilyError, DistributionError, StateCapError,
+                PosetError, ValueError)
 
 
 def _emit(stream, obj) -> None:
@@ -237,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         close = True
     try:
         return _HANDLERS[args.command](args, out)
+    except USAGE_ERRORS as exc:
+        _emit(sys.stderr, {"error": type(exc).__name__, "message": str(exc)})
+        return 2
     finally:
         if close:
             out.close()

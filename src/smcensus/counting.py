@@ -5,6 +5,14 @@ the number of values component i can still take once the components
 before it (under a reveal order pi) are pinned to those of s.  Averaging
 log X_i over random members and/or random orders bounds log |S|; taking
 the plain expectation instead of the log gives a weaker product bound.
+
+X_i depends on the order only through the set T revealed before i, so
+each family carries one option-count table (``TupleFamily.option_counts``)
+with a row of X_i for every member per (i, T), filled lazily: exact
+evaluation reads all rows, Monte Carlo only the sampled ones.
+``option_count`` recomputes a single X_i from its definition and is the
+oracle the table is tested against.
+
 Adapters cover the worked three-component family, perfect matchings of a
 bipartite graph (degree-factorial bound), and downsets of a tangled grid
 encoded by their per-chain top elements.
@@ -13,10 +21,12 @@ encoded by their per-chain top elements.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import factorial
+from operator import itemgetter
 
 from .posets import TangledGrid, enumerate_downset_masks
 from .rng import Xoshiro256StarStar
@@ -54,6 +64,68 @@ class TupleFamily:
     def n(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def option_counts(self) -> OptionCountTable:
+        """This family's option-count table; it lives as long as the family."""
+        return OptionCountTable(self)
+
+
+class OptionCountTable:
+    """X_i(s, T) for every member s, one row per (i, T), filled lazily.
+
+    T is the bitmask of components revealed before i: X_i depends on a
+    reveal order only through that set.  A row counts, per group of
+    members agreeing on T, the distinct values of component i.  The
+    grouping for T is built once, from the grouping for T without its top
+    bit, and is shared by every i outside T.
+    """
+
+    def __init__(self, family: TupleFamily):
+        self.n = family.n
+        self._columns = list(zip(*family.members)) or [()] * family.n
+        self._groups: dict[int, list[int]] = {0: [0] * len(family.members)}
+        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @property
+    def rows_built(self) -> int:
+        return len(self._rows)
+
+    def _grouping(self, T: int) -> list[int]:
+        """Group id per member; members share an id iff they agree on T."""
+        groups = self._groups.get(T)
+        if groups is None:
+            top = T.bit_length() - 1
+            ids: dict[tuple, int] = {}
+            groups = [ids.setdefault(key, len(ids)) for key in
+                      zip(self._grouping(T & ~(1 << top)), self._columns[top])]
+            self._groups[T] = groups
+        return groups
+
+    def row(self, i: int, T: int) -> tuple[int, ...]:
+        """X_i for every member, in member order, given the revealed set T."""
+        row = self._rows.get((i, T))
+        if row is None:
+            if not 0 <= i < self.n or T >> i & 1 or T >> self.n:
+                raise FamilyError(f"no row for component {i} after set {T:#b}")
+            groups = self._grouping(T)
+            options = Counter(map(itemgetter(0), set(zip(groups, self._columns[i]))))
+            row = tuple(map(options.__getitem__, groups))
+            self._rows[(i, T)] = row
+        return row
+
+    def histograms(self, i: int, weighted_sets) -> list[dict[int, int]]:
+        """Per member, {X_i: total weight} over (T, weight) pairs; the
+        weights of sets with equal rows are summed first."""
+        merged: dict[tuple[int, ...], int] = {}
+        for T, w in weighted_sets:
+            row = self.row(i, T)
+            merged[row] = merged.get(row, 0) + w
+        hists: list[dict[int, int]] = [{} for _ in self._groups[0]]
+        for row, w in merged.items():
+            for hist, c in zip(hists, row):
+                hist[c] = hist.get(c, 0) + w
+        return hists
+
 
 def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: int) -> int:
     """Number of possible i-th components among members agreeing with
@@ -68,35 +140,35 @@ def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: 
     return len(vals)
 
 
-def _counts_for_prefix(family: TupleFamily, i: int, prefix: tuple[int, ...]) -> list[int]:
-    """X_i(s, prefix) for every member at once, by grouping on the prefix."""
-    groups: dict[tuple, set] = {}
-    for m in family.members:
-        groups.setdefault(tuple(m[j] for j in prefix), set()).add(m[i])
-    return [len(groups[tuple(m[j] for j in prefix)]) for m in family.members]
-
-
-def _uniform_prefix_mixes(family: TupleFamily, i: int) -> list[dict[int, Fraction]]:
-    """Distribution of X_i(s, pi) over a uniform order, per member.
+def _uniform_prefix_hists(family: TupleFamily, i: int) -> list[dict[int, int]]:
+    """Distribution of X_i(s, pi) over a uniform order, per member, as
+    integer weights out of n!.
 
     X_i depends only on the *set* revealed before i, whose law under a
     uniform order weights a prefix set T by |T|! (n-1-|T|)! / n!.
     """
     n = family.n
-    others = [j for j in range(n) if j != i]
-    weights = [Fraction(factorial(m) * factorial(n - 1 - m), factorial(n))
-               for m in range(n)]
-    mixes: list[dict[int, Fraction]] = [{} for _ in family.members]
-    for size in range(n):
-        w = weights[size]
-        for T in combinations(others, size):
-            for mi, c in enumerate(_counts_for_prefix(family, i, T)):
-                mixes[mi][c] = mixes[mi].get(c, 0) + w
-    return mixes
+    weights = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
+    prefixes = [(T, weights[T.bit_count()]) for T in range(1 << n) if not T >> i & 1]
+    return family.option_counts.histograms(i, prefixes)
 
 
-def _mix_log(mix: dict[int, Fraction]) -> float:
-    return math.fsum(float(p) * math.log(c) for c, p in sorted(mix.items()))
+def _scaled_mix(hist: dict[int, int], total: int) -> dict[int, Fraction]:
+    return {c: Fraction(w, total) for c, w in hist.items()}
+
+
+def _pooled(hists: list[dict[int, int]]) -> Counter:
+    """The per-member histograms summed over members."""
+    pooled: Counter = Counter()
+    for hist in hists:
+        pooled.update(hist)
+    return pooled
+
+
+def _mix_log(mix: dict, total: int = 1) -> float:
+    """sum of p / total * log c over the mix; p / total rounds once either
+    way, whether p is a Fraction or an integer weight out of total."""
+    return math.fsum(p / total * math.log(c) for c, p in sorted(mix.items()))
 
 
 def _mix_mean(mix: dict[int, Fraction]) -> Fraction:
@@ -166,20 +238,24 @@ def _single_order(orders) -> tuple[int, ...] | None:
     return None
 
 
+def _revealed_before(order: tuple[int, ...], i: int) -> int:
+    """Bitmask of the components that ``order`` reveals before i."""
+    T = 0
+    for j in order[: order.index(i)]:
+        T |= 1 << j
+    return T
+
+
 def _member_mixes(family: TupleFamily, i: int, orders) -> list[dict[int, Fraction]]:
     single = _single_order(orders)
     if single is not None:
-        prefix = single[: single.index(i)]
-        return [{c: Fraction(1)} for c in _counts_for_prefix(family, i, prefix)]
+        row = family.option_counts.row(i, _revealed_before(single, i))
+        return [{c: Fraction(1)} for c in row]
     if orders == "uniform":
-        return _uniform_prefix_mixes(family, i)
-    mixes: list[dict[int, Fraction]] = [{} for _ in family.members]
-    for order, w in orders:
-        w = Fraction(w)
-        prefix_of = {i2: order[: order.index(i2)] for i2 in range(family.n)}
-        for mi, c in enumerate(_counts_for_prefix(family, i, prefix_of[i])):
-            mixes[mi][c] = mixes[mi].get(c, 0) + w
-    return mixes
+        total = factorial(family.n)
+        return [_scaled_mix(hist, total) for hist in _uniform_prefix_hists(family, i)]
+    return family.option_counts.histograms(
+        i, [(_revealed_before(order, i), Fraction(w)) for order, w in orders])
 
 
 def _merge_mix(target: dict[int, Fraction], mix: dict[int, Fraction], scale: Fraction) -> None:
@@ -244,23 +320,22 @@ def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
     n = family.n
     if n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(f"needs at most {EXACT_COMPONENT_LIMIT} components")
-    size_frac = Fraction(1, len(family.members))
+    total = factorial(n)
     avg_pc, avg_mix = [], {}
     worst_pc, worst_mix = [], {}
     prod_pc = []
     product = Fraction(1)
     for i in range(n):
-        mixes = _uniform_prefix_mixes(family, i)
-        comp_mix: dict[int, Fraction] = {}
-        for mix in mixes:
-            _merge_mix(comp_mix, mix, size_frac)
+        hists = _uniform_prefix_hists(family, i)
+        comp_mix = _scaled_mix(_pooled(hists), total * len(hists))
         avg_pc.append(_mix_log(comp_mix))
         _merge_mix(avg_mix, comp_mix, Fraction(1))
-        logs = [_mix_log(mix) for mix in mixes]
-        best = max(range(len(mixes)), key=lambda mi: (logs[mi], mi))
+        logs = [_mix_log(hist, total) for hist in hists]
+        best = max(range(len(hists)), key=lambda mi: (logs[mi], mi))
         worst_pc.append(logs[best])
-        _merge_mix(worst_mix, mixes[best], Fraction(1))
-        best_mean = max(_mix_mean(mix) for mix in mixes)
+        _merge_mix(worst_mix, _scaled_mix(hists[best], total), Fraction(1))
+        best_mean = Fraction(max(sum(w * c for c, w in hist.items()) for hist in hists),
+                             total)
         prod_pc.append(best_mean)
         product *= best_mean
     return {
@@ -277,47 +352,43 @@ def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
 def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundResult:
     n = family.n
     rng = Xoshiro256StarStar(seed)
-    nm = len(family.members)
-    sums = [[0.0] * nm for _ in range(n)]
-    sqs = [[0.0] * nm for _ in range(n)]
-    lin_sums = [[0.0] * nm for _ in range(n)]
-    lin_sqs = [[0.0] * nm for _ in range(n)]
+    # tallies[i][T]: how many sampled orders reveal exactly the set T before i
+    tallies: list[dict[int, int]] = [{} for _ in range(n)]
     for _ in range(mode.samples):
-        order = tuple(rng.permutation(n))
-        for i in range(n):
-            prefix = order[: order.index(i)]
-            for mi, c in enumerate(_counts_for_prefix(family, i, prefix)):
-                v = math.log(c)
-                sums[i][mi] += v
-                sqs[i][mi] += v * v
-                lin_sums[i][mi] += c
-                lin_sqs[i][mi] += c * c
+        T = 0
+        for i in rng.permutation(n):
+            tallies[i][T] = tallies[i].get(T, 0) + 1
+            T |= 1 << i
     t = mode.samples
+    nm = len(family.members)
 
     def mean_stderr(sm, sq):
         mean = sm / t
         var = max(sq / t - mean * mean, 0.0)
         return mean, math.sqrt(var / t)
 
+    def log_sums(hist):
+        logs = [(k, math.log(c)) for c, k in hist.items()]
+        return (math.fsum(k * v for k, v in logs),
+                math.fsum(k * (v * v) for k, v in logs))
+
     per_component = []
     errs = []
-    if mode.variant in ("fixed_order", "averaged"):
-        for i in range(n):
-            mean, err = mean_stderr(math.fsum(sums[i]) / nm, math.fsum(sqs[i]) / nm)
-            per_component.append(mean)
-            errs.append(err)
-    elif mode.variant == "worst_member":
-        for i in range(n):
-            stats = [mean_stderr(sums[i][mi], sqs[i][mi]) for mi in range(nm)]
-            mean, err = max(stats, key=lambda p: p[0])
-            per_component.append(mean)
-            errs.append(err)
-    else:
-        for i in range(n):
-            stats = [mean_stderr(lin_sums[i][mi], lin_sqs[i][mi]) for mi in range(nm)]
-            mean, err = max(stats, key=lambda p: p[0])
-            per_component.append(mean)
-            errs.append(err / mean)  # delta method for log
+    for i in range(n):
+        hists = family.option_counts.histograms(i, tallies[i].items())
+        if mode.variant in ("fixed_order", "averaged"):
+            sm, sq = log_sums(_pooled(hists))
+            mean, err = mean_stderr(sm / nm, sq / nm)
+        elif mode.variant == "worst_member":
+            mean, err = max((mean_stderr(*log_sums(hist)) for hist in hists),
+                            key=lambda p: p[0])
+        else:
+            mean, err = max((mean_stderr(sum(k * c for c, k in hist.items()),
+                                         sum(k * c * c for c, k in hist.items()))
+                             for hist in hists), key=lambda p: p[0])
+            err /= mean  # delta method for log
+        per_component.append(mean)
+        errs.append(err)
     if mode.variant == "mean_product":
         value = math.fsum(math.log(x) for x in per_component)
     else:

@@ -335,21 +335,16 @@ def _dominance_report(n: int, chain_index: int, l: int,
 def _conditional_option_histograms(fam: TupleFamily, chain_index: int, n: int):
     """hist[l][member] = {option count: integer weight} over prefixes with
     exactly l opposite-side chains revealed before chain_index."""
-    from .counting import _counts_for_prefix
-
     nch = 2 * n
-    opposite = set(range(n, nch)) if chain_index < n else set(range(n))
-    others = [j for j in range(nch) if j != chain_index]
-    hists: dict[int, list[dict[int, int]]] = {
-        l: [{} for _ in fam.members] for l in range(0, n + 1)}
-    for size in range(len(others) + 1):
-        w = factorial(size) * factorial(len(others) - size)
-        for T in combinations(others, size):
-            l = sum(1 for j in T if j in opposite)
-            row = hists[l]
-            for mi, c in enumerate(_counts_for_prefix(fam, chain_index, T)):
-                row[mi][c] = row[mi].get(c, 0) + w
-    return hists
+    opposite = ((1 << n) - 1) << n if chain_index < n else (1 << n) - 1
+    prefixes: dict[int, list[tuple[int, int]]] = {l: [] for l in range(n + 1)}
+    for T in range(1 << nch):
+        if not T >> chain_index & 1:
+            size = T.bit_count()
+            w = factorial(size) * factorial(nch - 1 - size)
+            prefixes[(T & opposite).bit_count()].append((T, w))
+    return {l: fam.option_counts.histograms(chain_index, weighted)
+            for l, weighted in prefixes.items()}
 
 
 def dominance_check_grid(grid: TangledGrid) -> list[DominanceReport]:

@@ -56,6 +56,11 @@ def applicant_ranks(profile: PreferenceProfile) -> list[list[int]]:
     return rank
 
 
+def _is_int(x) -> bool:
+    """JSON integer; true and false parse to bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_instance(text: str) -> PreferenceProfile:
     """Parse the JSON instance format; raises InstanceError with row context."""
     try:
@@ -68,7 +73,7 @@ def parse_instance(text: str) -> PreferenceProfile:
     if missing:
         raise InstanceError(f"missing keys: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InstanceError("n must be an integer")
 
     def rows_of(name):
@@ -77,7 +82,7 @@ def parse_instance(text: str) -> PreferenceProfile:
             raise InstanceError(f"{name} must be a list of {n} rows")
         out = []
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+            if not isinstance(row, list) or not all(_is_int(x) for x in row):
                 raise InstanceError(f"{name} row {i} must be a list of integers")
             out.append(tuple(row))
         return tuple(out)

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from smcensus import rotations
 from smcensus.cli import main
+from smcensus.counting import FamilyError
 from smcensus.instances import instance_I2, serialize_instance
+from smcensus.rotations import StateCapError
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,46 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def assert_usage_error(capsys, argv, error, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["error"] == error
+    assert message in report["message"]
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["enumerate", "--n", "11", "--method", "brute"], "ValueError", "brute-force cap"),
+    (["series", "--which", "tg", "--truncate", "5"], "ValueError", "K must be"),
+    (["simulate", "--kind", "cyclic", "--n", "5", "--l", "7"],
+     "DistributionError", "need 2 <= l <= n"),
+    (["grids", "--diamond", "9"], "PosetError", "downset cap"),
+])
+def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
+    assert_usage_error(capsys, argv, error, message)
+
+
+def test_malformed_instance_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "job_prefs": [[0, 1], [1, 1]],'
+                    ' "applicant_prefs": [[0, 1], [1, 0]]}', encoding="utf-8")
+    assert_usage_error(capsys, ["enumerate", "--in", str(path)],
+                       "InstanceError", "job_prefs row 1 not a permutation")
+
+
+@pytest.mark.parametrize("exc", [StateCapError("more than 5 lattice states"),
+                                 FamilyError("family is empty")])
+def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(rotations, "build_rotation_poset", fail)
+    assert_usage_error(capsys, ["rotations", "--n", "3"], type(exc).__name__, str(exc))
 
 
 @pytest.mark.slow

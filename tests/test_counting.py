@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
-from smcensus.counting import (BipartiteGraph, BoundMode, FamilyError,
-                               TupleFamily, bound_holds, bregman_log_bound,
+from smcensus.counting import (EXACT_COMPONENT_LIMIT, BipartiteGraph,
+                               BoundMode, FamilyError, TupleFamily,
+                               bound_holds, bregman_log_bound,
                                count_perfect_matchings, diagonal_pair_family,
                                downset_top_family, option_count,
                                perfect_matching_family, random_bipartite_graph,
                                reveal_bound, reveal_bounds_exact)
+from smcensus.distributions import (_conditional_option_histograms,
+                                    _dominance_report, dominance_check_grid)
 from smcensus.posets import count_downsets, grid_diamond, random_tangled_grid
 from smcensus.rng import Xoshiro256StarStar, bernoulli_threshold
 
@@ -159,3 +164,192 @@ def test_unequal_sides_rejected():
     g = BipartiteGraph(2, 3, frozenset({(0, 0), (1, 1)}))
     with pytest.raises(FamilyError, match="equal side sizes"):
         perfect_matching_family(g)
+
+
+# ------------------------------------------- option-count table vs oracle
+
+def _pm_family(side, seed):
+    rng = Xoshiro256StarStar(seed)
+    half = bernoulli_threshold(Fraction(1, 2))
+    while True:
+        g = random_bipartite_graph(side, side, half, rng)
+        if count_perfect_matchings(g) > 1:
+            return perfect_matching_family(g)
+
+
+ORACLE_FAMILIES = [
+    pytest.param(diagonal_pair_family(5), id="diag5"),
+    pytest.param(downset_top_family(random_tangled_grid(2, 3)), id="grid2"),
+    pytest.param(downset_top_family(random_tangled_grid(3, 6)), id="grid3"),
+    pytest.param(_pm_family(4, 21), id="pm4"),
+]
+
+
+def _revealed(order, i):
+    return sum(1 << j for j in order[: order.index(i)])
+
+
+def _order_with_prefix(prefix, i, n):
+    return tuple(prefix) + (i,) + tuple(j for j in range(n) if j != i and j not in prefix)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_table_matches_option_count_for_every_order(fam):
+    table = fam.option_counts
+    for order in permutations(range(fam.n)):
+        for i in range(fam.n):
+            row = table.row(i, _revealed(order, i))
+            for mi, member in enumerate(fam.members):
+                assert row[mi] == option_count(fam, member, order, i), (order, i)
+
+
+def test_table_rejects_rows_outside_the_family():
+    table = diagonal_pair_family(2).option_counts
+    with pytest.raises(FamilyError, match="no row"):
+        table.row(0, 0b001)  # component 0 cannot be revealed before itself
+    with pytest.raises(FamilyError, match="no row"):
+        table.row(0, 0b1000)
+    with pytest.raises(FamilyError, match="no row"):
+        table.row(3, 0)
+
+
+def _reference_mixes(fam, i):
+    """Per-member law of X_i over a uniform order, one subset at a time."""
+    n = fam.n
+    others = [j for j in range(n) if j != i]
+    mixes = [{} for _ in fam.members]
+    for size in range(n):
+        w = Fraction(factorial(size) * factorial(n - 1 - size), factorial(n))
+        for prefix in combinations(others, size):
+            order = _order_with_prefix(prefix, i, n)
+            for mi, member in enumerate(fam.members):
+                c = option_count(fam, member, order, i)
+                mixes[mi][c] = mixes[mi].get(c, 0) + w
+    return mixes
+
+
+def _mix_log(mix):
+    return math.fsum(float(p) * math.log(c) for c, p in sorted(mix.items()))
+
+
+def _add_mix(target, mix, scale=Fraction(1)):
+    for c, p in mix.items():
+        target[c] = target.get(c, 0) + p * scale
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_exact_bounds_equal_per_subset_reference(fam):
+    nm = len(fam.members)
+    avg_pc, avg_mix, worst_pc, worst_mix, prod_pc = [], {}, [], {}, []
+    for i in range(fam.n):
+        mixes = _reference_mixes(fam, i)
+        comp = {}
+        for mix in mixes:
+            _add_mix(comp, mix, Fraction(1, nm))
+        avg_pc.append(_mix_log(comp))
+        _add_mix(avg_mix, comp)
+        logs = [_mix_log(mix) for mix in mixes]
+        best = max(range(nm), key=lambda mi: (logs[mi], mi))
+        worst_pc.append(logs[best])
+        _add_mix(worst_mix, mixes[best])
+        prod_pc.append(max(sum(p * c for c, p in mix.items()) for mix in mixes))
+    got = reveal_bounds_exact(fam)
+    assert got["averaged"].per_component == tuple(avg_pc)
+    assert got["averaged"].value == math.fsum(avg_pc)
+    assert got["averaged"].log_mix == avg_mix
+    assert got["worst_member"].per_component == tuple(worst_pc)
+    assert got["worst_member"].value == math.fsum(worst_pc)
+    assert got["worst_member"].log_mix == worst_mix
+    assert got["mean_product"].per_component == tuple(prod_pc)
+    assert got["mean_product"].product == math.prod(prod_pc)
+    assert got["mean_product"].value == math.fsum(math.log(x) for x in prod_pc)
+    for variant in ("averaged", "worst_member", "mean_product"):
+        single = reveal_bound(fam, BoundMode(variant))
+        assert single.value == got[variant].value
+        assert single.per_component == got[variant].per_component
+
+
+def _naive_mc(fam, variant, samples, seed):
+    """Per-sample loop over orders and members, straight from option_count."""
+    n, nm = fam.n, len(fam.members)
+    rng = Xoshiro256StarStar(seed)
+    logs = [[[] for _ in range(nm)] for _ in range(n)]
+    lins = [[[] for _ in range(nm)] for _ in range(n)]
+    for _ in range(samples):
+        order = tuple(rng.permutation(n))
+        for i in range(n):
+            for mi, member in enumerate(fam.members):
+                c = option_count(fam, member, order, i)
+                logs[i][mi].append(math.log(c))
+                lins[i][mi].append(c)
+
+    def mean_stderr(values_per_member):
+        mean = math.fsum(math.fsum(v) for v in values_per_member) / len(values_per_member) / samples
+        sq = math.fsum(math.fsum(x * x for x in v) for v in values_per_member)
+        var = max(sq / len(values_per_member) / samples - mean * mean, 0.0)
+        return mean, math.sqrt(var / samples)
+
+    per_component, errs = [], []
+    for i in range(n):
+        if variant == "averaged":
+            mean, err = mean_stderr(logs[i])
+        elif variant == "worst_member":
+            mean, err = max((mean_stderr([v]) for v in logs[i]), key=lambda p: p[0])
+        else:
+            mean, err = max((mean_stderr([v]) for v in lins[i]), key=lambda p: p[0])
+            err /= mean
+        per_component.append(mean)
+        errs.append(err)
+    if variant == "mean_product":
+        value = math.fsum(math.log(x) for x in per_component)
+    else:
+        value = math.fsum(per_component)
+    return value, math.sqrt(math.fsum(e * e for e in errs))
+
+
+@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_monte_carlo_matches_naive_per_sample_loop(fam, variant):
+    res = reveal_bound(fam, BoundMode(variant, samples=120), seed=17)
+    value, stderr = _naive_mc(fam, variant, 120, 17)
+    assert math.isclose(res.value, value, rel_tol=1e-12)
+    assert math.isclose(res.stderr, stderr, rel_tol=1e-12)
+
+
+def test_monte_carlo_builds_only_sampled_rows():
+    fam = downset_top_family(random_tangled_grid(6, 1))
+    assert fam.n == 12 > EXACT_COMPONENT_LIMIT
+    res = reveal_bound(fam, BoundMode("averaged", samples=300), seed=1)
+    assert fam.option_counts.rows_built <= 300 * 12
+    assert bound_holds(res, fam)
+
+
+def _reference_dominance_hists(fam, chain, n):
+    nch = 2 * n
+    opposite = set(range(n, nch)) if chain < n else set(range(n))
+    others = [j for j in range(nch) if j != chain]
+    hists = {l: [{} for _ in fam.members] for l in range(n + 1)}
+    for size in range(nch):
+        w = factorial(size) * factorial(nch - 1 - size)
+        for prefix in combinations(others, size):
+            order = _order_with_prefix(prefix, chain, nch)
+            row = hists[len(opposite.intersection(prefix))]
+            for mi, member in enumerate(fam.members):
+                c = option_count(fam, member, order, chain)
+                row[mi][c] = row[mi].get(c, 0) + w
+    return hists
+
+
+@pytest.mark.parametrize("grid", [grid_diamond(2), random_tangled_grid(2, 8),
+                                  random_tangled_grid(3, 9)])
+def test_dominance_histograms_match_option_count(grid):
+    fam = downset_top_family(grid)
+    reports = iter(dominance_check_grid(grid))
+    for chain in range(2 * grid.n):
+        want = _reference_dominance_hists(fam, chain, grid.n)
+        assert _conditional_option_histograms(fam, chain, grid.n) == want
+        for l in range(2, grid.n + 1):
+            got = next(reports)
+            ref = _dominance_report(grid.n, chain, l, want[l])
+            assert (got.chain_index, got.l, got.passed, got.witnesses) == \
+                (ref.chain_index, ref.l, ref.passed, ref.witnesses)

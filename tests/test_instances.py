@@ -31,6 +31,20 @@ def test_parse_errors(text, match):
         parse_instance(text)
 
 
+@pytest.mark.parametrize("text, match", [
+    ('{"n": true, "job_prefs": [[false]], "applicant_prefs": [[false]]}',
+     "n must be an integer"),
+    ('{"n": 1, "job_prefs": [[false]], "applicant_prefs": [[0]]}',
+     "job_prefs row 0 must be a list of integers"),
+    ('{"n": 2, "job_prefs": [[0, 1], [1, 0]], "applicant_prefs": [[0, 1], [true, 0]]}',
+     "applicant_prefs row 1 must be a list of integers"),
+])
+def test_json_booleans_rejected(text, match):
+    # bool is an int subclass, so true/false would otherwise pass as 1/0
+    with pytest.raises(InstanceError, match=match):
+        parse_instance(text)
+
+
 def test_round_trip():
     profile = random_instance(4, seed=7)
     assert parse_instance(serialize_instance(profile)) == profile
