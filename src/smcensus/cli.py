@@ -26,6 +26,12 @@ from .verify import RunConfig, run_verify_suite
 
 SERIES_VARIANTS = {"tg": PLAIN, "sm": EXTENDED}
 SERIES_LIMITS = {"tg": bounds.PLAIN_LOG_LIMIT, "sm": bounds.EXTENDED_LOG_LIMIT}
+
+
+class UsageError(ValueError):
+    """Command-line arguments that name no usable input."""
+
+
 USAGE_ERRORS = (InstanceError, FamilyError, DistributionError, StateCapError,
                 PosetError, ValueError)
 
@@ -36,10 +42,14 @@ def _emit(stream, obj) -> None:
 
 def _load_profile(args):
     if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --in {args.infile}: {exc.strerror or exc}") from exc
+        return parse_instance(text)
     if args.n is None:
-        raise SystemExit(2)
+        raise UsageError("give an instance with --in FILE or --n N")
     return random_instance(args.n, args.seed)
 
 
@@ -69,7 +79,7 @@ def _cmd_rotations(args, out) -> int:
 
 
 def _cmd_grids(args, out) -> int:
-    if args.diamond:
+    if args.diamond is not None:
         grid = posets.grid_diamond(args.diamond)
         expected = comb(2 * args.diamond, args.diamond)
     else:
@@ -114,11 +124,12 @@ def _cmd_simulate(args, out) -> int:
                     "pmf": pmf, "freq": freq, "passed": True})
         return 0
     if args.kind in ("plain", "extended"):
-        sampler = distributions.LineGapSampler(args.x, args.kind, args.seed)
-        samples = sampler.take(args.samples)
+        samples = distributions.sample_line_gap(args.x, args.kind, args.seed,
+                                                args.samples)
         freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))[:12]}
         _emit(out, {"check": f"simulate_{args.kind}", "x": args.x,
-                    "window": sampler.window, "freq": freq, "passed": True})
+                    "window": distributions.line_gap_window(args.x), "freq": freq,
+                    "passed": True})
         return 0
     if args.kind == "dependence":
         ok = True
@@ -137,6 +148,8 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.samples < 1:  # fail before the suite runs, not at c12
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     config = RunConfig(
         seed=args.seed,
         max_n=args.max_n,

@@ -13,6 +13,11 @@ sampling:
   extra indicator slots at {-1, 0, 1, 2}, plus a shortcut branch that
   forces gap 1 with probability x.
 
+The samplers are lane-vectorized and generative: each draw follows the
+model above, with every capped scan drawn from one u64 by the integer
+inversion table ``rng.ScanTable``; ``CyclicGapSampler`` and
+``LineGapSampler`` are the scalar oracles they are tested against.
+
 The module also hosts the stochastic-dominance check of revealed-chain
 option counts against the cyclic gap law, a Jensen inequality helper, and
 the Monte Carlo comparison of the extended gap under correlated versus
@@ -31,17 +36,33 @@ import numpy as np
 
 from .counting import TupleFamily, downset_top_family
 from .posets import TangledGrid
-from .rng import Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
+from .rng import ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
 
 PLAIN = "plain"
 EXTENDED = "extended"
 
-MC_LANES = 1024
+MC_LANES = 1 << 14  # widest round of a vectorized draw
+MC_BLOCK = 1024     # gap_dependence_check draws whole blocks of samples
+KEY_CELLS = 1 << 20  # cap on the cyclic sampler's keys held at once (8 MiB)
 SLOTS = (-1, 0, 1, 2)
 
 
 class DistributionError(ValueError):
     pass
+
+
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise DistributionError(f"sample count must be >= 1, got {count}")
+
+
+def _lane_rounds(seed: int, total: int,
+                 width: int = MC_LANES) -> tuple[XoshiroLanes, list[int]]:
+    """Split `total` lane draws into balanced rounds of at most `width`
+    lanes: one generator, and the number m of its first lanes each round uses."""
+    rounds = -(-total // width)
+    size = -(-total // rounds)
+    return XoshiroLanes(seed, size), [min(size, total - r * size) for r in range(rounds)]
 
 
 @dataclass(frozen=True)
@@ -77,10 +98,14 @@ class Pmf:
 
 # ---------------------------------------------------------------- cyclic gap
 
-def cyclic_gap_pmf(n: int, l: int) -> Pmf:
-    """Exact arc-length law for l chosen points among n+1 cyclic positions."""
+def _check_cyclic(n: int, l: int) -> None:
     if not 2 <= l <= n:
         raise DistributionError(f"need 2 <= l <= n, got l={l}, n={n}")
+
+
+def cyclic_gap_pmf(n: int, l: int) -> Pmf:
+    """Exact arc-length law for l chosen points among n+1 cyclic positions."""
+    _check_cyclic(n, l)
     denom = comb(n + 1, l)
     support = tuple((k, Fraction(k * comb(n - k, l - 2), denom))
                     for k in range(1, n + 1) if comb(n - k, l - 2) > 0)
@@ -91,8 +116,7 @@ def cyclic_gap_pmf(n: int, l: int) -> Pmf:
 
 def cyclic_gap_pmf_bruteforce(n: int, l: int) -> Pmf:
     """Oracle: enumerate all C(n+1, l) choices on the circle directly."""
-    if not 2 <= l <= n:
-        raise DistributionError(f"need 2 <= l <= n, got l={l}, n={n}")
+    _check_cyclic(n, l)
     counts: dict[int, int] = {}
     total = 0
     for chosen in combinations(range(n + 1), l):
@@ -120,8 +144,7 @@ class CyclicGapMoments:
 def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
     """E of the cyclic gap, overall and conditioned on whether the marked
     point was among the chosen; asserts the 2(n+1)/(l+1) ceiling."""
-    if not 2 <= l <= n:
-        raise DistributionError(f"need 2 <= l <= n, got l={l}, n={n}")
+    _check_cyclic(n, l)
     # split counts: a length-k arc containing the mark starts at the mark
     # (mark chosen) or at one of k-1 earlier points (mark unchosen)
     e_chosen = Fraction(
@@ -135,11 +158,11 @@ def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
 
 
 class CyclicGapSampler:
-    """Deterministic sample stream of cyclic gaps."""
+    """Scalar oracle for ``sample_cyclic_gap``: a deterministic stream of
+    cyclic gaps, one partial Fisher-Yates choice of l points per draw."""
 
     def __init__(self, n: int, l: int, seed: int):
-        if not 2 <= l <= n:
-            raise DistributionError(f"need 2 <= l <= n, got l={l}, n={n}")
+        _check_cyclic(n, l)
         self.n, self.l = n, l
         self._rng = Xoshiro256StarStar(seed)
 
@@ -152,7 +175,19 @@ class CyclicGapSampler:
 
 
 def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> list[int]:
-    return CyclicGapSampler(n, l, seed).take(count)
+    """`count` cyclic gaps, lane-vectorized: each draw gives the n+1 points
+    u64 keys and chooses the l points with the smallest keys (keys tie with
+    probability below (n+1)^2 / 2^65 per draw; the partition breaks ties)."""
+    _check_cyclic(n, l)
+    _check_count(count)
+    lanes, rounds = _lane_rounds(seed, count, min(MC_LANES, max(1, KEY_CELLS // (n + 1))))
+    gaps = []
+    for m in rounds:
+        chosen = np.argpartition(lanes.next_block(n + 1, m), l - 1, axis=0)[:l]
+        first, last = chosen.min(axis=0), chosen.max(axis=0)
+        after_zero = np.where(chosen == 0, n + 1, chosen).min(axis=0)
+        gaps.append(np.where(first == 0, after_zero, n + 1 - last + first))
+    return np.concatenate(gaps).tolist()
 
 
 # ------------------------------------------------------------------ line gap
@@ -214,6 +249,17 @@ def line_gap_total(x, K: int, variant: str = PLAIN):
         + line_gap_tail(x, K, variant)
 
 
+def line_gap_window(x) -> int:
+    """Width ceil(40/x) at which the samplers truncate the integer line
+    (untouched-tail mass below 1e-12)."""
+    return math.ceil(40 / x)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in (PLAIN, EXTENDED):
+        raise DistributionError(f"unknown variant {variant!r}")
+
+
 def line_gap_log_mean(x: float, variant: str = PLAIN, rel_tail: float = 1e-14) -> float:
     """E[log gap], truncated where the remaining mass is negligible."""
     _check_x(x)
@@ -228,16 +274,16 @@ def line_gap_log_mean(x: float, variant: str = PLAIN, rel_tail: float = 1e-14) -
 
 
 class LineGapSampler:
-    """Deterministic line-gap stream; the integer line is truncated at a
-    width ceil(40/x) window (untouched-tail mass below 1e-12)."""
+    """Scalar oracle for ``sample_line_gap``: a deterministic line-gap
+    stream that scans slot by slot with one Bernoulli draw per slot, on the
+    integer line truncated at ``line_gap_window(x)``."""
 
     def __init__(self, x: float, variant: str, seed: int):
         _check_x(x)
-        if variant not in (PLAIN, EXTENDED):
-            raise DistributionError(f"unknown variant {variant!r}")
+        _check_variant(variant)
         self.x = x
         self.variant = variant
-        self.window = math.ceil(40 / x)
+        self.window = line_gap_window(x)
         self._thr = bernoulli_threshold(Fraction(x))
         self._rng = Xoshiro256StarStar(seed)
 
@@ -277,7 +323,40 @@ class LineGapSampler:
 
 
 def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
-    return LineGapSampler(x, variant, seed).take(count)
+    """`count` line gaps, lane-vectorized, from the same generative model as
+    ``LineGapSampler``: slot indicators plus two capped scans, each scan
+    drawn from one u64 by inversion."""
+    _check_x(x)
+    _check_variant(variant)
+    _check_count(count)
+    thr, scan = _marking(x)
+    lanes, rounds = _lane_rounds(seed, count)
+    gaps = []
+    for m in rounds:
+        if variant == PLAIN:
+            u = lanes.next_block(3, m)
+            gaps.append(np.where(u[0] < thr, 0, scan.draw(u[1])) + scan.draw(u[2]))
+        else:
+            branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
+            in_b = {j: slot_u[j] < thr for j in SLOTS}
+            gaps.append(_gap_from_slots(in_a, in_b, down, up, branch))
+    return np.concatenate(gaps).tolist()
+
+
+def _marking(x) -> tuple[np.uint64, ScanTable]:
+    """The slot-marking threshold of x and the table of its capped scan."""
+    thr = bernoulli_threshold(Fraction(x))
+    return np.uint64(thr), ScanTable(thr, line_gap_window(x))
+
+
+def _extended_draws(lanes: XoshiroLanes, m: int, thr: np.uint64, scan: ScanTable):
+    """One round of the extended model on m lanes: the shortcut branch, the
+    A-slot marks, the raw B-slot uniforms (callers may identify slots by
+    sharing them), and the scans below slot -1 and above slot 2."""
+    u = lanes.next_block(11, m)
+    in_a = dict(zip(SLOTS, u[1:5] < thr))
+    slot_u = dict(zip(SLOTS, u[5:9]))
+    return u[0] < thr, in_a, slot_u, scan.draw(u[9]), scan.draw(u[10])
 
 
 # ------------------------------------------------------------- dominance
@@ -435,27 +514,22 @@ def gap_dependence_check(x: float, pattern, seed: int,
     uniforms (an identified class reuses its representative's uniform), so
     the difference estimator is tight; pass iff the dependent mean does
     not exceed the independent one by more than 4 standard errors of the
-    paired difference.
+    paired difference.  The sample count is rounded up to whole blocks of
+    MC_BLOCK and drawn in balanced rounds of at most MC_LANES lanes.
     """
     _check_x(x)
+    _check_count(samples)
     classes = _pattern_classes(tuple(pattern))
-    thr = np.uint64(bernoulli_threshold(Fraction(x)))
-    window = math.ceil(40 / x)
-    lanes = XoshiroLanes(seed, MC_LANES)
-    batches = (samples + MC_LANES - 1) // MC_LANES
-    total = batches * MC_LANES
+    thr, scan = _marking(x)
+    total = -(-samples // MC_BLOCK) * MC_BLOCK
 
     sum_d = sum_i = 0.0
     sum_diff = sum_diff2 = 0.0
-    for _ in range(batches):
-        branch = lanes.next_u64() < thr
-        in_a = {j: lanes.next_u64() < thr for j in SLOTS}
-        slot_u = {j: lanes.next_u64() for j in SLOTS}
+    lanes, rounds = _lane_rounds(seed, total)
+    for m in rounds:
+        branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
         b_ind = {j: slot_u[j] < thr for j in SLOTS}
         b_dep = {j: slot_u[classes[j]] < thr for j in SLOTS}
-
-        down = _vector_scan(lanes, thr, window)  # first mark below slot -1
-        up = _vector_scan(lanes, thr, window)    # first mark above slot 2
 
         n_ind = _gap_from_slots(in_a, b_ind, down, up, branch)
         n_dep = _gap_from_slots(in_a, b_dep, down, up, branch)
@@ -475,20 +549,6 @@ def gap_dependence_check(x: float, pattern, seed: int,
     passed = mean_diff <= 4.0 * stderr
     return GapDependenceResult(tuple(pattern), x, total, mean_d, mean_i,
                                mean_diff, stderr, passed)
-
-
-def _vector_scan(lanes: XoshiroLanes, thr: np.uint64, window: int) -> np.ndarray:
-    """Per lane: steps until the first marked slot, capped at window."""
-    steps = np.full(lanes.lanes, window, dtype=np.int64)
-    pending = np.ones(lanes.lanes, dtype=bool)
-    for step in range(1, window + 1):
-        hit = lanes.next_u64() < thr
-        newly = pending & hit
-        steps[newly] = step
-        pending &= ~hit
-        if not pending.any():
-            break
-    return steps
 
 
 def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:
@@ -524,6 +584,7 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     tops at a chain boundary are skipped, mirroring the interior-only
     analysis.  This is a slack sanity probe, not an exact criterion.
     """
+    _check_count(samples)
     from .instances import random_instance
     from .posets import enumerate_downset_masks
     from .rotations import build_rotation_poset, to_finite_poset

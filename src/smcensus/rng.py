@@ -4,7 +4,9 @@ Every random draw in the package flows through xoshiro256** seeded via
 SplitMix64, so identical seeds give bit-identical streams on every
 platform.  A numpy-vectorized multi-lane variant backs the heavy Monte
 Carlo checks; lane j of the vector generator carries exactly the same
-state as the scalar generator opened with ``stream=j``.
+state as the scalar generator opened with ``stream=j``.  Truncated
+geometric scans are drawn by integer inversion (``ScanTable``), one u64
+per scan, with no float anywhere in the draw path.
 """
 
 from __future__ import annotations
@@ -12,29 +14,35 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(state: int):
     """Yield the SplitMix64 output sequence starting from ``state``."""
     x = state & _MASK64
     while True:
-        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        x = (x + _GAMMA) & _MASK64
         z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _splitmix64_at(seed: int, i: int) -> int:
+    """Output i of ``_splitmix64(seed)`` in closed form: mix(seed + (i+1) gamma)."""
+    z = (seed + (i + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _stream_state(seed: int, stream: int) -> list[int]:
     """Four xoshiro state words for (seed, stream): SplitMix64 outputs 4*stream..4*stream+3."""
-    gen = _splitmix64(seed)
-    out = []
-    for _ in range(4 * stream):
-        next(gen)
-    for _ in range(4):
-        out.append(next(gen))
+    out = [_splitmix64_at(seed, 4 * stream + i) for i in range(4)]
     if all(w == 0 for w in out):  # all-zero state is a fixed point of xoshiro
-        out[0] = 0x9E3779B97F4A7C15
+        out[0] = _GAMMA
     return out
 
 
@@ -126,11 +134,14 @@ class XoshiroLanes:
     """
 
     def __init__(self, seed: int, lanes: int):
-        gen = _splitmix64(seed & _MASK64)
-        words = [next(gen) for _ in range(4 * lanes)]
-        state = np.array(words, dtype=np.uint64).reshape(lanes, 4)
+        # SplitMix64 outputs 0 .. 4*lanes-1 at once, by the closed form
+        z = (np.arange(1, 4 * lanes + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+             + np.uint64(seed & _MASK64))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        state = (z ^ (z >> np.uint64(31))).reshape(lanes, 4)
         zero_rows = ~state.any(axis=1)
-        state[zero_rows, 0] = np.uint64(0x9E3779B97F4A7C15)
+        state[zero_rows, 0] = np.uint64(_GAMMA)
         self._s = [state[:, i].copy() for i in range(4)]
         self.lanes = lanes
 
@@ -154,3 +165,43 @@ class XoshiroLanes:
     def bernoulli(self, threshold: int) -> np.ndarray:
         """Boolean vector, each lane True with probability threshold / 2^64."""
         return self.next_u64() < np.uint64(threshold & _MASK64)
+
+    def next_block(self, rows: int, width: int) -> np.ndarray:
+        """The next ``rows`` draws of the first ``width`` lanes, shape (rows, width)."""
+        return np.stack([self.next_u64()[:width] for _ in range(rows)])
+
+
+class ScanTable:
+    """Integer inversion table for a capped Bernoulli scan.
+
+    The scan tests slots 1, 2, ... with ``Xoshiro256StarStar.bernoulli``
+    at ``threshold`` (p = threshold / 2^64) and returns the step of the
+    first hit, or ``window`` when none of the first window - 1 slots hits,
+    so it exceeds k < window steps with probability (1 - p)^k.  Inversion
+    from one uniform u64 U: with T_k = floor((2^64 - threshold)^k / 2^(64 (k-1))),
+    the scan exceeds k steps exactly when U < T_k, i.e. it is
+    1 + #{1 <= k < window : U < T_k}.  Each cell's mass (T_{k-1} - T_k) / 2^64
+    is within 2^-64 of the scan's.
+    """
+
+    def __init__(self, threshold: int, window: int):
+        if not 0 < threshold <= 1 << 64:
+            raise ValueError("scan threshold outside (0, 2^64]")
+        if window < 1:
+            raise ValueError("scan window must be >= 1")
+        # T_1 .. T_{window-1}; once T_k reaches 0 every later one does too
+        q = (1 << 64) - threshold
+        power = q  # q^k, exact
+        self.bounds = []
+        for k in range(1, window):
+            t = power >> (64 * (k - 1))
+            if t == 0:
+                break
+            self.bounds.append(t)
+            power *= q
+        # ascending, so a searchsorted count of entries <= U leaves #{k : U < T_k}
+        self._ascending = np.array(self.bounds[::-1], dtype=np.uint64)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Scan lengths for a vector of uniform u64 draws."""
+        return 1 + len(self._ascending) - np.searchsorted(self._ascending, u, side="right")

@@ -75,8 +75,17 @@ def test_interval_validation():
 
 
 def test_term_majorants():
-    assert verify_term_majorants(PLAIN, 2000)
-    assert verify_term_majorants(EXTENDED, 2000)
+    assert verify_term_majorants(PLAIN)
+    assert verify_term_majorants(EXTENDED)
+
+
+def test_term_majorant_inequalities_explicit():
+    # the nonnegative polynomial coefficients prove every k; these integer
+    # comparisons check the cross-multiplied inequalities independently
+    for k in range(1, 10 ** 5 + 1):
+        assert k * k <= (k + 1) * (k + 2)
+        assert k * k * (2 * k * k + 14 * k + 72) \
+            <= 4 * (k + 3) * (k + 5) * (k + 6) * (k + 7)
 
 
 def test_integral_checks():

@@ -72,6 +72,14 @@ def test_simulate_cyclic(capsys):
     assert set(lines[0]["pmf"]) == {1, 2, 3} or set(lines[0]["pmf"]) == {"1", "2", "3"}
 
 
+def test_simulate_line_gap(capsys):
+    code, lines = run_cli(capsys, "simulate", "--kind", "extended", "--x", "0.5",
+                          "--samples", "4000", "--seed", "3")
+    assert code == 0
+    assert lines[0]["window"] == 80
+    assert abs(lines[0]["freq"]["1"] - 0.5 - 0.5 * 0.75 ** 2) < 0.03
+
+
 def test_report_to_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["grids", "--diamond", "2", "--out", str(out)])
@@ -111,9 +119,26 @@ def assert_usage_error(capsys, argv, error, message):
     (["simulate", "--kind", "cyclic", "--n", "5", "--l", "7"],
      "DistributionError", "need 2 <= l <= n"),
     (["grids", "--diamond", "9"], "PosetError", "downset cap"),
+    (["grids", "--diamond", "0"], "PosetError", "n must be >= 1"),
+    (["enumerate"], "UsageError", "--in FILE or --n N"),
+    (["simulate", "--kind", "dependence", "--samples", "0"],
+     "DistributionError", "sample count must be >= 1"),
+    (["verify", "--samples", "0"], "UsageError", "--samples must be >= 1"),
+    (["simulate", "--kind", "plain", "--samples", "0"],
+     "DistributionError", "sample count must be >= 1"),
+    (["simulate", "--kind", "cyclic", "--n", "3", "--samples", "-5"],
+     "DistributionError", "sample count must be >= 1"),
+    (["simulate", "--kind", "asymptotic", "--n", "5", "--samples", "0"],
+     "DistributionError", "sample count must be >= 1"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)
+
+
+def test_missing_instance_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert_usage_error(capsys, ["enumerate", "--in", str(path)],
+                       "UsageError", f"cannot read --in {path}")
 
 
 def test_malformed_instance_file_exits_2(tmp_path, capsys):

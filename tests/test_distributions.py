@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
+from smcensus.distributions import (EXTENDED, PLAIN, CyclicGapSampler,
+                                    DistributionError, LineGapSampler,
                                     asymptotic_dominance_probe,
                                     cyclic_gap_expectation, cyclic_gap_pmf,
                                     cyclic_gap_pmf_bruteforce, dominance_check,
@@ -82,6 +83,45 @@ def test_samplers_deterministic():
             sample_line_gap(0.3, variant, 7, 500)
 
 
+def two_sample_z(a: list[int], b: list[int], cells) -> float:
+    """Largest |z| of the two-proportion test over the cells and the rest."""
+    worst = 0.0
+    for cell in list(cells) + [None]:
+        if cell is None:
+            fa = sum(v > max(cells) for v in a) / len(a)
+            fb = sum(v > max(cells) for v in b) / len(b)
+        else:
+            fa, fb = a.count(cell) / len(a), b.count(cell) / len(b)
+        pooled = (fa * len(a) + fb * len(b)) / (len(a) + len(b))
+        se = math.sqrt(pooled * (1 - pooled) * (1 / len(a) + 1 / len(b)))
+        if se > 0:
+            worst = max(worst, abs(fa - fb) / se)
+    return worst
+
+
+def test_fast_samplers_match_scalar_oracles():
+    draws = 20000
+    fast = sample_cyclic_gap(6, 3, 11, draws)
+    slow = CyclicGapSampler(6, 3, 12).take(draws)
+    assert two_sample_z(fast, slow, range(1, 6)) < 4.5
+    for x in (0.1, 0.3, 0.9):
+        for variant in (PLAIN, EXTENDED):
+            fast = sample_line_gap(x, variant, 11, draws)
+            slow = LineGapSampler(x, variant, 12).take(draws)
+            top = min(12, round(3 / x))
+            assert two_sample_z(fast, slow, range(1, top)) < 4.5, (x, variant)
+
+
+def test_fast_samplers_golden_values():
+    # the first draws of seed 7, and draws on both sides of the boundary
+    # between the two rounds of 10000 lanes; a change of any stream shows here
+    assert sample_cyclic_gap(5, 3, 7, 12) == [1, 4, 3, 2, 2, 3, 4, 2, 2, 3, 3, 2]
+    assert sample_line_gap(0.3, PLAIN, 7, 12) == [5, 4, 7, 5, 6, 8, 2, 2, 9, 9, 1, 12]
+    assert sample_line_gap(0.3, EXTENDED, 7, 12) == [1, 3, 8, 3, 2, 2, 4, 10, 1, 3, 1, 3]
+    assert sample_line_gap(0.5, EXTENDED, 7, 20000)[9998:10002] == [1, 2, 1, 3]
+    assert sample_cyclic_gap(50, 2, 7, 20000)[9998:10002] == [28, 49, 50, 33]
+
+
 def test_sampler_frequencies_match_pmf():
     draws = 40000
     s = sample_cyclic_gap(3, 2, 42, draws)
@@ -141,10 +181,15 @@ def test_identification_patterns():
 def test_dependence_check_small():
     res = gap_dependence_check(0.3, ((0, 2),), seed=1, samples=60000)
     assert res.passed
-    # independent estimate agrees with the exact series value
-    assert abs(res.independent_mean - line_gap_log_mean(0.3, EXTENDED)) < 0.02
+    assert res.samples == 60416  # whole blocks of 1024
     empty = gap_dependence_check(0.3, (), seed=1, samples=20000)
     assert empty.passed and empty.diff_mean == 0.0
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_dependence_independent_mean_matches_series(x):
+    res = gap_dependence_check(x, ((-1, 1),), seed=2, samples=200000)
+    assert abs(res.independent_mean - line_gap_log_mean(x, EXTENDED)) < 0.01
 
 
 def test_asymptotic_probe():

@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from smcensus.rng import Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
+from smcensus.rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes,
+                          _splitmix64, _stream_state, bernoulli_threshold)
 
 
 def test_streams_are_deterministic():
@@ -18,6 +21,26 @@ def test_lanes_match_scalar_streams():
     for _ in range(50):
         vec = lanes.next_u64()
         assert [int(v) for v in vec] == [s.next_u64() for s in scalars]
+    wide = XoshiroLanes(9001, 4096)
+    scalars = [Xoshiro256StarStar(9001, stream=j) for j in range(4096)]
+    for _ in range(3):
+        vec = wide.next_u64()
+        assert [int(v) for v in vec] == [s.next_u64() for s in scalars]
+
+
+def test_stream_state_is_the_splitmix64_sequence():
+    for seed in (0, 9001, (1 << 64) - 1):
+        gen = _splitmix64(seed)
+        for stream in range(1024):
+            assert _stream_state(seed, stream) == [next(gen) for _ in range(4)]
+
+
+def test_next_block_rows_are_successive_draws():
+    a, b = XoshiroLanes(5, 8), XoshiroLanes(5, 8)
+    block = a.next_block(3, 5)
+    assert block.shape == (3, 5)
+    for row in block:
+        assert row.tolist() == b.next_u64()[:5].tolist()
 
 
 def test_randrange_bounds_and_determinism():
@@ -50,3 +73,37 @@ def test_bernoulli_threshold_exact():
     assert bernoulli_threshold(1) == 1 << 64
     with pytest.raises(ValueError):
         bernoulli_threshold(2)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9, Fraction(1, 3)])
+def test_scan_table_matches_scan_law_exactly(x):
+    """Mass of steps = k under the table against (1-p)^(k-1) p (the cap at
+    window taking the rest), p = thr / 2^64, within 2^-63, in integers."""
+    thr = bernoulli_threshold(Fraction(x))
+    window = math.ceil(40 / x)
+    table = ScanTable(thr, window)
+    q = (1 << 64) - thr
+    t = [1 << 64] + table.bounds + [0] * (window - 1 - len(table.bounds))
+    for k in range(1, window + 1):
+        # both masses scaled by 2^(64 k)
+        mass = (t[k - 1] - (t[k] if k < window else 0)) << (64 * (k - 1))
+        law = q ** (k - 1) * (thr if k < window else 1 << 64)
+        assert abs(mass - law) <= 1 << (64 * k - 63), k
+
+
+@pytest.mark.parametrize("x", [0.1, 0.9])
+def test_scan_table_draw_inverts_at_the_bounds(x):
+    """steps = 1 + #{k : U < T_k}: U just below T_k scans past k, U = T_k stops at k."""
+    table = ScanTable(bernoulli_threshold(Fraction(x)), math.ceil(40 / x))
+    bounds = table.bounds
+    u = np.array([b - 1 for b in bounds] + bounds + [0, (1 << 64) - 1], dtype=np.uint64)
+    ks = list(range(1, len(bounds) + 1))
+    expect = [k + 1 for k in ks] + ks + [1 + len(bounds), 1]
+    assert table.draw(u).tolist() == expect
+
+
+def test_scan_table_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        ScanTable(0, 10)
+    with pytest.raises(ValueError):
+        ScanTable(1 << 63, 0)
