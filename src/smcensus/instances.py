@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rng import Xoshiro256StarStar
 
@@ -35,25 +36,35 @@ class PreferenceProfile:
                 if sorted(row) != list(range(self.n)):
                     raise InstanceError(f"{name} row {i} not a permutation of 0..{self.n - 1}")
 
+    # Rank tables are built on first use and kept on the instance (outside
+    # the dataclass fields, so equality and hashing see only n and the rows).
+    @cached_property
+    def job_rank_table(self) -> tuple[tuple[int, ...], ...]:
+        return _rank_table(self.job_prefs)
 
-def job_ranks(profile: PreferenceProfile) -> list[list[int]]:
+    @cached_property
+    def applicant_rank_table(self) -> tuple[tuple[int, ...], ...]:
+        return _rank_table(self.applicant_prefs)
+
+
+def _rank_table(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    out = []
+    for row in prefs:
+        rank = [0] * len(row)
+        for pos, x in enumerate(row):
+            rank[x] = pos
+        out.append(tuple(rank))
+    return tuple(out)
+
+
+def job_ranks(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
     """rank[u][v] = position of applicant v on job u's list (0 = best)."""
-    n = profile.n
-    rank = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for pos, v in enumerate(profile.job_prefs[u]):
-            rank[u][v] = pos
-    return rank
+    return profile.job_rank_table
 
 
-def applicant_ranks(profile: PreferenceProfile) -> list[list[int]]:
+def applicant_ranks(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
     """rank[v][u] = position of job u on applicant v's list (0 = best)."""
-    n = profile.n
-    rank = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for pos, u in enumerate(profile.applicant_prefs[v]):
-            rank[v][u] = pos
-    return rank
+    return profile.applicant_rank_table
 
 
 def _is_int(x) -> bool:
@@ -119,3 +130,26 @@ def random_instance(n: int, seed: int) -> PreferenceProfile:
 def instance_I2() -> PreferenceProfile:
     """Canonical n=2 fixture with exactly two stable matchings."""
     return PreferenceProfile(2, ((0, 1), (1, 0)), ((1, 0), (0, 1)))
+
+
+def irving_leather(k: int) -> PreferenceProfile:
+    """The Irving-Leather doubling family I_n, n = 2^k.
+
+    I_1 is the one-pair market; I_2n takes I_n's job lists J and applicant
+    lists A: job u ranks J[u] then J[u]+n, job u+n ranks J[u]+n then J[u];
+    applicant v ranks A[v]+n then A[v], applicant v+n ranks A[v] then
+    A[v]+n.  I_2 is instance_I2, and the counts run 1, 2, 10, 268, 195472.
+    """
+    if not _is_int(k) or k < 0:
+        raise InstanceError("k must be an integer >= 0")
+    jobs: list[tuple[int, ...]] = [(0,)]
+    apps: list[tuple[int, ...]] = [(0,)]
+    for _ in range(k):
+        n = len(jobs)
+        shift = [tuple(x + n for x in row) for row in jobs]
+        jobs = ([jobs[u] + shift[u] for u in range(n)]
+                + [shift[u] + jobs[u] for u in range(n)])
+        shift = [tuple(x + n for x in row) for row in apps]
+        apps = ([shift[v] + apps[v] for v in range(n)]
+                + [apps[v] + shift[v] for v in range(n)])
+    return PreferenceProfile(len(jobs), tuple(jobs), tuple(apps))

@@ -28,17 +28,13 @@ def gale_shapley(profile: PreferenceProfile, proposing_side: str = "jobs") -> Ma
     starting point for all rotation eliminations.
     """
     if proposing_side == "jobs":
-        prop_prefs, recv_prefs = profile.job_prefs, profile.applicant_prefs
+        prop_prefs, recv_rank = profile.job_prefs, applicant_ranks(profile)
     elif proposing_side == "applicants":
-        prop_prefs, recv_prefs = profile.applicant_prefs, profile.job_prefs
+        prop_prefs, recv_rank = profile.applicant_prefs, job_ranks(profile)
     else:
         raise ValueError("proposing_side must be 'jobs' or 'applicants'")
 
     n = profile.n
-    recv_rank = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for pos, p in enumerate(recv_prefs[r]):
-            recv_rank[r][p] = pos
 
     next_choice = [0] * n
     recv_match = [-1] * n

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:  # pragma: no cover
     from .rotations import RotationPoset
 
-DOWNSET_CAP = 40
+MEMO_CAP = 2 * 10 ** 6  # memo entries; the cost of a count, unlike poset size
 
 
 class PosetError(ValueError):
@@ -83,14 +83,21 @@ def strict_above_masks(poset: FinitePoset) -> list[int]:
     return above
 
 
+def lower_cover_masks(below: list[int]) -> list[int]:
+    """Transitive reduction of transitively closed strict-below masks:
+    f < e is a cover iff f lies below no g < e."""
+    out = []
+    for b in below:
+        through = 0
+        for g in _bits(b):
+            through |= below[g]
+        out.append(b & ~through)
+    return out
+
+
 def poset_from_below(size: int, below: list[int]) -> FinitePoset:
     """Build a FinitePoset by transitive reduction of strict-below masks."""
-    covers = []
-    for e in range(size):
-        for f in _bits(below[e]):
-            # f < e is a cover iff no g with f < g < e
-            if not any(below[g] >> f & 1 for g in _bits(below[e]) if g != f):
-                covers.append((f, e))
+    covers = [(f, e) for e, c in enumerate(lower_cover_masks(below)) for f in _bits(c)]
     return FinitePoset(size, tuple(sorted(covers)))
 
 
@@ -100,14 +107,13 @@ def leq_matrix(poset: FinitePoset) -> list[int]:
     return [below[e] | (1 << e) for e in range(poset.size)]
 
 
-def count_downsets(poset: FinitePoset, cap: int = DOWNSET_CAP) -> int:
+def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
     """Exact number of downsets (order ideals), memoized divide and conquer.
 
     Splits on whether a pivot element is in the ideal:
     ideals(P) = ideals(P - upset(x)) + ideals(P - downset(x)).
+    Raises PosetError once the memo would exceed `cap` entries.
     """
-    if poset.size > cap:
-        raise PosetError(f"poset size {poset.size} above downset cap {cap}")
     below = strict_below_masks(poset)
     above = strict_above_masks(poset)
     full = (1 << poset.size) - 1
@@ -128,6 +134,8 @@ def count_downsets(poset: FinitePoset, cap: int = DOWNSET_CAP) -> int:
                 best, best_c = e, c
         x = best
         res = count(mask & ~(above[x] | (1 << x))) + count(mask & ~(below[x] | (1 << x)))
+        if len(memo) >= cap:
+            raise PosetError(f"downset count needs more than {cap} memo entries")
         memo[mask] = res
         return res
 

@@ -2,19 +2,23 @@
 
 A rotation is a cyclic list of matched edges whose elimination re-matches
 each job to the next applicant in the cycle, producing another stable
-matching.  Exploring all elimination sequences from the job-optimal
-matching yields the rotation poset; its downsets are in bijection with
-the stable matchings, which is the central equality this module exposes
-and the test suite verifies against brute force.
+matching.  The rotation poset is built in polynomial time from one
+maximal elimination chain (Gusfield's type-1/type-2 precedences); the
+exhaustive lattice BFS over all elimination sequences stays as its
+labelled oracle.  The poset's downsets are in bijection with the stable
+matchings, which is the central equality this module exposes and the
+test suite verifies against brute force.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from . import posets
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
-from .matchings import Matching, gale_shapley, unstable_pairs, validate_matching
+from .matchings import (Matching, gale_shapley, is_stable, unstable_pairs,
+                        validate_matching)
 
 STATE_CAP = 10 ** 6
 
@@ -69,8 +73,8 @@ def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Ro
     """
     n = profile.n
     validate_matching(matching, n)
-    bad = unstable_pairs(profile, matching)
-    if bad:
+    if not is_stable(profile, matching):
+        bad = unstable_pairs(profile, matching)  # only to name a witness
         raise NotExposedError(f"matching is unstable, e.g. blocking pair {bad[0]}")
     arank = applicant_ranks(profile)
     partner = [0] * n
@@ -130,8 +134,8 @@ def eliminate(matching: Matching, rotation: Rotation,
     if profile is not None and rotation not in exposed_rotations(profile, matching):
         raise NotExposedError(f"rotation {rotation.edges} not exposed")
     new = _apply_rotation(matching, rotation)
-    if profile is not None:
-        assert not unstable_pairs(profile, new), "elimination broke stability"
+    if profile is not None and not is_stable(profile, new):
+        raise AssertionError("elimination broke stability")
     return new
 
 
@@ -158,12 +162,149 @@ def to_finite_poset(rposet: RotationPoset) -> posets.FinitePoset:
     return posets.poset_from_below(len(rposet.rotations), list(rposet.below))
 
 
-def build_rotation_poset(profile: PreferenceProfile,
-                         state_cap: int = STATE_CAP) -> RotationPoset:
-    """Breadth-first exploration of all elimination sequences from the
-    job-optimal matching; the order is read off the reachable
-    eliminated-sets (rho below rho' iff every reachable set containing
-    rho' contains rho) and cross-checked to be a lattice of downsets.
+def _with_chains(n: int, rotations: list[Rotation], below: list[int]) -> RotationPoset:
+    m_ids: list[list[int]] = [[] for _ in range(n)]
+    w_ids: list[list[int]] = [[] for _ in range(n)]
+    for t, rot in enumerate(rotations):
+        for u, v in rot.edges:
+            m_ids[u].append(t)
+            w_ids[v].append(t)
+
+    def chain(ids: list[int]) -> tuple[int, ...]:
+        return tuple(sorted(ids, key=lambda t: (below[t].bit_count(), t)))
+
+    return RotationPoset(n, tuple(rotations), tuple(below),
+                         tuple(map(chain, m_ids)), tuple(map(chain, w_ids)))
+
+
+def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
+    """Rotation poset in polynomial time, from one maximal elimination chain.
+
+    From the job-optimal matching the first exposed rotation is eliminated
+    until none is left; every rotation occurs on the chain exactly once.
+    Precedence (Gusfield, SIAM J. Comput. 16, 1987; Gusfield & Irving 1989,
+    3.2-3.3): type 1, the rotation that moved job u to applicant v
+    precedes every rotation containing (u, v); type 2, when rho moves u
+    from v to v', each applicant w strictly between them on u's list is
+    first given a partner ranked above u by a rotation preceding rho.
+    The chain order is a linear extension, so `below` is their closure
+    taken along it.  Ids are the BFS oracle's discovery order.
+    """
+    n = profile.n
+    arank = applicant_ranks(profile)
+    jrank = job_ranks(profile)
+    mu0 = gale_shapley(profile, "jobs")
+    partner0 = [0] * n
+    for u, v in enumerate(mu0):
+        partner0[v] = u
+
+    chain: list[Rotation] = []
+    moved_to: dict[tuple[int, int], int] = {}  # edge -> chain step that made it
+    gains: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (rank of new partner, step)
+    matching = mu0
+    while True:
+        exposed = exposed_rotations(profile, matching)
+        if not exposed:
+            break
+        rot = exposed[0]
+        step = len(chain)
+        chain.append(rot)
+        matching = _apply_rotation(matching, rot)
+        if not is_stable(profile, matching):
+            raise AssertionError("elimination produced an unstable matching")
+        for u in rot.jobs:
+            v = matching[u]
+            moved_to[(u, v)] = step
+            gains[v].append((arank[v][u], step))
+    if matching != gale_shapley(profile, "applicants"):
+        raise AssertionError("elimination chain does not end at the applicant-optimal matching")
+
+    r = len(chain)
+    below_on_chain = [0] * r
+    for step, rot in enumerate(chain):
+        preds = 0
+        k = len(rot.edges)
+        for i, (u, v) in enumerate(rot.edges):
+            if (u, v) in moved_to:
+                preds |= 1 << moved_to[(u, v)]  # type 1
+            prefs_u = profile.job_prefs[u]
+            for pos in range(jrank[u][v] + 1, jrank[u][rot.edges[(i + 1) % k][1]]):
+                w = prefs_u[pos]
+                ranked_u = arank[w][u]
+                if arank[w][partner0[w]] < ranked_u:
+                    continue
+                preds |= 1 << _first_gain_above(gains[w], ranked_u)  # type 2
+        if preds >> step:
+            raise AssertionError("a precedence points forward along the chain")
+        for p in posets._bits(preds):
+            below_on_chain[step] |= below_on_chain[p] | (1 << p)
+
+    order = sorted(range(r), key=_bfs_discovery_key(chain, below_on_chain))
+    new_id = [0] * r
+    for t, step in enumerate(order):
+        new_id[step] = t
+    below = [0] * r
+    for step in range(r):
+        for p in posets._bits(below_on_chain[step]):
+            below[new_id[step]] |= 1 << new_id[p]
+    return _with_chains(n, [chain[step] for step in order], below)
+
+
+def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
+    """First chain step that gives an applicant a partner ranked above `rank`."""
+    for got, step in gains:
+        if got < rank:
+            return step
+    raise AssertionError("no chain step lifts the applicant past a job that skipped it")
+
+
+def _bfs_discovery_key(chain: list[Rotation], below: list[int]):
+    """Sort key reproducing the lattice BFS's rotation ids.
+
+    The BFS visits downsets level by level, each level ordered by the
+    lexicographically least linear extension (rotations compared by edges)
+    and the exposed rotations of a state by edges; a rotation is first
+    met at the state below[t].  So ids follow (|below[t]|, least extension
+    of below[t], edges).
+    """
+    r = len(chain)
+    by_edges = sorted(range(r), key=lambda step: chain[step].edges)
+    edge_rank = [0] * r
+    for i, step in enumerate(by_edges):
+        edge_rank[step] = i
+    covers = posets.lower_cover_masks(below)
+    upper_covers: list[list[int]] = [[] for _ in range(r)]
+    for e in range(r):
+        for f in posets._bits(covers[e]):
+            upper_covers[f].append(e)
+
+    def least_extension(mask: int) -> list[int]:
+        # greedy: always take the smallest available rotation by edges
+        waiting = {e: covers[e].bit_count() for e in posets._bits(mask)}
+        heap = [(edge_rank[e], e) for e, c in waiting.items() if c == 0]
+        heapq.heapify(heap)
+        out = []
+        while heap:
+            rank, e = heapq.heappop(heap)
+            out.append(rank)
+            for g in upper_covers[e]:
+                if g in waiting:
+                    waiting[g] -= 1
+                    if waiting[g] == 0:
+                        heapq.heappush(heap, (edge_rank[g], g))
+        return out
+
+    return lambda step: (below[step].bit_count(), least_extension(below[step]),
+                         edge_rank[step])
+
+
+def build_rotation_poset_bfs(profile: PreferenceProfile,
+                             state_cap: int = STATE_CAP) -> RotationPoset:
+    """Labelled oracle: breadth-first exploration of all elimination
+    sequences from the job-optimal matching; the order is read off the
+    reachable eliminated-sets (rho below rho' iff every reachable set
+    containing rho' contains rho) and cross-checked to be a lattice of
+    downsets.  Exponential in general: it visits every stable matching.
     """
     n = profile.n
     mu0 = gale_shapley(profile, "jobs")
@@ -220,39 +361,38 @@ def build_rotation_poset(profile: PreferenceProfile,
     if ideals != reached:
         raise AssertionError("reached sets differ from the downsets of the derived order")
 
-    def chain(ids: list[int]) -> tuple[int, ...]:
-        return tuple(sorted(ids, key=lambda t: (below[t].bit_count(), t)))
-
-    m_chains = tuple(chain([t for t in range(r) if u in rotations[t].jobs])
-                     for u in range(n))
-    w_chains = tuple(chain([t for t in range(r) if v in rotations[t].applicants])
-                     for v in range(n))
-    return RotationPoset(n, tuple(rotations), tuple(below), m_chains, w_chains)
+    return _with_chains(n, rotations, below)
 
 
 def stable_matching_bijection(profile: PreferenceProfile,
-                              state_cap: int = STATE_CAP) -> dict[frozenset[int], Matching]:
-    """Explicit downset -> stable matching map, eliminating each downset's
-    rotations in a linear extension order with full exposure checking."""
-    rposet = build_rotation_poset(profile, state_cap)
-    mu0 = gale_shapley(profile, "jobs")
-    fp = to_finite_poset(rposet)
-    out: dict[frozenset[int], Matching] = {}
-    for mask in posets.enumerate_downset_masks(fp):
-        ids = sorted(posets._bits(mask),
-                     key=lambda t: (rposet.below[t].bit_count(), t))
-        matching = mu0
-        for t in ids:
-            matching = eliminate(matching, rposet.rotations[t], profile)
-        out[frozenset(ids)] = matching
+                              rposet: RotationPoset | None = None
+                              ) -> dict[frozenset[int], Matching]:
+    """Explicit downset -> stable matching map.
+
+    Downsets stream subsets first, so each downset's matching is its
+    predecessor's (the downset less its top rotation) with that rotation
+    eliminated under full exposure and stability checks: one checked
+    elimination per downset.  `rposet` defaults to a fresh build.
+    """
+    if rposet is None:
+        rposet = build_rotation_poset(profile)
+    height = [b.bit_count() for b in rposet.below]
+    by_mask: dict[int, Matching] = {}
+    for mask in posets.enumerate_downset_masks(to_finite_poset(rposet)):
+        if not mask:
+            by_mask[mask] = gale_shapley(profile, "jobs")
+            continue
+        top = max(posets._bits(mask), key=lambda t: (height[t], t))  # maximal in mask
+        by_mask[mask] = eliminate(by_mask[mask ^ (1 << top)], rposet.rotations[top], profile)
+    out = {frozenset(posets._bits(mask)): m for mask, m in by_mask.items()}
     if len(set(out.values())) != len(out):
         raise AssertionError("downset -> matching map is not injective")
     return out
 
 
 def enumerate_stable_via_rotations(profile: PreferenceProfile,
-                                   state_cap: int = STATE_CAP) -> set[Matching]:
-    return set(stable_matching_bijection(profile, state_cap).values())
+                                   rposet: RotationPoset | None = None) -> set[Matching]:
+    return set(stable_matching_bijection(profile, rposet).values())
 
 
 @dataclass

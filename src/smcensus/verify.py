@@ -22,8 +22,6 @@ from .distributions import EXTENDED, PLAIN
 from .instances import PreferenceProfile, instance_I2, random_instance
 from .rng import Xoshiro256StarStar, bernoulli_threshold
 
-GRID_CAP = 49  # embedded grids reach n^2 = 49 at the sweep ceiling n = 7
-
 
 @dataclass
 class RunConfig:
@@ -34,7 +32,6 @@ class RunConfig:
     mc_samples: int = 10 ** 6
     series_truncation: int = 10 ** 7
     scan_limit: int = 10 ** 6
-    state_cap: int = 10 ** 6
     inject_fault: bool = False
     threads: int = 1
 
@@ -81,14 +78,14 @@ def _profile_for(item: tuple[int, int]) -> PreferenceProfile:
 
 
 def _sweep_one(args) -> dict:
-    item, state_cap, inject = args
+    item, inject = args
     n, seed = item
     profile = _profile_for(item)
     t0 = time.perf_counter()
     brute = matchings.enumerate_stable_bruteforce(profile)
-    rposet = rotations.build_rotation_poset(profile, state_cap)
+    rposet = rotations.build_rotation_poset(profile)
     downset_count = posets.count_downsets(rotations.to_finite_poset(rposet))
-    via = rotations.enumerate_stable_via_rotations(profile, state_cap)
+    via = rotations.enumerate_stable_via_rotations(profile, rposet)
     if inject and via:
         via = set(list(via)[1:])  # negative control: drop one matching
     bijection_elapsed = time.perf_counter() - t0
@@ -97,7 +94,7 @@ def _sweep_one(args) -> dict:
     grid_ok, grid_downsets = True, None
     try:
         grid = posets.embed_in_tangled_grid(rposet)
-        grid_downsets = posets.count_downsets(grid.poset, cap=GRID_CAP)
+        grid_downsets = posets.count_downsets(grid.poset)
     except posets.PosetError:
         grid_ok = False
     return {
@@ -118,7 +115,7 @@ def _sweep_one(args) -> dict:
 
 def run_sweep(config: RunConfig) -> list[dict]:
     plan = instance_plan(config)
-    jobs = [(item, config.state_cap, config.inject_fault and i == 2)
+    jobs = [(item, config.inject_fault and i == 2)
             for i, item in enumerate(plan)]
     if config.threads > 1:
         try:
@@ -173,7 +170,7 @@ def criterion_embedding(config: RunConfig, sweep: list[dict]) -> CheckResult:
 def criterion_diamond(config: RunConfig) -> CheckResult:
     bad = []
     for n in range(1, 9):
-        got = posets.count_downsets(posets.grid_diamond(n).poset, cap=64)
+        got = posets.count_downsets(posets.grid_diamond(n).poset)
         if got != comb(2 * n, n):
             bad.append((n, got, comb(2 * n, n)))
     return CheckResult("c04", "diamond grid downsets equal central binomials",

@@ -5,8 +5,8 @@ import pytest
 from smcensus import rotations
 from smcensus.cli import main
 from smcensus.counting import FamilyError
-from smcensus.instances import instance_I2, serialize_instance
-from smcensus.rotations import StateCapError
+from smcensus.instances import instance_I2, irving_leather, serialize_instance
+from smcensus.posets import PosetError
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +87,37 @@ def test_report_to_file(tmp_path, capsys):
     assert json.loads(out.read_text())["downsets"] == 6
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "x.json"
+    assert_usage_error(capsys, ["grids", "--diamond", "2", "--out", str(path)],
+                       "UsageError", f"cannot write --out {path}")
+
+
+def test_grids_diamond_past_the_old_size_cap(capsys):
+    # 81 elements: above the former 64-element cap, well inside the memo cap
+    code, lines = run_cli(capsys, "grids", "--diamond", "9")
+    assert code == 0
+    assert lines[0]["downsets"] == lines[0]["expected"] == 48620
+
+
+@pytest.mark.parametrize("command", ["rotations", "grids"])
+def test_poset_output_equals_bfs_oracle_output(monkeypatch, capsys, tmp_path, command):
+    argvs = [[command, "--n", str(n), "--seed", str(seed)]
+             for n in range(2, 13) for seed in (n, 100 + n)]
+    for k in (2, 3):  # many rotations of equal height: the ids depend on the tie order
+        path = tmp_path / f"il{k}.json"
+        path.write_text(serialize_instance(irving_leather(k)), encoding="utf-8")
+        argvs.append([command, "--in", str(path)])
+    for argv in argvs:
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(rotations, "build_rotation_poset",
+                          rotations.build_rotation_poset_bfs)
+            assert main(argv) == 0
+        assert capsys.readouterr().out == fast
+
+
 def test_reports_byte_identical_across_runs(tmp_path):
     argv = ["simulate", "--kind", "dependence", "--x", "0.5",
             "--samples", "3000", "--seed", "9"]
@@ -118,7 +149,7 @@ def assert_usage_error(capsys, argv, error, message):
     (["series", "--which", "tg", "--truncate", "5"], "ValueError", "K must be"),
     (["simulate", "--kind", "cyclic", "--n", "5", "--l", "7"],
      "DistributionError", "need 2 <= l <= n"),
-    (["grids", "--diamond", "9"], "PosetError", "downset cap"),
+    (["rotations", "--n", "0"], "InstanceError", "n must be >= 1"),
     (["grids", "--diamond", "0"], "PosetError", "n must be >= 1"),
     (["enumerate"], "UsageError", "--in FILE or --n N"),
     (["simulate", "--kind", "dependence", "--samples", "0"],
@@ -149,7 +180,7 @@ def test_malformed_instance_file_exits_2(tmp_path, capsys):
                        "InstanceError", "job_prefs row 1 not a permutation")
 
 
-@pytest.mark.parametrize("exc", [StateCapError("more than 5 lattice states"),
+@pytest.mark.parametrize("exc", [PosetError("downset count needs more than 5 memo entries"),
                                  FamilyError("family is empty")])
 def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcensus.instances import (InstanceError, PreferenceProfile, instance_I2,
-                                parse_instance, random_instance,
+from smcensus.instances import (InstanceError, PreferenceProfile,
+                                applicant_ranks, instance_I2, irving_leather,
+                                job_ranks, parse_instance, random_instance,
                                 serialize_instance)
 
 
@@ -85,3 +86,30 @@ def test_profile_invariants_enforced():
         PreferenceProfile(2, ((0, 1), (1, 1)), ((0, 1), (1, 0)))
     with pytest.raises(InstanceError):
         PreferenceProfile(0, (), ())
+
+
+def test_rank_tables_are_built_once_and_leave_identity_alone():
+    profile = random_instance(6, 4)
+    fresh = random_instance(6, 4)
+    jrank, arank = job_ranks(profile), applicant_ranks(profile)
+    assert job_ranks(profile) is jrank and applicant_ranks(profile) is arank
+    for u in range(6):
+        for pos in range(6):
+            assert jrank[u][profile.job_prefs[u][pos]] == pos
+            assert arank[u][profile.applicant_prefs[u][pos]] == pos
+    assert isinstance(jrank, tuple) and all(isinstance(row, tuple) for row in jrank)
+    # a profile with cached tables still equals and hashes like one without
+    assert profile == fresh and hash(profile) == hash(fresh)
+    assert {profile: 1}[fresh] == 1
+    assert repr(profile) == repr(fresh)
+
+
+def test_irving_leather_doubling():
+    assert irving_leather(0) == PreferenceProfile(1, ((0,),), ((0,),))
+    assert irving_leather(1) == instance_I2()
+    i4 = irving_leather(2)
+    assert i4.job_prefs[1] == (1, 0, 3, 2) and i4.job_prefs[3] == (3, 2, 1, 0)
+    assert i4.applicant_prefs[0] == (3, 2, 1, 0) and i4.applicant_prefs[2] == (1, 0, 3, 2)
+    assert irving_leather(5).n == 32
+    with pytest.raises(InstanceError, match="k must be"):
+        irving_leather(-1)

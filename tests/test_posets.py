@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcensus.instances import instance_I2, random_instance
-from smcensus.posets import (FinitePoset, PosetError, TangledGrid,
+from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
                              count_downsets, count_downsets_bruteforce,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_to_json,
                              poset_from_below, random_tangled_grid,
-                             validate_tangled_grid)
+                             strict_below_masks, validate_tangled_grid)
 from smcensus.rotations import build_rotation_poset, to_finite_poset
 
 
@@ -30,7 +30,7 @@ def test_chain_and_antichain_counts():
 
 def test_product_grid_counts():
     for n in range(1, 9):
-        assert count_downsets(grid_diamond(n).poset, cap=64) == comb(2 * n, n)
+        assert count_downsets(grid_diamond(n).poset) == comb(2 * n, n)
 
 
 def test_cover_validation():
@@ -89,8 +89,13 @@ def test_enumeration_is_canonical_and_complete():
 
 
 def test_count_cap():
-    with pytest.raises(PosetError, match="cap"):
-        count_downsets(antichain(41))
+    # the cap bounds memo entries, not poset size: a 41-element antichain
+    # needs 41 entries and a 4 x 4 diamond far more
+    assert count_downsets(antichain(41), cap=41) == 2 ** 41
+    with pytest.raises(PosetError, match="more than 40 memo entries"):
+        count_downsets(antichain(41), cap=40)
+    with pytest.raises(PosetError, match="memo entries"):
+        count_downsets(grid_diamond(4).poset, cap=10)
 
 
 def test_fixture_embedding_is_two_by_two_diamond():
@@ -113,7 +118,7 @@ def test_embedding_invariants_and_monotone_counts():
         n = 2 + seed % 4
         rposet = build_rotation_poset(random_instance(n, seed))
         grid = embed_in_tangled_grid(rposet)  # validates internally
-        assert count_downsets(grid.poset, cap=49) >= \
+        assert count_downsets(grid.poset) >= \
             count_downsets(to_finite_poset(rposet))
 
 
@@ -136,10 +141,37 @@ def test_grid_downsets_stay_below_exponential_ceiling():
         assert count_downsets(grid_diamond(n).poset) <= 11.11 ** n
     for seed in range(8):
         grid = random_tangled_grid(2 + seed % 5, seed)
-        assert count_downsets(grid.poset, cap=49) <= 11.11 ** grid.n
+        assert count_downsets(grid.poset) <= 11.11 ** grid.n
 
 
 def test_grid_json():
     data = grid_to_json(grid_diamond(2))
     assert data["size"] == 4
     assert len(data["m_chains"]) == 2
+
+
+def covers_by_triple_loop(size, below):
+    """The former O(size * |below|^2) transitive reduction, kept as reference."""
+    covers = []
+    for e in range(size):
+        for f in _bits(below[e]):
+            if not any(below[g] >> f & 1 for g in _bits(below[e]) if g != f):
+                covers.append((f, e))
+    return tuple(sorted(covers))
+
+
+@given(random_posets())
+@settings(max_examples=80, deadline=None)
+def test_poset_from_below_matches_triple_loop(poset):
+    below = strict_below_masks(poset)
+    assert poset_from_below(poset.size, below).covers == \
+        covers_by_triple_loop(poset.size, below)
+
+
+def test_poset_from_below_matches_triple_loop_on_grids():
+    grids = [grid_diamond(n) for n in range(1, 6)]
+    grids += [random_tangled_grid(2 + seed % 6, seed) for seed in range(12)]
+    for grid in grids:
+        below = strict_below_masks(grid.poset)
+        assert poset_from_below(grid.poset.size, below).covers == \
+            covers_by_triple_loop(grid.poset.size, below)

@@ -1,10 +1,15 @@
+import time
+from math import comb
+
 import pytest
 
-from smcensus import posets
-from smcensus.instances import PreferenceProfile, instance_I2, random_instance
+from smcensus import posets, rotations, verify
+from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
+                                random_instance)
 from smcensus.matchings import enumerate_stable_bruteforce, unstable_pairs
 from smcensus.rotations import (NotExposedError, Rotation, RotationPoset,
-                                build_rotation_poset, canonical_rotation,
+                                StateCapError, build_rotation_poset,
+                                build_rotation_poset_bfs, canonical_rotation,
                                 check_structure, eliminate,
                                 enumerate_stable_via_rotations,
                                 exposed_rotations, poset_to_json,
@@ -119,3 +124,81 @@ def test_exposed_requires_stability():
                           (1, 0))
     with pytest.raises(ValueError):
         exposed_rotations(profile, (0, 0))
+
+
+def assert_same_poset(profile):
+    fast, oracle = build_rotation_poset(profile), build_rotation_poset_bfs(profile)
+    assert fast.rotations == oracle.rotations  # same ids, not only the same set
+    assert fast.below == oracle.below
+    assert fast == oracle
+    return fast
+
+
+def test_chain_builder_matches_bfs_over_sweep_plan():
+    for item in verify.instance_plan(verify.RunConfig()):
+        assert_same_poset(verify._profile_for(item))
+
+
+@pytest.mark.parametrize("n, count", [(30, 40), (50, 20)])
+def test_chain_builder_matches_bfs_on_larger_instances(n, count):
+    for seed in range(count):
+        rposet = assert_same_poset(random_instance(n, 7000 + seed))
+        assert check_structure(rposet).passed
+
+
+def test_bfs_oracle_keeps_its_state_cap():
+    with pytest.raises(StateCapError):
+        build_rotation_poset_bfs(irving_leather(3), state_cap=100)
+
+
+def test_bijection_eliminates_once_per_downset(monkeypatch):
+    calls = []
+
+    def counting_eliminate(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(rotations, "eliminate", counting_eliminate)
+    for profile in (instance_I2(), irving_leather(3), random_instance(9, 3)):
+        rposet = build_rotation_poset(profile)
+        downsets = posets.count_downsets(to_finite_poset(rposet))
+        calls.clear()
+        out = stable_matching_bijection(profile, rposet)
+        assert len(calls) == len(out) - 1 == downsets - 1
+        assert all(len(args) == 3 and args[2] is profile for args in calls)
+
+
+def test_bijection_reuses_a_given_poset():
+    profile = random_instance(7, 11)
+    rposet = build_rotation_poset(profile)
+    assert stable_matching_bijection(profile, rposet) == stable_matching_bijection(profile)
+    assert enumerate_stable_via_rotations(profile, rposet) == \
+        enumerate_stable_bruteforce(profile)
+
+
+@pytest.mark.parametrize("k, count", [(0, 1), (1, 2), (2, 10), (3, 268)])
+def test_irving_leather_small_counts(k, count):
+    profile = irving_leather(k)
+    rposet = assert_same_poset(profile)
+    assert len(enumerate_stable_bruteforce(profile)) == count
+    assert enumerate_stable_via_rotations(profile, rposet) == \
+        enumerate_stable_bruteforce(profile)
+    assert posets.count_downsets(to_finite_poset(rposet)) == count
+
+
+def test_irving_leather_rotation_counts():
+    for k in range(6):
+        n = 2 ** k
+        rposet = build_rotation_poset(irving_leather(k))
+        assert len(rposet.rotations) == comb(n, 2)
+        assert check_structure(rposet).passed
+
+
+def test_irving_leather_sixteen_counts_fast():
+    t0 = time.perf_counter()
+    rposet = build_rotation_poset(irving_leather(4))
+    count = posets.count_downsets(to_finite_poset(rposet))
+    elapsed = time.perf_counter() - t0
+    assert count == 195472  # f(2n) = 3 f(n)^2 - 2 f(n/2)^4 at n = 8: 3*268^2 - 2*10^4
+    assert count <= 3.55 ** 16
+    assert elapsed < 1.0, elapsed
