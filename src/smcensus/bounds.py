@@ -31,7 +31,10 @@ def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
     sum_j C(m,j)/C(n,j+a) = (n+1) / ((a+1) C(n-m+1, a+1)), exactly."""
     if m < 0 or a < 0 or n < m + a:
         raise ValueError("need m >= 0, a >= 0, n >= m + a")
-    lhs = sum(Fraction(comb(m, j), comb(n, j + a)) for j in range(m + 1))
+    # one integer sum over the common denominator D = lcm of the C(n, j+a)
+    denoms = [comb(n, j + a) for j in range(m + 1)]
+    d = math.lcm(*denoms)
+    lhs = Fraction(sum(comb(m, j) * (d // c) for j, c in enumerate(denoms)), d)
     rhs = Fraction(n + 1, (a + 1) * comb(n - m + 1, a + 1))
     return lhs, rhs, lhs == rhs
 
@@ -208,6 +211,7 @@ def _poly_mul_frac(a, b):
 # ----------------------------------------------------------- pmf integrals
 
 def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer polynomials; put the short operand first."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -217,40 +221,50 @@ def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
 
 
 def _poly_int_01(coeffs: list[int]) -> Fraction:
-    return sum((Fraction(c, j + 1) for j, c in enumerate(coeffs)), Fraction(0))
+    """Exact integral over [0, 1], summed over the common denominator
+    lcm(1..len(coeffs))."""
+    lcm = math.lcm(*range(1, len(coeffs) + 1))
+    return Fraction(sum(c * (lcm // (j + 1)) for j, c in enumerate(coeffs)), lcm)
 
 
-_Q = [1, -1]            # 1 - x
-_C = [0, 2, -1]         # 1 - (1-x)^2
-_X = [0, 1]
+def _one_minus_x_pow(m: int) -> list[int]:
+    """Coefficients of (1 - x)^m: the signed binomials (-1)^j C(m, j)."""
+    row = [1] * (m + 1)
+    for j in range(m):
+        row[j + 1] = -row[j] * (m - j) // (j + 1)
+    return row
+
+
+# short fixed factors, c = 1 - (1-x)^2 = 2x - x^2
+_C2 = [0, 0, 4, -4, 1]   # c^2
+_2CX = [0, 0, 4, -2]     # 2 c x
+
+
+def _check_gap_index(k: int, variant: str) -> None:
+    """Reject an unknown variant or a k below the first polynomial term."""
+    first = {PLAIN: 1, EXTENDED: 2}.get(variant)
+    if first is None:
+        raise DistributionError(f"unknown variant {variant!r}")
+    if k < first:
+        raise ValueError(f"k must be >= {first} for the {variant} variant")
 
 
 def line_gap_pmf_poly(k: int, variant: str) -> list[int]:
-    """Integer coefficients of the gap pmf as a polynomial in x."""
-    if variant == PLAIN:
-        if k < 1:
-            raise ValueError("k must be >= 1 for the plain variant")
-        qpow = [1]
-        for _ in range(k - 1):
-            qpow = _poly_mul_int(qpow, _Q)
-        return _poly_mul_int([0, 0, k], qpow)
-    if variant != EXTENDED:
-        raise DistributionError(f"unknown variant {variant!r}")
-    if k < 2:
-        raise ValueError("k must be >= 2 for the extended variant")
-    qpow = {0: [1]}
-    for i in range(1, k + 5):
-        qpow[i] = _poly_mul_int(qpow[i - 1], _Q)
-    if k == 2:
-        return _poly_mul_int([2], _poly_mul_int(qpow[3], _poly_mul_int(_C, _C)))
-    if k == 3:
-        a = _poly_mul_int(qpow[5], _poly_mul_int(_C, _C))
-        b = _poly_mul_int([2], _poly_mul_int(qpow[5], _poly_mul_int(_C, _X)))
-        return _poly_add(a, b)
-    a = _poly_mul_int([2], _poly_mul_int(qpow[k + 2], _poly_mul_int(_C, _X)))
-    b = _poly_mul_int([2], _poly_mul_int(qpow[k + 3], _poly_mul_int(_C, _X)))
-    c = _poly_mul_int([k - 4], _poly_mul_int(qpow[k + 4], _poly_mul_int(_X, _X)))
-    return _poly_add(_poly_add(a, b), c)
+    """Integer coefficients of the gap pmf as a polynomial in x.
+
+    Each term is a short fixed factor times a power of (1 - x), written
+    out as signed binomials, so the work is linear in the degree."""
+    _check_gap_index(k, variant)
+    if variant == PLAIN:  # k x^2 (1-x)^(k-1)
+        return [0, 0] + [k * c for c in _one_minus_x_pow(k - 1)]
+    if k == 2:  # 2 c^2 (1-x)^3
+        return _poly_mul_int([2 * c for c in _C2], _one_minus_x_pow(3))
+    if k == 3:  # (c^2 + 2 c x) (1-x)^5
+        return _poly_mul_int(_poly_add(_C2, _2CX), _one_minus_x_pow(5))
+    # 2 c x (1-x)^(k+2) + 2 c x (1-x)^(k+3) + (k-4) x^2 (1-x)^(k+4)
+    return _poly_add(_poly_add(_poly_mul_int(_2CX, _one_minus_x_pow(k + 2)),
+                               _poly_mul_int(_2CX, _one_minus_x_pow(k + 3))),
+                     _poly_mul_int([0, 0, k - 4], _one_minus_x_pow(k + 4)))
 
 
 def _poly_add(a: list[int], b: list[int]) -> list[int]:
@@ -264,6 +278,7 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 
 def series_coefficient(k: int, variant: str) -> Fraction:
     """The closed-form value of the pmf integral over x in [0, 1]."""
+    _check_gap_index(k, variant)
     if variant == PLAIN:
         return Fraction(2, (k + 1) * (k + 2))
     if k == 2:

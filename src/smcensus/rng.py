@@ -17,6 +17,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GUARD_BITS = 64  # ScanTable's running-product precision below the binary point
 
 
 def _splitmix64(state: int):
@@ -182,6 +183,13 @@ class ScanTable:
     the scan exceeds k steps exactly when U < T_k, i.e. it is
     1 + #{1 <= k < window : U < T_k}.  Each cell's mass (T_{k-1} - T_k) / 2^64
     is within 2^-64 of the scan's.
+
+    The T_k come from a running product with ``_GUARD_BITS`` guard bits,
+    P_k = floor(q P_{k-1} / 2^64) with q = 2^64 - threshold, which stays
+    below the exact q^k / 2^(64 (k-1) - guard) by less than k units; so
+    T_k = P_k >> guard whenever (P_k + k) >> guard agrees, and otherwise
+    T_k is taken from the exact power.  The table equals the exact one bit
+    for bit, at linear cost in the window.
     """
 
     def __init__(self, threshold: int, window: int):
@@ -191,14 +199,17 @@ class ScanTable:
             raise ValueError("scan window must be >= 1")
         # T_1 .. T_{window-1}; once T_k reaches 0 every later one does too
         q = (1 << 64) - threshold
-        power = q  # q^k, exact
+        guard = _GUARD_BITS
+        p = q << guard  # P_1, exact
         self.bounds = []
         for k in range(1, window):
-            t = power >> (64 * (k - 1))
+            t = p >> guard
+            if (p + k) >> guard != t:
+                t = q ** k >> (64 * (k - 1))
             if t == 0:
                 break
             self.bounds.append(t)
-            power *= q
+            p = p * q >> 64
         # ascending, so a searchsorted count of entries <= U leaves #{k : U < T_k}
         self._ascending = np.array(self.bounds[::-1], dtype=np.uint64)
 

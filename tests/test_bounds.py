@@ -9,7 +9,61 @@ from smcensus.bounds import (EXTENDED_LOG_LIMIT, PLAIN_LOG_LIMIT, Interval,
                              integral_check, line_gap_pmf_poly,
                              series_coefficient, verify_term_majorants,
                              whitworth, whitworth_sweep)
-from smcensus.distributions import EXTENDED, PLAIN, line_gap_pmf
+from smcensus.distributions import EXTENDED, PLAIN, DistributionError, line_gap_pmf
+
+# ------------------------------------------------------------------ oracles
+# The direct loops the bounds kernels replaced: (1-x)^m by repeated
+# multiplication, one Fraction per integral term and per Whitworth term.
+
+
+def _oracle_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _oracle_powers(top):
+    """(1-x)^i for i = 0..top, each from the previous one times (1 - x)."""
+    qpow = [[1]]
+    for _ in range(top):
+        qpow.append(_oracle_poly_mul(qpow[-1], [1, -1]))
+    return qpow
+
+
+def _oracle_pmf_poly(k, variant, qpow):
+    c, x = [0, 2, -1], [0, 1]
+    if variant == PLAIN:
+        return _oracle_poly_mul([0, 0, k], qpow[k - 1])
+    cc, cx = _oracle_poly_mul(c, c), _oracle_poly_mul(c, x)
+    if k == 2:
+        return _oracle_poly_mul([2], _oracle_poly_mul(qpow[3], cc))
+    if k == 3:
+        return _oracle_add(_oracle_poly_mul(qpow[5], cc),
+                           _oracle_poly_mul([2], _oracle_poly_mul(qpow[5], cx)))
+    a = _oracle_poly_mul([2], _oracle_poly_mul(qpow[k + 2], cx))
+    b = _oracle_poly_mul([2], _oracle_poly_mul(qpow[k + 3], cx))
+    d = _oracle_poly_mul([k - 4], _oracle_poly_mul(qpow[k + 4], _oracle_poly_mul(x, x)))
+    return _oracle_add(_oracle_add(a, b), d)
+
+
+def _oracle_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def _oracle_int_01(coeffs):
+    return sum((Fraction(c, j + 1) for j, c in enumerate(coeffs)), Fraction(0))
+
+
+def _oracle_whitworth(m, a, n):
+    lhs = sum(Fraction(math.comb(m, j), math.comb(n, j + a)) for j in range(m + 1))
+    return lhs, Fraction(n + 1, (a + 1) * math.comb(n - m + 1, a + 1))
 
 
 def test_whitworth_examples():
@@ -21,6 +75,17 @@ def test_whitworth_examples():
             assert ok and lhs == Fraction(1, math.comb(n, a))
     with pytest.raises(ValueError):
         whitworth(3, 3, 5)
+
+
+def test_whitworth_matches_per_term_oracle_for_every_triple():
+    triples = 0
+    for n in range(41):
+        for m in range(n + 1):
+            for a in range(n - m + 1):
+                lhs, rhs = _oracle_whitworth(m, a, n)
+                assert whitworth(m, a, n) == (lhs, rhs, True), (m, a, n)
+                triples += 1
+    assert triples == 12341
 
 
 def test_whitworth_sweep_small():
@@ -100,6 +165,28 @@ def test_integral_checks():
         assert integral_check(k, EXTENDED)[2]
     with pytest.raises(ValueError):
         integral_check(1, EXTENDED)
+
+
+def test_pmf_polynomials_and_integrals_match_oracles():
+    qpow = _oracle_powers(204)
+    for variant, first in ((PLAIN, 1), (EXTENDED, 2)):
+        for k in range(first, 201):
+            poly = _oracle_pmf_poly(k, variant, qpow)
+            assert line_gap_pmf_poly(k, variant) == poly, (variant, k)
+            integral, closed, ok = integral_check(k, variant)
+            assert integral == _oracle_int_01(poly) == closed and ok, (variant, k)
+
+
+@pytest.mark.parametrize("k, variant, error", [
+    (1, EXTENDED, ValueError),      # no polynomial closed form at k = 1
+    (0, PLAIN, ValueError),
+    (5, "bogus", DistributionError),
+])
+def test_series_coefficient_rejects_inputs_outside_its_domain(k, variant, error):
+    with pytest.raises(error):
+        series_coefficient(k, variant)
+    with pytest.raises(error):
+        line_gap_pmf_poly(k, variant)
 
 
 def test_pmf_polynomials_evaluate_to_pmf():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smcensus import rotations
+from smcensus import rotations, verify
 from smcensus.cli import main
 from smcensus.counting import FamilyError
 from smcensus.instances import instance_I2, irving_leather, serialize_instance
@@ -161,6 +161,7 @@ def assert_usage_error(capsys, argv, error, message):
      "DistributionError", "sample count must be >= 1"),
     (["simulate", "--kind", "asymptotic", "--n", "5", "--samples", "0"],
      "DistributionError", "sample count must be >= 1"),
+    (["verify", "--only", "c10,c99"], "UsageError", "unknown check id 'c99'"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)
@@ -190,12 +191,22 @@ def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
     assert_usage_error(capsys, ["rotations", "--n", "3"], type(exc).__name__, str(exc))
 
 
+QUICK_VERIFY = ["verify", "--suite", "all", "--seed", "42", "--max-n", "4",
+                "--instances", "6", "--samples", "4000", "--truncate", "100000"]
+
+
+@pytest.fixture(scope="module")
+def quick_verify(tmp_path_factory):
+    """Exit code and raw report lines of one quick full verify run."""
+    path = tmp_path_factory.mktemp("verify") / "full.jsonl"
+    code = main([*QUICK_VERIFY, "--out", str(path)])
+    return code, path.read_text(encoding="utf-8").splitlines()
+
+
 @pytest.mark.slow
-def test_verify_quick_run_reports_known_failure(capsys):
-    code, lines = run_cli(
-        capsys, "verify", "--suite", "all", "--seed", "42", "--max-n", "4",
-        "--instances", "6", "--samples", "4000", "--truncate", "100000")
-    by_id = {line["check"]: line for line in lines}
+def test_verify_quick_run_reports_known_failure(quick_verify):
+    code, raw = quick_verify
+    by_id = {line["check"]: line for line in map(json.loads, raw)}
     assert set(by_id) == {f"c{i:02d}" for i in range(1, 15)}
     failing = {cid for cid, line in by_id.items() if not line["passed"]}
     assert failing == {"c11"}  # the extended series constant, documented
@@ -207,7 +218,37 @@ def test_verify_fault_injection(capsys):
     code, lines = run_cli(
         capsys, "verify", "--suite", "all", "--seed", "42", "--max-n", "3",
         "--instances", "4", "--samples", "4000", "--truncate", "100000",
-        "--inject-fault")
+        "--inject-fault", "--only", "c01")
     by_id = {line["check"]: line for line in lines}
     assert not by_id["c01"]["passed"]
-    assert code == 1
+    assert code == 1  # from c01 alone, as c11 does not run
+
+
+def run_only(tmp_path, only):
+    path = tmp_path / "only.jsonl"
+    code = main([*QUICK_VERIFY, "--only", only, "--out", str(path)])
+    return code, path.read_text(encoding="utf-8").splitlines()
+
+
+def lines_for(lines, ids):
+    return [line for line in lines if json.loads(line)["check"] in ids]
+
+
+@pytest.mark.slow
+def test_verify_only_one_check_skips_the_sweep(tmp_path, monkeypatch, quick_verify):
+    def no_sweep(config):
+        raise AssertionError("c10 does not read the instance sweep")
+
+    monkeypatch.setattr(verify, "run_sweep", no_sweep)
+    code, lines = run_only(tmp_path, "c10")
+    assert code == 0
+    assert lines == lines_for(quick_verify[1], {"c10"})
+    assert json.loads(lines[0])["details"]["whitworth_triples"] == 12341
+
+
+@pytest.mark.slow
+def test_verify_only_several_checks(tmp_path, quick_verify):
+    code, lines = run_only(tmp_path, "c14,c11,c04")
+    assert code == 1  # c11 is the documented failure
+    assert [json.loads(line)["check"] for line in lines] == ["c04", "c11", "c14"]
+    assert lines == lines_for(quick_verify[1], {"c04", "c11", "c14"})

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from smcensus import rng
 from smcensus.rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes,
                           _splitmix64, _stream_state, bernoulli_threshold)
 
@@ -89,6 +90,37 @@ def test_scan_table_matches_scan_law_exactly(x):
         mass = (t[k - 1] - (t[k] if k < window else 0)) << (64 * (k - 1))
         law = q ** (k - 1) * (thr if k < window else 1 << 64)
         assert abs(mass - law) <= 1 << (64 * k - 63), k
+
+
+def _exact_scan_bounds(threshold, window):
+    """Oracle: T_k = floor(q^k / 2^(64 (k-1))) from the exact power q^k."""
+    q = (1 << 64) - threshold
+    power, out = q, []
+    for k in range(1, window):
+        t = power >> (64 * (k - 1))
+        if t == 0:
+            break
+        out.append(t)
+        power *= q
+    return out
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9, 1, Fraction(1, 3), 0.01, 0.003])
+def test_scan_table_equals_exact_power_build(x):
+    thr = bernoulli_threshold(Fraction(x))
+    window = math.ceil(40 / x)
+    assert ScanTable(thr, window).bounds == _exact_scan_bounds(thr, window)
+
+
+@pytest.mark.parametrize("guard", [1, 2, 8])
+def test_scan_table_exact_fallback(monkeypatch, guard):
+    """With a few guard bits the running product cannot settle most T_k,
+    so nearly every entry comes from the exact fallback."""
+    monkeypatch.setattr(rng, "_GUARD_BITS", guard)
+    for x in (0.1, 0.9, Fraction(1, 3)):
+        thr = bernoulli_threshold(Fraction(x))
+        window = math.ceil(40 / x)
+        assert ScanTable(thr, window).bounds == _exact_scan_bounds(thr, window)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.9])
