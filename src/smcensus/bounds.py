@@ -21,6 +21,7 @@ from .distributions import EXTENDED, PLAIN, DistributionError
 
 PLAIN_LOG_LIMIT = 1.2038
 EXTENDED_LOG_LIMIT = 0.6331
+SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
 _BLOCK = 10 ** 6
@@ -142,7 +143,7 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     extended: log(2)/12 + log(3) 23/630
               + sum_{k>=4} log k (2k(k+7)+72)/((k+3)(k+5)(k+6)(k+7)).
     """
-    min_k = 10 if variant == PLAIN else 8
+    min_k = SERIES_MIN_TRUNCATION[PLAIN if variant == PLAIN else EXTENDED]
     if K < min_k:
         raise ValueError(f"K must be >= {min_k}")
     start, partial = _series_head(variant)

@@ -4,8 +4,9 @@ Reports are JSON lines (one object per check, canonical key order) on
 stdout or --out FILE.  Exit codes: 0 success, 1 at least one check
 failed, 2 usage error; a rejected argument or input is reported as one
 JSON line ({"error": type, "message": text}) on stderr.
-SMCENSUS_THREADS sets the verify worker count; it affects speed only,
-never results.
+verify --threads N (0..os.cpu_count(); 0, the default, defers to
+SMCENSUS_THREADS, an integer in 1..os.cpu_count(), else 1) sets the
+verify worker count; it affects speed only, never results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .distributions import EXTENDED, PLAIN, DistributionError
 from .instances import (InstanceError, parse_instance, random_instance,
                         serialize_instance)
 from .posets import PosetError
-from .verify import CHECK_IDS, RunConfig, run_verify_suite
+from .verify import CHECK_IDS, RunConfig, max_threads, run_verify_suite
 
 SERIES_VARIANTS = {"tg": PLAIN, "sm": EXTENDED}
 SERIES_LIMITS = {"tg": bounds.PLAIN_LOG_LIMIT, "sm": bounds.EXTENDED_LOG_LIMIT}
@@ -103,9 +104,6 @@ def _cmd_series(args, out) -> int:
 
 
 def _cmd_bounds(args, out) -> int:
-    if args.series:
-        return _cmd_series(argparse.Namespace(which=args.series,
-                                              truncate=args.truncate), out)
     report = bounds.bound_report(args.n)
     ok = all(report["checks"].values())
     _emit(out, {"check": "bounds", **report, "passed": ok})
@@ -145,9 +143,26 @@ def _cmd_simulate(args, out) -> int:
     return 0 if res.passed else 1
 
 
+def _check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    if value < lo or (hi is not None and value > hi):
+        bounds_text = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise UsageError(f"{name} must be {bounds_text}, got {value}")
+
+
 def _cmd_verify(args, out) -> int:
-    if args.samples < 1:  # fail before the suite runs, not at c12
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    # reject every bad number before the suite runs, not partway through it
+    _check_range("--samples", args.samples, 1)
+    _check_range("--instances", args.instances, 0)
+    _check_range("--max-n", args.max_n, 2, matchings.BRUTE_FORCE_CAP)
+    _check_range("--truncate", args.truncate, max(bounds.SERIES_MIN_TRUNCATION.values()))
+    _check_range("--threads", args.threads, 0, max_threads())
+    if args.threads:
+        threads = args.threads
+    else:
+        try:
+            threads = RunConfig.from_env_threads()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     config = RunConfig(
         seed=args.seed,
         max_n=args.max_n,
@@ -155,7 +170,7 @@ def _cmd_verify(args, out) -> int:
         mc_samples=args.samples,
         series_truncation=args.truncate,
         inject_fault=args.inject_fault,
-        threads=args.threads if args.threads else RunConfig.from_env_threads(),
+        threads=threads,
     )
     only = None
     if args.only is not None:
@@ -205,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="exponential bound report")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--series", choices=tuple(SERIES_VARIANTS))
-    p.add_argument("--truncate", type=int, default=10 ** 7)
 
     p = sub.add_parser("series", help="series constant enclosures")
     p.add_argument("--which", choices=tuple(SERIES_VARIANTS), required=True)
@@ -232,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one enumeration")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker count (default: SMCENSUS_THREADS or 1)")
+                   help="worker count, 0..os.cpu_count() "
+                   "(default 0: SMCENSUS_THREADS, else 1)")
     p.add_argument("--only", help="comma-separated check ids to run, e.g. c10,c11 "
                    "(default: all of c01..c14)")
 

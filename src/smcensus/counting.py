@@ -13,6 +13,14 @@ evaluation reads all rows, Monte Carlo only the sampled ones.
 ``option_count`` recomputes a single X_i from its definition and is the
 oracle the table is tested against.
 
+Every path reduces through one function, ``_reduce``: per component it
+takes each member's integer histogram {X_i: weight} out of a common
+total (1 for a single order, n! for uniform orders, the lcm of the
+weights' denominators for explicit weighted orders, the sample count
+for Monte Carlo) and returns the variant's statistic with the histogram
+it comes from.  Exact bounds sum those histograms as Fractions; Monte
+Carlo bounds take a standard error from them.
+
 Adapters cover the worked three-component family, perfect matchings of a
 bipartite graph (degree-factorial bound), and downsets of a tangled grid
 encoded by their per-chain top elements.
@@ -140,23 +148,6 @@ def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: 
     return len(vals)
 
 
-def _uniform_prefix_hists(family: TupleFamily, i: int) -> list[dict[int, int]]:
-    """Distribution of X_i(s, pi) over a uniform order, per member, as
-    integer weights out of n!.
-
-    X_i depends only on the *set* revealed before i, whose law under a
-    uniform order weights a prefix set T by |T|! (n-1-|T|)! / n!.
-    """
-    n = family.n
-    weights = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
-    prefixes = [(T, weights[T.bit_count()]) for T in range(1 << n) if not T >> i & 1]
-    return family.option_counts.histograms(i, prefixes)
-
-
-def _scaled_mix(hist: dict[int, int], total: int) -> dict[int, Fraction]:
-    return {c: Fraction(w, total) for c, w in hist.items()}
-
-
 def _pooled(hists: list[dict[int, int]]) -> Counter:
     """The per-member histograms summed over members."""
     pooled: Counter = Counter()
@@ -165,14 +156,10 @@ def _pooled(hists: list[dict[int, int]]) -> Counter:
     return pooled
 
 
-def _mix_log(mix: dict, total: int = 1) -> float:
-    """sum of p / total * log c over the mix; p / total rounds once either
-    way, whether p is a Fraction or an integer weight out of total."""
-    return math.fsum(p / total * math.log(c) for c, p in sorted(mix.items()))
-
-
-def _mix_mean(mix: dict[int, Fraction]) -> Fraction:
-    return sum((p * c for c, p in mix.items()), Fraction(0))
+def _mix_log(hist: dict[int, int], total: int) -> float:
+    """sum of w / total * log c over the histogram; each w / total is an
+    integer ratio, so it rounds once."""
+    return math.fsum(w / total * math.log(c) for c, w in sorted(hist.items()))
 
 
 @dataclass(frozen=True)
@@ -213,23 +200,6 @@ class BoundResult:
     log_mix: dict[int, Fraction] | None = None  # exact weights of log arguments
     product: Fraction | None = None             # exact product, mean_product only
     stderr: float | None = None
-    samples: int | None = None
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "value": self.value,
-            "per_component": [float(x) for x in self.per_component],
-            "exact": self.exact,
-        }
-        if self.product is not None:
-            out["product"] = f"{self.product.numerator}/{self.product.denominator}"
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-            out["samples"] = self.samples
-            out["seed"] = self.seed
-        return out
 
 
 def _single_order(orders) -> tuple[int, ...] | None:
@@ -246,21 +216,71 @@ def _revealed_before(order: tuple[int, ...], i: int) -> int:
     return T
 
 
-def _member_mixes(family: TupleFamily, i: int, orders) -> list[dict[int, Fraction]]:
+def _order_hists(family: TupleFamily, i: int, orders) -> tuple[list[dict[int, int]], int]:
+    """Per member, the law of X_i over the orders as an integer histogram
+    {X_i: weight}; every histogram sums to the returned total."""
     single = _single_order(orders)
     if single is not None:
         row = family.option_counts.row(i, _revealed_before(single, i))
-        return [{c: Fraction(1)} for c in row]
+        return [{c: 1} for c in row], 1
+    n = family.n
     if orders == "uniform":
-        total = factorial(family.n)
-        return [_scaled_mix(hist, total) for hist in _uniform_prefix_hists(family, i)]
-    return family.option_counts.histograms(
-        i, [(_revealed_before(order, i), Fraction(w)) for order, w in orders])
+        # X_i depends only on the *set* revealed before i, whose law under
+        # a uniform order weights a prefix set T by |T|! (n-1-|T|)! / n!
+        weights = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
+        prefixes = [(T, weights[T.bit_count()]) for T in range(1 << n) if not T >> i & 1]
+        return family.option_counts.histograms(i, prefixes), factorial(n)
+    fracs = [Fraction(w) for _, w in orders]
+    total = math.lcm(*(w.denominator for w in fracs))
+    weighted = [(_revealed_before(order, i), w.numerator * (total // w.denominator))
+                for (order, _), w in zip(orders, fracs)]
+    return family.option_counts.histograms(i, weighted), total
 
 
-def _merge_mix(target: dict[int, Fraction], mix: dict[int, Fraction], scale: Fraction) -> None:
-    for c, p in mix.items():
-        target[c] = target.get(c, 0) + p * scale
+def _reduce(variant: str, hists: list[dict[int, int]], total: int):
+    """One component's statistic from its per-member histograms, each out
+    of ``total``: (statistic, the histogram it comes from, that total).
+
+    averaged / fixed_order: mean log of the members' pooled histogram;
+    worst_member: the largest member mean log; mean_product: the largest
+    member mean count, a Fraction.  Ties go to the later member.
+    """
+    if variant in ("fixed_order", "averaged"):
+        pooled_total = total * len(hists)
+        pooled = _pooled(hists)
+        return _mix_log(pooled, pooled_total), pooled, pooled_total
+    if variant == "worst_member":
+        stats = [_mix_log(hist, total) for hist in hists]
+    else:
+        stats = [sum(w * c for c, w in hist.items()) for hist in hists]
+    best = max(range(len(hists)), key=lambda mi: (stats[mi], mi))
+    stat = stats[best] if variant == "worst_member" else Fraction(stats[best], total)
+    return stat, hists[best], total
+
+
+def _log_value(variant: str, per_component) -> float:
+    if variant == "mean_product":
+        return math.fsum(math.log(x) for x in per_component)
+    return math.fsum(per_component)
+
+
+def _aggregate(variant: str, comps) -> BoundResult:
+    """Exact bound from each component's (histograms, total)."""
+    per_component = []
+    log_mix: dict[int, Fraction] = {}
+    product = Fraction(1)
+    for hists, total in comps:
+        stat, hist, hist_total = _reduce(variant, hists, total)
+        per_component.append(stat)
+        if variant == "mean_product":
+            product *= stat
+        else:
+            for c, w in hist.items():
+                log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
+    value = _log_value(variant, per_component)
+    if variant == "mean_product":
+        return BoundResult(variant, value, tuple(per_component), True, product=product)
+    return BoundResult(variant, value, tuple(per_component), True, log_mix=log_mix)
 
 
 def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundResult:
@@ -280,73 +300,19 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
         if mode.orders != "uniform":
             raise FamilyError("Monte Carlo sampling applies to uniform orders only")
         return _reveal_bound_mc(family, mode, seed)
-
-    size_frac = Fraction(1, len(family.members))
-    per_component = []
-    log_mix: dict[int, Fraction] = {}
-    product = Fraction(1) if mode.variant == "mean_product" else None
-    for i in range(n):
-        mixes = _member_mixes(family, i, mode.orders)
-        if mode.variant in ("fixed_order", "averaged"):
-            comp_mix: dict[int, Fraction] = {}
-            for mix in mixes:
-                _merge_mix(comp_mix, mix, size_frac)
-            per_component.append(_mix_log(comp_mix))
-            _merge_mix(log_mix, comp_mix, Fraction(1))
-        elif mode.variant == "worst_member":
-            logs = [_mix_log(mix) for mix in mixes]
-            best = max(range(len(mixes)), key=lambda mi: (logs[mi], mi))
-            per_component.append(logs[best])
-            _merge_mix(log_mix, mixes[best], Fraction(1))
-        else:  # mean_product
-            means = [_mix_mean(mix) for mix in mixes]
-            best = max(means)
-            per_component.append(best)
-            product *= best
-    if mode.variant == "mean_product":
-        value = math.fsum(math.log(x) for x in per_component)
-        return BoundResult(mode.variant, value, tuple(per_component), True,
-                           product=product)
-    value = math.fsum(per_component)
-    return BoundResult(mode.variant, value, tuple(per_component), True,
-                       log_mix=log_mix)
+    return _aggregate(mode.variant, [_order_hists(family, i, mode.orders) for i in range(n)])
 
 
 def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
     """All exact uniform-order variants at once, sharing the per-component
-    option-count mixtures (they dominate the cost)."""
+    option-count histograms (they dominate the cost)."""
     if not family.members:
         raise FamilyError("family is empty")
-    n = family.n
-    if n > EXACT_COMPONENT_LIMIT:
+    if family.n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(f"needs at most {EXACT_COMPONENT_LIMIT} components")
-    total = factorial(n)
-    avg_pc, avg_mix = [], {}
-    worst_pc, worst_mix = [], {}
-    prod_pc = []
-    product = Fraction(1)
-    for i in range(n):
-        hists = _uniform_prefix_hists(family, i)
-        comp_mix = _scaled_mix(_pooled(hists), total * len(hists))
-        avg_pc.append(_mix_log(comp_mix))
-        _merge_mix(avg_mix, comp_mix, Fraction(1))
-        logs = [_mix_log(hist, total) for hist in hists]
-        best = max(range(len(hists)), key=lambda mi: (logs[mi], mi))
-        worst_pc.append(logs[best])
-        _merge_mix(worst_mix, _scaled_mix(hists[best], total), Fraction(1))
-        best_mean = Fraction(max(sum(w * c for c, w in hist.items()) for hist in hists),
-                             total)
-        prod_pc.append(best_mean)
-        product *= best_mean
-    return {
-        "averaged": BoundResult("averaged", math.fsum(avg_pc), tuple(avg_pc),
-                                True, log_mix=avg_mix),
-        "worst_member": BoundResult("worst_member", math.fsum(worst_pc),
-                                    tuple(worst_pc), True, log_mix=worst_mix),
-        "mean_product": BoundResult(
-            "mean_product", math.fsum(math.log(x) for x in prod_pc),
-            tuple(prod_pc), True, product=product),
-    }
+    comps = [_order_hists(family, i, "uniform") for i in range(family.n)]
+    return {variant: _aggregate(variant, comps)
+            for variant in ("averaged", "worst_member", "mean_product")}
 
 
 def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundResult:
@@ -360,42 +326,23 @@ def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundRe
             tallies[i][T] = tallies[i].get(T, 0) + 1
             T |= 1 << i
     t = mode.samples
-    nm = len(family.members)
-
-    def mean_stderr(sm, sq):
-        mean = sm / t
-        var = max(sq / t - mean * mean, 0.0)
-        return mean, math.sqrt(var / t)
-
-    def log_sums(hist):
-        logs = [(k, math.log(c)) for c, k in hist.items()]
-        return (math.fsum(k * v for k, v in logs),
-                math.fsum(k * (v * v) for k, v in logs))
-
     per_component = []
     errs = []
     for i in range(n):
         hists = family.option_counts.histograms(i, tallies[i].items())
-        if mode.variant in ("fixed_order", "averaged"):
-            sm, sq = log_sums(_pooled(hists))
-            mean, err = mean_stderr(sm / nm, sq / nm)
-        elif mode.variant == "worst_member":
-            mean, err = max((mean_stderr(*log_sums(hist)) for hist in hists),
-                            key=lambda p: p[0])
+        stat, hist, total = _reduce(mode.variant, hists, t)
+        # standard error of the statistic over t sampled orders
+        mean = float(stat)
+        if mode.variant == "mean_product":
+            second = sum(w * c * c for c, w in hist.items()) / total
         else:
-            mean, err = max((mean_stderr(sum(k * c for c, k in hist.items()),
-                                         sum(k * c * c for c, k in hist.items()))
-                             for hist in hists), key=lambda p: p[0])
-            err /= mean  # delta method for log
-        per_component.append(mean)
-        errs.append(err)
-    if mode.variant == "mean_product":
-        value = math.fsum(math.log(x) for x in per_component)
-    else:
-        value = math.fsum(per_component)
+            second = math.fsum(w / total * math.log(c) ** 2 for c, w in hist.items())
+        err = math.sqrt(max(second - mean * mean, 0.0) / t)
+        per_component.append(stat)
+        errs.append(err / mean if mode.variant == "mean_product" else err)  # delta method
     stderr = math.sqrt(math.fsum(e * e for e in errs))
-    return BoundResult(mode.variant, value, tuple(per_component), False,
-                       stderr=stderr, samples=mode.samples, seed=seed)
+    return BoundResult(mode.variant, _log_value(mode.variant, per_component),
+                       tuple(per_component), False, stderr=stderr)
 
 
 def bound_holds(result: BoundResult, family: TupleFamily, tol: float = 1e-9) -> bool:

@@ -81,12 +81,6 @@ class Pmf:
         elif abs(total - 1.0) > tol:
             raise DistributionError(f"pmf sums to {total}")
 
-    def expectation(self):
-        return sum(k * p for k, p in self.support)
-
-    def log_expectation(self) -> float:
-        return math.fsum(float(p) * math.log(k) for k, p in self.support)
-
     def cdf(self) -> list[tuple[int, object]]:
         out = []
         acc = 0
@@ -367,10 +361,6 @@ class DominanceReport:
     l: int
     passed: bool
     witnesses: list
-
-    def to_json(self) -> dict:
-        return {"chain": self.chain_index, "l": self.l,
-                "passed": self.passed, "witnesses": self.witnesses[:5]}
 
 
 def dominance_check(grid: TangledGrid, chain_index: int, l: int,

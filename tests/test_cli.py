@@ -4,8 +4,10 @@ import pytest
 
 from smcensus import rotations, verify
 from smcensus.cli import main
+from smcensus.bounds import SERIES_MIN_TRUNCATION
 from smcensus.counting import FamilyError
 from smcensus.instances import instance_I2, irving_leather, serialize_instance
+from smcensus.matchings import BRUTE_FORCE_CAP
 from smcensus.posets import PosetError
 
 
@@ -55,9 +57,17 @@ def test_series_plain_within_limit(capsys):
 def test_series_extended_exceeds_limit(capsys):
     # the extended series evaluates near 0.694, above the asserted 0.6331,
     # so this check honestly reports failure
-    code, lines = run_cli(capsys, "bounds", "--series", "sm", "--truncate", "100000")
+    code, lines = run_cli(capsys, "series", "--which", "sm", "--truncate", "100000")
     assert code == 1
     assert lines[0]["hi"] > 0.6331
+
+
+def test_bounds_has_no_series_flags():
+    # series values come from `series --which` alone
+    for flag in ("--series", "--truncate"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "2", flag, "10"])
+        assert exc.value.code == 2
 
 
 def test_random_round_trips(capsys):
@@ -162,9 +172,37 @@ def assert_usage_error(capsys, argv, error, message):
     (["simulate", "--kind", "asymptotic", "--n", "5", "--samples", "0"],
      "DistributionError", "sample count must be >= 1"),
     (["verify", "--only", "c10,c99"], "UsageError", "unknown check id 'c99'"),
+    # each verify case also names a cheap --only, should the check run after all
+    (["verify", "--instances", "-5", "--only", "c01"],
+     "UsageError", "--instances must be >= 0, got -5"),
+    (["verify", "--max-n", "0", "--only", "c01"],
+     "UsageError", f"--max-n must be in 2..{BRUTE_FORCE_CAP}, got 0"),
+    (["verify", "--max-n", str(BRUTE_FORCE_CAP + 1), "--only", "c01"],
+     "UsageError", f"--max-n must be in 2..{BRUTE_FORCE_CAP}"),
+    (["verify", "--truncate", str(max(SERIES_MIN_TRUNCATION.values()) - 1), "--only", "c11"],
+     "UsageError", f"--truncate must be >= {max(SERIES_MIN_TRUNCATION.values())}"),
+    (["verify", "--threads", "-3", "--only", "c05"],
+     "UsageError", f"--threads must be in 0..{verify.max_threads()}, got -3"),
+    # rejected before any pool is made, so no process is started
+    (["verify", "--threads", str(verify.max_threads() + 1), "--only", "c05"],
+     "UsageError", f"--threads must be in 0..{verify.max_threads()}"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)
+
+
+@pytest.mark.parametrize("value", ["two", "", "0", "-1", str(verify.max_threads() + 1)])
+def test_bad_thread_variable_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("SMCENSUS_THREADS", value)
+    assert_usage_error(capsys, ["verify", "--only", "c05"], "UsageError",
+                       f"SMCENSUS_THREADS must be an integer in 1..{verify.max_threads()}")
+
+
+def test_thread_variable_in_range(monkeypatch):
+    monkeypatch.delenv("SMCENSUS_THREADS", raising=False)
+    assert verify.RunConfig.from_env_threads() == 1
+    monkeypatch.setenv("SMCENSUS_THREADS", str(verify.max_threads()))
+    assert verify.RunConfig.from_env_threads() == verify.max_threads()
 
 
 def test_missing_instance_file_exits_2(tmp_path, capsys):

@@ -269,6 +269,66 @@ def test_exact_bounds_equal_per_subset_reference(fam):
         assert single.per_component == got[variant].per_component
 
 
+def _explicit_orders(n):
+    """Four distinct orders whose weights have denominators 4, 6, 4, 3:
+    their lcm, 12, is none of the denominators."""
+    ident = tuple(range(n))
+    orders = [ident, ident[::-1], ident[1:] + ident[:1], ident[2:] + ident[:2]]
+    weights = [Fraction(1, 4), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)]
+    return tuple(zip(orders, weights))
+
+
+HALVES = (((1, 0, 2), Fraction(1, 2)), ((2, 0, 1), Fraction(1, 2)))
+
+EXPLICIT_CASES = [pytest.param(p.values[0], _explicit_orders(p.values[0].n), id=p.id)
+                  for p in ORACLE_FAMILIES] + [
+    # the first and the last member tie on component 0 (log 4 / 2 and log 2
+    # are the same float) with different histograms: the tie-break shows
+    pytest.param(TupleFamily((tuple(range(4)), (0, 1), tuple(range(5))),
+                             ((0, 1, 4), (1, 1, 4), (1, 0, 1), (2, 0, 2), (3, 0, 3),
+                              (0, 0, 0))), HALVES, id="tied"),
+    # only the last member has the largest X_0
+    pytest.param(TupleFamily(((0, 1),) * 3, ((1, 0, 1), (1, 1, 0), (0, 0, 0))),
+                 HALVES, id="last-worst"),
+]
+
+
+@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+@pytest.mark.parametrize("fam, orders", EXPLICIT_CASES)
+def test_explicit_weighted_orders_match_per_order_reference(fam, orders, variant):
+    nm = len(fam.members)
+    per_component, log_mix = [], {}
+    for i in range(fam.n):
+        mixes = [{} for _ in fam.members]  # per member, {X_i: weight} by Fractions
+        for order, w in orders:
+            for mi, member in enumerate(fam.members):
+                c = option_count(fam, member, order, i)
+                mixes[mi][c] = mixes[mi].get(c, 0) + w
+        if variant == "averaged":
+            comp = {}
+            for mix in mixes:
+                _add_mix(comp, mix, Fraction(1, nm))
+            per_component.append(_mix_log(comp))
+            _add_mix(log_mix, comp)
+        elif variant == "worst_member":
+            logs = [_mix_log(mix) for mix in mixes]
+            best = max(range(nm), key=lambda mi: (logs[mi], mi))
+            per_component.append(logs[best])
+            _add_mix(log_mix, mixes[best])
+        else:
+            per_component.append(max(sum(p * c for c, p in mix.items()) for mix in mixes))
+    res = reveal_bound(fam, BoundMode(variant, orders=orders))
+    assert res.exact
+    assert res.per_component == tuple(per_component)
+    if variant == "mean_product":
+        assert res.product == math.prod(per_component)
+        assert res.value == math.fsum(math.log(x) for x in per_component)
+    else:
+        assert res.log_mix == log_mix
+        assert res.value == math.fsum(per_component)
+    assert bound_holds(res, fam)
+
+
 def _naive_mc(fam, variant, samples, seed):
     """Per-sample loop over orders and members, straight from option_count."""
     n, nm = fam.n, len(fam.members)
