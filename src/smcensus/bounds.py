@@ -5,6 +5,16 @@ enclosures [lo, hi] built from a float partial sum (with an explicit
 rounding pad) plus a rigorous integral tail majorant.  The per-chain
 log-bound constants asserted downstream are 1.2038 for the plain gap
 variant and 0.6331 for the extended one.
+
+The closed form of the gap pmf's integral over x in [0, 1] is written
+once, in ``GAP_INTEGRALS``: exact heads at the first k, then num(k) /
+den(k), evaluated on an int or a float array, and the constant c of the
+term majorant.  ``series_coefficient`` makes one ``Fraction`` from it,
+``gap_log_series`` sums log k num(k) / den(k) and bounds the tail by c,
+and ``verify_term_majorants`` proves c den(k) - k^2 num(k) >= 0.  c10's
+``integral_check`` integrates the expanded law (``line_gap_pmf_poly``,
+built from ``distributions.line_gap_terms``) and compares it with this
+closed form, which stays the labelled oracle for the law.
 """
 
 from __future__ import annotations
@@ -13,11 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from .distributions import EXTENDED, PLAIN, DistributionError
+from .distributions import EXTENDED, PLAIN, check_variant, line_gap_terms
 
 PLAIN_LOG_LIMIT = 1.2038
 EXTENDED_LOG_LIMIT = 0.6331
@@ -114,66 +125,61 @@ class Interval:
             raise ValueError("interval with lo > hi")
 
 
-def _series_terms(variant: str, k: np.ndarray) -> np.ndarray:
-    if variant == PLAIN:
-        return 2.0 * np.log(k) / ((k + 1.0) * (k + 2.0))
-    return np.log(k) * (2.0 * k * (k + 7.0) + 72.0) / (
-        (k + 3.0) * (k + 5.0) * (k + 6.0) * (k + 7.0))
+class GapIntegral(NamedTuple):
+    """The closed form of the pmf integral over x in [0, 1] for one variant:
+    exact (num, den) `heads` at the first k, then num(k) / den(k) from k =
+    `start` on, for an int k or a float array; term_k <= c log k / k^2."""
+
+    heads: dict[int, tuple[int, int]]
+    start: int
+    num: Callable
+    den: Callable
+    c: int
 
 
-def _series_head(variant: str) -> tuple[int, float]:
-    """First summed k and the closed head terms preceding it."""
-    if variant == PLAIN:
-        return 2, 0.0
-    return 4, math.log(2) / 12 + math.log(3) * 23 / 630
-
-
-def _tail_majorant(variant: str, K: int) -> float:
-    """Integral bound on the tail: terms are at most c log k / k^2 (c = 2
-    plain, 4 extended; see verify_term_majorants), and that function is
-    decreasing past e, so the tail is at most its integral from K."""
-    c = 2.0 if variant == PLAIN else 4.0
-    return c * (math.log(K) + 1.0) / K
+GAP_INTEGRALS = {
+    PLAIN: GapIntegral({}, 1, lambda k: 2, lambda k: (k + 1) * (k + 2), 2),
+    EXTENDED: GapIntegral({2: (1, 12), 3: (23, 630)}, 4,
+                          lambda k: 2 * k * (k + 7) + 72,
+                          lambda k: (k + 3) * (k + 5) * (k + 6) * (k + 7), 4),
+}
 
 
 def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
-    """Enclosure of the gap-law log series truncated at K.
+    """Enclosure of sum_k log k * int_0^1 pmf_k dx truncated at K.
 
-    plain: sum_{k>=2} 2 log k / ((k+1)(k+2));
-    extended: log(2)/12 + log(3) 23/630
-              + sum_{k>=4} log k (2k(k+7)+72)/((k+3)(k+5)(k+6)(k+7)).
+    The terms come from GAP_INTEGRALS; the tail past K is at most the
+    integral from K of c log k / k^2 (see verify_term_majorants), which is
+    decreasing past e: c (log K + 1) / K.
     """
-    min_k = SERIES_MIN_TRUNCATION[PLAIN if variant == PLAIN else EXTENDED]
+    law = GAP_INTEGRALS[check_variant(variant)]
+    min_k = SERIES_MIN_TRUNCATION[variant]
     if K < min_k:
         raise ValueError(f"K must be >= {min_k}")
-    start, partial = _series_head(variant)
-    for lo in range(start, K + 1, _BLOCK):
+    partial = 0.0
+    for k, (num, den) in law.heads.items():
+        partial += math.log(k) * num / den
+    for lo in range(max(2, law.start), K + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, K)
         k = np.arange(lo, hi + 1, dtype=np.float64)
-        partial += float(np.sum(_series_terms(variant, k)))
-    return Interval(partial - _SUM_PAD,
-                    partial + _tail_majorant(variant, K) + _SUM_PAD, K)
+        partial += float(np.sum(np.log(k) * law.num(k) / law.den(k)))
+    tail = law.c * (math.log(K) + 1.0) / K
+    return Interval(partial - _SUM_PAD, partial + tail + _SUM_PAD, K)
 
 
 def verify_term_majorants(variant: str) -> bool:
     """Prove term_k <= c log k / k^2 for every k, exactly.
 
-    The inequality divides by log k and cross-multiplies into P(k) >= 0
-    for an integer polynomial P; P is reconstructed by exact interpolation
-    and all its coefficients come out nonnegative, which settles every
-    k >= 0 at once (leading coefficient 2 k^4 for the extended variant,
-    3 k + 2 for the plain one).
+    The inequality divides by log k and cross-multiplies into
+    P(k) = c den(k) - k^2 num(k) >= 0.  num and den have degree at most 2
+    and 4, so P is reconstructed by exact interpolation on five points, and
+    all its coefficients come out nonnegative, which settles every k >= 0 at
+    once (6 k + 4 for the plain variant, leading coefficient 2 k^4 for the
+    extended one).
     """
-    if variant == PLAIN:
-        # (k+1)(k+2) >= k^2  <=>  3k + 2 >= 0
-        diff = [2, 3]
-    elif variant == EXTENDED:
-        # 4 (k+3)(k+5)(k+6)(k+7) - k^2 (2k^2 + 14k + 72) >= 0
-        diff = _interpolate_int_poly(
-            lambda k: 4 * (k + 3) * (k + 5) * (k + 6) * (k + 7)
-            - k * k * (2 * k * k + 14 * k + 72), degree=4)
-    else:
-        raise DistributionError(f"unknown variant {variant!r}")
+    law = GAP_INTEGRALS[check_variant(variant)]
+    diff = _interpolate_int_poly(
+        lambda k: law.c * law.den(k) - k * k * law.num(k), degree=4)
     return all(c >= 0 for c in diff)
 
 
@@ -211,16 +217,6 @@ def _poly_mul_frac(a, b):
 
 # ----------------------------------------------------------- pmf integrals
 
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    """Product of integer polynomials; put the short operand first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_int_01(coeffs: list[int]) -> Fraction:
     """Exact integral over [0, 1], summed over the common denominator
     lcm(1..len(coeffs))."""
@@ -236,58 +232,34 @@ def _one_minus_x_pow(m: int) -> list[int]:
     return row
 
 
-# short fixed factors, c = 1 - (1-x)^2 = 2x - x^2
-_C2 = [0, 0, 4, -4, 1]   # c^2
-_2CX = [0, 0, 4, -2]     # 2 c x
-
-
-def _check_gap_index(k: int, variant: str) -> None:
-    """Reject an unknown variant or a k below the first polynomial term."""
-    first = {PLAIN: 1, EXTENDED: 2}.get(variant)
-    if first is None:
-        raise DistributionError(f"unknown variant {variant!r}")
+def _check_gap_index(k: int, variant: str) -> GapIntegral:
+    """The variant's integral; reject a k below its first polynomial term."""
+    law = GAP_INTEGRALS[check_variant(variant)]
+    first = min(law.heads, default=law.start)
     if k < first:
         raise ValueError(f"k must be >= {first} for the {variant} variant")
+    return law
 
 
 def line_gap_pmf_poly(k: int, variant: str) -> list[int]:
-    """Integer coefficients of the gap pmf as a polynomial in x.
-
-    Each term is a short fixed factor times a power of (1 - x), written
-    out as signed binomials, so the work is linear in the degree."""
+    """Integer coefficients of the gap pmf as a polynomial in x: x^2 times
+    a (1 - x)^b, written out as signed binomials, summed over the law's
+    (a, b) pairs, so the work is linear in the degree."""
     _check_gap_index(k, variant)
-    if variant == PLAIN:  # k x^2 (1-x)^(k-1)
-        return [0, 0] + [k * c for c in _one_minus_x_pow(k - 1)]
-    if k == 2:  # 2 c^2 (1-x)^3
-        return _poly_mul_int([2 * c for c in _C2], _one_minus_x_pow(3))
-    if k == 3:  # (c^2 + 2 c x) (1-x)^5
-        return _poly_mul_int(_poly_add(_C2, _2CX), _one_minus_x_pow(5))
-    # 2 c x (1-x)^(k+2) + 2 c x (1-x)^(k+3) + (k-4) x^2 (1-x)^(k+4)
-    return _poly_add(_poly_add(_poly_mul_int(_2CX, _one_minus_x_pow(k + 2)),
-                               _poly_mul_int(_2CX, _one_minus_x_pow(k + 3))),
-                     _poly_mul_int([0, 0, k - 4], _one_minus_x_pow(k + 4)))
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
+    terms = line_gap_terms(k, variant)
+    out = [0] * (3 + max(b for _, b in terms))
+    for a, b in terms:
+        for j, c in enumerate(_one_minus_x_pow(b)):
+            out[j + 2] += a * c
     return out
 
 
 def series_coefficient(k: int, variant: str) -> Fraction:
     """The closed-form value of the pmf integral over x in [0, 1]."""
-    _check_gap_index(k, variant)
-    if variant == PLAIN:
-        return Fraction(2, (k + 1) * (k + 2))
-    if k == 2:
-        return Fraction(1, 12)
-    if k == 3:
-        return Fraction(23, 630)
-    return Fraction(2 * k * (k + 7) + 72,
-                    (k + 3) * (k + 5) * (k + 6) * (k + 7))
+    law = _check_gap_index(k, variant)
+    if k in law.heads:
+        return Fraction(*law.heads[k])
+    return Fraction(law.num(k), law.den(k))
 
 
 def integral_check(k: int, variant: str = PLAIN) -> tuple[Fraction, Fraction, bool]:

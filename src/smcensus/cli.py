@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10 ** 5)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", choices=("all",), default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--max-n", dest="max_n", type=int, default=7)
     p.add_argument("--instances", type=int, default=200)

@@ -183,6 +183,8 @@ class BoundMode:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise FamilyError(f"unknown variant {self.variant!r}")
+        if self.samples < 0:
+            raise FamilyError(f"samples must be >= 0, got {self.samples}")
         if self.orders != "uniform" and _single_order(self.orders) is None:
             total = sum(Fraction(w) for _, w in self.orders)
             if total != 1:

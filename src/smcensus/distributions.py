@@ -13,6 +13,14 @@ sampling:
   extra indicator slots at {-1, 0, 1, 2}, plus a shortcut branch that
   forces gap 1 with probability x.
 
+The line-gap law is written once, in ``GAP_LAWS``: at gap k the pmf is
+x^2 sum a (1-x)^b over the (a, b) pairs of ``line_gap_terms(k, variant)``,
+plus the shortcut mass x at extended k = 1.  The first few k have their
+own pairs; past them each general entry (alpha, beta, s) gives the pair
+(alpha k + beta, k + s).  ``line_gap_pmf`` evaluates the pairs,
+``line_gap_tail`` sums the general entries in closed form, and
+``bounds.line_gap_pmf_poly`` expands them into integer polynomials.
+
 The samplers are lane-vectorized and generative: each draw follows the
 model above, with every capped scan drawn from one u64 by the integer
 inversion table ``rng.ScanTable``; ``CyclicGapSampler`` and
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,50 +200,63 @@ def _check_x(x) -> None:
         raise DistributionError(f"x={x} outside (0, 1)")
 
 
-def line_gap_pmf(x, k: int, variant: str = PLAIN):
-    """Point mass at gap length k; exact when x is a Fraction.
+class GapLaw(NamedTuple):
+    """One variant's line-gap law (see the module docstring)."""
 
-    plain: k x^2 (1-x)^(k-1) for k >= 1.
-    extended: piecewise polynomials for k >= 2; the k = 1 mass combines
-    the probability-x shortcut with both neighbours of the origin being
-    marked.
-    """
-    _check_x(x)
+    heads: dict[int, tuple[tuple[int, int], ...]]  # k -> (a, b) pairs
+    general: tuple[tuple[int, int, int], ...]       # (alpha, beta, s) past the heads
+    shortcut: bool                                  # extra mass x at k = 1
+
+
+# The factored forms in c = 1 - (1-x)^2 = x (1 + q), q = 1 - x, expanded;
+# tests/test_distributions.py keeps them as the oracle.
+GAP_LAWS = {
+    PLAIN: GapLaw({}, ((1, 0, -1),), False),
+    EXTENDED: GapLaw({1: ((1, 1), (2, 2), (1, 3)),
+                      2: ((2, 3), (4, 4), (2, 5)),
+                      3: ((3, 5), (4, 6), (1, 7))},
+                     ((0, 2, 2), (0, 4, 3), (1, -2, 4)), True),
+}
+
+
+def check_variant(variant: str) -> str:
+    """The one variant lookup of the gap laws: raise on an unknown name."""
+    if variant not in GAP_LAWS:
+        raise DistributionError(f"unknown variant {variant!r}")
+    return variant
+
+
+def line_gap_terms(k: int, variant: str) -> tuple[tuple[int, int], ...]:
+    """The (a, b) pairs of the pmf x^2 sum a (1-x)^b at gap length k >= 1."""
+    law = GAP_LAWS[check_variant(variant)]
     if k < 1:
         raise DistributionError("k must be >= 1")
-    one = Fraction(1) if isinstance(x, Fraction) else 1.0
-    q = one - x
-    if variant == PLAIN:
-        return k * x * x * q ** (k - 1)
-    if variant != EXTENDED:
-        raise DistributionError(f"unknown variant {variant!r}")
-    c = one - q * q
-    if k == 1:
-        return x + q * c * c
-    if k == 2:
-        return 2 * q ** 3 * c ** 2
-    if k == 3:
-        return q ** 5 * c ** 2 + 2 * q ** 5 * c * x
-    return 2 * q ** (k + 2) * c * x + 2 * q ** (k + 3) * c * x \
-        + (k - 4) * q ** (k + 4) * x * x
+    if k in law.heads:
+        return law.heads[k]
+    return tuple((alpha * k + beta, k + s) for alpha, beta, s in law.general)
+
+
+def line_gap_pmf(x, k: int, variant: str = PLAIN):
+    """Point mass at gap length k; exact when x is a Fraction."""
+    _check_x(x)
+    terms = line_gap_terms(k, variant)
+    q = (Fraction(1) if isinstance(x, Fraction) else 1.0) - x
+    mass = x * x * sum(a * q ** b for a, b in terms)
+    return mass + x if k == 1 and GAP_LAWS[variant].shortcut else mass
 
 
 def line_gap_tail(x, K: int, variant: str = PLAIN):
-    """Exact mass of gap lengths above K (closed forms of the geometric tails)."""
+    """Exact mass of gap lengths above K >= max(heads, 1): the general terms
+    summed in closed form, sum_{k>K} x^2 (alpha k + beta) q^(k+s)
+    = q^(K+1+s) ((alpha (K+1) + beta) x + alpha q)."""
     _check_x(x)
-    one = Fraction(1) if isinstance(x, Fraction) else 1.0
-    q = one - x
-    if variant == PLAIN:
-        if K < 1:
-            raise DistributionError("K must be >= 1")
-        return q ** K * (K * x + 1)
-    if variant != EXTENDED:
-        raise DistributionError(f"unknown variant {variant!r}")
-    if K < 3:
-        raise DistributionError("extended tail needs K >= 3")
-    c = one - q * q
-    return 2 * c * q ** (K + 3) + 2 * c * q ** (K + 4) \
-        + q ** (K + 5) * ((K - 3) * x + q)
+    law = GAP_LAWS[check_variant(variant)]
+    first = max(law.heads, default=1)
+    if K < first:
+        raise DistributionError(f"{variant} tail needs K >= {first}")
+    q = (Fraction(1) if isinstance(x, Fraction) else 1.0) - x
+    return sum(q ** (K + 1 + s) * ((alpha * (K + 1) + beta) * x + alpha * q)
+               for alpha, beta, s in law.general)
 
 
 def line_gap_total(x, K: int, variant: str = PLAIN):
@@ -247,11 +269,6 @@ def line_gap_window(x) -> int:
     """Width ceil(40/x) at which the samplers truncate the integer line
     (untouched-tail mass below 1e-12)."""
     return math.ceil(40 / x)
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in (PLAIN, EXTENDED):
-        raise DistributionError(f"unknown variant {variant!r}")
 
 
 def line_gap_log_mean(x: float, variant: str = PLAIN, rel_tail: float = 1e-14) -> float:
@@ -274,7 +291,7 @@ class LineGapSampler:
 
     def __init__(self, x: float, variant: str, seed: int):
         _check_x(x)
-        _check_variant(variant)
+        check_variant(variant)
         self.x = x
         self.variant = variant
         self.window = line_gap_window(x)
@@ -321,7 +338,7 @@ def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
     ``LineGapSampler``: slot indicators plus two capped scans, each scan
     drawn from one u64 by inversion."""
     _check_x(x)
-    _check_variant(variant)
+    check_variant(variant)
     _check_count(count)
     thr, scan = _marking(x)
     lanes, rounds = _lane_rounds(seed, count)

@@ -9,7 +9,8 @@ from smcensus.bounds import (EXTENDED_LOG_LIMIT, PLAIN_LOG_LIMIT, Interval,
                              integral_check, line_gap_pmf_poly,
                              series_coefficient, verify_term_majorants,
                              whitworth, whitworth_sweep)
-from smcensus.distributions import EXTENDED, PLAIN, DistributionError, line_gap_pmf
+from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
+                                    line_gap_pmf, line_gap_tail, line_gap_terms)
 
 # ------------------------------------------------------------------ oracles
 # The direct loops the bounds kernels replaced: (1-x)^m by repeated
@@ -130,6 +131,29 @@ def test_extended_series_value_exceeds_historic_limit():
     iv = gap_log_series(10 ** 5, EXTENDED)
     assert 0.693 < iv.lo < iv.hi < 0.695
     assert iv.lo > EXTENDED_LOG_LIMIT
+
+
+def test_series_enclosures_are_bit_exact():
+    # the float partial sums keep one operation order; these are its bits
+    for variant, lo, hi in ((PLAIN, 1.2033146628953877, 1.203564921604687),
+                            (EXTENDED, 0.6937221040351844, 0.6942226212537832)):
+        iv = gap_log_series(10 ** 5, variant)
+        assert (iv.lo, iv.hi) == (lo, hi), variant
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: gap_log_series(100, v),
+    lambda v: verify_term_majorants(v),
+    lambda v: series_coefficient(5, v),
+    lambda v: line_gap_pmf_poly(5, v),
+    lambda v: line_gap_terms(5, v),
+    lambda v: line_gap_pmf(Fraction(1, 2), 5, v),
+    lambda v: line_gap_tail(Fraction(1, 2), 5, v),
+], ids=["gap_log_series", "verify_term_majorants", "series_coefficient",
+        "line_gap_pmf_poly", "line_gap_terms", "line_gap_pmf", "line_gap_tail"])
+def test_unknown_variant_is_rejected(call):
+    with pytest.raises(DistributionError, match="unknown variant 'bogus'"):
+        call("bogus")
 
 
 def test_interval_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,12 @@ def test_bounds_has_no_series_flags():
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--n", "2", flag, "10"])
         assert exc.value.code == 2
+
+
+def test_verify_has_no_suite_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--only", "c10"])
+    assert exc.value.code == 2
 
 
 def test_random_round_trips(capsys):
@@ -229,7 +236,7 @@ def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
     assert_usage_error(capsys, ["rotations", "--n", "3"], type(exc).__name__, str(exc))
 
 
-QUICK_VERIFY = ["verify", "--suite", "all", "--seed", "42", "--max-n", "4",
+QUICK_VERIFY = ["verify", "--seed", "42", "--max-n", "4",
                 "--instances", "6", "--samples", "4000", "--truncate", "100000"]
 
 
@@ -252,9 +259,17 @@ def test_verify_quick_run_reports_known_failure(quick_verify):
 
 
 @pytest.mark.slow
+def test_verify_quick_run_report_bytes(quick_verify):
+    # the quick run's report, byte for byte; a change to any value shows here
+    text = "".join(line + "\n" for line in quick_verify[1])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "3d9b97d46d9e88b0b8a018f83ca3c4d20dff81b27b89f8e1bfa2c0c3ecf3a254"
+
+
+@pytest.mark.slow
 def test_verify_fault_injection(capsys):
     code, lines = run_cli(
-        capsys, "verify", "--suite", "all", "--seed", "42", "--max-n", "3",
+        capsys, "verify", "--seed", "42", "--max-n", "3",
         "--instances", "4", "--samples", "4000", "--truncate", "100000",
         "--inject-fault", "--only", "c01")
     by_id = {line["check"]: line for line in lines}

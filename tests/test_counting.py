@@ -118,6 +118,11 @@ def test_explicit_order_weights():
         BoundMode("averaged", orders=(((0, 1, 2), Fraction(1, 3)),))
 
 
+def test_negative_sample_count_is_rejected():
+    with pytest.raises(FamilyError, match="samples must be >= 0"):
+        BoundMode("averaged", samples=-5)
+
+
 def test_exact_mode_component_limit():
     grid = random_tangled_grid(5, 1)  # 10 components
     fam = downset_top_family(grid)

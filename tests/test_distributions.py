@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from smcensus.distributions import (EXTENDED, PLAIN, CyclicGapSampler,
                                     jensen_pair_check,
                                     legal_identification_patterns,
                                     line_gap_log_mean, line_gap_pmf,
-                                    line_gap_tail, line_gap_total,
+                                    line_gap_tail, line_gap_terms,
+                                    line_gap_total,
                                     sample_cyclic_gap, sample_line_gap)
 from smcensus.posets import grid_diamond, random_tangled_grid
 
@@ -48,6 +50,73 @@ def test_cyclic_moments():
             assert mm.given_marked_unchosen == Fraction(2 * (n + 1), l + 1)
             assert mm.given_marked_chosen == Fraction(n + 1, l)
             assert mm.expectation <= Fraction(2 * (n + 1), l + 1)
+
+
+# ------------------------------------------------------------------ oracles
+# The line-gap law in its factored form, with c = 1 - (1-x)^2 the chance
+# that a slot is marked in either set, term for term as the slot model reads.
+
+
+def _oracle_pmf(x, k, variant):
+    one = Fraction(1) if isinstance(x, Fraction) else 1.0
+    q = one - x
+    if variant == PLAIN:
+        return k * x * x * q ** (k - 1)
+    c = one - q * q
+    if k == 1:
+        return x + q * c * c
+    if k == 2:
+        return 2 * q ** 3 * c ** 2
+    if k == 3:
+        return q ** 5 * c ** 2 + 2 * q ** 5 * c * x
+    return 2 * q ** (k + 2) * c * x + 2 * q ** (k + 3) * c * x \
+        + (k - 4) * q ** (k + 4) * x * x
+
+
+def _oracle_tail(x, K, variant):
+    one = Fraction(1) if isinstance(x, Fraction) else 1.0
+    q = one - x
+    if variant == PLAIN:
+        return q ** K * (K * x + 1)
+    c = one - q * q
+    return 2 * c * q ** (K + 3) + 2 * c * q ** (K + 4) \
+        + q ** (K + 5) * ((K - 3) * x + q)
+
+
+FIRST_TAIL = {PLAIN: 1, EXTENDED: 3}
+
+
+def test_law_matches_factored_oracle_exactly():
+    for variant in (PLAIN, EXTENDED):
+        for i in range(1, 31):
+            x = Fraction(i, 31)
+            for k in range(1, 81):
+                assert line_gap_pmf(x, k, variant) == _oracle_pmf(x, k, variant), (variant, i, k)
+            for K in range(FIRST_TAIL[variant], 81):
+                assert line_gap_tail(x, K, variant) == _oracle_tail(x, K, variant), (variant, i, K)
+
+
+def test_law_matches_factored_oracle_in_floats():
+    def close(a, b):
+        return abs(a) < sys.float_info.min or abs(a - b) <= 1e-13 * abs(a)
+
+    for variant in (PLAIN, EXTENDED):
+        for i in range(1, 100):
+            x = i / 100
+            for k in range(1, 400):
+                assert close(_oracle_pmf(x, k, variant), line_gap_pmf(x, k, variant)), (variant, i, k)
+            for K in range(FIRST_TAIL[variant], 400):
+                assert close(_oracle_tail(x, K, variant), line_gap_tail(x, K, variant)), (variant, i, K)
+
+
+def test_law_terms():
+    assert line_gap_terms(7, PLAIN) == ((7, 6),)
+    assert line_gap_terms(1, EXTENDED) == ((1, 1), (2, 2), (1, 3))
+    assert line_gap_terms(4, EXTENDED) == ((2, 6), (4, 7), (2, 8))
+    with pytest.raises(DistributionError):
+        line_gap_terms(0, PLAIN)
+    with pytest.raises(DistributionError, match="K >= 3"):
+        line_gap_tail(Fraction(1, 2), 2, EXTENDED)
 
 
 def test_plain_pmf_values():
