@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from .distributions import EXTENDED, PLAIN, check_variant, line_gap_terms
@@ -276,6 +275,8 @@ def bound_report(n: int, digits: int = 12) -> dict:
     plus the one-time base comparisons."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    import mpmath as mp
+
     with mp.workdps(50):
         values = {
             "exp(2.4076 n)": mp.exp(mp.mpf("2.4076") * n),

@@ -608,6 +608,9 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     nch = 2 * n
     target_ids = sorted(range(n), key=lambda u: -len(chains[u]))[:targets]
     target_ids = [u for u in target_ids if len(chains[u]) >= 3]
+    if not target_ids:
+        raise DistributionError(f"asymptotic probe has no cell to test: no m-chain of "
+                                f"the n={n} seed={seed} instance has at least 3 rotations")
 
     # partner w-chain of (m-chain u, rotation t): chain of u's next applicant in t
     partner_w: dict[tuple[int, int], int] = {}
@@ -672,11 +675,12 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
             hist = hists.setdefault((bucket, u), {})
             hist[options] = hist.get(options, 0) + 1
 
+    min_count = 50
     worst = 0.0
     cells = []
     for (x, u), hist in sorted(hists.items()):
         count = sum(hist.values())
-        if count < 50:
+        if count < min_count:
             continue
         max_y = max(hist)
         acc = 0
@@ -688,7 +692,9 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
             shortfall = max(shortfall, ref_acc - acc / count)
         cells.append((x, u, count, shortfall))
         worst = max(worst, shortfall)
-    allowance = tol + 3.0 * math.sqrt(0.25 / max(
-        min((c for _, _, c, _ in cells), default=samples), 1))
+    if not cells:
+        raise DistributionError(f"asymptotic probe has no cell to test: no (x, chain) "
+                                f"bucket reached {min_count} of {samples} samples")
+    allowance = tol + 3.0 * math.sqrt(0.25 / min(c for _, _, c, _ in cells))
     return AsymptoticProbeResult(n, seed, samples, worst, cells,
                                  worst <= allowance)

@@ -1,13 +1,12 @@
 """Deferred acceptance, stability checking, and brute-force enumeration.
 
 A matching is a tuple mapping job index -> applicant index.  The
-brute-force enumerator is the ground-truth oracle for everything the
-rotation machinery produces; it is capped at n <= 9 by default.
+brute-force enumerator, a pruned exhaustive search, is the ground-truth
+oracle for everything the rotation machinery produces; it is capped at
+n <= 9 by default.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
 
@@ -104,9 +103,12 @@ def _has_blocking_pair(jrank, arank, job_prefs, matching) -> bool:
 
 def enumerate_stable_bruteforce(profile: PreferenceProfile,
                                 cap: int = BRUTE_FORCE_CAP) -> set[Matching]:
-    """All stable matchings by filtering every perfect matching (n! scan).
+    """All stable matchings by exhaustive search over perfect matchings.
 
-    Permutations are visited in lexicographic order; the cap marks the
+    Jobs are assigned in index order.  Every blocking pair of a perfect
+    matching joins two of its pairs, so a partial matching is abandoned as
+    soon as two of its pairs block each other: every completion keeps that
+    blocking pair.  Independent of the rotation machinery; the cap marks the
     oracle boundary (default 9).
     """
     n = profile.n
@@ -114,9 +116,27 @@ def enumerate_stable_bruteforce(profile: PreferenceProfile,
         raise ValueError(f"n={n} above brute-force cap {cap}")
     jrank = job_ranks(profile)
     arank = applicant_ranks(profile)
-    job_prefs = profile.job_prefs
+    match = [0] * n
     out = set()
-    for perm in permutations(range(n)):
-        if not _has_blocking_pair(jrank, arank, job_prefs, perm):
-            out.add(perm)
+
+    def extend(u: int, free: int) -> None:
+        if u == n:
+            out.add(tuple(match))
+            return
+        ju = jrank[u]
+        for v in range(n):
+            if not free >> v & 1:
+                continue
+            av = arank[v]
+            for u2 in range(u):
+                v2 = match[u2]
+                # (u, v2) blocks, or (u2, v) blocks
+                if (ju[v2] < ju[v] and arank[v2][u] < arank[v2][u2]) or \
+                        (jrank[u2][v] < jrank[u2][v2] and av[u2] < av[u]):
+                    break
+            else:
+                match[u] = v
+                extend(u + 1, free & ~(1 << v))
+
+    extend(0, (1 << n) - 1)
     return out

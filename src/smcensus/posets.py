@@ -9,7 +9,7 @@ any rotation poset into one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,21 +24,26 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """Poset given by cover pairs (lower, upper); no transitive covers allowed."""
+    """Poset given by cover pairs (lower, upper); no transitive covers allowed.
+
+    `below[e]` is the bitmask of elements strictly below e, computed once.
+    """
 
     size: int
     covers: tuple[tuple[int, int], ...]
+    below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lo, hi in self.covers:
             if not (0 <= lo < self.size and 0 <= hi < self.size) or lo == hi:
                 raise PosetError(f"bad cover pair ({lo}, {hi})")
-        below = strict_below_masks(self)  # raises on cycles
+        below = _kahn_below(self.size, self.covers)  # raises on cycles
+        lower = lower_cover_masks(below)
         for lo, hi in self.covers:
-            others = below[hi] & ~(1 << lo)
-            for mid in _bits(others):
-                if below[mid] >> lo & 1:
-                    raise PosetError(f"transitive cover ({lo}, {hi}) via {mid}")
+            if not lower[hi] >> lo & 1:
+                mid = next(m for m in _bits(below[hi]) if below[m] >> lo & 1)
+                raise PosetError(f"transitive cover ({lo}, {hi}) via {mid}")
+        object.__setattr__(self, "below", tuple(below))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -48,12 +53,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def strict_below_masks(poset: FinitePoset) -> list[int]:
-    """below[e] = bitmask of elements strictly below e; raises PosetError on a cycle."""
-    size = poset.size
+def _kahn_below(size: int, covers) -> list[int]:
+    """Strict-below masks from cover pairs in Kahn order; raises PosetError
+    on a cycle."""
     indeg = [0] * size
     up_adj = [[] for _ in range(size)]
-    for lo, hi in poset.covers:
+    for lo, hi in covers:
         up_adj[lo].append(hi)
         indeg[hi] += 1
     order = [e for e in range(size) if indeg[e] == 0]
@@ -74,8 +79,13 @@ def strict_below_masks(poset: FinitePoset) -> list[int]:
     return below
 
 
+def strict_below_masks(poset: FinitePoset) -> list[int]:
+    """below[e] = bitmask of elements strictly below e."""
+    return list(poset.below)
+
+
 def strict_above_masks(poset: FinitePoset) -> list[int]:
-    below = strict_below_masks(poset)
+    below = poset.below
     above = [0] * poset.size
     for e in range(poset.size):
         for f in _bits(below[e]):
@@ -103,8 +113,7 @@ def poset_from_below(size: int, below: list[int]) -> FinitePoset:
 
 def leq_matrix(poset: FinitePoset) -> list[int]:
     """reflexive leq as bitmasks: row e = {f : f <= e}."""
-    below = strict_below_masks(poset)
-    return [below[e] | (1 << e) for e in range(poset.size)]
+    return [b | (1 << e) for e, b in enumerate(poset.below)]
 
 
 def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
@@ -114,11 +123,13 @@ def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
     ideals(P) = ideals(P - upset(x)) + ideals(P - downset(x)).
     Raises PosetError once the memo would exceed `cap` entries.
     """
-    below = strict_below_masks(poset)
+    below = poset.below
     above = strict_above_masks(poset)
     full = (1 << poset.size) - 1
     memo: dict[int, int] = {}
     comp = [below[e] | above[e] for e in range(poset.size)]
+    drop_up = [above[e] | (1 << e) for e in range(poset.size)]    # x and all above
+    drop_down = [below[e] | (1 << e) for e in range(poset.size)]  # x and all below
 
     def count(mask: int) -> int:
         if mask == 0:
@@ -126,14 +137,24 @@ def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
         got = memo.get(mask)
         if got is not None:
             return got
-        # pivot: element with the most comparabilities inside mask
-        best, best_c = -1, -1
-        for e in _bits(mask):
-            c = (comp[e] & mask).bit_count()
-            if c > best_c:
-                best, best_c = e, c
-        x = best
-        res = count(mask & ~(above[x] | (1 << x))) + count(mask & ~(below[x] | (1 << x)))
+        if mask & (mask - 1) == 0:
+            res = 2
+        else:
+            # pivot: the first element with the most comparabilities inside
+            # mask; one comparable to all the rest cannot be beaten
+            most = mask.bit_count() - 1
+            best, best_c = -1, -1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                e = low.bit_length() - 1
+                c = (comp[e] & mask).bit_count()
+                if c > best_c:
+                    best, best_c = e, c
+                    if c == most:
+                        break
+                rest ^= low
+            res = count(mask & ~drop_up[best]) + count(mask & ~drop_down[best])
         if len(memo) >= cap:
             raise PosetError(f"downset count needs more than {cap} memo entries")
         memo[mask] = res
@@ -144,7 +165,7 @@ def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
 
 def count_downsets_bruteforce(poset: FinitePoset) -> int:
     """2^size subset filter; oracle for count_downsets at size <= ~16."""
-    below = strict_below_masks(poset)
+    below = poset.below
     total = 0
     for mask in range(1 << poset.size):
         if all(below[e] & ~mask == 0 for e in _bits(mask)):
@@ -153,7 +174,7 @@ def count_downsets_bruteforce(poset: FinitePoset) -> int:
 
 
 def topological_order(poset: FinitePoset) -> list[int]:
-    below = strict_below_masks(poset)
+    below = poset.below
     return sorted(range(poset.size), key=lambda e: (below[e].bit_count(), e))
 
 
@@ -165,7 +186,7 @@ def enumerate_downset_masks(poset: FinitePoset) -> Iterator[int]:
     with the empty set and ends with the full set.
     """
     order = topological_order(poset)
-    below = strict_below_masks(poset)
+    below = poset.below
 
     def rec(idx: int, cur: int) -> Iterator[int]:
         if idx == len(order):
@@ -283,15 +304,17 @@ def embed_in_tangled_grid(rposet: "RotationPoset") -> TangledGrid:
     size = n * n
     assert r + len(pad_coord) == size
     all_orig = (1 << r) - 1
-    below = [0] * size
-    for t in range(r):
-        below[t] = rposet.below[t]
-    for idx, (u, v) in enumerate(pad_coord):
-        e = r + idx
-        below[e] = all_orig
-        for (u2, v2), e2 in pad_id.items():
-            if (u2, v2) != (u, v) and u2 <= u and v2 <= v:
-                below[e] |= 1 << e2
+    below = list(rposet.below) + [0] * len(pad_coord)
+    # pads_upto[u][v]: pads at coordinates <= (u, v) in the product order
+    pads_upto = [[0] * (n + 1) for _ in range(n + 1)]  # row/column 0 are empty
+    for u in range(n):
+        for v in range(n):
+            earlier = pads_upto[u][v + 1] | pads_upto[u + 1][v]
+            e = pad_id.get((u, v))
+            if e is not None:
+                below[e] = all_orig | earlier
+                earlier |= 1 << e
+            pads_upto[u + 1][v + 1] = earlier
 
     poset = poset_from_below(size, below)
     m_chains = tuple(

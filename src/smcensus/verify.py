@@ -118,7 +118,7 @@ def _sweep_one(args) -> dict:
         "downset_count": downset_count,
         "sets_equal": brute == via,
         "structure_passed": report.passed,
-        "structure_checks": dict(report.checks),
+        "structure_failures": tuple(k for k, ok in report.checks.items() if not ok),
         "grid_ok": grid_ok,
         "grid_downsets": grid_downsets,
         "poset_downsets": downset_count,
@@ -165,7 +165,7 @@ def criterion_bijection(config: RunConfig, sweep: list[dict]) -> CheckResult:
 
 @_timed
 def criterion_structure(config: RunConfig, sweep: list[dict]) -> CheckResult:
-    bad = [(r["n"], r["seed"], [k for k, v in r["structure_checks"].items() if not v])
+    bad = [(r["n"], r["seed"], list(r["structure_failures"]))
            for r in sweep if not r["structure_passed"]]
     return CheckResult("c02", "rotation poset structural claims",
                        not bad, {"failures": bad[:10]})

@@ -193,6 +193,9 @@ def assert_usage_error(capsys, argv, error, message):
     # rejected before any pool is made, so no process is started
     (["verify", "--threads", str(verify.max_threads() + 1), "--only", "c05"],
      "UsageError", f"--threads must be in 0..{verify.max_threads()}"),
+    # a probe that reaches no cell has tested nothing, so it cannot pass
+    (["simulate", "--kind", "asymptotic", "--n", "1", "--samples", "10"],
+     "DistributionError", "no cell to test"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)

@@ -265,3 +265,12 @@ def test_asymptotic_probe():
     res = asymptotic_dominance_probe(50, seed=3, samples=1500)
     assert res.passed, res.worst_shortfall
     assert res.cells
+
+
+@pytest.mark.parametrize("n, samples, cause", [
+    (1, 10, "no m-chain"),
+    (50, 50, "no \\(x, chain\\) bucket reached 50 of 50 samples"),
+])
+def test_asymptotic_probe_without_cells_raises(n, samples, cause):
+    with pytest.raises(DistributionError, match=cause):
+        asymptotic_dominance_probe(n, seed=0, samples=samples)

@@ -1,8 +1,17 @@
+from itertools import permutations
+
 import pytest
 
-from smcensus.instances import PreferenceProfile, instance_I2, random_instance
+from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
+                                random_instance)
 from smcensus.matchings import (enumerate_stable_bruteforce, gale_shapley,
-                                unstable_pairs)
+                                is_stable, unstable_pairs)
+from smcensus.verify import RunConfig, _profile_for, instance_plan
+
+
+def stable_by_permutation_filter(profile):
+    """Reference oracle: the literal filter of all n! perfect matchings."""
+    return {m for m in permutations(range(profile.n)) if is_stable(profile, m)}
 
 
 def test_single_job_market():
@@ -66,3 +75,26 @@ def test_matching_validation():
 def test_invalid_side():
     with pytest.raises(ValueError, match="proposing_side"):
         gale_shapley(instance_I2(), "managers")
+
+
+def test_pruned_search_matches_filter_on_sweep_plan():
+    for item in instance_plan(RunConfig()):
+        profile = _profile_for(item)
+        assert enumerate_stable_bruteforce(profile) == \
+            stable_by_permutation_filter(profile), item
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [8, 9])
+def test_pruned_search_matches_filter_at_the_cap(n):
+    for seed in range(20):
+        profile = random_instance(n, 7000 + seed)
+        assert enumerate_stable_bruteforce(profile) == \
+            stable_by_permutation_filter(profile), seed
+
+
+def test_pruned_search_on_irving_leather_eight():
+    profile = irving_leather(3)
+    stable = enumerate_stable_bruteforce(profile)
+    assert len(stable) == 268
+    assert stable == stable_by_permutation_filter(profile)

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcensus.instances import instance_I2, random_instance
-from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
-                             count_downsets, count_downsets_bruteforce,
+from smcensus.posets import (MEMO_CAP, FinitePoset, PosetError, TangledGrid,
+                             _bits, count_downsets, count_downsets_bruteforce,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_to_json,
                              poset_from_below, random_tangled_grid,
-                             strict_below_masks, validate_tangled_grid)
+                             strict_above_masks, strict_below_masks,
+                             validate_tangled_grid)
 from smcensus.rotations import build_rotation_poset, to_finite_poset
+from smcensus.verify import RunConfig, _profile_for, instance_plan
 
 
 def chain(k):
@@ -175,3 +177,104 @@ def test_poset_from_below_matches_triple_loop_on_grids():
         below = strict_below_masks(grid.poset)
         assert poset_from_below(grid.poset.size, below).covers == \
             covers_by_triple_loop(grid.poset.size, below)
+
+
+def below_by_kahn(poset):
+    """Reference: strict-below masks recomputed from the covers in Kahn order."""
+    indeg = [0] * poset.size
+    for _, hi in poset.covers:
+        indeg[hi] += 1
+    below = [0] * poset.size
+    ready = [e for e in range(poset.size) if indeg[e] == 0]
+    while ready:
+        e = ready.pop()
+        for lo, hi in poset.covers:
+            if lo == e:
+                below[hi] |= below[e] | (1 << e)
+                indeg[hi] -= 1
+                if indeg[hi] == 0:
+                    ready.append(hi)
+    return below
+
+
+def count_downsets_reference(poset, cap=MEMO_CAP):
+    """The former count_downsets, kept as reference: (count, memo entries)."""
+    below = strict_below_masks(poset)
+    above = strict_above_masks(poset)
+    memo = {}
+    comp = [below[e] | above[e] for e in range(poset.size)]
+
+    def count(mask):
+        if mask == 0:
+            return 1
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        best, best_c = -1, -1
+        for e in _bits(mask):
+            c = (comp[e] & mask).bit_count()
+            if c > best_c:
+                best, best_c = e, c
+        x = best
+        res = count(mask & ~(above[x] | (1 << x))) + count(mask & ~(below[x] | (1 << x)))
+        if len(memo) >= cap:
+            raise PosetError(f"downset count needs more than {cap} memo entries")
+        memo[mask] = res
+        return res
+
+    return count((1 << poset.size) - 1), len(memo)
+
+
+def pad_below_by_scan(rposet):
+    """Reference: the strict-below masks of the embedded grid, each pad's
+    product-order part found by scanning every other pad."""
+    n, r = rposet.n, len(rposet.rotations)
+    firsts = {rot.edges[0] for rot in rposet.rotations}
+    pads = [(u, v) for u in range(n) for v in range(n) if (u, v) not in firsts]
+    below = list(rposet.below)
+    for u, v in pads:
+        mask = (1 << r) - 1
+        for idx, (u2, v2) in enumerate(pads):
+            if (u2, v2) != (u, v) and u2 <= u and v2 <= v:
+                mask |= 1 << (r + idx)
+        below.append(mask)
+    return below
+
+
+def sweep_plan_rotation_posets():
+    return [build_rotation_poset(_profile_for(item))
+            for item in instance_plan(RunConfig())]
+
+
+@given(random_posets())
+@settings(max_examples=80, deadline=None)
+def test_cached_below_matches_kahn(poset):
+    assert list(poset.below) == below_by_kahn(poset)
+
+
+def test_cached_below_matches_kahn_on_grids():
+    grids = [grid_diamond(n) for n in range(1, 6)]
+    grids += [random_tangled_grid(2 + seed % 6, seed) for seed in range(12)]
+    for grid in grids:
+        assert list(grid.poset.below) == below_by_kahn(grid.poset)
+
+
+def test_transitive_cover_names_its_witness():
+    with pytest.raises(PosetError, match=r"transitive cover \(0, 3\) via 1"):
+        FinitePoset(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
+
+
+def test_count_and_smallest_cap_match_reference():
+    cases = [embed_in_tangled_grid(rp).poset for rp in sweep_plan_rotation_posets()]
+    cases += [grid_diamond(n).poset for n in range(1, 7)]
+    for poset in cases:
+        want, entries = count_downsets_reference(poset)
+        assert count_downsets(poset, cap=entries) == want
+        with pytest.raises(PosetError, match="memo entries"):
+            count_downsets(poset, cap=entries - 1)
+
+
+def test_embedding_pad_below_matches_scan():
+    for rposet in sweep_plan_rotation_posets():
+        grid = embed_in_tangled_grid(rposet)
+        assert list(grid.poset.below) == pad_below_by_scan(rposet)
