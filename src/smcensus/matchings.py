@@ -116,27 +116,30 @@ def enumerate_stable_bruteforce(profile: PreferenceProfile,
         raise ValueError(f"n={n} above brute-force cap {cap}")
     jrank = job_ranks(profile)
     arank = applicant_ranks(profile)
-    match = [0] * n
-    out = set()
-
-    def extend(u: int, free: int) -> None:
-        if u == n:
-            out.add(tuple(match))
-            return
-        ju = jrank[u]
-        for v in range(n):
-            if not free >> v & 1:
-                continue
-            av = arank[v]
-            for u2 in range(u):
-                v2 = match[u2]
-                # (u, v2) blocks, or (u2, v) blocks
-                if (ju[v2] < ju[v] and arank[v2][u] < arank[v2][u2]) or \
-                        (jrank[u2][v] < jrank[u2][v2] and av[u2] < av[u]):
-                    break
-            else:
-                match[u] = v
-                extend(u + 1, free & ~(1 << v))
-
-    extend(0, (1 << n) - 1)
+    out: set[Matching] = set()
+    _extend_stable(0, (1 << n) - 1, [0] * n, out, jrank, arank)
     return out
+
+
+def _extend_stable(u: int, free: int, match: list[int], out: set[Matching],
+                   jrank, arank) -> None:
+    """Assign job u each free applicant that leaves no blocking pair among
+    jobs 0..u, recursing to job u + 1; complete matchings go to `out`."""
+    n = len(match)
+    if u == n:
+        out.add(tuple(match))
+        return
+    ju = jrank[u]
+    for v in range(n):
+        if not free >> v & 1:
+            continue
+        av = arank[v]
+        for u2 in range(u):
+            v2 = match[u2]
+            # (u, v2) blocks, or (u2, v) blocks
+            if (ju[v2] < ju[v] and arank[v2][u] < arank[v2][u2]) or \
+                    (jrank[u2][v] < jrank[u2][v2] and av[u2] < av[u]):
+                break
+        else:
+            match[u] = v
+            _extend_stable(u + 1, free & ~(1 << v), match, out, jrank, arank)

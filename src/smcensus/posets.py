@@ -1,7 +1,10 @@
 """Finite posets, exact downset counting/enumeration, tangled grids.
 
 Posets are stored by their cover relation over elements 0..size-1 and
-manipulated internally as bitmasks.  A tangled grid is a poset with two
+manipulated internally as bitmasks.  Downsets are counted by a transfer
+over one linear extension whose state is the part of the downset on the
+frontier (processed elements with an unprocessed upper cover), capped at
+`STATE_CAP` live states.  A tangled grid is a poset with two
 chain decompositions (m-chains and w-chains) such that every m-chain
 meets every w-chain in exactly one element; the embedding below turns
 any rotation poset into one.
@@ -10,12 +13,16 @@ any rotation poset into one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rotations import RotationPoset
 
-MEMO_CAP = 2 * 10 ** 6  # memo entries; the cost of a count, unlike poset size
+STATE_CAP = 2 * 10 ** 6  # live transfer states; the cost of a count, unlike poset size
+BRUTE_FORCE_SIZE = 20    # the subset filter holds 2^size 64-bit masks at once
 
 
 class PosetError(ValueError):
@@ -84,15 +91,6 @@ def strict_below_masks(poset: FinitePoset) -> list[int]:
     return list(poset.below)
 
 
-def strict_above_masks(poset: FinitePoset) -> list[int]:
-    below = poset.below
-    above = [0] * poset.size
-    for e in range(poset.size):
-        for f in _bits(below[e]):
-            above[f] |= 1 << e
-    return above
-
-
 def lower_cover_masks(below: list[int]) -> list[int]:
     """Transitive reduction of transitively closed strict-below masks:
     f < e is a cover iff f lies below no g < e."""
@@ -116,61 +114,70 @@ def leq_matrix(poset: FinitePoset) -> list[int]:
     return [b | (1 << e) for e, b in enumerate(poset.below)]
 
 
-def count_downsets(poset: FinitePoset, cap: int = MEMO_CAP) -> int:
-    """Exact number of downsets (order ideals), memoized divide and conquer.
+def count_downsets(poset: FinitePoset, cap: int = STATE_CAP) -> int:
+    """Exact number of downsets (order ideals), by a transfer count over one
+    linear extension.
 
-    Splits on whether a pivot element is in the ideal:
-    ideals(P) = ideals(P - upset(x)) + ideals(P - downset(x)).
-    Raises PosetError once the memo would exceed `cap` entries.
+    Elements are taken in Kahn's order, smallest ready index first.  The
+    state is the set of frontier elements (processed, with an unprocessed
+    upper cover) that lie in the downset; element e may join a state only
+    if all its lower covers are in it.  After each step the states are
+    restricted to the new frontier and merged with integer counts.  Raises
+    PosetError once a step leaves more than `cap` live states.
     """
-    below = poset.below
-    above = strict_above_masks(poset)
-    full = (1 << poset.size) - 1
-    memo: dict[int, int] = {}
-    comp = [below[e] | above[e] for e in range(poset.size)]
-    drop_up = [above[e] | (1 << e) for e in range(poset.size)]    # x and all above
-    drop_down = [below[e] | (1 << e) for e in range(poset.size)]  # x and all below
-
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        if mask & (mask - 1) == 0:
-            res = 2
-        else:
-            # pivot: the first element with the most comparabilities inside
-            # mask; one comparable to all the rest cannot be beaten
-            most = mask.bit_count() - 1
-            best, best_c = -1, -1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                e = low.bit_length() - 1
-                c = (comp[e] & mask).bit_count()
-                if c > best_c:
-                    best, best_c = e, c
-                    if c == most:
-                        break
-                rest ^= low
-            res = count(mask & ~drop_up[best]) + count(mask & ~drop_down[best])
-        if len(memo) >= cap:
-            raise PosetError(f"downset count needs more than {cap} memo entries")
-        memo[mask] = res
-        return res
-
-    return count(full)
+    size = poset.size
+    lower = [0] * size      # lower covers as a bitmask
+    uppers = [0] * size     # unprocessed upper covers of each element
+    up_adj: list[list[int]] = [[] for _ in range(size)]
+    for lo, hi in poset.covers:
+        lower[hi] |= 1 << lo
+        uppers[lo] += 1
+        up_adj[lo].append(hi)
+    waiting = [m.bit_count() for m in lower]  # unprocessed lower covers
+    ready = [e for e in range(size) if not waiting[e]]  # sorted, so a heap
+    states = {0: 1}
+    while ready:
+        e = heappop(ready)
+        for f in up_adj[e]:
+            waiting[f] -= 1
+            if not waiting[f]:
+                heappush(ready, f)
+        need = lower[e]
+        drop = 0 if uppers[e] else 1 << e  # frontier elements that leave
+        for f in _bits(need):
+            uppers[f] -= 1
+            if not uppers[f]:
+                drop |= 1 << f
+        keep = ~drop
+        put = (1 << e) & keep
+        nxt: dict[int, int] = {}
+        for s, c in states.items():
+            t = s & keep
+            nxt[t] = nxt.get(t, 0) + c
+            if s & need == need:
+                t |= put
+                nxt[t] = nxt.get(t, 0) + c
+        if len(nxt) > cap:
+            raise PosetError(f"downset count needs more than {cap} states")
+        states = nxt
+    return sum(states.values())
 
 
 def count_downsets_bruteforce(poset: FinitePoset) -> int:
-    """2^size subset filter; oracle for count_downsets at size <= ~16."""
-    below = poset.below
-    total = 0
-    for mask in range(1 << poset.size):
-        if all(below[e] & ~mask == 0 for e in _bits(mask)):
-            total += 1
-    return total
+    """2^size subset filter; oracle for count_downsets at size <= ~16.
+
+    A subset is kept unless it holds some element without all of the
+    elements below it.  Refuses posets past BRUTE_FORCE_SIZE elements,
+    whose subset array would not fit in memory.
+    """
+    if poset.size > BRUTE_FORCE_SIZE:
+        raise PosetError(f"brute-force count needs size <= {BRUTE_FORCE_SIZE}, "
+                         f"got {poset.size}")
+    subsets = np.arange(1 << poset.size, dtype=np.int64)
+    closed = np.ones(subsets.shape, dtype=bool)
+    for e, b in enumerate(poset.below):
+        closed &= (subsets >> e & 1 == 0) | (subsets & b == b)
+    return int(closed.sum())
 
 
 def topological_order(poset: FinitePoset) -> list[int]:
@@ -187,17 +194,17 @@ def enumerate_downset_masks(poset: FinitePoset) -> Iterator[int]:
     """
     order = topological_order(poset)
     below = poset.below
-
-    def rec(idx: int, cur: int) -> Iterator[int]:
-        if idx == len(order):
+    depth = len(order)
+    stack = [(0, 0)]  # (next index into order, downset so far)
+    while stack:
+        idx, cur = stack.pop()
+        if idx == depth:
             yield cur
-            return
+            continue
         e = order[idx]
-        yield from rec(idx + 1, cur)
         if below[e] & ~cur == 0:
-            yield from rec(idx + 1, cur | (1 << e))
-
-    return rec(0, 0)
+            stack.append((idx + 1, cur | (1 << e)))
+        stack.append((idx + 1, cur))
 
 
 def enumerate_downsets(poset: FinitePoset) -> Iterator[frozenset[int]]:

@@ -111,7 +111,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_grids_diamond_past_the_old_size_cap(capsys):
-    # 81 elements: above the former 64-element cap, well inside the memo cap
+    # 81 elements: above the former 64-element cap, well inside the state cap
     code, lines = run_cli(capsys, "grids", "--diamond", "9")
     assert code == 0
     assert lines[0]["downsets"] == lines[0]["expected"] == 48620
@@ -229,7 +229,7 @@ def test_malformed_instance_file_exits_2(tmp_path, capsys):
                        "InstanceError", "job_prefs row 1 not a permutation")
 
 
-@pytest.mark.parametrize("exc", [PosetError("downset count needs more than 5 memo entries"),
+@pytest.mark.parametrize("exc", [PosetError("downset count needs more than 5 states"),
                                  FamilyError("family is empty")])
 def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):

@@ -1,16 +1,48 @@
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
+from math import factorial
 
+import numpy as np
 import pytest
 
-from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
-                                random_instance)
+from smcensus.instances import (PreferenceProfile, applicant_ranks, instance_I2,
+                                irving_leather, job_ranks, random_instance)
 from smcensus.matchings import (enumerate_stable_bruteforce, gale_shapley,
                                 is_stable, unstable_pairs)
 from smcensus.verify import RunConfig, _profile_for, instance_plan
 
 
+@lru_cache(maxsize=None)
+def all_permutations(n):
+    """Every perfect matching on n pairs, one column per permutation:
+    match[u] holds job u's applicant and partner[v] applicant v's job."""
+    flat = chain.from_iterable(permutations(range(n)))
+    rows = np.fromiter(flat, dtype=np.int8, count=n * factorial(n)).reshape(-1, n)
+    partner = np.argsort(rows, axis=1).astype(np.int8)
+    return np.ascontiguousarray(rows.T), np.ascontiguousarray(partner.T)
+
+
 def stable_by_permutation_filter(profile):
-    """Reference oracle: the literal filter of all n! perfect matchings."""
+    """Reference oracle: the literal filter of all n! perfect matchings.
+
+    Every (job u, applicant v) pair is tested on every permutation through
+    rank-table gathers; a permutation is dropped only when some pair blocks.
+    """
+    n = profile.n
+    match, partner = all_permutations(n)
+    jrank, arank = job_ranks(profile), applicant_ranks(profile)
+    # each side's rank of its own partner, per permutation
+    own_j = [np.take(np.array(jrank[u], dtype=np.int8), match[u]) for u in range(n)]
+    own_a = [np.take(np.array(arank[v], dtype=np.int8), partner[v]) for v in range(n)]
+    blocked = np.zeros(match.shape[1], dtype=bool)
+    for u in range(n):
+        for v in range(n):
+            blocked |= (own_j[u] > jrank[u][v]) & (own_a[v] > arank[v][u])
+    return set(map(tuple, match[:, ~blocked].T.tolist()))
+
+
+def stable_by_is_stable_filter(profile):
+    """The same filter, one `is_stable` call per permutation."""
     return {m for m in permutations(range(profile.n)) if is_stable(profile, m)}
 
 
@@ -98,3 +130,10 @@ def test_pruned_search_on_irving_leather_eight():
     stable = enumerate_stable_bruteforce(profile)
     assert len(stable) == 268
     assert stable == stable_by_permutation_filter(profile)
+
+
+def test_numpy_filter_matches_is_stable_filter_on_sweep_plan():
+    for item in instance_plan(RunConfig()):
+        profile = _profile_for(item)
+        assert stable_by_permutation_filter(profile) == \
+            stable_by_is_stable_filter(profile), item

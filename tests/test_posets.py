@@ -1,19 +1,22 @@
+import gc
+import random
+import types
+from heapq import heappop, heappush
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcensus.instances import instance_I2, random_instance
-from smcensus.posets import (MEMO_CAP, FinitePoset, PosetError, TangledGrid,
-                             _bits, count_downsets, count_downsets_bruteforce,
+from smcensus.instances import instance_I2, irving_leather, random_instance
+from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
+                             count_downsets, count_downsets_bruteforce,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_to_json,
                              poset_from_below, random_tangled_grid,
-                             strict_above_masks, strict_below_masks,
-                             validate_tangled_grid)
+                             strict_below_masks, validate_tangled_grid)
 from smcensus.rotations import build_rotation_poset, to_finite_poset
-from smcensus.verify import RunConfig, _profile_for, instance_plan
+from smcensus.verify import RunConfig, _profile_for, _sweep_one, instance_plan
 
 
 def chain(k):
@@ -67,7 +70,8 @@ def random_posets(draw):
 @given(random_posets())
 @settings(max_examples=80, deadline=None)
 def test_count_matches_bruteforce(poset):
-    assert count_downsets(poset) == count_downsets_bruteforce(poset)
+    assert count_downsets(poset) == count_downsets_bruteforce(poset) == \
+        count_downsets_reference(poset)
     assert len(list(enumerate_downset_masks(poset))) == count_downsets(poset)
 
 
@@ -91,13 +95,13 @@ def test_enumeration_is_canonical_and_complete():
 
 
 def test_count_cap():
-    # the cap bounds memo entries, not poset size: a 41-element antichain
-    # needs 41 entries and a 4 x 4 diamond far more
-    assert count_downsets(antichain(41), cap=41) == 2 ** 41
-    with pytest.raises(PosetError, match="more than 40 memo entries"):
-        count_downsets(antichain(41), cap=40)
-    with pytest.raises(PosetError, match="memo entries"):
-        count_downsets(grid_diamond(4).poset, cap=10)
+    # the cap bounds live states, not poset size: every antichain element
+    # leaves the frontier as soon as it is processed, so one state suffices
+    assert count_downsets(antichain(41), cap=1) == 2 ** 41
+    with pytest.raises(PosetError, match="more than 0 states"):
+        count_downsets(antichain(41), cap=0)
+    with pytest.raises(PosetError, match="brute-force count needs size <= 20"):
+        count_downsets_bruteforce(antichain(21))
 
 
 def test_fixture_embedding_is_two_by_two_diamond():
@@ -197,8 +201,18 @@ def below_by_kahn(poset):
     return below
 
 
-def count_downsets_reference(poset, cap=MEMO_CAP):
-    """The former count_downsets, kept as reference: (count, memo entries)."""
+def strict_above_masks(poset):
+    """above[e] = bitmask of elements strictly above e."""
+    above = [0] * poset.size
+    for e, b in enumerate(poset.below):
+        for f in _bits(b):
+            above[f] |= 1 << e
+    return above
+
+
+def count_downsets_reference(poset):
+    """The former count_downsets, the memoised pivot count, kept as oracle:
+    ideals(P) = ideals(P - upset(x)) + ideals(P - downset(x))."""
     below = strict_below_masks(poset)
     above = strict_above_masks(poset)
     memo = {}
@@ -217,12 +231,10 @@ def count_downsets_reference(poset, cap=MEMO_CAP):
                 best, best_c = e, c
         x = best
         res = count(mask & ~(above[x] | (1 << x))) + count(mask & ~(below[x] | (1 << x)))
-        if len(memo) >= cap:
-            raise PosetError(f"downset count needs more than {cap} memo entries")
         memo[mask] = res
         return res
 
-    return count((1 << poset.size) - 1), len(memo)
+    return count((1 << poset.size) - 1)
 
 
 def pad_below_by_scan(rposet):
@@ -264,14 +276,134 @@ def test_transitive_cover_names_its_witness():
         FinitePoset(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
 
 
+def kahn_min_order(poset):
+    """Kahn's order over the covers, smallest ready index first."""
+    indeg = [0] * poset.size
+    for _, hi in poset.covers:
+        indeg[hi] += 1
+    ready = [e for e in range(poset.size) if indeg[e] == 0]
+    order = []
+    while ready:
+        e = heappop(ready)
+        order.append(e)
+        for lo, hi in poset.covers:
+            if lo == e:
+                indeg[hi] -= 1
+                if indeg[hi] == 0:
+                    heappush(ready, hi)
+    return order
+
+
+def transfer_peak(poset):
+    """Largest number of distinct restrictions of the downsets to the
+    frontier (processed elements with an unprocessed upper cover) after
+    each step of Kahn's order: the live states of the transfer count."""
+    downsets = list(enumerate_downset_masks(poset))
+    done, peak = 0, 0
+    for e in kahn_min_order(poset):
+        done |= 1 << e
+        frontier = 0
+        for lo, hi in poset.covers:
+            if done >> lo & 1 and not done >> hi & 1:
+                frontier |= 1 << lo
+        peak = max(peak, len({d & frontier for d in downsets}))
+    return peak
+
+
 def test_count_and_smallest_cap_match_reference():
+    # the smallest cap that lets a count through is its peak of live states
     cases = [embed_in_tangled_grid(rp).poset for rp in sweep_plan_rotation_posets()]
     cases += [grid_diamond(n).poset for n in range(1, 7)]
     for poset in cases:
-        want, entries = count_downsets_reference(poset)
-        assert count_downsets(poset, cap=entries) == want
-        with pytest.raises(PosetError, match="memo entries"):
-            count_downsets(poset, cap=entries - 1)
+        want = count_downsets_reference(poset)
+        peak = transfer_peak(poset)
+        assert count_downsets(poset, cap=peak) == want
+        with pytest.raises(PosetError, match=f"more than {peak - 1} states"):
+            count_downsets(poset, cap=peak - 1)
+
+
+def test_count_matches_references_on_sweep_plan():
+    for rposet in sweep_plan_rotation_posets():
+        for poset in (to_finite_poset(rposet), embed_in_tangled_grid(rposet).poset):
+            want = count_downsets_reference(poset)
+            assert count_downsets(poset) == want
+            if poset.size <= 16:
+                assert count_downsets_bruteforce(poset) == want
+
+
+def test_diamond_counts_match_binomial_and_references():
+    for n in range(1, 13):
+        poset = grid_diamond(n).poset
+        got = count_downsets(poset)
+        assert got == comb(2 * n, n)
+        if n <= 8:
+            assert got == count_downsets_reference(poset)
+        if poset.size <= 16:
+            assert got == count_downsets_bruteforce(poset)
+
+
+def shuffled_random_poset(size, rng):
+    """A random poset (closure of a sparse random DAG) with its element
+    labels shuffled, so that index order is no linear extension."""
+    below = [0] * size
+    for hi in range(size):
+        for lo in range(hi):
+            if rng.random() < 2.5 / size:
+                below[hi] |= below[lo] | (1 << lo)
+    label = list(range(size))
+    rng.shuffle(label)
+    relabelled = [0] * size
+    for e, b in enumerate(below):
+        relabelled[label[e]] = sum(1 << label[f] for f in _bits(b))
+    return poset_from_below(size, relabelled)
+
+
+def is_graded(poset):
+    """Whether every cover joins consecutive longest-chain heights."""
+    height = {}
+    for e in kahn_min_order(poset):
+        height[e] = max((height[lo] + 1 for lo, hi in poset.covers if hi == e), default=0)
+    return all(height[hi] == height[lo] + 1 for lo, hi in poset.covers)
+
+
+def test_count_matches_reference_on_shuffled_random_posets():
+    rng = random.Random(2024)
+    for _ in range(40):
+        poset = shuffled_random_poset(rng.randint(20, 30), rng)
+        assert any(lo > hi for lo, hi in poset.covers) and not is_graded(poset)
+        assert count_downsets(poset) == count_downsets_reference(poset)
+
+
+def test_irving_leather_counts_follow_the_doubling_recursion():
+    # Irving and Leather: f(2n) = 3 f(n)^2 - 2 f(n/2)^4, f(1) = 1, f(2) = 2
+    f = {1: 1, 2: 2}
+    for k in range(2, 5):
+        n = 2 ** k
+        f[n] = 3 * f[n // 2] ** 2 - 2 * f[n // 4] ** 4
+    assert [f[2 ** k] for k in range(1, 5)] == [2, 10, 268, 195472]
+    for k in range(1, 5):
+        n = 2 ** k
+        poset = to_finite_poset(build_rotation_poset(irving_leather(k)))
+        got = count_downsets(poset)
+        assert got == f[n] <= 3.55 ** n
+        if k <= 3:
+            assert got == count_downsets_reference(poset)
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for item in instance_plan(RunConfig())[::25]:
+            _sweep_one((item, False))
+        gc.collect()
+        leaked = [obj.__qualname__ for obj in gc.garbage
+                  if isinstance(obj, types.FunctionType)
+                  and obj.__module__.startswith("smcensus")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def test_embedding_pad_below_matches_scan():
