@@ -1,9 +1,12 @@
 """Command-line surface: reproducible experiments and the acceptance suite.
 
-Reports are JSON lines (one object per check, canonical key order) on
-stdout or --out FILE.  Exit codes: 0 success, 1 at least one check
-failed, 2 usage error; a rejected argument or input is reported as one
-JSON line ({"error": type, "message": text}) on stderr.
+Every command returns a list of `record.CheckResult`; `main` alone writes
+them, one JSON line each (`check`, the record's fields and `passed`, in
+sorted key order) on stdout or --out FILE, and sets the exit code from
+them: 0 when every record passed, 1 when at least one failed.  `random`
+writes an instance and no record.  Exit code 2 is a usage error: a
+rejected argument or input is reported as one JSON line
+({"error": type, "message": text}) on stderr.
 verify --threads N (0..os.cpu_count(); 0, the default, defers to
 SMCENSUS_THREADS, an integer in 1..os.cpu_count(), else 1) sets the
 verify worker count; it affects speed only, never results.
@@ -12,6 +15,7 @@ verify worker count; it affects speed only, never results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from math import comb
@@ -22,6 +26,7 @@ from .distributions import EXTENDED, PLAIN, DistributionError
 from .instances import (InstanceError, parse_instance, random_instance,
                         serialize_instance)
 from .posets import PosetError
+from .record import CheckResult
 from .verify import CHECK_IDS, RunConfig, max_threads, run_verify_suite
 
 SERIES_VARIANTS = {"tg": PLAIN, "sm": EXTENDED}
@@ -52,7 +57,7 @@ def _load_profile(args):
     return random_instance(args.n, args.seed)
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args, out) -> list[CheckResult]:
     profile = _load_profile(args)
     counts = {}
     if args.method in ("brute", "both"):
@@ -61,23 +66,20 @@ def _cmd_enumerate(args, out) -> int:
         rposet = rotations.build_rotation_poset(profile)
         counts["rotations"] = len(rotations.enumerate_stable_via_rotations(profile, rposet))
         counts["downsets"] = posets.count_downsets(rotations.to_finite_poset(rposet))
-    agree = len(set(counts.values())) <= 1
-    _emit(out, {"check": "enumerate", "n": profile.n, "counts": counts,
-                "passed": agree})
-    return 0 if agree else 1
+    return [CheckResult("enumerate", len(set(counts.values())) <= 1,
+                        {"n": profile.n, "counts": counts})]
 
 
-def _cmd_rotations(args, out) -> int:
+def _cmd_rotations(args, out) -> list[CheckResult]:
     profile = _load_profile(args)
     rposet = rotations.build_rotation_poset(profile)
     report = rotations.check_structure(rposet)
-    _emit(out, {"check": "rotations", "n": profile.n,
-                "poset": rotations.poset_to_json(rposet),
-                "structure": report.checks, "passed": report.passed})
-    return 0 if report.passed else 1
+    return [CheckResult("rotations", report.passed,
+                        {"n": profile.n, "poset": rotations.poset_to_json(rposet),
+                         "structure": report.fields["checks"]})]
 
 
-def _cmd_grids(args, out) -> int:
+def _cmd_grids(args, out) -> list[CheckResult]:
     if args.diamond is not None:
         grid = posets.grid_diamond(args.diamond)
         expected = comb(2 * args.diamond, args.diamond)
@@ -86,61 +88,47 @@ def _cmd_grids(args, out) -> int:
         grid = posets.embed_in_tangled_grid(rotations.build_rotation_poset(profile))
         expected = None
     downsets = posets.count_downsets(grid.poset)
-    ok = expected is None or downsets == expected
-    _emit(out, {"check": "grids", "grid": posets.grid_to_json(grid),
-                "downsets": downsets, "expected": expected, "passed": ok})
-    return 0 if ok else 1
+    return [CheckResult("grids", expected is None or downsets == expected,
+                        {"grid": posets.grid_to_json(grid), "downsets": downsets,
+                         "expected": expected})]
 
 
-def _cmd_series(args, out) -> int:
-    variant = SERIES_VARIANTS[args.which]
-    interval = bounds.gap_log_series(args.truncate, variant)
+def _cmd_series(args, out) -> list[CheckResult]:
+    interval = bounds.gap_log_series(args.truncate, SERIES_VARIANTS[args.which])
     limit = SERIES_LIMITS[args.which]
-    ok = interval.hi <= limit
-    _emit(out, {"check": f"series_{args.which}", "lo": interval.lo,
-                "hi": interval.hi, "truncation": interval.truncation,
-                "limit": limit, "passed": ok})
-    return 0 if ok else 1
+    return [CheckResult(f"series_{args.which}", interval.hi <= limit,
+                        {"lo": interval.lo, "hi": interval.hi,
+                         "truncation": interval.truncation, "limit": limit})]
 
 
-def _cmd_bounds(args, out) -> int:
+def _cmd_bounds(args, out) -> list[CheckResult]:
     report = bounds.bound_report(args.n)
-    ok = all(report["checks"].values())
-    _emit(out, {"check": "bounds", **report, "passed": ok})
-    return 0 if ok else 1
+    return [CheckResult("bounds", all(report["checks"].values()), report)]
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args, out) -> list[CheckResult]:
     if args.kind == "cyclic":
         samples = distributions.sample_cyclic_gap(args.n, args.l, args.seed,
                                                   args.samples)
         pmf = {k: str(p) for k, p in distributions.cyclic_gap_pmf(args.n, args.l).support}
         freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))}
-        _emit(out, {"check": "simulate_cyclic", "n": args.n, "l": args.l,
-                    "pmf": pmf, "freq": freq, "passed": True})
-        return 0
+        return [CheckResult("simulate_cyclic", True,
+                            {"n": args.n, "l": args.l, "pmf": pmf, "freq": freq})]
     if args.kind in ("plain", "extended"):
         samples = distributions.sample_line_gap(args.x, args.kind, args.seed,
                                                 args.samples)
         freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))[:12]}
-        _emit(out, {"check": f"simulate_{args.kind}", "x": args.x,
-                    "window": distributions.line_gap_window(args.x), "freq": freq,
-                    "passed": True})
-        return 0
+        return [CheckResult(f"simulate_{args.kind}", True,
+                            {"x": args.x, "window": distributions.line_gap_window(args.x),
+                             "freq": freq})]
     if args.kind == "dependence":
-        ok = True
-        for pattern in distributions.legal_identification_patterns():
-            res = distributions.gap_dependence_check(args.x, pattern, args.seed,
-                                                     args.samples)
-            ok &= res.passed
-            _emit(out, {"check": "simulate_dependence", **res.to_json()})
-        return 0 if ok else 1
-    res = distributions.asymptotic_dominance_probe(args.n, args.seed,
-                                                   samples=args.samples)
-    _emit(out, {"check": "simulate_asymptotic", "n": res.n,
-                "worst_shortfall": res.worst_shortfall,
-                "cells": len(res.cells), "passed": res.passed})
-    return 0 if res.passed else 1
+        results = [distributions.gap_dependence_check(args.x, pattern, args.seed,
+                                                      args.samples)
+                   for pattern in distributions.legal_identification_patterns()]
+        return [CheckResult("simulate_dependence", res.passed, dataclasses.asdict(res))
+                for res in results]
+    return [distributions.asymptotic_dominance_probe(args.n, args.seed,
+                                                     samples=args.samples)]
 
 
 def _check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
@@ -149,7 +137,7 @@ def _check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
         raise UsageError(f"{name} must be {bounds_text}, got {value}")
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out) -> list[CheckResult]:
     # reject every bad number before the suite runs, not partway through it
     _check_range("--samples", args.samples, 1)
     _check_range("--instances", args.instances, 0)
@@ -179,16 +167,12 @@ def _cmd_verify(args, out) -> int:
         if unknown:
             raise UsageError(f"--only: unknown check id {unknown[0]!r}; "
                              f"known ids are {CHECK_IDS[0]}..{CHECK_IDS[-1]}")
-    results = run_verify_suite(config, only)
-    for res in sorted(results, key=lambda r: r.check_id):
-        _emit(out, res.to_json())
-    return 0 if all(r.passed for r in results) else 1
+    return run_verify_suite(config, only)
 
 
-def _cmd_random(args, out) -> int:
-    profile = random_instance(args.n, args.seed)
-    out.write(serialize_instance(profile) + "\n")
-    return 0
+def _cmd_random(args, out) -> list[CheckResult]:
+    out.write(serialize_instance(random_instance(args.n, args.seed)) + "\n")
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +263,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"cannot write --out {args.out}: "
                                  f"{exc.strerror or exc}") from exc
             close = True
-        return _HANDLERS[args.command](args, out)
+        records = _HANDLERS[args.command](args, out)
+        for res in records:
+            _emit(out, res.to_json())
+        return 0 if all(r.passed for r in records) else 1
     except USAGE_ERRORS as exc:
         _emit(sys.stderr, {"error": type(exc).__name__, "message": str(exc)})
         return 2

@@ -410,23 +410,24 @@ def perfect_matchings(graph: BipartiteGraph) -> list[tuple[tuple[int, int], ...]
     """All perfect matchings as tuples of edges indexed by right vertex."""
     if graph.left_size != graph.right_size:
         raise FamilyError("perfect matchings need equal side sizes")
-    n = graph.right_size
-    nbrs = [sorted(u for u, v in graph.edges if v == r) for r in range(n)]
-    out = []
-    pick: list[tuple[int, int]] = []
-
-    def rec(r: int, used: int) -> None:
-        if r == n:
-            out.append(tuple(pick))
-            return
-        for u in nbrs[r]:
-            if not used >> u & 1:
-                pick.append((u, r))
-                rec(r + 1, used | (1 << u))
-                pick.pop()
-
-    rec(0, 0)
+    nbrs = [sorted(u for u, v in graph.edges if v == r) for r in range(graph.right_size)]
+    out: list[tuple[tuple[int, int], ...]] = []
+    _extend_matching(0, 0, [], out, nbrs)
     return out
+
+
+def _extend_matching(r: int, used: int, pick: list[tuple[int, int]],
+                     out: list, nbrs: list[list[int]]) -> None:
+    """Match right vertex r to each unused left neighbour, recursing to
+    r + 1; complete matchings go to `out`."""
+    if r == len(nbrs):
+        out.append(tuple(pick))
+        return
+    for u in nbrs[r]:
+        if not used >> u & 1:
+            pick.append((u, r))
+            _extend_matching(r + 1, used | (1 << u), pick, out, nbrs)
+            pick.pop()
 
 
 def count_perfect_matchings(graph: BipartiteGraph) -> int:

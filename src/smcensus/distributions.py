@@ -45,6 +45,7 @@ import numpy as np
 
 from .counting import TupleFamily, downset_top_family
 from .posets import TangledGrid
+from .record import CheckResult
 from .rng import ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
 
 PLAIN = "plain"
@@ -372,19 +373,13 @@ def _extended_draws(lanes: XoshiroLanes, m: int, thr: np.uint64, scan: ScanTable
 
 # ------------------------------------------------------------- dominance
 
-@dataclass
-class DominanceReport:
-    chain_index: int
-    l: int
-    passed: bool
-    witnesses: list
-
-
 def dominance_check(grid: TangledGrid, chain_index: int, l: int,
-                    family: TupleFamily | None = None) -> DominanceReport:
+                    family: TupleFamily | None = None) -> CheckResult:
     """Check that the option count for one chain, conditioned on exactly l
     opposite-side chains being revealed first, is dominated by the cyclic
     gap law: Pr[X <= y] >= Pr[gap <= y] for every y, for every downset.
+    The record's fields are ``chain``, ``l`` and ``witnesses``, one
+    (member, y, Pr[X <= y], Pr[gap <= y]) per violated comparison.
 
     The conditional law over uniform reveal orders weights a prefix set T
     by |T|! (2n-1-|T|)!; option counts use everything revealed, which only
@@ -401,7 +396,7 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int,
 
 
 def _dominance_report(n: int, chain_index: int, l: int,
-                      hists: list[dict[int, int]]) -> DominanceReport:
+                      hists: list[dict[int, int]]) -> CheckResult:
     ref_cdf = cyclic_gap_pmf(n, l).cdf()
     witnesses = []
     for mi, hist in enumerate(hists):
@@ -415,7 +410,8 @@ def _dominance_report(n: int, chain_index: int, l: int,
                 hi += 1
             if Fraction(acc, total) < ref_p:
                 witnesses.append((mi, y, Fraction(acc, total), ref_p))
-    return DominanceReport(chain_index, l, not witnesses, witnesses)
+    return CheckResult("dominance", not witnesses,
+                       {"chain": chain_index, "l": l, "witnesses": witnesses})
 
 
 def _conditional_option_histograms(fam: TupleFamily, chain_index: int, n: int):
@@ -433,7 +429,7 @@ def _conditional_option_histograms(fam: TupleFamily, chain_index: int, n: int):
             for l, weighted in prefixes.items()}
 
 
-def dominance_check_grid(grid: TangledGrid) -> list[DominanceReport]:
+def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
     """dominance_check for every chain and every l, sharing one family and
     one histogram pass per chain."""
     fam = downset_top_family(grid)
@@ -499,18 +495,6 @@ class GapDependenceResult:
     diff_stderr: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "pattern": [list(p) for p in self.pattern],
-            "x": self.x,
-            "samples": self.samples,
-            "dependent_mean": self.dependent_mean,
-            "independent_mean": self.independent_mean,
-            "diff_mean": self.diff_mean,
-            "diff_stderr": self.diff_stderr,
-            "passed": self.passed,
-        }
-
 
 def gap_dependence_check(x: float, pattern, seed: int,
                          samples: int = 10 ** 6) -> GapDependenceResult:
@@ -566,19 +550,9 @@ def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:
 
 # ------------------------------------- finite-n asymptotic dominance probe
 
-@dataclass
-class AsymptoticProbeResult:
-    n: int
-    seed: int
-    samples: int
-    worst_shortfall: float
-    cells: list  # (x, chain, count, shortfall)
-    passed: bool
-
-
 def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
                                xs=(0.3, 0.5, 0.7), tol: float = 0.02,
-                               targets: int = 5) -> AsymptoticProbeResult:
+                               targets: int = 5) -> CheckResult:
     """Monte Carlo probe of the asymptotic domination of chain option
     counts by the extended gap law, on the rotation poset of one random
     instance.
@@ -590,6 +564,8 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     probe requires Pr[X <= y] >= Pr[gap <= y] - tol - 3 sigma per bucket;
     tops at a chain boundary are skipped, mirroring the interior-only
     analysis.  This is a slack sanity probe, not an exact criterion.
+    The record's fields are ``n``, the ``worst_shortfall`` and the number
+    of tested ``cells``.
     """
     _check_count(samples)
     from .instances import random_instance
@@ -677,8 +653,8 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
 
     min_count = 50
     worst = 0.0
-    cells = []
-    for (x, u), hist in sorted(hists.items()):
+    counts = []  # samples of each tested (x, chain) cell
+    for (x, _), hist in hists.items():
         count = sum(hist.values())
         if count < min_count:
             continue
@@ -690,11 +666,11 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
             acc += hist.get(y, 0)
             ref_acc += float(line_gap_pmf(x, y, EXTENDED))
             shortfall = max(shortfall, ref_acc - acc / count)
-        cells.append((x, u, count, shortfall))
+        counts.append(count)
         worst = max(worst, shortfall)
-    if not cells:
+    if not counts:
         raise DistributionError(f"asymptotic probe has no cell to test: no (x, chain) "
                                 f"bucket reached {min_count} of {samples} samples")
-    allowance = tol + 3.0 * math.sqrt(0.25 / min(c for _, _, c, _ in cells))
-    return AsymptoticProbeResult(n, seed, samples, worst, cells,
-                                 worst <= allowance)
+    allowance = tol + 3.0 * math.sqrt(0.25 / min(counts))
+    return CheckResult("simulate_asymptotic", worst <= allowance,
+                       {"n": n, "worst_shortfall": worst, "cells": len(counts)})

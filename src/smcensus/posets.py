@@ -31,7 +31,8 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """Poset given by cover pairs (lower, upper); no transitive covers allowed.
+    """Poset given by cover pairs (lower, upper); no transitive or repeated
+    covers allowed.
 
     `below[e]` is the bitmask of elements strictly below e, computed once.
     """
@@ -41,9 +42,13 @@ class FinitePoset:
     below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        seen = set()
         for lo, hi in self.covers:
             if not (0 <= lo < self.size and 0 <= hi < self.size) or lo == hi:
                 raise PosetError(f"bad cover pair ({lo}, {hi})")
+            if (lo, hi) in seen:
+                raise PosetError(f"repeated cover pair ({lo}, {hi})")
+            seen.add((lo, hi))
         below = _kahn_below(self.size, self.covers)  # raises on cycles
         lower = lower_cover_masks(below)
         for lo, hi in self.covers:

@@ -13,12 +13,13 @@ test suite verifies against brute force.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import posets
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
 from .matchings import (Matching, gale_shapley, is_stable, unstable_pairs,
                         validate_matching)
+from .record import CheckResult
 
 STATE_CAP = 10 ** 6
 
@@ -395,24 +396,11 @@ def enumerate_stable_via_rotations(profile: PreferenceProfile,
     return set(stable_matching_bijection(profile, rposet).values())
 
 
-@dataclass
-class StructureReport:
-    """Pass/fail per structural claim, with failure witnesses."""
-
-    checks: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, list] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def record(self, name: str, ok: bool, witness=None) -> None:
-        self.checks[name] = self.checks.get(name, True) and ok
-        if not ok:
-            self.witnesses.setdefault(name, []).append(witness)
+STRUCTURE_CLAIMS = ("vertex_chains", "edge_uniqueness", "chain_counts",
+                    "pairing_consecutive", "pairing_moreover", "chain_length")
 
 
-def check_structure(rposet: RotationPoset) -> StructureReport:
+def check_structure(rposet: RotationPoset) -> CheckResult:
     """Verify the structural properties of a rotation poset.
 
     (a) rotations sharing a vertex form a chain; (b) an edge appears in at
@@ -421,8 +409,17 @@ def check_structure(rposet: RotationPoset) -> StructureReport:
     rotation, consecutively on both, unless the rotation tops or bottoms
     both chains; (e) no chain is paired with two different chains at the
     same two rotations; (f) every chain has at most n-1 rotations.
+    The record's fields give the verdict per claim (``checks``) and the
+    witnesses of each failed claim (``witnesses``).
     """
-    rep = StructureReport()
+    checks = dict.fromkeys(STRUCTURE_CLAIMS, True)
+    witnesses: dict[str, list] = {}
+
+    def record(name: str, ok: bool, witness) -> None:
+        if not ok:
+            checks[name] = False
+            witnesses.setdefault(name, []).append(witness)
+
     r = len(rposet.rotations)
 
     for side, chains in (("m", rposet.m_chains), ("w", rposet.w_chains)):
@@ -430,22 +427,19 @@ def check_structure(rposet: RotationPoset) -> StructureReport:
             for a in range(len(ch)):
                 for b in range(a + 1, len(ch)):
                     ok = rposet.leq(ch[a], ch[b]) or rposet.leq(ch[b], ch[a])
-                    rep.record("vertex_chains", ok, (side, vid, ch[a], ch[b]))
-    rep.checks.setdefault("vertex_chains", True)
+                    record("vertex_chains", ok, (side, vid, ch[a], ch[b]))
 
     edge_seen: dict[tuple[int, int], int] = {}
     for t in range(r):
         for e in rposet.rotations[t].edges:
             if e in edge_seen and edge_seen[e] != t:
-                rep.record("edge_uniqueness", False, (e, edge_seen[e], t))
+                record("edge_uniqueness", False, (e, edge_seen[e], t))
             edge_seen[e] = t
-    rep.checks.setdefault("edge_uniqueness", True)
 
     for t in range(r):
         n_m = sum(1 for ch in rposet.m_chains if t in ch)
         n_w = sum(1 for ch in rposet.w_chains if t in ch)
-        rep.record("chain_counts", n_m == n_w and n_m >= 2, (t, n_m, n_w))
-    rep.checks.setdefault("chain_counts", True)
+        record("chain_counts", n_m == n_w and n_m >= 2, (t, n_m, n_w))
 
     # pairing events: at each rotation, job u is paired with its current
     # partner's chain and with its next partner's chain
@@ -468,14 +462,13 @@ def check_structure(rposet: RotationPoset) -> StructureReport:
             t = ts[0]
             at_top = mch[-1] == t and wch[-1] == t
             at_bottom = mch[0] == t and wch[0] == t
-            rep.record("pairing_consecutive", at_top or at_bottom, (u, v, t))
+            record("pairing_consecutive", at_top or at_bottom, (u, v, t))
         elif len(ts) == 2:
             a, b = ts
             ok = consecutive(mch, a, b) and consecutive(wch, a, b)
-            rep.record("pairing_consecutive", ok, (u, v, a, b))
+            record("pairing_consecutive", ok, (u, v, a, b))
         else:
-            rep.record("pairing_consecutive", False, (u, v, tuple(ts)))
-    rep.checks.setdefault("pairing_consecutive", True)
+            record("pairing_consecutive", False, (u, v, tuple(ts)))
 
     pair_sets = {key: frozenset(ts) for key, ts in events.items() if len(ts) == 2}
     for (u, v), ts in pair_sets.items():
@@ -483,15 +476,14 @@ def check_structure(rposet: RotationPoset) -> StructureReport:
             if (u2, v2) == (u, v) or ts2 != ts:
                 continue
             if u2 == u or v2 == v:
-                rep.record("pairing_moreover", False, ((u, v), (u2, v2), tuple(ts)))
-    rep.checks.setdefault("pairing_moreover", True)
+                record("pairing_moreover", False, ((u, v), (u2, v2), tuple(ts)))
 
     for side, chains in (("m", rposet.m_chains), ("w", rposet.w_chains)):
         for vid, ch in enumerate(chains):
-            rep.record("chain_length", len(ch) <= rposet.n - 1, (side, vid, len(ch)))
-    rep.checks.setdefault("chain_length", True)
+            record("chain_length", len(ch) <= rposet.n - 1, (side, vid, len(ch)))
 
-    return rep
+    return CheckResult("structure", all(checks.values()),
+                       {"checks": checks, "witnesses": witnesses})
 
 
 def poset_to_json(rposet: RotationPoset) -> dict:

@@ -1,10 +1,12 @@
 """The acceptance suite: every headline check as a machine-readable result.
 
-Each criterion function returns a CheckResult; run_verify_suite executes
-all of them against one RunConfig.  The instance sweep (brute-force
-enumeration, rotation poset, bijection, structure checks, grid embedding)
-is computed once and shared by the criteria that consume it, optionally
-split across worker processes; results never depend on the worker count.
+Each criterion function returns a `record.CheckResult` whose fields are
+the criterion's name and details; run_verify_suite executes all of them
+against one RunConfig, in id order, and the CLI writes each as one line.
+The instance sweep (brute-force enumeration, rotation poset, bijection,
+structure checks, grid embedding) is computed once and shared by the
+criteria that consume it, optionally split across worker processes;
+results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +22,7 @@ from . import bounds, counting, distributions, matchings, posets, rotations
 from .counting import BoundMode, BipartiteGraph, bound_holds, reveal_bound
 from .distributions import EXTENDED, PLAIN
 from .instances import PreferenceProfile, instance_I2, random_instance
+from .record import CheckResult
 from .rng import Xoshiro256StarStar, bernoulli_threshold
 
 
@@ -54,21 +57,6 @@ def max_threads() -> int:
     """The largest worker count: a process pool forks all its workers at
     once, so more than the CPU count only costs processes."""
     return os.cpu_count() or 1
-
-
-@dataclass
-class CheckResult:
-    check_id: str
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def to_json(self) -> dict:
-        # wall-clock timings stay out so identical (argv, seed) runs emit
-        # byte-identical reports
-        return {"check": self.check_id, "name": self.name,
-                "passed": self.passed, "details": self.details}
 
 
 def instance_plan(config: RunConfig) -> list[tuple[int, int]]:
@@ -156,26 +144,26 @@ def criterion_bijection(config: RunConfig, sweep: list[dict]) -> CheckResult:
                    and r["brute_count"] == r["downset_count"] == r["via_count"])]
     elapsed = sum(r["bijection_elapsed"] for r in sweep)
     within_target = elapsed < 60.0
-    return CheckResult("c01", "stable matchings equal rotation-poset downsets",
-                       not bad and within_target,
-                       {"instances": len(sweep), "failures": bad[:10],
-                        "within_runtime_target": within_target})
+    return CheckResult("c01", not bad and within_target, {
+        "name": "stable matchings equal rotation-poset downsets",
+        "details": {"instances": len(sweep), "failures": bad[:10],
+                    "within_runtime_target": within_target}})
 
 
 @_timed
 def criterion_structure(config: RunConfig, sweep: list[dict]) -> CheckResult:
     # `smcensus rotations --n N --seed S` names the failing claims
     bad = [(r["n"], r["seed"]) for r in sweep if not r["structure_passed"]]
-    return CheckResult("c02", "rotation poset structural claims",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c02", not bad, {"name": "rotation poset structural claims",
+                                        "details": {"failures": bad[:10]}})
 
 
 @_timed
 def criterion_embedding(config: RunConfig, sweep: list[dict]) -> CheckResult:
     bad = [(r["n"], r["seed"]) for r in sweep
            if not r["grid_ok"] or r["grid_downsets"] < r["poset_downsets"]]
-    return CheckResult("c03", "tangled grid embedding invariants",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c03", not bad, {"name": "tangled grid embedding invariants",
+                                        "details": {"failures": bad[:10]}})
 
 
 @_timed
@@ -185,8 +173,9 @@ def criterion_diamond(config: RunConfig) -> CheckResult:
         got = posets.count_downsets(posets.grid_diamond(n).poset)
         if got != comb(2 * n, n):
             bad.append((n, got, comb(2 * n, n)))
-    return CheckResult("c04", "diamond grid downsets equal central binomials",
-                       not bad, {"failures": bad})
+    return CheckResult("c04", not bad, {
+        "name": "diamond grid downsets equal central binomials",
+        "details": {"failures": bad}})
 
 
 _TABLE_ROWS = {
@@ -224,8 +213,8 @@ def criterion_table(config: RunConfig) -> CheckResult:
         prod = reveal_bound(fam, BoundMode("mean_product"))
         if prod.product != Fraction(3 * n_max + 6, 6) ** 3 or prod.product < 3 * n_max:
             bad.append((n_max, "mean_product", str(prod.product)))
-    return CheckResult("c05", "worked family option counts and bounds",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c05", not bad, {"name": "worked family option counts and bounds",
+                                        "details": {"failures": bad[:10]}})
 
 
 def _pm_graphs(config: RunConfig, count: int, max_side: int,
@@ -267,8 +256,8 @@ def criterion_family_bounds(config: RunConfig) -> CheckResult:
     for si in range(20):
         grid = posets.random_tangled_grid(2 + si % 3, config.seed * 77 + si)
         check_family(f"grid{si}", counting.downset_top_family(grid))
-    return CheckResult("c06", "family-size bound holds for every variant",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c06", not bad, {"name": "family-size bound holds for every variant",
+                                        "details": {"failures": bad[:10]}})
 
 
 @_timed
@@ -285,8 +274,9 @@ def criterion_bregman(config: RunConfig) -> CheckResult:
         pm = counting.count_perfect_matchings(g)
         if abs(math.log(pm) - counting.bregman_log_bound(g)) > 1e-9:
             bad.append(("complete", n, pm))
-    return CheckResult("c07", "perfect matchings below degree-factorial bound",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c07", not bad, {
+        "name": "perfect matchings below degree-factorial bound",
+        "details": {"failures": bad[:10]}})
 
 
 @_timed
@@ -305,8 +295,8 @@ def criterion_distributions(config: RunConfig) -> CheckResult:
                     or m.given_marked_chosen != Fraction(n + 1, l) \
                     or m.expectation > Fraction(2 * (n + 1), l + 1):
                 bad.append(("expectation", n, l))
-    return CheckResult("c08", "cyclic gap law exact against enumeration",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c08", not bad, {"name": "cyclic gap law exact against enumeration",
+                                        "details": {"failures": bad[:10]}})
 
 
 @_timed
@@ -319,9 +309,11 @@ def criterion_dominance(config: RunConfig) -> CheckResult:
     for tag, grid in grids:
         for rep in distributions.dominance_check_grid(grid):
             if not rep.passed:
-                bad.append((tag, rep.chain_index, rep.l, rep.witnesses[:2]))
-    return CheckResult("c09", "option counts dominated by cyclic gap law",
-                       not bad, {"grids": len(grids), "failures": bad[:10]})
+                f = rep.fields
+                bad.append((tag, f["chain"], f["l"], f["witnesses"][:2]))
+    return CheckResult("c09", not bad, {
+        "name": "option counts dominated by cyclic gap law",
+        "details": {"grids": len(grids), "failures": bad[:10]}})
 
 
 @_timed
@@ -340,8 +332,9 @@ def criterion_identities(config: RunConfig) -> CheckResult:
             bad.append(("plain_norm", i))
         if distributions.line_gap_total(x, 40, EXTENDED) != 1:
             bad.append(("extended_norm", i))
-    return CheckResult("c10", "summation identity, pmf integrals, normalization",
-                       not bad, {"whitworth_triples": checked, "failures": bad[:10]})
+    return CheckResult("c10", not bad, {
+        "name": "summation identity, pmf integrals, normalization",
+        "details": {"whitworth_triples": checked, "failures": bad[:10]}})
 
 
 @_timed
@@ -380,7 +373,8 @@ def criterion_constants(config: RunConfig) -> CheckResult:
     within_target = time.perf_counter() - t0 < 120.0
     details["within_runtime_target"] = within_target
     ok &= within_target
-    return CheckResult("c11", "series constants and exponential bases", bool(ok), details)
+    return CheckResult("c11", bool(ok), {"name": "series constants and exponential bases",
+                                         "details": details})
 
 
 @_timed
@@ -403,9 +397,9 @@ def criterion_jensen_and_dependence(config: RunConfig) -> CheckResult:
             cells.append(res)
             if not res.passed:
                 bad.append(("dependence", pattern, x, res.diff_mean, res.diff_stderr))
-    return CheckResult("c12", "Jensen grid and correlated-slot comparison",
-                       not bad, {"dependence_cells": len(cells),
-                                 "failures": bad[:10]})
+    return CheckResult("c12", not bad, {
+        "name": "Jensen grid and correlated-slot comparison",
+        "details": {"dependence_cells": len(cells), "failures": bad[:10]}})
 
 
 @_timed
@@ -434,8 +428,8 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
         cells = [(k, float(distributions.line_gap_pmf(0.5, k, variant)))
                  for k in range(1, 7)]
         gof(f"line_{variant}", s1, cells)
-    return CheckResult("c13", "sampler goodness of fit and determinism",
-                       not bad, {"draws": draws, "failures": bad[:10]})
+    return CheckResult("c13", not bad, {"name": "sampler goodness of fit and determinism",
+                                        "details": {"draws": draws, "failures": bad[:10]}})
 
 
 @_timed
@@ -450,8 +444,8 @@ def criterion_global_sanity(config: RunConfig, sweep: list[dict]) -> CheckResult
     for n in range(1, 7):
         if comb(2 * n, n) > 11.11 ** n:
             bad.append(("diamond", n))
-    return CheckResult("c14", "counts below the exponential ceilings",
-                       not bad, {"failures": bad[:10]})
+    return CheckResult("c14", not bad, {"name": "counts below the exponential ceilings",
+                                        "details": {"failures": bad[:10]}})
 
 
 CHECK_IDS = tuple(f"c{i:02d}" for i in range(1, 15))

@@ -144,6 +144,47 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# (argv, exit code, sha256 of stdout): every command's report, byte for byte
+CLI_REPORT_BYTES = [
+    (["enumerate", "--n", "5", "--seed", "3"], 0,
+     "327a1a9390cc3e084cbc39e0ab4ba498ea859c240722e46a25328f27919ba2fb"),
+    (["enumerate", "--n", "6", "--seed", "1", "--method", "rotations"], 0,
+     "57e0d12eeb4711a1d210dd86164bc831601e04ed1c547dcfceddc758461062df"),
+    (["rotations", "--n", "5", "--seed", "1"], 0,
+     "e45b3e362c630911d9252b1a841f9de6782026b5ec6a532d351dbe1b92ab066b"),
+    (["grids", "--diamond", "3"], 0,
+     "1e58a0cee1dee63575435eaafa52d966d4f56692e03221b3ad80a1850f9597ba"),
+    (["grids", "--n", "4", "--seed", "2"], 0,
+     "56b2974f378dde8dbf31547cbb19b9b0692946e9f17c669dae083883fd6a67da"),
+    (["series", "--which", "tg", "--truncate", "100000"], 0,
+     "4b8817e14ca07d89e56603e260a1e84c85fbb7fe30b1ae477c39d33a0e48aa94"),
+    (["series", "--which", "sm", "--truncate", "100000"], 1,
+     "e77d7e414e95deb28b496c86e959fb79a0ec269326cdd8fa5f98a8bc76d74a74"),
+    (["bounds", "--n", "3"], 0,
+     "f14d13af67ec82452f109448ffc34faf84e74d81da9671a43eb5e92acd92d836"),
+    (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"], 0,
+     "1127eb1f41c48f3bc7a413427df35e6194fc4f2684cad4038e169f4b7317cb81"),
+    (["simulate", "--kind", "plain", "--x", "0.3", "--samples", "2000"], 0,
+     "c458a7d2fbbad6e0ffc619f9934dceb726dcd18c1c6dce635756624a16ffafaf"),
+    (["simulate", "--kind", "extended", "--x", "0.3", "--samples", "2000"], 0,
+     "679bb4679e02219f5bd6e1f6900b0c8e5cb476928de985a585eca35381361ccb"),
+    (["simulate", "--kind", "dependence", "--x", "0.3", "--samples", "4000"], 0,
+     "e1e9bd5b085bdf4ea5e88756c67fb4d8340bd9039d836230fb76cf9852c79d4c"),
+    (["simulate", "--kind", "asymptotic", "--n", "50", "--samples", "1500"], 0,
+     "796e693c1a7a29873c7d66471f4ddf396498b4b7d0dd7056ad103f0504e1eb95"),
+    (["random", "--n", "4", "--seed", "7"], 0,
+     "5c6f9b59683e55180fd99a634791eb8e1891fe89b7e3d73b864390e9cf0a28a3"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CLI_REPORT_BYTES,
+                         ids=[" ".join(argv) for argv, _, _ in CLI_REPORT_BYTES])
+def test_cli_report_bytes(capsys, argv, code, digest):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

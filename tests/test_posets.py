@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcensus.counting import BipartiteGraph, perfect_matching_family
 from smcensus.instances import instance_I2, irving_leather, random_instance
 from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
                              count_downsets, count_downsets_bruteforce,
@@ -45,6 +46,8 @@ def test_cover_validation():
         FinitePoset(3, ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(PosetError, match="bad cover"):
         FinitePoset(2, ((0, 2),))
+    with pytest.raises(PosetError, match=r"repeated cover pair \(0, 1\)"):
+        FinitePoset(2, ((0, 1), (0, 1)))
 
 
 @st.composite
@@ -396,6 +399,8 @@ def test_sweep_leaves_no_cyclic_garbage():
     try:
         for item in instance_plan(RunConfig())[::25]:
             _sweep_one((item, False))
+        complete = BipartiteGraph(5, 5, frozenset((u, v) for u in range(5) for v in range(5)))
+        assert len(perfect_matching_family(complete).members) == 120
         gc.collect()
         leaked = [obj.__qualname__ for obj in gc.garbage
                   if isinstance(obj, types.FunctionType)

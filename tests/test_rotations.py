@@ -87,7 +87,7 @@ def test_structure_checks_on_random_instances():
     for seed in range(50):
         profile = random_instance(2 + seed % 6, seed)
         report = check_structure(build_rotation_poset(profile))
-        assert report.passed, (seed, report.checks, report.witnesses)
+        assert report.passed, (seed, report.fields)
 
 
 def test_chain_lengths_bounded():
@@ -105,8 +105,8 @@ def test_edge_uniqueness_negative_control():
     fake = RotationPoset(3, (r0, r1), (0, 0),
                          ((0, 1), (0,), (1,)), ((0, 1), (0,), (1,)))
     report = check_structure(fake)
-    assert not report.checks["edge_uniqueness"]
-    assert report.witnesses["edge_uniqueness"]
+    assert not report.fields["checks"]["edge_uniqueness"]
+    assert report.fields["witnesses"]["edge_uniqueness"]
 
 
 def test_poset_json_export():
