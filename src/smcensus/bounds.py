@@ -15,6 +15,21 @@ and ``verify_term_majorants`` proves c den(k) - k^2 num(k) >= 0.  c10's
 ``integral_check`` integrates the expanded law (``line_gap_pmf_poly``,
 built from ``distributions.line_gap_terms``) and compares it with this
 closed form, which stays the labelled oracle for the law.
+
+The float sums run in blocks of _BLOCK terms, and each block is evaluated
+in chunks of _CHUNK values of k, so the numpy temporaries stay in cache
+and no block-sized temporary is made.  The results are bit-identical to
+evaluating each block as one array: every term is the same elementwise
+operation on the same k; ``gap_log_series`` writes the chunks into one
+block buffer and takes the same pairwise ``np.sum`` of it; the scan
+carries its cumulative sum from chunk to chunk in the same sequential
+order as one ``np.cumsum``, keeps the first maximum (a later chunk
+replaces it only when strictly greater), and feeds one ``math.fsum`` per
+block chunk by chunk, which is exactly rounded whatever the grouping.
+
+The Whitworth identity is checked in integers by one kernel over the
+binomial rows of m and n, cross-multiplied, for ``whitworth`` and
+``whitworth_sweep`` alike.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -34,7 +50,25 @@ EXTENDED_LOG_LIMIT = 0.6331
 SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
-_BLOCK = 10 ** 6
+_BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one fsum of the scan
+_CHUNK = 1 << 15  # values per evaluation chunk: its temporaries stay in cache
+
+
+def _binomial_row(n: int) -> list[int]:
+    return [comb(n, i) for i in range(n + 1)]
+
+
+def _whitworth_kernel(m: int, a: int, n: int, row_m: list[int],
+                      row_n: list[int]) -> tuple[int, int, int, bool]:
+    """The identity in integers, from the binomial rows of m and n: the left
+    side is num / d over the common denominator d = lcm of the C(n, j+a),
+    the right side (n+1) / rhs_den, and ok is their cross-multiplied
+    equality num rhs_den == (n+1) d."""
+    denoms = row_n[a:a + m + 1]
+    d = math.lcm(*denoms)
+    num = sum(c * (d // dn) for c, dn in zip(row_m, denoms))
+    rhs_den = (a + 1) * comb(n - m + 1, a + 1)
+    return num, d, rhs_den, num * rhs_den == (n + 1) * d
 
 
 def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
@@ -42,23 +76,19 @@ def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
     sum_j C(m,j)/C(n,j+a) = (n+1) / ((a+1) C(n-m+1, a+1)), exactly."""
     if m < 0 or a < 0 or n < m + a:
         raise ValueError("need m >= 0, a >= 0, n >= m + a")
-    # one integer sum over the common denominator D = lcm of the C(n, j+a)
-    denoms = [comb(n, j + a) for j in range(m + 1)]
-    d = math.lcm(*denoms)
-    lhs = Fraction(sum(comb(m, j) * (d // c) for j, c in enumerate(denoms)), d)
-    rhs = Fraction(n + 1, (a + 1) * comb(n - m + 1, a + 1))
-    return lhs, rhs, lhs == rhs
+    num, d, rhs_den, ok = _whitworth_kernel(m, a, n, _binomial_row(m), _binomial_row(n))
+    return Fraction(num, d), Fraction(n + 1, rhs_den), ok
 
 
 def whitworth_sweep(n_max: int) -> int:
     """Assert the identity for every (m, a, n) with n <= n_max; returns the
     number of triples checked."""
+    rows = [_binomial_row(n) for n in range(n_max + 1)]
     checked = 0
     for n in range(0, n_max + 1):
         for m in range(0, n + 1):
             for a in range(0, n - m + 1):
-                lhs, rhs, ok = whitworth(m, a, n)
-                if not ok:
+                if not _whitworth_kernel(m, a, n, rows[m], rows[n])[3]:
                     raise AssertionError(f"identity fails at m={m}, a={a}, n={n}")
                 checked += 1
     return checked
@@ -82,28 +112,47 @@ class ScanResult:
     certified_hi: float  # max_value plus a rounding-drift allowance
 
 
+def _chunks(lo: int, hi: int):
+    """k = lo..hi as float arrays of at most _CHUNK values each."""
+    for start in range(lo, hi + 1, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.float64)
+
+
 def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     """Maximum of finite_reveal_log_bound over 1..limit, vectorized.
 
-    The cumulative sum is cross-checked against an exactly rounded full
-    sum so the certified bound absorbs any accumulation drift.
+    The cumulative sum is cross-checked, block by block, against an exactly
+    rounded sum of the block's terms so the certified bound absorbs any
+    accumulation drift.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     best_v, best_n = 2 * math.log(2) / 2, 1
     drift = 0.0
     prev_tail = 0.0
+    last = 0.0  # the cumulative sum at the last k scanned
+
+    def block(lo: int, hi: int):
+        """Scan lo..hi chunk by chunk, yielding each chunk's terms to fsum."""
+        nonlocal best_v, best_n, last
+        run = 0.0  # the block's own running sum, carried across chunks
+        for k in _chunks(lo, hi):
+            terms = np.log(k) / ((k + 1.0) * (k + 2.0))
+            yield terms.tolist()
+            terms[0] += run
+            np.cumsum(terms, out=terms)
+            run = float(terms[-1])
+            cs = prev_tail + terms
+            f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
+            i = int(np.argmax(f))
+            if float(f[i]) > best_v:
+                best_v, best_n = float(f[i]), int(k[i])
+            last = float(cs[-1])
+
     for lo in range(2, limit + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, limit)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = np.log(k) / ((k + 1.0) * (k + 2.0))
-        cs = prev_tail + np.cumsum(terms)
-        f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
-        i = int(np.argmax(f))
-        if float(f[i]) > best_v:
-            best_v, best_n = float(f[i]), int(k[i])
-        drift += abs(float(cs[-1] - prev_tail) - math.fsum(terms.tolist()))
-        prev_tail = float(cs[-1])
+        exact = math.fsum(chain.from_iterable(block(lo, min(lo + _BLOCK - 1, limit))))
+        drift += abs((last - prev_tail) - exact)
+        prev_tail = last
     certified = best_v + 2.0 * (drift + _SUM_PAD)
     return ScanResult(best_v, best_n, certified)
 
@@ -158,10 +207,14 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     partial = 0.0
     for k, (num, den) in law.heads.items():
         partial += math.log(k) * num / den
-    for lo in range(max(2, law.start), K + 1, _BLOCK):
+    first = max(2, law.start)
+    buf = np.empty(min(_BLOCK, K - first + 1))
+    for lo in range(first, K + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, K)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        partial += float(np.sum(np.log(k) * law.num(k) / law.den(k)))
+        for k in _chunks(lo, hi):
+            at = int(k[0]) - lo
+            buf[at:at + len(k)] = np.log(k) * law.num(k) / law.den(k)
+        partial += float(np.sum(buf[:hi - lo + 1]))
     tail = law.c * (math.log(K) + 1.0) / K
     return Interval(partial - _SUM_PAD, partial + tail + _SUM_PAD, K)
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from fractions import Fraction
 from math import comb
 
 from . import bounds, distributions, matchings, posets, rotations
@@ -106,19 +108,43 @@ def _cmd_bounds(args, out) -> list[CheckResult]:
     return [CheckResult("bounds", all(report["checks"].values()), report)]
 
 
+def _kl(f: float, p: float) -> float:
+    """Relative entropy of a Bernoulli(f) frequency from a Bernoulli(p) law."""
+    out = 0.0
+    for a, b in ((f, p), (1.0 - f, 1.0 - p)):
+        if a > 0:
+            if b <= 0:
+                return math.inf
+            out += a * math.log(a / b)
+    return out
+
+
+def _fits(freq: dict, pmf: dict, count: int) -> bool:
+    """Each reported frequency f against its exact mass p in `pmf` by the
+    4-standard-error rule in its large-deviation form, count KL(f || p) <=
+    4^2 / 2.  Near p that is |f - p| <= 4 SE; unlike the normal form it
+    stays sound for a value drawn once where fewer than one draw is
+    expected (each tail has chance at most e^-8).  A value outside the
+    support has p = 0, so it always fails."""
+    return all(count * _kl(f, float(pmf.get(k, 0))) <= 8.0 for k, f in freq.items())
+
+
 def _cmd_simulate(args, out) -> list[CheckResult]:
     if args.kind == "cyclic":
         samples = distributions.sample_cyclic_gap(args.n, args.l, args.seed,
                                                   args.samples)
-        pmf = {k: str(p) for k, p in distributions.cyclic_gap_pmf(args.n, args.l).support}
+        exact = dict(distributions.cyclic_gap_pmf(args.n, args.l).support)
+        pmf = {k: str(p) for k, p in exact.items()}
         freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))}
-        return [CheckResult("simulate_cyclic", True,
+        return [CheckResult("simulate_cyclic", _fits(freq, exact, len(samples)),
                             {"n": args.n, "l": args.l, "pmf": pmf, "freq": freq})]
     if args.kind in ("plain", "extended"):
         samples = distributions.sample_line_gap(args.x, args.kind, args.seed,
                                                 args.samples)
         freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))[:12]}
-        return [CheckResult(f"simulate_{args.kind}", True,
+        exact = {k: distributions.line_gap_pmf(Fraction(args.x), k, args.kind)
+                 for k in freq if k >= 1}
+        return [CheckResult(f"simulate_{args.kind}", _fits(freq, exact, len(samples)),
                             {"x": args.x, "window": distributions.line_gap_window(args.x),
                              "freq": freq})]
     if args.kind == "dependence":

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from smcensus.bounds import (EXTENDED_LOG_LIMIT, PLAIN_LOG_LIMIT, Interval,
+from smcensus import bounds
+from smcensus.bounds import (EXTENDED_LOG_LIMIT, GAP_INTEGRALS, PLAIN_LOG_LIMIT,
+                             Interval, ScanResult,
                              bound_report, finite_reveal_log_bound,
                              finite_reveal_log_bound_scan, gap_log_series,
                              integral_check, line_gap_pmf_poly,
@@ -14,7 +18,8 @@ from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
 
 # ------------------------------------------------------------------ oracles
 # The direct loops the bounds kernels replaced: (1-x)^m by repeated
-# multiplication, one Fraction per integral term and per Whitworth term.
+# multiplication, one Fraction per integral term and per Whitworth term,
+# and one numpy array per 10^6-term block of the series and the scan.
 
 
 def _oracle_poly_mul(a, b):
@@ -67,6 +72,76 @@ def _oracle_whitworth(m, a, n):
     return lhs, Fraction(n + 1, (a + 1) * math.comb(n - m + 1, a + 1))
 
 
+def _oracle_series(K, variant):
+    """gap_log_series with each block evaluated as one array."""
+    law = GAP_INTEGRALS[variant]
+    partial = 0.0
+    for k, (num, den) in law.heads.items():
+        partial += math.log(k) * num / den
+    for lo in range(max(2, law.start), K + 1, 10 ** 6):
+        hi = min(lo + 10 ** 6 - 1, K)
+        k = np.arange(lo, hi + 1, dtype=np.float64)
+        partial += float(np.sum(np.log(k) * law.num(k) / law.den(k)))
+    tail = law.c * (math.log(K) + 1.0) / K
+    return Interval(partial - 1e-10, partial + tail + 1e-10, K)
+
+
+def _oracle_scan(limit):
+    """finite_reveal_log_bound_scan with each block evaluated as one array
+    and one fsum over the block's terms as a list."""
+    best_v, best_n = 2 * math.log(2) / 2, 1
+    drift = 0.0
+    prev_tail = 0.0
+    for lo in range(2, limit + 1, 10 ** 6):
+        hi = min(lo + 10 ** 6 - 1, limit)
+        k = np.arange(lo, hi + 1, dtype=np.float64)
+        terms = np.log(k) / ((k + 1.0) * (k + 2.0))
+        cs = prev_tail + np.cumsum(terms)
+        f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
+        i = int(np.argmax(f))
+        if float(f[i]) > best_v:
+            best_v, best_n = float(f[i]), int(k[i])
+        drift += abs(float(cs[-1] - prev_tail) - math.fsum(terms.tolist()))
+        prev_tail = float(cs[-1])
+    return ScanResult(best_v, best_n, best_v + 2.0 * (drift + 1e-10))
+
+
+def _traced_peak_mib(call):
+    """Peak traced allocation of one call, in MiB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# the smallest truncation, one past a chunk, and across the 10^6-term block
+# ends, with a partial chunk at each block's end
+@pytest.mark.parametrize("K", [10, (1 << 15) + 1, 10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1,
+                               2 * 10 ** 6 + 12345])
+@pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
+def test_chunked_series_equals_block_oracle(K, variant):
+    assert gap_log_series(K, variant) == _oracle_series(K, variant)
+
+
+@pytest.mark.parametrize("limit", [1, 2, (1 << 15) + 1, 10 ** 6, 10 ** 6 + 1, 2345678])
+def test_chunked_scan_equals_block_oracle(limit):
+    assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit)
+
+
+def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
+    # one 8 MB block buffer for the series; a block-sized array would be
+    # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan)
+    assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 12
+    assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 32
+
+
 def test_whitworth_examples():
     lhs, rhs, ok = whitworth(1, 1, 2)
     assert ok and lhs == Fraction(3, 2)
@@ -87,6 +162,18 @@ def test_whitworth_matches_per_term_oracle_for_every_triple():
                 assert whitworth(m, a, n) == (lhs, rhs, True), (m, a, n)
                 triples += 1
     assert triples == 12341
+
+
+def test_whitworth_negative_control(monkeypatch):
+    # C(7, 3) reads 36, not 35: the right side C(n-m+1, a+1) of (m, a, n) =
+    # (0, 2, 6), the first triple in sweep order that uses it
+    real = math.comb
+    monkeypatch.setattr(bounds, "comb",
+                        lambda n, k: real(n, k) + 1 if (n, k) == (7, 3) else real(n, k))
+    with pytest.raises(AssertionError, match=r"fails at m=0, a=2, n=6$"):
+        whitworth_sweep(40)
+    lhs, rhs, ok = whitworth(0, 2, 6)
+    assert not ok and lhs == Fraction(1, 15) and rhs == Fraction(7, 108)
 
 
 def test_whitworth_sweep_small():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from smcensus import rotations, verify
+from smcensus import distributions, rotations, verify
 from smcensus.cli import main
 from smcensus.bounds import SERIES_MIN_TRUNCATION
 from smcensus.counting import FamilyError
@@ -160,6 +160,11 @@ CLI_REPORT_BYTES = [
      "4b8817e14ca07d89e56603e260a1e84c85fbb7fe30b1ae477c39d33a0e48aa94"),
     (["series", "--which", "sm", "--truncate", "100000"], 1,
      "e77d7e414e95deb28b496c86e959fb79a0ec269326cdd8fa5f98a8bc76d74a74"),
+    # past the first 10^6-term block, ending partway through a chunk
+    (["series", "--which", "tg", "--truncate", "2000017"], 0,
+     "776df16ca397de5fbd9031a5a634c7a27b3dfd0c6e52efeb0730ea483febe54d"),
+    (["series", "--which", "sm", "--truncate", "2000017"], 1,
+     "24544efa84b10c34e691748a1c25515884fd6874a45cc93c0548d6f352c7258d"),
     (["bounds", "--n", "3"], 0,
      "f14d13af67ec82452f109448ffc34faf84e74d81da9671a43eb5e92acd92d836"),
     (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"], 0,
@@ -174,6 +179,10 @@ CLI_REPORT_BYTES = [
      "796e693c1a7a29873c7d66471f4ddf396498b4b7d0dd7056ad103f0504e1eb95"),
     (["random", "--n", "4", "--seed", "7"], 0,
      "5c6f9b59683e55180fd99a634791eb8e1891fe89b7e3d73b864390e9cf0a28a3"),
+    # the identity and constants checks at the default 10^7 truncation and
+    # 10^6 scan limit (c11 is the known extended-series failure)
+    (["verify", "--only", "c10,c11"], 1,
+     "5fdc0dcb41d4406bb4d90b71e985cdaf15805df7c6fc31f8d1089247adb59ccc"),
 ]
 
 
@@ -183,6 +192,26 @@ def test_cli_report_bytes(capsys, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, sampler, value", [
+    (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"],
+     "sample_cyclic_gap", 1),
+    # outside the support: gaps of l = 3 points among 6 are at most 4
+    (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"],
+     "sample_cyclic_gap", 5),
+    (["simulate", "--kind", "plain", "--x", "0.3", "--samples", "2000"],
+     "sample_line_gap", 2),
+    (["simulate", "--kind", "extended", "--x", "0.3", "--samples", "2000"],
+     "sample_line_gap", 1),
+    (["simulate", "--kind", "plain", "--x", "0.3", "--samples", "2000"],
+     "sample_line_gap", 0),
+], ids=["cyclic-1", "cyclic-outside-support", "plain-2", "extended-1", "plain-0"])
+def test_simulate_fails_on_samples_off_the_exact_pmf(monkeypatch, capsys, argv,
+                                                     sampler, value):
+    monkeypatch.setattr(distributions, sampler, lambda *args: [value] * args[-1])
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_usage_error_exit_code():
