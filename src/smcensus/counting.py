@@ -7,19 +7,24 @@ log X_i over random members and/or random orders bounds log |S|; taking
 the plain expectation instead of the log gives a weaker product bound.
 
 X_i depends on the order only through the set T revealed before i, so
-each family carries one option-count table (``TupleFamily.option_counts``)
-with a row of X_i for every member per (i, T), filled lazily: exact
-evaluation reads all rows, Monte Carlo only the sampled ones.
-``option_count`` recomputes a single X_i from its definition and is the
-oracle the table is tested against.
+each family carries one columnar option-count table
+(``TupleFamily.option_counts``).  Component values are small integer
+codes, and each revealed set T owns one row of an int64 group-id matrix,
+built from the row of T without its top bit and only for the sets asked
+for (and their top-bit ancestors): exact evaluation reads every set,
+Monte Carlo only the sampled ones.  One bincount over group * card_i +
+code_i gives X_i for a whole batch of sets.  ``option_count`` recomputes
+a single X_i from its definition and is the oracle the table is tested
+against.
 
 Every path reduces through one function, ``_reduce``: per component it
-takes each member's integer histogram {X_i: weight} out of a common
-total (1 for a single order, n! for uniform orders, the lcm of the
-weights' denominators for explicit weighted orders, the sample count
-for Monte Carlo) and returns the variant's statistic with the histogram
-it comes from.  Exact bounds sum those histograms as Fractions; Monte
-Carlo bounds take a standard error from them.
+takes the exact int64 (member x X_i) histogram matrix, whose rows all sum
+to a common total (1 for a single order, n! for uniform orders, the lcm
+of the weights' denominators for explicit weighted orders, the sample
+count for Monte Carlo), and returns the variant's statistic with the
+histogram row it comes from.  The table refuses totals whose pooled sums
+would overflow int64.  Exact bounds sum those histograms as Fractions;
+Monte Carlo bounds take a standard error from them.
 
 Adapters cover the worked three-component family, perfect matchings of a
 bipartite graph (degree-factorial bound), and downsets of a tangled grid
@@ -29,12 +34,12 @@ encoded by their per-chain top elements.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from operator import itemgetter
+
+import numpy as np
 
 from .posets import TangledGrid, enumerate_downset_masks
 from .rng import Xoshiro256StarStar
@@ -42,6 +47,9 @@ from .rng import Xoshiro256StarStar
 EXACT_COMPONENT_LIMIT = 8
 
 VARIANTS = ("fixed_order", "averaged", "worst_member", "mean_product")
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+_CHUNK_CELLS = 1 << 18  # (set, member) cells per histogram step, bounding temporaries
 
 
 class FamilyError(ValueError):
@@ -79,60 +87,128 @@ class TupleFamily:
 
 
 class OptionCountTable:
-    """X_i(s, T) for every member s, one row per (i, T), filled lazily.
+    """X_i(s, T) for every member s and revealed set T, in numpy columns.
 
     T is the bitmask of components revealed before i: X_i depends on a
-    reveal order only through that set.  A row counts, per group of
-    members agreeing on T, the distinct values of component i.  The
-    grouping for T is built once, from the grouping for T without its top
-    bit, and is shared by every i outside T.
+    reveal order only through that set.  Component i's values are codes
+    0..card_i-1, one int64 column over the members.  Each T built so far
+    owns one row of the int64 group-id matrix: members share an id iff
+    they agree on every component in T, and a row's ids are dense,
+    0..groups(T)-1.  The row of T comes from the row of T without its top
+    bit, in one vectorised step for all missing sets with that top bit;
+    only the sets asked for and their top-bit ancestors are built.
+
+    For a batch of sets, each row's ids are shifted by the group counts of
+    the rows before it, so ids are distinct across the batch, and one
+    bincount over group * card_i + code_i marks the (group, value) pairs
+    present: X_i of a member is the number of values in its group.
+    ``histograms`` sums weights per (member, X_i) into an exact int64
+    matrix and raises FamilyError when the weights' total times the member
+    count or card_i + 1 (the pooled sums and count moments taken from it)
+    would not fit in int64.
     """
 
     def __init__(self, family: TupleFamily):
         self.n = family.n
-        self._columns = list(zip(*family.members)) or [()] * family.n
-        self._groups: dict[int, list[int]] = {0: [0] * len(family.members)}
-        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.size = len(family.members)
+        self._cards = [len(comp) for comp in family.components]
+        index = [{v: k for k, v in enumerate(comp)} for comp in family.components]
+        self._codes = np.array([[index[i][m[i]] for m in family.members] for i in range(self.n)],
+                               dtype=np.int64).reshape(self.n, self.size)
+        self._slot = {0: 0}                            # revealed set -> row
+        self._ids = np.zeros((1, self.size), np.int64)  # group ids, capacity rows
+        self._groups = np.ones(1, np.int64)             # groups per row
 
     @property
     def rows_built(self) -> int:
-        return len(self._rows)
+        """How many revealed sets have a group-id row."""
+        return len(self._slot)
 
-    def _grouping(self, T: int) -> list[int]:
-        """Group id per member; members share an id iff they agree on T."""
-        groups = self._groups.get(T)
-        if groups is None:
-            top = T.bit_length() - 1
-            ids: dict[tuple, int] = {}
-            groups = [ids.setdefault(key, len(ids)) for key in
-                      zip(self._grouping(T & ~(1 << top)), self._columns[top])]
-            self._groups[T] = groups
-        return groups
+    def _check(self, i: int, sets) -> None:
+        if not 0 <= i < self.n:
+            raise FamilyError(f"no row for component {i}")
+        for T in sets:
+            if T >> i & 1 or T >> self.n:
+                raise FamilyError(f"no row for component {i} after set {T:#b}")
+
+    def _rows(self, sets) -> list[int]:
+        """Group-id rows of ``sets``, building missing ones top bit by top bit."""
+        missing: dict[int, list[int]] = {}  # top bit -> sets without a row
+        seen: set[int] = set()
+        stack = [T for T in sets if T not in self._slot]
+        while stack:
+            T = stack.pop()
+            if T not in self._slot and T not in seen:
+                seen.add(T)
+                top = T.bit_length() - 1
+                missing.setdefault(top, []).append(T)
+                stack.append(T ^ 1 << top)
+        for top in sorted(missing):  # a set's ancestors have smaller top bits
+            batch = missing[top]
+            parents = [self._slot[T ^ 1 << top] for T in batch]
+            ids, groups = _refine(self._ids[parents], self._groups[parents],
+                                  self._codes[top], self._cards[top])
+            self._append(batch, ids, groups)
+        return [self._slot[T] for T in sets]
+
+    def _append(self, batch: list[int], ids: np.ndarray, groups: np.ndarray) -> None:
+        start = len(self._slot)
+        stop = start + len(batch)
+        if stop > len(self._ids):
+            capacity = max(stop, 2 * len(self._ids))
+            self._ids = np.concatenate(
+                [self._ids[:start], np.empty((capacity - start, self.size), np.int64)])
+            self._groups = np.concatenate(
+                [self._groups[:start], np.empty(capacity - start, np.int64)])
+        self._ids[start:stop] = ids
+        self._groups[start:stop] = groups
+        self._slot.update(zip(batch, range(start, stop)))
+
+    def counts(self, i: int, sets) -> np.ndarray:
+        """X_i as an int64 (set x member) matrix, one row per set in ``sets``."""
+        self._check(i, sets)
+        rows = self._rows(sets)
+        groups = self._groups[rows]
+        gid = self._ids[rows] + (np.cumsum(groups) - groups)[:, None]
+        card = self._cards[i]
+        pairs = np.bincount((gid * card + self._codes[i]).ravel(),
+                            minlength=int(groups.sum()) * card)
+        return np.count_nonzero(pairs.reshape(-1, card), axis=1)[gid]
 
     def row(self, i: int, T: int) -> tuple[int, ...]:
         """X_i for every member, in member order, given the revealed set T."""
-        row = self._rows.get((i, T))
-        if row is None:
-            if not 0 <= i < self.n or T >> i & 1 or T >> self.n:
-                raise FamilyError(f"no row for component {i} after set {T:#b}")
-            groups = self._grouping(T)
-            options = Counter(map(itemgetter(0), set(zip(groups, self._columns[i]))))
-            row = tuple(map(options.__getitem__, groups))
-            self._rows[(i, T)] = row
-        return row
+        return tuple(self.counts(i, [T])[0].tolist())
 
-    def histograms(self, i: int, weighted_sets) -> list[dict[int, int]]:
-        """Per member, {X_i: total weight} over (T, weight) pairs; the
-        weights of sets with equal rows are summed first."""
-        merged: dict[tuple[int, ...], int] = {}
-        for T, w in weighted_sets:
-            row = self.row(i, T)
-            merged[row] = merged.get(row, 0) + w
-        hists: list[dict[int, int]] = [{} for _ in self._groups[0]]
-        for row, w in merged.items():
-            for hist, c in zip(hists, row):
-                hist[c] = hist.get(c, 0) + w
-        return hists
+    def histograms(self, i: int, sets, weights) -> np.ndarray:
+        """H[member, x]: the total weight of the sets with X_i = x, an exact
+        int64 (member x card_i+1) matrix whose rows sum to sum(weights)."""
+        self._check(i, sets)
+        width = self._cards[i] + 1
+        total = sum(weights)
+        if total * max(self.size, width) > INT64_MAX:
+            raise FamilyError(f"weight total {total} overflows int64 option-count sums")
+        hist = np.zeros(self.size * width, np.int64)
+        cells = np.arange(self.size) * width
+        weights = np.asarray(weights, dtype=np.int64).reshape(-1, 1)
+        step = max(1, _CHUNK_CELLS // max(self.size, 1))
+        for lo in range(0, len(sets), step):
+            np.add.at(hist, self.counts(i, sets[lo:lo + step]) + cells,
+                      weights[lo:lo + step])
+        return hist.reshape(self.size, width)
+
+
+def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
+            card: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split each row's groups by one more component's codes: dense new ids
+    per row and the new group counts, for all rows in one step."""
+    offsets = (np.cumsum(groups) - groups) * card
+    keys = ids * card + codes + offsets[:, None]
+    present = np.zeros(int(groups.sum()) * card, bool)
+    present[keys] = True
+    before = np.zeros(len(present) + 1, np.int64)  # present keys below each key
+    np.cumsum(present, out=before[1:])
+    first = before[offsets]
+    return before[keys] - first[:, None], before[offsets + groups * card] - first
 
 
 def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: int) -> int:
@@ -148,18 +224,10 @@ def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: 
     return len(vals)
 
 
-def _pooled(hists: list[dict[int, int]]) -> Counter:
-    """The per-member histograms summed over members."""
-    pooled: Counter = Counter()
-    for hist in hists:
-        pooled.update(hist)
-    return pooled
-
-
-def _mix_log(hist: dict[int, int], total: int) -> float:
-    """sum of w / total * log c over the histogram; each w / total is an
-    integer ratio, so it rounds once."""
-    return math.fsum(w / total * math.log(c) for c, w in sorted(hist.items()))
+def _mix_log(hist: np.ndarray, total: int) -> float:
+    """sum of w / total * log c over one histogram row (column c = count);
+    each w / total is an integer ratio, so it rounds once."""
+    return math.fsum(w / total * math.log(c) for c, w in enumerate(hist.tolist()) if w)
 
 
 @dataclass(frozen=True)
@@ -171,7 +239,8 @@ class BoundMode:
     (per component, worst member's expected log), 'mean_product'
     (per component, worst member's expected count; product bound).
     orders: 'uniform', a single order tuple, or a tuple of (order, weight)
-    pairs with weights summing to 1.
+    pairs with nonnegative weights summing to 1; reveal_bound checks that
+    every order is a permutation of the component indices.
     samples: 0 for exact evaluation (uniform orders need n <= 8),
     otherwise the Monte Carlo sample count.
     """
@@ -183,11 +252,15 @@ class BoundMode:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise FamilyError(f"unknown variant {self.variant!r}")
+        if type(self.samples) is not int:
+            raise FamilyError(f"samples must be an int, got {self.samples!r}")
         if self.samples < 0:
             raise FamilyError(f"samples must be >= 0, got {self.samples}")
         if self.orders != "uniform" and _single_order(self.orders) is None:
-            total = sum(Fraction(w) for _, w in self.orders)
-            if total != 1:
+            weights = [Fraction(w) for _, w in self.orders]
+            if any(w < 0 for w in weights):
+                raise FamilyError("order weights must be nonnegative")
+            if sum(weights) != 1:
                 raise FamilyError("order weights must sum to 1")
 
 
@@ -210,6 +283,14 @@ def _single_order(orders) -> tuple[int, ...] | None:
     return None
 
 
+def _check_orders(orders, n: int) -> None:
+    """Every order in a single or weighted ``orders`` permutes range(n)."""
+    single = _single_order(orders)
+    for order in [single] if single is not None else [order for order, _ in orders]:
+        if not all(type(j) is int for j in order) or sorted(order) != list(range(n)):
+            raise FamilyError(f"reveal order {order!r} is not a permutation of range({n})")
+
+
 def _revealed_before(order: tuple[int, ...], i: int) -> int:
     """Bitmask of the components that ``order`` reveals before i."""
     T = 0
@@ -218,46 +299,51 @@ def _revealed_before(order: tuple[int, ...], i: int) -> int:
     return T
 
 
-def _order_hists(family: TupleFamily, i: int, orders) -> tuple[list[dict[int, int]], int]:
-    """Per member, the law of X_i over the orders as an integer histogram
-    {X_i: weight}; every histogram sums to the returned total."""
+def _order_hists(family: TupleFamily, i: int, orders) -> tuple[np.ndarray, int]:
+    """The law of X_i over the orders as the (member x X_i) integer
+    histogram matrix; every row sums to the returned total."""
     single = _single_order(orders)
     if single is not None:
-        row = family.option_counts.row(i, _revealed_before(single, i))
-        return [{c: 1} for c in row], 1
+        return family.option_counts.histograms(i, [_revealed_before(single, i)], [1]), 1
     n = family.n
     if orders == "uniform":
         # X_i depends only on the *set* revealed before i, whose law under
         # a uniform order weights a prefix set T by |T|! (n-1-|T|)! / n!
-        weights = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
-        prefixes = [(T, weights[T.bit_count()]) for T in range(1 << n) if not T >> i & 1]
-        return family.option_counts.histograms(i, prefixes), factorial(n)
+        by_size = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
+        sets = [T for T in range(1 << n) if not T >> i & 1]
+        weights = [by_size[T.bit_count()] for T in sets]
+        return family.option_counts.histograms(i, sets, weights), factorial(n)
     fracs = [Fraction(w) for _, w in orders]
     total = math.lcm(*(w.denominator for w in fracs))
-    weighted = [(_revealed_before(order, i), w.numerator * (total // w.denominator))
-                for (order, _), w in zip(orders, fracs)]
-    return family.option_counts.histograms(i, weighted), total
+    sets = [_revealed_before(order, i) for order, _ in orders]
+    weights = [w.numerator * (total // w.denominator) for w in fracs]
+    return family.option_counts.histograms(i, sets, weights), total
 
 
-def _reduce(variant: str, hists: list[dict[int, int]], total: int):
-    """One component's statistic from its per-member histograms, each out
-    of ``total``: (statistic, the histogram it comes from, that total).
+def _reduce(variant: str, hists: np.ndarray, total: int):
+    """One component's statistic from its (member x X_i) histogram matrix,
+    each row out of ``total``: (statistic, the histogram row it comes from,
+    that row's total).
 
-    averaged / fixed_order: mean log of the members' pooled histogram;
-    worst_member: the largest member mean log; mean_product: the largest
-    member mean count, a Fraction.  Ties go to the later member.
+    averaged / fixed_order: mean log of the pooled histogram (the column
+    sums); worst_member: the largest member mean log; mean_product: the
+    largest member mean count, a Fraction.  Ties go to the later member.
     """
     if variant in ("fixed_order", "averaged"):
         pooled_total = total * len(hists)
-        pooled = _pooled(hists)
+        pooled = hists.sum(axis=0)
         return _mix_log(pooled, pooled_total), pooled, pooled_total
     if variant == "worst_member":
-        stats = [_mix_log(hist, total) for hist in hists]
-    else:
-        stats = [sum(w * c for c, w in hist.items()) for hist in hists]
-    best = max(range(len(hists)), key=lambda mi: (stats[mi], mi))
-    stat = stats[best] if variant == "worst_member" else Fraction(stats[best], total)
-    return stat, hists[best], total
+        # a float screen keeps the members within 1e-12 of the largest mean
+        # log (it errs by a few ulps); math.fsum decides among them exactly
+        logs = np.array([0.0] + [math.log(c) for c in range(1, hists.shape[1])])
+        approx = hists @ logs
+        candidates = np.flatnonzero(approx >= approx.max() * (1 - 1e-12)).tolist()
+        stat, best = max((_mix_log(hists[mi], total), mi) for mi in candidates)
+        return stat, hists[best], total
+    means = hists @ np.arange(hists.shape[1])
+    best = len(means) - 1 - int(np.argmax(means[::-1]))
+    return Fraction(int(means[best]), total), hists[best], total
 
 
 def _log_value(variant: str, per_component) -> float:
@@ -267,7 +353,7 @@ def _log_value(variant: str, per_component) -> float:
 
 
 def _aggregate(variant: str, comps) -> BoundResult:
-    """Exact bound from each component's (histograms, total)."""
+    """Exact bound from each component's (histogram matrix, total)."""
     per_component = []
     log_mix: dict[int, Fraction] = {}
     product = Fraction(1)
@@ -277,8 +363,9 @@ def _aggregate(variant: str, comps) -> BoundResult:
         if variant == "mean_product":
             product *= stat
         else:
-            for c, w in hist.items():
-                log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
+            for c, w in enumerate(hist.tolist()):
+                if w:
+                    log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
     value = _log_value(variant, per_component)
     if variant == "mean_product":
         return BoundResult(variant, value, tuple(per_component), True, product=product)
@@ -293,6 +380,8 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
     n = family.n
     if mode.variant == "fixed_order" and _single_order(mode.orders) is None:
         raise FamilyError("fixed_order requires a single order")
+    if mode.orders != "uniform":
+        _check_orders(mode.orders, n)
     exact_ok = (mode.orders != "uniform") or n <= EXACT_COMPONENT_LIMIT
     if mode.samples == 0 and not exact_ok:
         raise FamilyError(
@@ -330,15 +419,16 @@ def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundRe
     t = mode.samples
     per_component = []
     errs = []
-    for i in range(n):
-        hists = family.option_counts.histograms(i, tallies[i].items())
+    for i, tally in enumerate(tallies):
+        hists = family.option_counts.histograms(i, list(tally), list(tally.values()))
         stat, hist, total = _reduce(mode.variant, hists, t)
         # standard error of the statistic over t sampled orders
         mean = float(stat)
+        pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]
         if mode.variant == "mean_product":
-            second = sum(w * c * c for c, w in hist.items()) / total
+            second = sum(w * c * c for c, w in pairs) / total
         else:
-            second = math.fsum(w / total * math.log(c) ** 2 for c, w in hist.items())
+            second = math.fsum(w / total * math.log(c) ** 2 for c, w in pairs)
         err = math.sqrt(max(second - mean * mean, 0.0) / t)
         per_component.append(stat)
         errs.append(err / mean if mode.variant == "mean_product" else err)  # delta method

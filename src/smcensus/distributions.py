@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .counting import TupleFamily, downset_top_family
+from .counting import INT64_MAX, TupleFamily, downset_top_family
 from .posets import TangledGrid
 from .record import CheckResult
 from .rng import ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
@@ -383,7 +383,7 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int,
 
     The conditional law over uniform reveal orders weights a prefix set T
     by |T|! (2n-1-|T|)!; option counts use everything revealed, which only
-    sharpens them.  All comparisons are exact rationals.
+    sharpens them.  All comparisons are exact, in integers.
     """
     n = grid.n
     if not 0 <= chain_index < 2 * n:
@@ -395,38 +395,44 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int,
     return _dominance_report(n, chain_index, l, hists[l])
 
 
-def _dominance_report(n: int, chain_index: int, l: int,
-                      hists: list[dict[int, int]]) -> CheckResult:
+def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> CheckResult:
+    """Compare each member's option-count law, a row of the (member x
+    count) integer weight matrix ``hists``, with the cyclic gap law.
+
+    Pr[X <= y] < Pr[gap <= y] is cum * den < num * total over integers,
+    cum the row's cumulative weight at y and num / den the gap CDF there;
+    Fractions are built only for the witnesses.
+    """
     ref_cdf = cyclic_gap_pmf(n, l).cdf()
-    witnesses = []
-    for mi, hist in enumerate(hists):
-        total = sum(hist.values())
-        acc = 0
-        hist_sorted = sorted(hist.items())
-        hi = 0
-        for y, ref_p in ref_cdf:
-            while hi < len(hist_sorted) and hist_sorted[hi][0] <= y:
-                acc += hist_sorted[hi][1]
-                hi += 1
-            if Fraction(acc, total) < ref_p:
-                witnesses.append((mi, y, Fraction(acc, total), ref_p))
+    ys = [y for y, _ in ref_cdf]
+    totals = hists.sum(axis=1)
+    cum = np.cumsum(hists, axis=1)[:, np.minimum(ys, hists.shape[1] - 1)]
+    num = np.array([p.numerator for _, p in ref_cdf], dtype=np.int64)
+    den = np.array([p.denominator for _, p in ref_cdf], dtype=np.int64)
+    if int(totals.max(initial=0)) * int(den.max()) > INT64_MAX:
+        raise DistributionError("option-count weights too large for the dominance check")
+    below = cum * den < totals[:, None] * num
+    witnesses = [(mi, ys[k], Fraction(int(cum[mi, k]), int(totals[mi])), ref_cdf[k][1])
+                 for mi, k in zip(*(idx.tolist() for idx in np.nonzero(below)))]
     return CheckResult("dominance", not witnesses,
                        {"chain": chain_index, "l": l, "witnesses": witnesses})
 
 
 def _conditional_option_histograms(fam: TupleFamily, chain_index: int, n: int):
-    """hist[l][member] = {option count: integer weight} over prefixes with
-    exactly l opposite-side chains revealed before chain_index."""
+    """hist[l]: the (member x option count) integer weight matrix over
+    prefixes with exactly l opposite-side chains revealed before
+    chain_index."""
     nch = 2 * n
     opposite = ((1 << n) - 1) << n if chain_index < n else (1 << n) - 1
-    prefixes: dict[int, list[tuple[int, int]]] = {l: [] for l in range(n + 1)}
+    by_size = [factorial(size) * factorial(nch - 1 - size) for size in range(nch)]
+    prefixes: dict[int, tuple[list[int], list[int]]] = {l: ([], []) for l in range(n + 1)}
     for T in range(1 << nch):
         if not T >> chain_index & 1:
-            size = T.bit_count()
-            w = factorial(size) * factorial(nch - 1 - size)
-            prefixes[(T & opposite).bit_count()].append((T, w))
-    return {l: fam.option_counts.histograms(chain_index, weighted)
-            for l, weighted in prefixes.items()}
+            sets, weights = prefixes[(T & opposite).bit_count()]
+            sets.append(T)
+            weights.append(by_size[T.bit_count()])
+    return {l: fam.option_counts.histograms(chain_index, sets, weights)
+            for l, (sets, weights) in prefixes.items()}
 
 
 def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:

@@ -233,13 +233,23 @@ def _pm_graphs(config: RunConfig, count: int, max_side: int,
     return out
 
 
+def family_bound_families(config: RunConfig):
+    """c06's (tag, family) pairs: the worked family, perfect matchings of
+    random graphs, and downsets of random tangled grids."""
+    for n_max in (2, 5, 10):
+        yield f"diag{n_max}", counting.diagonal_pair_family(n_max)
+    for gi, g in enumerate(_pm_graphs(config, 50, 6, need_pm=True, stream=7)):
+        yield f"pm{gi}", counting.perfect_matching_family(g)
+    for si in range(20):
+        grid = posets.random_tangled_grid(2 + si % 3, config.seed * 77 + si)
+        yield f"grid{si}", counting.downset_top_family(grid)
+
+
 @_timed
 def criterion_family_bounds(config: RunConfig) -> CheckResult:
     bad = []
-
     mc_samples = max(200, config.mc_samples // 500)
-
-    def check_family(tag, fam):
+    for tag, fam in family_bound_families(config):
         results = counting.reveal_bounds_exact(fam)
         ident = tuple(range(fam.n))
         results["fixed_order"] = reveal_bound(fam, BoundMode("fixed_order", orders=ident))
@@ -248,14 +258,6 @@ def criterion_family_bounds(config: RunConfig) -> CheckResult:
         for variant, res in results.items():
             if not bound_holds(res, fam):
                 bad.append((tag, variant, res.value, math.log(len(fam.members))))
-
-    for n_max in (2, 5, 10):
-        check_family(f"diag{n_max}", counting.diagonal_pair_family(n_max))
-    for gi, g in enumerate(_pm_graphs(config, 50, 6, need_pm=True, stream=7)):
-        check_family(f"pm{gi}", counting.perfect_matching_family(g))
-    for si in range(20):
-        grid = posets.random_tangled_grid(2 + si % 3, config.seed * 77 + si)
-        check_family(f"grid{si}", counting.downset_top_family(grid))
     return CheckResult("c06", not bad, {"name": "family-size bound holds for every variant",
                                         "details": {"failures": bad[:10]}})
 
@@ -299,13 +301,17 @@ def criterion_distributions(config: RunConfig) -> CheckResult:
                                         "details": {"failures": bad[:10]}})
 
 
+def dominance_grids(config: RunConfig) -> list[tuple[str, posets.TangledGrid]]:
+    """c09's (tag, grid) pairs: the diamond of side 3 and random tangled grids."""
+    return [("diamond3", posets.grid_diamond(3))] + [
+        (f"grid{si}", posets.random_tangled_grid(2 + si % 3, config.seed * 99 + si))
+        for si in range(20)]
+
+
 @_timed
 def criterion_dominance(config: RunConfig) -> CheckResult:
     bad = []
-    grids = [("diamond3", posets.grid_diamond(3))]
-    for si in range(20):
-        n = 2 + si % 3
-        grids.append((f"grid{si}", posets.random_tangled_grid(n, config.seed * 99 + si)))
+    grids = dominance_grids(config)
     for tag, grid in grids:
         for rep in distributions.dominance_check_grid(grid):
             if not rep.passed:

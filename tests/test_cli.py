@@ -183,6 +183,9 @@ CLI_REPORT_BYTES = [
     # 10^6 scan limit (c11 is the known extended-series failure)
     (["verify", "--only", "c10,c11"], 1,
      "5fdc0dcb41d4406bb4d90b71e985cdaf15805df7c6fc31f8d1089247adb59ccc"),
+    # the option-count bounds and the dominance check, 200 Monte Carlo orders per family
+    (["verify", "--only", "c06,c09", "--samples", "20000"], 0,
+     "8410bebbb07475bd52f48ecc50fbb229c43c50331a41f47f0aec86d726214e71"),
 ]
 
 

@@ -1,19 +1,25 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 
+import numpy as np
 import pytest
 
+from smcensus import counting, verify
 from smcensus.counting import (EXACT_COMPONENT_LIMIT, BipartiteGraph,
-                               BoundMode, FamilyError, TupleFamily,
-                               bound_holds, bregman_log_bound,
-                               count_perfect_matchings, diagonal_pair_family,
-                               downset_top_family, option_count,
-                               perfect_matching_family, random_bipartite_graph,
-                               reveal_bound, reveal_bounds_exact)
+                               BoundMode, BoundResult, FamilyError,
+                               OptionCountTable, TupleFamily, bound_holds,
+                               bregman_log_bound, count_perfect_matchings,
+                               diagonal_pair_family, downset_top_family,
+                               option_count, perfect_matching_family,
+                               random_bipartite_graph, reveal_bound,
+                               reveal_bounds_exact)
 from smcensus.distributions import (_conditional_option_histograms,
-                                    _dominance_report, dominance_check_grid)
+                                    _dominance_report, cyclic_gap_pmf,
+                                    dominance_check_grid)
 from smcensus.posets import count_downsets, grid_diamond, random_tangled_grid
 from smcensus.rng import Xoshiro256StarStar, bernoulli_threshold
 
@@ -412,8 +418,341 @@ def test_dominance_histograms_match_option_count(grid):
     reports = iter(dominance_check_grid(grid))
     for chain in range(2 * grid.n):
         want = _reference_dominance_hists(fam, chain, grid.n)
-        assert _conditional_option_histograms(fam, chain, grid.n) == want
+        got_hists = _conditional_option_histograms(fam, chain, grid.n)
+        assert {l: _as_dicts(h) for l, h in got_hists.items()} == want
         for l in range(2, grid.n + 1):
             got = next(reports)
-            ref = _dominance_report(grid.n, chain, l, want[l])
-            assert got == ref
+            assert got == _dominance_report_reference(grid.n, chain, l, want[l])
+            assert got == _dominance_report(grid.n, chain, l, got_hists[l])
+
+
+# ------------------------------------- dict-based oracle of the columnar table
+
+class OptionCountTableReference:
+    """ORACLE: the dict-based option-count table the columnar
+    ``OptionCountTable`` replaced.  A row counts, per group of members
+    agreeing on T, the distinct values of component i; the grouping for T
+    is built from the grouping for T without its top bit."""
+
+    def __init__(self, family: TupleFamily):
+        self.n = family.n
+        self._columns = list(zip(*family.members)) or [()] * family.n
+        self._groups: dict[int, list[int]] = {0: [0] * len(family.members)}
+        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def _grouping(self, T: int) -> list[int]:
+        groups = self._groups.get(T)
+        if groups is None:
+            top = T.bit_length() - 1
+            ids: dict[tuple, int] = {}
+            groups = [ids.setdefault(key, len(ids)) for key in
+                      zip(self._grouping(T & ~(1 << top)), self._columns[top])]
+            self._groups[T] = groups
+        return groups
+
+    def row(self, i: int, T: int) -> tuple[int, ...]:
+        row = self._rows.get((i, T))
+        if row is None:
+            groups = self._grouping(T)
+            options = Counter(map(itemgetter(0), set(zip(groups, self._columns[i]))))
+            row = tuple(map(options.__getitem__, groups))
+            self._rows[(i, T)] = row
+        return row
+
+    def histograms(self, i: int, weighted_sets) -> list[dict[int, int]]:
+        """Per member, {X_i: total weight} over (T, weight) pairs."""
+        merged: dict[tuple[int, ...], int] = {}
+        for T, w in weighted_sets:
+            row = self.row(i, T)
+            merged[row] = merged.get(row, 0) + w
+        hists: list[dict[int, int]] = [{} for _ in self._groups[0]]
+        for row, w in merged.items():
+            for hist, c in zip(hists, row):
+                hist[c] = hist.get(c, 0) + w
+        return hists
+
+
+def _ref_mix_log(hist, total):
+    return math.fsum(w / total * math.log(c) for c, w in sorted(hist.items()))
+
+
+def _ref_reduce(variant, hists, total):
+    """The per-member dict reduction: (statistic, histogram, its total)."""
+    if variant in ("fixed_order", "averaged"):
+        pooled = Counter()
+        for hist in hists:
+            pooled.update(hist)
+        return _ref_mix_log(pooled, total * len(hists)), pooled, total * len(hists)
+    if variant == "worst_member":
+        stats = [_ref_mix_log(hist, total) for hist in hists]
+    else:
+        stats = [sum(w * c for c, w in hist.items()) for hist in hists]
+    best = max(range(len(hists)), key=lambda mi: (stats[mi], mi))
+    stat = stats[best] if variant == "worst_member" else Fraction(stats[best], total)
+    return stat, hists[best], total
+
+
+def _ref_aggregate(variant, comps):
+    per_component, log_mix, product = [], {}, Fraction(1)
+    for hists, total in comps:
+        stat, hist, hist_total = _ref_reduce(variant, hists, total)
+        per_component.append(stat)
+        if variant == "mean_product":
+            product *= stat
+        else:
+            for c, w in hist.items():
+                log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
+    if variant == "mean_product":
+        value = math.fsum(math.log(x) for x in per_component)
+        return BoundResult(variant, value, tuple(per_component), True, product=product)
+    return BoundResult(variant, math.fsum(per_component), tuple(per_component), True,
+                       log_mix=log_mix)
+
+
+def _ref_tallies(n, samples, seed):
+    """tallies[i][T]: how many of the seeded sampled orders reveal T before i."""
+    rng = Xoshiro256StarStar(seed)
+    tallies = [{} for _ in range(n)]
+    for _ in range(samples):
+        T = 0
+        for i in rng.permutation(n):
+            tallies[i][T] = tallies[i].get(T, 0) + 1
+            T |= 1 << i
+    return tallies
+
+
+def _ref_mc(variant, hists_per_component, t):
+    """ORACLE: the Monte Carlo bound from each component's per-member dicts
+    over t sampled orders, with its delta-method standard error."""
+    per_component, errs = [], []
+    for hists in hists_per_component:
+        stat, hist, total = _ref_reduce(variant, hists, t)
+        mean = float(stat)
+        if variant == "mean_product":
+            second = sum(w * c * c for c, w in hist.items()) / total
+        else:
+            second = math.fsum(w / total * math.log(c) ** 2 for c, w in hist.items())
+        err = math.sqrt(max(second - mean * mean, 0.0) / t)
+        per_component.append(stat)
+        errs.append(err / mean if variant == "mean_product" else err)
+    value = (math.fsum(math.log(x) for x in per_component) if variant == "mean_product"
+             else math.fsum(per_component))
+    return BoundResult(variant, value, tuple(per_component), False,
+                       stderr=math.sqrt(math.fsum(e * e for e in errs)))
+
+
+def _conditional_histograms_reference(table, chain_index, n):
+    """ORACLE: the dominance histograms through the dict-based table."""
+    nch = 2 * n
+    opposite = ((1 << n) - 1) << n if chain_index < n else (1 << n) - 1
+    prefixes = {l: [] for l in range(n + 1)}
+    for T in range(1 << nch):
+        if not T >> chain_index & 1:
+            size = T.bit_count()
+            prefixes[(T & opposite).bit_count()].append(
+                (T, factorial(size) * factorial(nch - 1 - size)))
+    return {l: table.histograms(chain_index, weighted) for l, weighted in prefixes.items()}
+
+
+def _dominance_report_reference(n, chain_index, l, hists):
+    """ORACLE: the dominance report by Fractions, one member at a time."""
+    ref_cdf = cyclic_gap_pmf(n, l).cdf()
+    witnesses = []
+    for mi, hist in enumerate(hists):
+        total = sum(hist.values())
+        for y, ref_p in ref_cdf:
+            acc = sum(w for c, w in hist.items() if c <= y)
+            if Fraction(acc, total) < ref_p:
+                witnesses.append((mi, y, Fraction(acc, total), ref_p))
+    return verify.CheckResult("dominance", not witnesses,
+                              {"chain": chain_index, "l": l, "witnesses": witnesses})
+
+
+def _as_dicts(hists):
+    """A (member x X) weight matrix as per-member {X: weight} dicts."""
+    return [{c: w for c, w in enumerate(row) if w} for row in hists.tolist()]
+
+
+def _as_matrix(dicts, width):
+    out = np.zeros((len(dicts), width), np.int64)
+    for mi, hist in enumerate(dicts):
+        for c, w in hist.items():
+            out[mi, c] = w
+    return out
+
+
+# ----------------------------------------- columnar table vs the dict oracle
+
+MC_SAMPLES = 200  # c06's Monte Carlo sample count at --samples 20000
+
+
+def _family_group(name):
+    """(family, its grid for c09's dominance check or None): the oracle
+    families, or every family of c06 / c09 at one seed, built fresh so
+    each table starts empty."""
+    if name == "oracle":
+        return [(TupleFamily(p.values[0].components, p.values[0].members), None)
+                for p in ORACLE_FAMILIES]
+    check, seed = name.split("@")
+    config = verify.RunConfig(seed=int(seed))
+    if check == "c06":
+        return [(fam, None) for _, fam in verify.family_bound_families(config)]
+    return [(downset_top_family(grid), grid) for _, grid in verify.dominance_grids(config)]
+
+
+FAMILY_GROUPS = ["oracle", "c06@42", "c06@7", "c09@42", "c09@7"]
+
+
+@pytest.mark.parametrize("group", FAMILY_GROUPS)
+def test_columnar_table_equals_dict_oracle(group):
+    variants = ("averaged", "worst_member", "mean_product")
+    for k, (fam, grid) in enumerate(_family_group(group)):
+        table, ref, n = fam.option_counts, OptionCountTableReference(fam), fam.n
+        ident, explicit = tuple(range(n)), _explicit_orders(n)
+        tallies = _ref_tallies(n, MC_SAMPLES, 42)
+        want = {"uniform": [], "explicit": [], "mc": []}  # per component, member dicts
+        for i in range(n):
+            sets = [T for T in range(1 << n) if not T >> i & 1]
+            assert table.counts(i, sets).tolist() == [list(ref.row(i, T)) for T in sets]
+            assert table.row(i, sets[-1]) == ref.row(i, sets[-1])
+            uniform = [factorial(T.bit_count()) * factorial(n - 1 - T.bit_count())
+                       for T in sets]
+            weighted = {"uniform": (sets, uniform),
+                        "explicit": ([_revealed(o, i) for o, _ in explicit],
+                                     [int(w * 12) for _, w in explicit]),
+                        "mc": (list(tallies[i]), list(tallies[i].values()))}
+            for kind, (ts, ws) in weighted.items():
+                want[kind].append(ref.histograms(i, zip(ts, ws)))
+                assert _as_dicts(table.histograms(i, ts, ws)) == want[kind][-1], (kind, i)
+        uniform = [(hists, factorial(n)) for hists in want["uniform"]]
+        assert reveal_bounds_exact(fam) == {v: _ref_aggregate(v, uniform) for v in variants}
+        fixed = [([{c: 1} for c in ref.row(i, _revealed(ident, i))], 1) for i in range(n)]
+        assert reveal_bound(fam, BoundMode("fixed_order", orders=ident)) == \
+            _ref_aggregate("fixed_order", fixed)
+        for v in variants:
+            assert reveal_bound(fam, BoundMode(v, orders=explicit)) == \
+                _ref_aggregate(v, [(hists, 12) for hists in want["explicit"]])
+        # Monte Carlo draws dominate: c06's variant everywhere, the others in turn
+        for v in ("averaged", variants[1 + k % 2]):
+            assert reveal_bound(fam, BoundMode(v, samples=MC_SAMPLES), seed=42) == \
+                _ref_mc(v, want["mc"], MC_SAMPLES)
+        if grid is not None:
+            for chain in range(2 * grid.n):
+                got = _conditional_option_histograms(fam, chain, grid.n)
+                by_l = _conditional_histograms_reference(ref, chain, grid.n)
+                assert {l: _as_dicts(h) for l, h in got.items()} == by_l
+                for l in range(2, grid.n + 1):
+                    assert _dominance_report(grid.n, chain, l, got[l]) == \
+                        _dominance_report_reference(grid.n, chain, l, by_l[l])
+
+
+# ------------------------------------------------ negative controls
+
+# gap law of l = 2 points among 4 cyclic positions: Pr[gap <= y] = 1/6, 1/2, 1
+HAND_BUILT = [
+    pytest.param([{4: 6},                # never below 4: fails at y = 1, 2, 3
+                  {1: 6},                # dominated
+                  {1: 3, 3: 3},          # ties Pr[gap <= 2] = 1/2 exactly: no witness
+                  {1: 1, 2: 3, 4: 8}],   # 1/12, 1/3, 1/3: fails at y = 1, 2, 3
+                 5, [(0, 1, Fraction(0), Fraction(1, 6)), (0, 2, Fraction(0), Fraction(1, 2)),
+                     (0, 3, Fraction(0), Fraction(1)), (3, 1, Fraction(1, 12), Fraction(1, 6)),
+                     (3, 2, Fraction(1, 3), Fraction(1, 2)), (3, 3, Fraction(1, 3), Fraction(1))],
+                 id="wide"),
+    # counts stop at 2 < y = 3: Pr[X <= 3] is the whole row
+    pytest.param([{2: 6}, {1: 1, 2: 5}], 3, [(0, 1, Fraction(0), Fraction(1, 6))], id="narrow"),
+]
+
+
+@pytest.mark.parametrize("dicts, width, witnesses", HAND_BUILT)
+def test_hand_built_violation_gives_the_fraction_witnesses(dicts, width, witnesses):
+    got = _dominance_report(3, 0, 2, _as_matrix(dicts, width))
+    assert got == _dominance_report_reference(3, 0, 2, dicts)
+    assert not got.passed
+    assert got.fields["witnesses"] == witnesses
+
+
+# the members tie on mean log (log 4 / 2 and log 2 are the same float) and
+# on mean count (2), each time with a different histogram
+TIES = {"worst_member": [{1: 1, 4: 1}, {2: 2}], "mean_product": [{1: 1, 3: 1}, {2: 2}]}
+
+
+@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+def test_reduce_breaks_ties_like_the_dict_oracle(variant):
+    for dicts in TIES.values():
+        stat, hist, total = counting._reduce(variant, _as_matrix(dicts, 5), 2)
+        want_stat, want_hist, want_total = _ref_reduce(variant, dicts, 2)
+        assert (stat, _as_dicts(hist[None])[0], total) == (want_stat, want_hist, want_total)
+    if variant in TIES:
+        assert want_hist == TIES[variant][1]  # the later member
+
+
+def test_histograms_in_small_chunks_equal_the_dict_oracle(monkeypatch):
+    for p in ORACLE_FAMILIES:
+        fam = TupleFamily(p.values[0].components, p.values[0].members)  # a fresh table
+        ref = OptionCountTableReference(fam)
+        monkeypatch.setattr(counting, "_CHUNK_CELLS", 3 * len(fam.members))  # 3 sets a step
+        for i in range(fam.n):
+            sets = [T for T in range(1 << fam.n) if not T >> i & 1]
+            weights = list(range(1, len(sets) + 1))  # distinct, so a misaligned weight shows
+            assert _as_dicts(fam.option_counts.histograms(i, sets, weights)) == \
+                ref.histograms(i, zip(sets, weights))
+
+
+def test_dominance_criterion_fails_on_inflated_counts(monkeypatch):
+    counts = OptionCountTable.counts
+
+    def inflated(self, i, sets):
+        return np.minimum(counts(self, i, sets) + 1, self._cards[i])
+
+    assert verify.criterion_dominance(verify.RunConfig()).passed
+    monkeypatch.setattr(OptionCountTable, "counts", inflated)
+    assert not verify.criterion_dominance(verify.RunConfig()).passed
+
+
+def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
+    counts = OptionCountTable.counts
+    monkeypatch.setattr(OptionCountTable, "counts",
+                        lambda self, i, sets: np.ones_like(counts(self, i, sets)))
+    result = verify.criterion_family_bounds(verify.RunConfig(mc_samples=20000))
+    assert not result.passed
+    assert result.fields["details"]["failures"]
+
+
+# ----------------------------------------------- orders checked at the boundary
+
+@pytest.mark.parametrize("orders", [
+    (0, 1, 2, 3),                                       # one component too many
+    (0, 1),                                             # one too few
+    (0, 0, 1),                                          # a repeat
+    (((0, 1), Fraction(1, 2)), ((0, 1, 2), Fraction(1, 2))),  # a short weighted order
+], ids=["too-long", "too-short", "repeat", "weighted-short"])
+def test_orders_that_do_not_permute_the_components_are_rejected(orders):
+    fam = diagonal_pair_family(2)
+    variant = "averaged" if isinstance(orders[0], tuple) else "fixed_order"
+    with pytest.raises(FamilyError, match="not a permutation"):
+        reveal_bound(fam, BoundMode(variant, orders=orders))
+
+
+@pytest.mark.parametrize("samples", [True, False, 2.0, "3", None])
+def test_non_int_sample_counts_are_rejected(samples):
+    with pytest.raises(FamilyError, match="samples must be an int"):
+        BoundMode("averaged", samples=samples)
+
+
+def test_negative_order_weights_are_rejected():
+    with pytest.raises(FamilyError, match="nonnegative"):
+        BoundMode("averaged", orders=(((0, 1, 2), Fraction(3, 2)),
+                                      ((2, 1, 0), Fraction(-1, 2))))
+
+
+def test_weight_total_past_int64_is_rejected():
+    fam = diagonal_pair_family(2)
+    tiny = Fraction(1, 2 ** 63)  # weights out of a common total of 2^63
+    orders = (((0, 1, 2), tiny), ((2, 1, 0), 1 - tiny))
+    with pytest.raises(FamilyError, match="overflows int64"):
+        reveal_bound(fam, BoundMode("averaged", orders=orders))
+    # six members: a total of 2^63 // 6 still fits every pooled column sum
+    assert fam.option_counts.histograms(0, [0], [counting.INT64_MAX // 6]).sum() \
+        == 6 * (counting.INT64_MAX // 6)
+    with pytest.raises(FamilyError, match="overflows int64"):
+        fam.option_counts.histograms(0, [0], [counting.INT64_MAX // 6 + 1])
