@@ -13,7 +13,9 @@ codes, and each revealed set T owns one row of an int64 group-id matrix,
 built from the row of T without its top bit and only for the sets asked
 for (and their top-bit ancestors): exact evaluation reads every set,
 Monte Carlo only the sampled ones.  One bincount over group * card_i +
-code_i gives X_i for a whole batch of sets.  ``option_count`` recomputes
+code_i gives X_i for a whole batch of sets, or of (component, set) pairs.
+Monte Carlo reveal orders are drawn on the lanes of ``rng.XoshiroLanes``,
+one order per lane, and tallied by (component, revealed set) in numpy.  ``option_count`` recomputes
 a single X_i from its definition and is the oracle the table is tested
 against.
 
@@ -42,7 +44,7 @@ from math import factorial
 import numpy as np
 
 from .posets import TangledGrid, enumerate_downset_masks
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, lane_rounds
 
 EXACT_COMPONENT_LIMIT = 8
 
@@ -50,6 +52,7 @@ VARIANTS = ("fixed_order", "averaged", "worst_member", "mean_product")
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 _CHUNK_CELLS = 1 << 18  # (set, member) cells per histogram step, bounding temporaries
+_WORD_BITS = 62  # bits of a (component, revealed set) code per int64 word
 
 
 class FamilyError(ValueError):
@@ -124,12 +127,19 @@ class OptionCountTable:
         """How many revealed sets have a group-id row."""
         return len(self._slot)
 
-    def _check(self, i: int, sets) -> None:
-        if not 0 <= i < self.n:
-            raise FamilyError(f"no row for component {i}")
-        for T in sets:
-            if T >> i & 1 or T >> self.n:
-                raise FamilyError(f"no row for component {i} after set {T:#b}")
+    def _check(self, i, sets) -> None:
+        """Raise unless component i, or i[r] for set r, may follow each set."""
+        if isinstance(i, int):
+            if not 0 <= i < self.n:
+                raise FamilyError(f"no row for component {i}")
+            i = [i] * len(sets)
+        elif len(i) != len(sets):
+            raise FamilyError(f"{len(i)} components for {len(sets)} sets")
+        for c, T in zip(i, sets):
+            if not 0 <= c < self.n:
+                raise FamilyError(f"no row for component {c}")
+            if T >> c & 1 or T >> self.n:
+                raise FamilyError(f"no row for component {c} after set {T:#b}")
 
     def _rows(self, sets) -> list[int]:
         """Group-id rows of ``sets``, building missing ones top bit by top bit."""
@@ -164,13 +174,15 @@ class OptionCountTable:
         self._groups[start:stop] = groups
         self._slot.update(zip(batch, range(start, stop)))
 
-    def counts(self, i: int, sets) -> np.ndarray:
-        """X_i as an int64 (set x member) matrix, one row per set in ``sets``."""
+    def counts(self, i, sets) -> np.ndarray:
+        """X_i as an int64 (set x member) matrix, one row per set in ``sets``;
+        with a list of components ``i``, one per set, row r holds X_{i[r]}."""
         self._check(i, sets)
         rows = self._rows(sets)
         groups = self._groups[rows]
         gid = self._ids[rows] + (np.cumsum(groups) - groups)[:, None]
-        card = self._cards[i]
+        card = self._cards[i] if isinstance(i, int) else max(
+            (self._cards[c] for c in set(i)), default=1)
         pairs = np.bincount((gid * card + self._codes[i]).ravel(),
                             minlength=int(groups.sum()) * card)
         return np.count_nonzero(pairs.reshape(-1, card), axis=1)[gid]
@@ -179,22 +191,29 @@ class OptionCountTable:
         """X_i for every member, in member order, given the revealed set T."""
         return tuple(self.counts(i, [T])[0].tolist())
 
-    def histograms(self, i: int, sets, weights) -> np.ndarray:
+    def histograms(self, i, sets, weights) -> np.ndarray:
         """H[member, x]: the total weight of the sets with X_i = x, an exact
-        int64 (member x card_i+1) matrix whose rows sum to sum(weights)."""
-        self._check(i, sets)
-        width = self._cards[i] + 1
+        int64 (member x card_i+1) matrix whose rows sum to sum(weights).
+        With a list of components ``i``, one per set, H[c, member, x] holds
+        every component c's matrix, each padded to the widest card + 1."""
+        single = isinstance(i, int)
+        if single:
+            self._check(i, [])  # counts checks every set
+        width = (self._cards[i] if single else max(self._cards, default=0)) + 1
         total = sum(weights)
         if total * max(self.size, width) > INT64_MAX:
             raise FamilyError(f"weight total {total} overflows int64 option-count sums")
-        hist = np.zeros(self.size * width, np.int64)
+        blocks = 1 if single else self.n
+        hist = np.zeros(blocks * self.size * width, np.int64)
         cells = np.arange(self.size) * width
         weights = np.asarray(weights, dtype=np.int64).reshape(-1, 1)
         step = max(1, _CHUNK_CELLS // max(self.size, 1))
         for lo in range(0, len(sets), step):
-            np.add.at(hist, self.counts(i, sets[lo:lo + step]) + cells,
-                      weights[lo:lo + step])
-        return hist.reshape(self.size, width)
+            chunk = slice(lo, lo + step)
+            comps = i if single else i[chunk]
+            block = 0 if single else np.array(comps, np.int64)[:, None] * (self.size * width)
+            np.add.at(hist, self.counts(comps, sets[chunk]) + block + cells, weights[chunk])
+        return hist.reshape(self.size, width) if single else hist.reshape(blocks, self.size, width)
 
 
 def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
@@ -406,22 +425,63 @@ def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
             for variant in ("averaged", "worst_member", "mean_product")}
 
 
+def _reveal_tallies(n: int, samples: int, seed: int) -> tuple[list[int], list[int], list[int]]:
+    """The sampled reveal orders as three lists (components, revealed sets,
+    counts), one entry per distinct pair (i, T): how many orders reveal
+    exactly the set T before component i.
+
+    Order s reads n u64 keys from its lane, in the rounds of
+    ``rng.lane_rounds``, and reveals the components in ascending key order,
+    ties to the lower index (a stable argsort).  The set revealed before
+    each component is the cumulative OR along the order.  Each pair is the
+    integer T << k | i, k the bit length of n - 1, held in int64 words of
+    _WORD_BITS bits so that any n fits; one sort per round (``_distinct``)
+    counts the distinct pairs, and one more sums the rounds when there are
+    several."""
+    k = (n - 1).bit_length()
+    words = (n + k - 1) // _WORD_BITS + 1
+    lanes, rounds = lane_rounds(seed, samples, keys=max(n, 1))
+    found, counts = [], []
+    for m in rounds:
+        order = np.argsort(lanes.next_block(n, m), axis=0, kind="stable")
+        place = order + k  # each component's bit in the codes
+        codes = np.empty((words, n * m), np.int64)
+        for w in range(words):
+            bits = np.where(place // _WORD_BITS == w, np.left_shift(1, place % _WORD_BITS), 0)
+            codes[w] = (np.cumsum(bits, axis=0) - bits).ravel()  # revealed before
+        codes[0] |= order.ravel()
+        distinct, count = _distinct(codes[::-1], np.ones(n * m, np.int64))
+        found.append(distinct)
+        counts.append(count)
+    distinct, count = (found[0], counts[0]) if len(rounds) == 1 else \
+        _distinct(np.concatenate(found, axis=1), np.concatenate(counts))
+    pairs = [0] * len(count)
+    for row in distinct.tolist():
+        pairs = [p << _WORD_BITS | c for p, c in zip(pairs, row)]
+    mask = (1 << k) - 1
+    return [p & mask for p in pairs], [p >> k for p in pairs], count.tolist()
+
+
+def _distinct(words: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of an int64 word matrix, most significant word
+    first, in ascending order, with the summed int64 weights of each."""
+    ids = words[0]
+    for w in words[1:]:  # dense ids of the word prefixes, below len(w)^2
+        ids = (np.unique(ids, return_inverse=True)[1] * len(w)
+               + np.unique(w, return_inverse=True)[1])
+    order = np.argsort(ids)
+    first = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are >= 0
+    return words[:, order[first]], np.add.reduceat(weights[order], first)
+
+
 def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundResult:
-    n = family.n
-    rng = Xoshiro256StarStar(seed)
-    # tallies[i][T]: how many sampled orders reveal exactly the set T before i
-    tallies: list[dict[int, int]] = [{} for _ in range(n)]
-    for _ in range(mode.samples):
-        T = 0
-        for i in rng.permutation(n):
-            tallies[i][T] = tallies[i].get(T, 0) + 1
-            T |= 1 << i
+    comps, sets, weights = _reveal_tallies(family.n, mode.samples, seed)
+    all_hists = family.option_counts.histograms(comps, sets, weights)
     t = mode.samples
     per_component = []
     errs = []
-    for i, tally in enumerate(tallies):
-        hists = family.option_counts.histograms(i, list(tally), list(tally.values()))
-        stat, hist, total = _reduce(mode.variant, hists, t)
+    for i, values in enumerate(family.components):
+        stat, hist, total = _reduce(mode.variant, all_hists[i, :, :len(values) + 1], t)
         # standard error of the statistic over t sampled orders
         mean = float(stat)
         pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]

@@ -46,14 +46,13 @@ import numpy as np
 from .counting import INT64_MAX, TupleFamily, downset_top_family
 from .posets import TangledGrid
 from .record import CheckResult
-from .rng import ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold
+from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold,
+                  lane_rounds)
 
 PLAIN = "plain"
 EXTENDED = "extended"
 
-MC_LANES = 1 << 14  # widest round of a vectorized draw
-MC_BLOCK = 1024     # gap_dependence_check draws whole blocks of samples
-KEY_CELLS = 1 << 20  # cap on the cyclic sampler's keys held at once (8 MiB)
+MC_BLOCK = 1024  # gap_dependence_check draws whole blocks of samples
 SLOTS = (-1, 0, 1, 2)
 
 
@@ -64,15 +63,6 @@ class DistributionError(ValueError):
 def _check_count(count: int) -> None:
     if count < 1:
         raise DistributionError(f"sample count must be >= 1, got {count}")
-
-
-def _lane_rounds(seed: int, total: int,
-                 width: int = MC_LANES) -> tuple[XoshiroLanes, list[int]]:
-    """Split `total` lane draws into balanced rounds of at most `width`
-    lanes: one generator, and the number m of its first lanes each round uses."""
-    rounds = -(-total // width)
-    size = -(-total // rounds)
-    return XoshiroLanes(seed, size), [min(size, total - r * size) for r in range(rounds)]
 
 
 @dataclass(frozen=True)
@@ -184,7 +174,7 @@ def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> list[int]:
     probability below (n+1)^2 / 2^65 per draw; the partition breaks ties)."""
     _check_cyclic(n, l)
     _check_count(count)
-    lanes, rounds = _lane_rounds(seed, count, min(MC_LANES, max(1, KEY_CELLS // (n + 1))))
+    lanes, rounds = lane_rounds(seed, count, keys=n + 1)
     gaps = []
     for m in rounds:
         chosen = np.argpartition(lanes.next_block(n + 1, m), l - 1, axis=0)[:l]
@@ -342,7 +332,7 @@ def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
     check_variant(variant)
     _check_count(count)
     thr, scan = _marking(x)
-    lanes, rounds = _lane_rounds(seed, count)
+    lanes, rounds = lane_rounds(seed, count)
     gaps = []
     for m in rounds:
         if variant == PLAIN:
@@ -449,8 +439,12 @@ def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
 
 # ------------------------------------------------------ Jensen pair check
 
-def jensen_pair_check(a0, a1, a2, x, tol: float = 1e-12):
-    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - tol."""
+JENSEN_TOL = 1e-12  # a Jensen pair passes iff lhs >= rhs - JENSEN_TOL
+
+
+def jensen_pair_check(a0, a1, a2, x, tol: float = JENSEN_TOL):
+    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - tol.
+    The scalar oracle of ``jensen_grid``."""
     if a0 <= 0 or a1 <= 0 or a2 <= 0:
         raise DistributionError("a0, a1, a2 must be positive")
     if not 0 <= x <= 1:
@@ -461,6 +455,23 @@ def jensen_pair_check(a0, a1, a2, x, tol: float = 1e-12):
            + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
     rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
     return lhs, rhs, lhs >= rhs - tol
+
+
+def jensen_grid(a_max: int, x_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``jensen_pair_check``'s lhs and rhs at every grid point a0, a1, a2 in
+    1..a_max and x = xi / x_steps, xi in 0..x_steps, as one array
+    expression: (points, lhs, rhs), points an int (point x 4) matrix of
+    (a0, a1, a2, xi) rows in lexicographic order."""
+    a = np.arange(1, a_max + 1)
+    a0, a1, a2, xi = np.meshgrid(a, a, a, np.arange(x_steps + 1), indexing="ij")
+    x = xi / x_steps
+    log_a0, log_a012 = np.log(a0), np.log(a0 + a1 + a2)
+    lhs = (x * x * log_a0
+           + x * (1 - x) * (np.log(a0 + a1) + np.log(a0 + a2))
+           + (1 - x) * (1 - x) * log_a012)
+    rhs = x * log_a0 + (1 - x) * log_a012
+    points = np.stack([a0, a1, a2, xi], axis=-1).reshape(-1, 4)
+    return points, lhs.ravel(), rhs.ravel()
 
 
 # ----------------------------------------- correlated extended-gap check
@@ -512,7 +523,7 @@ def gap_dependence_check(x: float, pattern, seed: int,
     the difference estimator is tight; pass iff the dependent mean does
     not exceed the independent one by more than 4 standard errors of the
     paired difference.  The sample count is rounded up to whole blocks of
-    MC_BLOCK and drawn in balanced rounds of at most MC_LANES lanes.
+    MC_BLOCK and drawn in the balanced rounds of ``rng.lane_rounds``.
     """
     _check_x(x)
     _check_count(samples)
@@ -522,7 +533,7 @@ def gap_dependence_check(x: float, pattern, seed: int,
 
     sum_d = sum_i = 0.0
     sum_diff = sum_diff2 = 0.0
-    lanes, rounds = _lane_rounds(seed, total)
+    lanes, rounds = lane_rounds(seed, total)
     for m in rounds:
         branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
         b_ind = {j: slot_u[j] < thr for j in SLOTS}

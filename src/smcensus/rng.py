@@ -18,6 +18,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GUARD_BITS = 64  # ScanTable's running-product precision below the binary point
+_U5, _U7, _U9, _U17, _U19, _U45, _U57 = (np.uint64(k) for k in (5, 7, 9, 17, 19, 45, 57))
+
+MC_LANES = 1 << 14   # widest round of a vectorized draw
+KEY_CELLS = 1 << 20  # cap on the u64 keys a round holds at once (8 MiB)
 
 
 def _splitmix64(state: int):
@@ -131,7 +135,8 @@ class XoshiroLanes:
 
     Lane j reproduces Xoshiro256StarStar(seed, stream=j) bit for bit, so the
     vectorized Monte Carlo paths are deterministic and cross-checkable
-    against the scalar generator.
+    against the scalar generator.  A step updates the four state arrays in
+    place through one scratch array; only the draws it returns are new.
     """
 
     def __init__(self, seed: int, lanes: int):
@@ -143,25 +148,12 @@ class XoshiroLanes:
         state = (z ^ (z >> np.uint64(31))).reshape(lanes, 4)
         zero_rows = ~state.any(axis=1)
         state[zero_rows, 0] = np.uint64(_GAMMA)
-        self._s = [state[:, i].copy() for i in range(4)]
+        self._s = tuple(np.ascontiguousarray(state.T))  # s0, s1, s2, s3: rows of one array
+        self._t = np.empty(lanes, np.uint64)
         self.lanes = lanes
 
     def next_u64(self) -> np.ndarray:
-        s0, s1, s2, s3 = self._s
-        result = np.left_shift(s1, np.uint64(2)) + s1  # s1 * 5 mod 2^64
-        result = (np.left_shift(result, np.uint64(7))
-                  | np.right_shift(result, np.uint64(57)))
-        result = np.left_shift(result, np.uint64(3)) + result  # * 9
-        t = np.left_shift(s1, np.uint64(17))
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (np.left_shift(s3, np.uint64(45))
-              | np.right_shift(s3, np.uint64(19)))
-        self._s = [s0, s1, s2, s3]
-        return result
+        return self.next_block(1, self.lanes)[0]
 
     def bernoulli(self, threshold: int) -> np.ndarray:
         """Boolean vector, each lane True with probability threshold / 2^64."""
@@ -169,7 +161,36 @@ class XoshiroLanes:
 
     def next_block(self, rows: int, width: int) -> np.ndarray:
         """The next ``rows`` draws of the first ``width`` lanes, shape (rows, width)."""
-        return np.stack([self.next_u64()[:width] for _ in range(rows)])
+        s0, s1, s2, s3 = self._s
+        t = self._t
+        s1w, tw = s1[:width], t[:width]
+        block = np.empty((rows, width), np.uint64)
+        for out in block:
+            np.multiply(s1w, _U5, out=out)  # rotl(s1 * 5, 7) * 9, mod 2^64
+            np.left_shift(out, _U7, out=tw)
+            np.right_shift(out, _U57, out=out)
+            np.bitwise_or(out, tw, out=out)
+            np.multiply(out, _U9, out=out)
+            np.left_shift(s1, _U17, out=t)  # then every lane steps in place
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, _U45, out=t)  # s3 = rotl(s3, 45)
+            np.right_shift(s3, _U19, out=s3)
+            s3 |= t
+        return block
+
+
+def lane_rounds(seed: int, total: int, keys: int = 1) -> tuple[XoshiroLanes, list[int]]:
+    """Split `total` lane draws into balanced rounds of at most MC_LANES
+    lanes, and of at most KEY_CELLS u64 keys when each lane holds `keys` at
+    once: one generator, and the number m of its first lanes each round uses."""
+    width = min(MC_LANES, max(1, KEY_CELLS // keys))
+    rounds = -(-total // width)
+    size = -(-total // rounds)
+    return XoshiroLanes(seed, size), [min(size, total - r * size) for r in range(rounds)]
 
 
 class ScanTable:

@@ -183,9 +183,12 @@ CLI_REPORT_BYTES = [
     # 10^6 scan limit (c11 is the known extended-series failure)
     (["verify", "--only", "c10,c11"], 1,
      "5fdc0dcb41d4406bb4d90b71e985cdaf15805df7c6fc31f8d1089247adb59ccc"),
-    # the option-count bounds and the dominance check, 200 Monte Carlo orders per family
-    (["verify", "--only", "c06,c09", "--samples", "20000"], 0,
-     "8410bebbb07475bd52f48ecc50fbb229c43c50331a41f47f0aec86d726214e71"),
+    # the option-count bounds with their margins and the dominance check,
+    # 200 Monte Carlo orders per family, at two seeds
+    (["verify", "--only", "c06,c09", "--samples", "20000", "--seed", "42"], 0,
+     "080a1ce27892504e39b2ceb335a350e8856b9283c7bd39a48268cf37b1ecf185"),
+    (["verify", "--only", "c06,c09", "--samples", "20000", "--seed", "7"], 0,
+     "d9e8738927674dbeb1d7787853648885a9a9167d56afe0deaff70d0142f0d379"),
 ]
 
 
@@ -195,6 +198,13 @@ def test_cli_report_bytes(capsys, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_c06_c09_pins_differ_between_seeds():
+    """c06 reports its margins, so a changed family or bound shows in the pin."""
+    digests = {argv[-1]: digest for argv, _, digest in CLI_REPORT_BYTES
+               if argv[:3] == ["verify", "--only", "c06,c09"]}
+    assert set(digests) == {"42", "7"} and digests["42"] != digests["7"]
 
 
 @pytest.mark.parametrize("argv, sampler, value", [
@@ -339,7 +349,7 @@ def test_verify_quick_run_report_bytes(quick_verify):
     # the quick run's report, byte for byte; a change to any value shows here
     text = "".join(line + "\n" for line in quick_verify[1])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        "3d9b97d46d9e88b0b8a018f83ca3c4d20dff81b27b89f8e1bfa2c0c3ecf3a254"
+        "4d9548b05f7271697d0ae9efe985f4113c49b790db22fcdec452db530b528004"
 
 
 @pytest.mark.slow

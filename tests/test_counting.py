@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -21,7 +22,8 @@ from smcensus.distributions import (_conditional_option_histograms,
                                     _dominance_report, cyclic_gap_pmf,
                                     dominance_check_grid)
 from smcensus.posets import count_downsets, grid_diamond, random_tangled_grid
-from smcensus.rng import Xoshiro256StarStar, bernoulli_threshold
+from smcensus.rng import (KEY_CELLS, MC_LANES, Xoshiro256StarStar, XoshiroLanes,
+                          bernoulli_threshold)
 
 ORDERS = {"123": (0, 1, 2), "132": (0, 2, 1), "213": (1, 0, 2),
           "231": (1, 2, 0), "312": (2, 0, 1), "321": (2, 1, 0)}
@@ -340,14 +342,27 @@ def test_explicit_weighted_orders_match_per_order_reference(fam, orders, variant
     assert bound_holds(res, fam)
 
 
+def _sampled_orders(n, samples, seed):
+    """ORACLE: the Monte Carlo reveal orders from scalar streams.  Rounds of
+    at most MC_LANES lanes and KEY_CELLS keys, balanced; in each round
+    order j reads n keys from Xoshiro256StarStar(seed, stream=j) and sorts
+    the components by key, ties to the lower index."""
+    width = min(MC_LANES, max(1, KEY_CELLS // max(n, 1)))
+    rounds = -(-samples // width)
+    size = -(-samples // rounds)
+    streams = [Xoshiro256StarStar(seed, stream=j) for j in range(size)]
+    for r in range(rounds):
+        for stream in streams[:min(size, samples - r * size)]:
+            keys = [stream.next_u64() for _ in range(n)]
+            yield tuple(sorted(range(n), key=keys.__getitem__))
+
+
 def _naive_mc(fam, variant, samples, seed):
     """Per-sample loop over orders and members, straight from option_count."""
     n, nm = fam.n, len(fam.members)
-    rng = Xoshiro256StarStar(seed)
     logs = [[[] for _ in range(nm)] for _ in range(n)]
     lins = [[[] for _ in range(nm)] for _ in range(n)]
-    for _ in range(samples):
-        order = tuple(rng.permutation(n))
+    for order in _sampled_orders(n, samples, seed):
         for i in range(n):
             for mi, member in enumerate(fam.members):
                 c = option_count(fam, member, order, i)
@@ -392,6 +407,94 @@ def test_monte_carlo_builds_only_sampled_rows():
     assert fam.n == 12 > EXACT_COMPONENT_LIMIT
     res = reveal_bound(fam, BoundMode("averaged", samples=300), seed=1)
     assert fam.option_counts.rows_built <= 300 * 12
+    assert bound_holds(res, fam)
+
+
+# ------------------------------------------- the Monte Carlo order law
+
+@pytest.mark.parametrize("n, samples", [(0, 5), (1, 10), (4, 500), (8, 300), (70, 40),
+                                        (130, 12), (2, 40000)])
+def test_lane_tallies_equal_the_scalar_order_oracle(n, samples):
+    # 70 and 130 components span two and three code words; 40000 orders of
+    # two components take three rounds of lanes
+    assert _lane_tallies(n, samples, 9) == _ref_tallies(n, samples, 9)
+
+
+def _lane_tallies(n, samples, seed):
+    """counting._reveal_tallies as tallies[i][T], checking that each pair is listed once."""
+    comps, sets, weights = counting._reveal_tallies(n, samples, seed)
+    assert len(set(zip(comps, sets))) == len(comps)
+    tallies = [{} for _ in range(n)]
+    for i, T, w in zip(comps, sets, weights):
+        tallies[i][T] = w
+    return tallies
+
+
+def test_prefix_sets_follow_the_uniform_order_law():
+    """Pr[T is revealed before i] = |T|! (n-1-|T|)! / n!, within 4 standard
+    errors per (i, T) cell."""
+    n, samples = 4, 10 ** 5
+    tallies = _lane_tallies(n, samples, 3)
+    for i in range(n):
+        for T in range(1 << n):
+            if T >> i & 1:
+                assert T not in tallies[i]
+                continue
+            p = factorial(T.bit_count()) * factorial(n - 1 - T.bit_count()) / factorial(n)
+            f = tallies[i].get(T, 0) / samples
+            assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / samples), (i, T, f, p)
+
+
+def _wide_family(n, size, seed):
+    """`size` distinct random 0/1/2 tuples over n components."""
+    rng = Xoshiro256StarStar(seed)
+    members = set()
+    while len(members) < size:
+        members.add(tuple(rng.randrange(3) for _ in range(n)))
+    return TupleFamily(((0, 1, 2),) * n, tuple(sorted(members)))
+
+
+@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+def test_monte_carlo_on_70_components_matches_naive_loop(variant):
+    fam = _wide_family(70, 6, 4)
+    res = reveal_bound(fam, BoundMode(variant, samples=25), seed=8)
+    value, stderr = _naive_mc(fam, variant, 25, 8)
+    assert math.isclose(res.value, value, rel_tol=1e-12)
+    assert math.isclose(res.stderr, stderr, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("key, order", [(lambda j, n: 0, (0, 1, 2, 3)),
+                                        (lambda j, n: (n - j) // 2, (3, 1, 2, 0))],
+                         ids=["all-tied", "pairs-tied"])
+def test_tied_keys_reveal_in_index_order(monkeypatch, key, order):
+    def tied_block(self, rows, width):
+        return np.array([[key(j, rows)] * width for j in range(rows)], dtype=np.uint64)
+
+    monkeypatch.setattr(XoshiroLanes, "next_block", tied_block)
+    samples = 50
+    want = [{_revealed(order, i): samples} for i in range(4)]
+    assert _lane_tallies(4, samples, 1) == want
+    fam = _wide_family(4, 20, 2)
+    res = reveal_bound(fam, BoundMode("averaged", samples=samples), seed=1)
+    fixed = reveal_bound(fam, BoundMode("fixed_order", orders=order))
+    assert res.per_component == fixed.per_component
+
+
+def test_a_million_orders_stay_within_a_memory_bound():
+    """Orders are drawn in rounds of at most MC_LANES lanes, so the peak
+    does not grow with the sample count: 10.4 MiB traced at 10^6 orders of
+    8 components (a round's keys, order and codes with their temporaries),
+    where one key block for all orders alone would be 61 MiB."""
+    fam = downset_top_family(random_tangled_grid(4, 3))
+    assert fam.n == 8
+    fam.option_counts.counts(0, [0])  # build the table outside the traced span
+    tracemalloc.start()
+    try:
+        res = reveal_bound(fam, BoundMode("averaged", samples=10 ** 6), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
     assert bound_holds(res, fam)
 
 
@@ -511,11 +614,10 @@ def _ref_aggregate(variant, comps):
 
 def _ref_tallies(n, samples, seed):
     """tallies[i][T]: how many of the seeded sampled orders reveal T before i."""
-    rng = Xoshiro256StarStar(seed)
     tallies = [{} for _ in range(n)]
-    for _ in range(samples):
+    for order in _sampled_orders(n, samples, seed):
         T = 0
-        for i in rng.permutation(n):
+        for i in order:
             tallies[i][T] = tallies[i].get(T, 0) + 1
             T |= 1 << i
     return tallies
@@ -698,6 +800,38 @@ def test_histograms_in_small_chunks_equal_the_dict_oracle(monkeypatch):
                 ref.histograms(i, zip(sets, weights))
 
 
+@pytest.mark.parametrize("step", [None, 3], ids=["one-step", "3-sets-a-step"])
+def test_histograms_of_many_components_equal_one_component_at_a_time(monkeypatch, step):
+    """The Monte Carlo batch, one component per set, against the dict
+    oracle component by component, padded to the widest card + 1."""
+    for p in ORACLE_FAMILIES:
+        fam = TupleFamily(p.values[0].components, p.values[0].members)
+        ref = OptionCountTableReference(fam)
+        if step:
+            monkeypatch.setattr(counting, "_CHUNK_CELLS", step * len(fam.members))
+        pairs = [(i, T) for T in range(1 << fam.n) for i in range(fam.n) if not T >> i & 1]
+        comps, sets = [i for i, _ in pairs], [T for _, T in pairs]
+        weights = list(range(1, len(pairs) + 1))
+        table = fam.option_counts
+        assert table.counts(comps, sets).tolist() == [list(ref.row(i, T)) for i, T in pairs]
+        hists = table.histograms(comps, sets, weights)
+        width = max(len(c) for c in fam.components) + 1
+        assert hists.shape == (fam.n, len(fam.members), width)
+        for i in range(fam.n):
+            mine = [(T, w) for (c, T), w in zip(pairs, weights) if c == i]
+            assert _as_dicts(hists[i]) == ref.histograms(i, mine)
+
+
+def test_component_lists_are_checked_per_set():
+    table = diagonal_pair_family(2).option_counts
+    with pytest.raises(FamilyError, match="2 components for 1 sets"):
+        table.counts([0, 1], [0])
+    with pytest.raises(FamilyError, match="no row for component 1 after set 0b10"):
+        table.histograms([0, 1], [0b10, 0b10], [1, 1])
+    with pytest.raises(FamilyError, match="no row for component 3"):
+        table.counts([0, 3], [0, 0])
+
+
 def test_dominance_criterion_fails_on_inflated_counts(monkeypatch):
     counts = OptionCountTable.counts
 
@@ -713,9 +847,18 @@ def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
     counts = OptionCountTable.counts
     monkeypatch.setattr(OptionCountTable, "counts",
                         lambda self, i, sets: np.ones_like(counts(self, i, sets)))
-    result = verify.criterion_family_bounds(verify.RunConfig(mc_samples=20000))
+    config = verify.RunConfig(mc_samples=20000)
+    result = verify.criterion_family_bounds(config)
     assert not result.passed
-    assert result.fields["details"]["failures"]
+    details = result.fields["details"]
+    assert details["failures"]
+    # every bound reads 0, so each margin is -log |S| and no standard error is left
+    logs = [math.log(len(fam.members)) for _, fam in verify.family_bound_families(config)]
+    variants = ("averaged", "worst_member", "mean_product", "fixed_order", "averaged_mc")
+    assert details["min_margin"] == {**dict.fromkeys(variants, -max(logs)),
+                                     "averaged_mc_se": None}
+    assert details["mean_margin"] == dict.fromkeys(variants, math.fsum(-x for x in logs)
+                                                   / len(logs))
 
 
 # ----------------------------------------------- orders checked at the boundary

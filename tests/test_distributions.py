@@ -2,15 +2,17 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from smcensus.distributions import (EXTENDED, PLAIN, CyclicGapSampler,
+from smcensus import distributions, verify
+from smcensus.distributions import (EXTENDED, JENSEN_TOL, PLAIN, CyclicGapSampler,
                                     DistributionError, LineGapSampler,
                                     asymptotic_dominance_probe,
                                     cyclic_gap_expectation, cyclic_gap_pmf,
                                     cyclic_gap_pmf_bruteforce, dominance_check,
                                     dominance_check_grid, gap_dependence_check,
-                                    jensen_pair_check,
+                                    jensen_grid, jensen_pair_check,
                                     legal_identification_patterns,
                                     line_gap_log_mean, line_gap_pmf,
                                     line_gap_tail, line_gap_terms,
@@ -237,6 +239,35 @@ def test_jensen_examples():
         assert ok and abs(lhs - rhs) < 1e-12
     with pytest.raises(DistributionError):
         jensen_pair_check(0, 1, 1, 0.5)
+
+
+def test_jensen_grid_matches_the_scalar_check_at_every_point():
+    points, lhs, rhs = jensen_grid(10, 10)
+    assert points.shape == (10 * 10 * 10 * 11, 4)
+    assert points.tolist() == [[a0, a1, a2, xi] for a0 in range(1, 11) for a1 in range(1, 11)
+                               for a2 in range(1, 11) for xi in range(11)]
+    for (a0, a1, a2, xi), l, r in zip(points.tolist(), lhs.tolist(), rhs.tolist()):
+        want_l, want_r, ok = jensen_pair_check(a0, a1, a2, Fraction(xi, 10))
+        assert math.isclose(l, want_l, rel_tol=1e-15, abs_tol=0.0)
+        assert math.isclose(r, want_r, rel_tol=1e-15, abs_tol=0.0)
+        assert (l >= r - JENSEN_TOL) == ok
+
+
+def test_c12_fails_on_a_grid_with_one_inequality_reversed(monkeypatch):
+    grid = jensen_grid
+
+    def reversed_at(a_max, x_steps):
+        points, lhs, rhs = grid(a_max, x_steps)
+        k = int(np.argmax(lhs - rhs))  # the widest margin, now a violation
+        lhs[k], rhs[k] = rhs[k], lhs[k]
+        return points, lhs, rhs
+
+    monkeypatch.setattr(distributions, "jensen_grid", reversed_at)
+    points, lhs, rhs = reversed_at(10, 10)
+    want = ("jensen", *points[int(np.argmax(rhs - lhs))].tolist())
+    res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=1000))
+    assert not res.passed
+    assert res.fields["details"]["failures"] == [want]
 
 
 def test_identification_patterns():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from smcensus import rng
-from smcensus.rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes,
-                          _splitmix64, _stream_state, bernoulli_threshold)
+from smcensus.rng import (KEY_CELLS, MC_LANES, ScanTable, Xoshiro256StarStar,
+                          XoshiroLanes, _splitmix64, _stream_state, bernoulli_threshold,
+                          lane_rounds)
 
 
 def test_streams_are_deterministic():
@@ -42,6 +43,36 @@ def test_next_block_rows_are_successive_draws():
     assert block.shape == (3, 5)
     for row in block:
         assert row.tolist() == b.next_u64()[:5].tolist()
+
+
+@pytest.mark.parametrize("lanes, width", [(7, 3), (7, 7), (1, 1)])
+def test_in_place_steps_match_scalar_streams_across_interleaved_calls(lanes, width):
+    """next_u64 and next_block in any interleaving stay on the scalar
+    streams, writing into a returned array changes no later draw, and a
+    later draw changes no returned array."""
+    vec = XoshiroLanes(77, lanes)
+    scalars = [Xoshiro256StarStar(77, stream=j) for j in range(lanes)]
+    kept = []
+    for step in range(12):
+        if step % 3 == 0:
+            got = vec.next_u64()
+            want = [s.next_u64() for s in scalars]
+        else:
+            got = vec.next_block(step % 3, width)
+            want = [[s.next_u64() for s in scalars][:width] for _ in range(step % 3)]
+        assert got.tolist() == want
+        if step % 2:
+            got[...] = np.uint64(12345)
+        kept.append((got.copy(), got))
+    assert all(np.array_equal(copy, got) for copy, got in kept)
+
+
+def test_lane_rounds_balance_and_cap_the_keys_held():
+    for total, keys, want in [(10, 1, [10]), (MC_LANES + 1, 1, [8193, 8192]),
+                              (3 * MC_LANES, 1, [MC_LANES] * 3),
+                              (1000, KEY_CELLS // 100, [100] * 10), (5, KEY_CELLS * 2, [1] * 5)]:
+        lanes, rounds = lane_rounds(3, total, keys)
+        assert rounds == want and lanes.lanes == want[0] and sum(rounds) == total
 
 
 def test_randrange_bounds_and_determinism():
