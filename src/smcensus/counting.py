@@ -38,8 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
+from operator import or_
 
 import numpy as np
 
@@ -128,17 +129,25 @@ class OptionCountTable:
         return len(self._slot)
 
     def _check(self, i, sets) -> None:
-        """Raise unless component i, or i[r] for set r, may follow each set."""
+        """Raise unless component i, or i[r] for set r, may follow each set.
+
+        An int component is checked against the OR of all sets, and the
+        sets are walked only to name the first offender; a list of
+        components is checked pair by pair."""
+        n = self.n
         if isinstance(i, int):
-            if not 0 <= i < self.n:
+            if not 0 <= i < n:
                 raise FamilyError(f"no row for component {i}")
+            union = reduce(or_, sets, 0)
+            if not (union >> i & 1 or union >> n):
+                return
             i = [i] * len(sets)
         elif len(i) != len(sets):
             raise FamilyError(f"{len(i)} components for {len(sets)} sets")
         for c, T in zip(i, sets):
-            if not 0 <= c < self.n:
+            if not 0 <= c < n:
                 raise FamilyError(f"no row for component {c}")
-            if T >> c & 1 or T >> self.n:
+            if T >> c & 1 or T >> n:
                 raise FamilyError(f"no row for component {c} after set {T:#b}")
 
     def _rows(self, sets) -> list[int]:

@@ -4,16 +4,23 @@ Posets are stored by their cover relation over elements 0..size-1 and
 manipulated internally as bitmasks.  Downsets are counted by a transfer
 over one linear extension whose state is the part of the downset on the
 frontier (processed elements with an unprocessed upper cover), capped at
-`STATE_CAP` live states.  A tangled grid is a poset with two
+`STATE_CAP` live states.  A cover list is checked at the cost of its
+covers: a cover is transitive iff its lower end lies below another listed
+lower cover of its upper end.  A tangled grid is a poset with two
 chain decompositions (m-chains and w-chains) such that every m-chain
-meets every w-chain in exactly one element; the embedding below turns
-any rotation poset into one.
+meets every w-chain in exactly one element, checked on one bitmask per
+chain.  The embedding below turns any rotation poset into one, writing
+the grid's covers directly from the rotation poset's covers and the pads'
+coordinates; `poset_from_below`, the transitive reduction of strict-below
+masks, is the oracle its covers are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
+from operator import or_
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -42,19 +49,23 @@ class FinitePoset:
     below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        size = self.size
+        lower = [0] * size  # listed lower covers of each element
+        up_adj: list[list[int]] = [[] for _ in range(size)]
         for lo, hi in self.covers:
-            if not (0 <= lo < self.size and 0 <= hi < self.size) or lo == hi:
+            if not (0 <= lo < size and 0 <= hi < size) or lo == hi:
                 raise PosetError(f"bad cover pair ({lo}, {hi})")
-            if (lo, hi) in seen:
+            if lower[hi] >> lo & 1:
                 raise PosetError(f"repeated cover pair ({lo}, {hi})")
-            seen.add((lo, hi))
-        below = _kahn_below(self.size, self.covers)  # raises on cycles
-        lower = lower_cover_masks(below)
-        for lo, hi in self.covers:
-            if not lower[hi] >> lo & 1:
-                mid = next(m for m in _bits(below[hi]) if below[m] >> lo & 1)
-                raise PosetError(f"transitive cover ({lo}, {hi}) via {mid}")
+            lower[hi] |= 1 << lo
+            up_adj[lo].append(hi)
+        below, through = _kahn_below(lower, up_adj)  # raises on cycles
+        # (lo, hi) is transitive iff lo lies below another listed lower
+        # cover of hi, since every g < hi lies at or below one of them
+        if any(low & thr for low, thr in zip(lower, through)):
+            lo, hi = next((lo, hi) for lo, hi in self.covers if through[hi] >> lo & 1)
+            mid = next(m for m in _bits(below[hi]) if below[m] >> lo & 1)
+            raise PosetError(f"transitive cover ({lo}, {hi}) via {mid}")
         object.__setattr__(self, "below", tuple(below))
 
 
@@ -65,30 +76,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _kahn_below(size: int, covers) -> list[int]:
-    """Strict-below masks from cover pairs in Kahn order; raises PosetError
-    on a cycle."""
-    indeg = [0] * size
-    up_adj = [[] for _ in range(size)]
-    for lo, hi in covers:
-        up_adj[lo].append(hi)
-        indeg[hi] += 1
-    order = [e for e in range(size) if indeg[e] == 0]
+def _kahn_below(lower: list[int], up_adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strict-below masks in Kahn order from the lower-cover masks and the
+    upper-cover lists, and for each element the union of its lower covers'
+    strict-below masks; raises PosetError on a cycle."""
+    size = len(lower)
+    waiting = [m.bit_count() for m in lower]  # unprocessed lower covers
+    order = [e for e in range(size) if not waiting[e]]
     below = [0] * size
-    seen = 0
-    i = 0
-    while i < len(order):
-        e = order[i]
-        i += 1
-        seen += 1
+    through = [0] * size
+    for e in order:  # grows while it is walked
+        b = below[e]
+        with_e = b | (1 << e)
         for f in up_adj[e]:
-            below[f] |= below[e] | (1 << e)
-            indeg[f] -= 1
-            if indeg[f] == 0:
+            below[f] |= with_e
+            through[f] |= b
+            waiting[f] -= 1
+            if not waiting[f]:
                 order.append(f)
-    if seen != size:
+    if len(order) != size:
         raise PosetError("cover relation contains a cycle")
-    return below
+    return below, through
 
 
 def strict_below_masks(poset: FinitePoset) -> list[int]:
@@ -112,11 +120,6 @@ def poset_from_below(size: int, below: list[int]) -> FinitePoset:
     """Build a FinitePoset by transitive reduction of strict-below masks."""
     covers = [(f, e) for e, c in enumerate(lower_cover_masks(below)) for f in _bits(c)]
     return FinitePoset(size, tuple(sorted(covers)))
-
-
-def leq_matrix(poset: FinitePoset) -> list[int]:
-    """reflexive leq as bitmasks: row e = {f : f <= e}."""
-    return [b | (1 << e) for e, b in enumerate(poset.below)]
 
 
 def count_downsets(poset: FinitePoset, cap: int = STATE_CAP) -> int:
@@ -232,33 +235,45 @@ class TangledGrid:
 
 
 def validate_tangled_grid(grid: TangledGrid) -> None:
-    """Raise PosetError unless every tangled grid invariant holds."""
+    """Raise PosetError unless every tangled grid invariant holds.
+
+    Each chain becomes one bitmask: chains of a side overlap iff their
+    masks share a bit, partition the elements iff their masks OR to all of
+    them, and an m-chain meets a w-chain once iff their AND has one bit.
+    """
     n = grid.n
     size = grid.poset.size
     if len(grid.w_chains) != n:
         raise PosetError("m-chain and w-chain counts differ")
     if size != n * n:
         raise PosetError(f"grid must have n^2={n * n} elements, has {size}")
-    leq = leq_matrix(grid.poset)
+    below = grid.poset.below
+    masks = []
     for name, chains in (("m", grid.m_chains), ("w", grid.w_chains)):
-        seen: set[int] = set()
+        seen = 0
+        side = []
         for ch in chains:
             if len(ch) != n:
                 raise PosetError(f"{name}-chain of length {len(ch)}, expected {n}")
+            if ch and not (0 <= min(ch) and max(ch) < size):
+                raise PosetError(f"{name}-chains do not partition the elements")
             for a, b in zip(ch, ch[1:]):
-                if not leq[b] >> a & 1:
+                if a != b and not below[b] >> a & 1:
                     raise PosetError(f"{name}-chain not ordered bottom-to-top at ({a},{b})")
-            if seen & set(ch):
+            mask = reduce(or_, map((1).__lshift__, ch), 0)
+            if seen & mask:
                 raise PosetError(f"{name}-chains overlap")
-            seen |= set(ch)
-        if seen != set(range(size)):
+            seen |= mask
+            side.append(mask)
+        if seen != (1 << size) - 1:
             raise PosetError(f"{name}-chains do not partition the elements")
-    for mi, mch in enumerate(grid.m_chains):
-        mset = set(mch)
-        for wi, wch in enumerate(grid.w_chains):
-            hits = mset & set(wch)
-            if len(hits) != 1:
-                raise PosetError(f"chains m{mi} and w{wi} intersect {len(hits)} times")
+        masks.append(side)
+    m_masks, w_masks = masks
+    for mi, m in enumerate(m_masks):
+        hits = [(m & w).bit_count() for w in w_masks]
+        if hits.count(1) != n:
+            wi = next(wi for wi, k in enumerate(hits) if k != 1)
+            raise PosetError(f"chains m{mi} and w{wi} intersect {hits[wi]} times")
 
 
 def grid_diamond(n: int) -> TangledGrid:
@@ -286,57 +301,59 @@ def embed_in_tangled_grid(rposet: "RotationPoset") -> TangledGrid:
     Each rotation keeps only the m-chain of its first-edge job and the
     w-chain of its first-edge applicant (edge uniqueness guarantees those
     two thinned chains meet only there).  Every chain pair that then fails
-    to intersect receives one fresh element above all original elements;
-    fresh elements carry the product order of their (m-chain, w-chain)
+    to intersect receives one fresh element (a pad) above all original
+    elements; pads carry the product order of their (m-chain, w-chain)
     coordinates so that every chain stays totally ordered.
+
+    The grid's covers are written directly: the rotation poset's covers;
+    under each pad, the maximal pads below it, or the maximal rotations
+    when no pad is below it.  Pad ids run row-major over the coordinates,
+    a linear extension of the product order, so the top bit of a mask of
+    pads is a maximal pad of it.
     """
     n = rposet.n
-    r = len(rposet.rotations)
-    m_owner = [rot.edges[0][0] for rot in rposet.rotations]
-    w_owner = [rot.edges[0][1] for rot in rposet.rotations]
-
-    inter: dict[tuple[int, int], int] = {}
-    for t in range(r):
-        key = (m_owner[t], w_owner[t])
-        if key in inter:
-            raise PosetError("two rotations share a first edge; edge uniqueness violated")
-        inter[key] = t
-
-    m_elems = [[t for t in rposet.m_chains[u] if m_owner[t] == u] for u in range(n)]
-    w_elems = [[t for t in rposet.w_chains[v] if w_owner[t] == v] for v in range(n)]
-
-    pad_coord: list[tuple[int, int]] = []
-    pad_id: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in range(n):
-            if (u, v) not in inter:
-                pad_id[(u, v)] = r + len(pad_coord)
-                pad_coord.append((u, v))
-
     size = n * n
-    assert r + len(pad_coord) == size
-    all_orig = (1 << r) - 1
-    below = list(rposet.below) + [0] * len(pad_coord)
-    # pads_upto[u][v]: pads at coordinates <= (u, v) in the product order
-    pads_upto = [[0] * (n + 1) for _ in range(n + 1)]  # row/column 0 are empty
-    for u in range(n):
-        for v in range(n):
-            earlier = pads_upto[u][v + 1] | pads_upto[u + 1][v]
-            e = pad_id.get((u, v))
-            if e is not None:
-                below[e] = all_orig | earlier
-                earlier |= 1 << e
-            pads_upto[u + 1][v + 1] = earlier
+    firsts = [rot.edges[0] for rot in rposet.rotations]
+    r = len(firsts)
+    cell = [-1] * size  # element at coordinate (u, v), index u * n + v
+    for t, (u, v) in enumerate(firsts):
+        if cell[u * n + v] >= 0:
+            raise PosetError("two rotations share a first edge; edge uniqueness violated")
+        cell[u * n + v] = t
 
-    poset = poset_from_below(size, below)
+    covers = list(rposet.finite_poset.covers)
+    tops = (1 << r) - 1  # rotations below no other rotation
+    for below in rposet.below:
+        tops &= ~below
+    top_rotations = list(_bits(tops))
+    upto = [0] * size  # pads at coordinates <= (u, v) in the product order
+    pad_upto = []      # upto of each pad, by pad id - r
+    e = r
+    for k in range(size):
+        under = (upto[k - n] if k >= n else 0) | (upto[k - 1] if k % n else 0)
+        if cell[k] >= 0:
+            upto[k] = under
+            continue
+        cell[k] = e
+        upto[k] = under | 1 << e
+        pad_upto.append(upto[k])
+        if not under:
+            covers += [(t, e) for t in top_rotations]
+        while under:  # peel the maximal pads below e, top bit first
+            q = under.bit_length() - 1
+            covers.append((q, e))
+            under &= ~pad_upto[q - r]
+        e += 1
+
+    poset = FinitePoset(size, tuple(sorted(covers)))
     m_chains = tuple(
-        tuple(m_elems[u]) + tuple(pad_id[(u, v)] for v in range(n) if (u, v) in pad_id)
-        for u in range(n)
-    )
+        tuple([t for t in rposet.m_chains[u] if firsts[t][0] == u]
+              + [p for p in cell[u * n:u * n + n] if p >= r])
+        for u in range(n))
     w_chains = tuple(
-        tuple(w_elems[v]) + tuple(pad_id[(u, v)] for u in range(n) if (u, v) in pad_id)
-        for v in range(n)
-    )
+        tuple([t for t in rposet.w_chains[v] if firsts[t][1] == v]
+              + [p for p in cell[v::n] if p >= r])
+        for v in range(n))
     grid = TangledGrid(poset, m_chains, w_chains)
     validate_tangled_grid(grid)
     return grid

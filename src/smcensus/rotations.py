@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import posets
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
@@ -146,7 +147,8 @@ class RotationPoset:
 
     below[t] is the bitmask of rotations strictly below rotation t;
     m_chains[u] / w_chains[v] list the rotations involving job u /
-    applicant v, bottom to top.
+    applicant v, bottom to top.  `finite_poset`, its cover relation, is
+    built on first use and shared by every later caller.
     """
 
     n: int
@@ -158,9 +160,13 @@ class RotationPoset:
     def leq(self, i: int, j: int) -> bool:
         return i == j or bool(self.below[j] >> i & 1)
 
+    @cached_property
+    def finite_poset(self) -> posets.FinitePoset:
+        return posets.poset_from_below(len(self.rotations), list(self.below))
+
 
 def to_finite_poset(rposet: RotationPoset) -> posets.FinitePoset:
-    return posets.poset_from_below(len(rposet.rotations), list(rposet.below))
+    return rposet.finite_poset
 
 
 def _with_chains(n: int, rotations: list[Rotation], below: list[int]) -> RotationPoset:

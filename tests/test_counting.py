@@ -8,6 +8,8 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcensus import counting, verify
 from smcensus.counting import (EXACT_COMPONENT_LIMIT, BipartiteGraph,
@@ -830,6 +832,58 @@ def test_component_lists_are_checked_per_set():
         table.histograms([0, 1], [0b10, 0b10], [1, 1])
     with pytest.raises(FamilyError, match="no row for component 3"):
         table.counts([0, 3], [0, 0])
+
+
+def check_by_walk(n, i, sets):
+    """The former OptionCountTable._check, kept as labelled oracle: every
+    (component, set) pair tested in turn.  Returns the message, or None."""
+    if isinstance(i, int):
+        if not 0 <= i < n:
+            return f"no row for component {i}"
+        i = [i] * len(sets)
+    elif len(i) != len(sets):
+        return f"{len(i)} components for {len(sets)} sets"
+    for c, T in zip(i, sets):
+        if not 0 <= c < n:
+            return f"no row for component {c}"
+        if T >> c & 1 or T >> n:
+            return f"no row for component {c} after set {T:#b}"
+    return None
+
+
+@pytest.mark.parametrize("i, sets, message", [
+    (3, [0], "no row for component 3"),
+    (-1, [0], "no row for component -1"),
+    (1, [0, 0b1, 0b1010, 0b10], "no row for component 1 after set 0b1010"),
+    (0, [0b110, 0b1000, 0b1], "no row for component 0 after set 0b1000"),
+    (0, [0b10, -0b10], "no row for component 0 after set -0b10"),
+    ([0, 3], [0, 0], "no row for component 3"),
+    ([0, -1], [0, 0], "no row for component -1"),
+    ([0, 1, 2], [0b100, 0b1010, 0b10], "no row for component 1 after set 0b1010"),
+    ([2, 0, 1], [0b11, 0b1000, 0b1], "no row for component 0 after set 0b1000"),
+    ([1, 0], [0, -0b10], "no row for component 0 after set -0b10"),
+    ([0, 1], [0], "2 components for 1 sets"),
+])
+def test_option_count_checks_name_the_first_offender(i, sets, message):
+    table = diagonal_pair_family(2).option_counts  # three components
+    assert check_by_walk(3, i, sets) == message
+    with pytest.raises(FamilyError) as exc:
+        table.counts(i, sets)
+    assert str(exc.value) == message
+
+
+@given(st.integers(-1, 4), st.lists(st.integers(-2, 20), max_size=12), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_option_count_check_matches_pair_walk(i, sets, as_list):
+    table = diagonal_pair_family(2).option_counts
+    comps = [(i + k) % 4 - (k % 5 == 4) for k in range(len(sets))] if as_list else i
+    want = check_by_walk(3, comps, sets)
+    try:
+        table._check(comps, sets)
+        got = None
+    except FamilyError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_dominance_criterion_fails_on_inflated_counts(monkeypatch):

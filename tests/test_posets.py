@@ -1,8 +1,10 @@
 import gc
 import random
 import types
+from functools import reduce
 from heapq import heappop, heappush
 from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -248,17 +250,14 @@ def pad_below_by_scan(rposet):
     pads = [(u, v) for u in range(n) for v in range(n) if (u, v) not in firsts]
     below = list(rposet.below)
     for u, v in pads:
-        mask = (1 << r) - 1
-        for idx, (u2, v2) in enumerate(pads):
-            if (u2, v2) != (u, v) and u2 <= u and v2 <= v:
-                mask |= 1 << (r + idx)
-        below.append(mask)
+        below.append((1 << r) - 1 | sum(1 << (r + idx) for idx, (u2, v2) in enumerate(pads)
+                                        if u2 <= u and v2 <= v and (u2, v2) != (u, v)))
     return below
 
 
-def sweep_plan_rotation_posets():
+def sweep_plan_rotation_posets(seed=42):
     return [build_rotation_poset(_profile_for(item))
-            for item in instance_plan(RunConfig())]
+            for item in instance_plan(RunConfig(seed=seed))]
 
 
 @given(random_posets())
@@ -415,3 +414,195 @@ def test_embedding_pad_below_matches_scan():
     for rposet in sweep_plan_rotation_posets():
         grid = embed_in_tangled_grid(rposet)
         assert list(grid.poset.below) == pad_below_by_scan(rposet)
+
+
+# --- direct grid covers against the transitive reduction --------------------
+
+def assert_grid_covers_are_the_reduction(rposet, triple_loop=True):
+    """The embedding's directly written covers equal the reduction of the
+    grid's strict-below masks, which are built here from the rotation
+    poset by the pad scan, independently of the covers."""
+    grid = embed_in_tangled_grid(rposet)
+    size = grid.poset.size
+    below = pad_below_by_scan(rposet)
+    assert grid.poset.covers == poset_from_below(size, below).covers
+    if triple_loop:
+        assert grid.poset.covers == covers_by_triple_loop(size, below)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_grid_covers_equal_reduction_on_sweep_plans(seed):
+    for rposet in sweep_plan_rotation_posets(seed):
+        assert_grid_covers_are_the_reduction(rposet)
+
+
+@pytest.mark.parametrize("n", [10, 30, 50])
+def test_grid_covers_equal_reduction_on_large_random_instances(n):
+    # the triple loop takes about 20 s at n = 30 (900 elements), so it
+    # stops at n = 10; poset_from_below covers every n
+    assert_grid_covers_are_the_reduction(build_rotation_poset(random_instance(n, 1)),
+                                         triple_loop=n <= 10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_grid_covers_equal_reduction_on_irving_leather(k):
+    rposet = build_rotation_poset(irving_leather(k))
+    assert embed_in_tangled_grid(rposet).poset.size == 4 ** k
+    assert_grid_covers_are_the_reduction(rposet)
+
+
+def test_diamond_covers_equal_reduction():
+    for n in range(1, 7):
+        poset = grid_diamond(n).poset
+        below = [0] * poset.size
+        for e in range(poset.size):
+            r, c = divmod(e, n)
+            below[e] = sum(1 << (r2 * n + c2) for r2 in range(r + 1)
+                           for c2 in range(c + 1)) & ~(1 << e)
+        assert poset.covers == poset_from_below(poset.size, below).covers == \
+            covers_by_triple_loop(poset.size, below)
+
+
+# --- FinitePoset's cover check against the reduction-based one --------------
+
+def cover_error_by_reduction(size, covers):
+    """The former FinitePoset check, kept as labelled oracle: a cover is
+    transitive unless it survives the transitive reduction of all strict-
+    below masks.  Returns the error message, or None."""
+    seen = set()
+    for lo, hi in covers:
+        if not (0 <= lo < size and 0 <= hi < size) or lo == hi:
+            return f"bad cover pair ({lo}, {hi})"
+        if (lo, hi) in seen:
+            return f"repeated cover pair ({lo}, {hi})"
+        seen.add((lo, hi))
+    indeg = [0] * size
+    for _, hi in covers:
+        indeg[hi] += 1
+    below = [0] * size
+    ready = [e for e in range(size) if indeg[e] == 0]
+    done = 0
+    while ready:
+        e = ready.pop()
+        done += 1
+        for lo, hi in covers:
+            if lo == e:
+                below[hi] |= below[e] | (1 << e)
+                indeg[hi] -= 1
+                if indeg[hi] == 0:
+                    ready.append(hi)
+    if done != size:
+        return "cover relation contains a cycle"
+    lower = [b & ~reduce(or_, (below[g] for g in _bits(b)), 0) for b in below]
+    for lo, hi in covers:
+        if not lower[hi] >> lo & 1:
+            mid = next(m for m in _bits(below[hi]) if below[m] >> lo & 1)
+            return f"transitive cover ({lo}, {hi}) via {mid}"
+    return None
+
+
+@st.composite
+def cover_lists(draw, kinds=("cyclic", "range", "repeated", "transitive")):
+    """Covers of a random DAG (on shuffled labels), with one to three pairs
+    of the given kinds (transitive, repeated, cyclic, out-of-range)
+    injected at random places."""
+    size = draw(st.integers(min_value=0, max_value=9))
+    label = draw(st.permutations(range(size)))
+    pairs = [(lo, hi) for hi in range(size) for lo in range(hi)]
+    rels = draw(st.sets(st.sampled_from(pairs), max_size=20)) if pairs else set()
+    below = [0] * size
+    for hi in range(size):
+        for lo, h in rels:
+            if h == hi:
+                below[hi] |= below[lo] | (1 << lo)
+    reduced = poset_from_below(size, below).covers
+    closure = [(lo, hi) for hi in range(size) for lo in _bits(below[hi])]
+    pools = {"transitive": sorted(set(closure) - set(reduced)), "repeated": reduced,
+             "cyclic": [(hi, lo) for lo, hi in closure],
+             "range": [(-1, 0), (0, size), (size, 0), (0, 0)]}
+    covers = list(reduced)
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if pools[kind]:
+            lo, hi = draw(st.sampled_from(pools[kind]))
+            covers.insert(draw(st.integers(0, len(covers))), (lo, hi))
+    covers = [(label[lo] if 0 <= lo < size else lo, label[hi] if 0 <= hi < size else hi)
+              for lo, hi in covers]
+    return size, tuple(covers)
+
+
+@given(st.one_of(cover_lists(), cover_lists(kinds=("transitive",))))
+@settings(max_examples=150, deadline=None)
+def test_cover_check_matches_reduction_oracle(case):
+    size, covers = case
+    want = cover_error_by_reduction(size, covers)
+    try:
+        FinitePoset(size, covers)
+        got = None
+    except PosetError as exc:
+        got = str(exc)
+    assert got == want
+
+
+# --- tangled-grid invariants on bitmasks ------------------------------------
+
+DIAMOND3 = grid_diamond(3)
+ROWS = DIAMOND3.m_chains   # (0, 1, 2), (3, 4, 5), (6, 7, 8)
+COLS = DIAMOND3.w_chains   # (0, 3, 6), (1, 4, 7), (2, 5, 8)
+
+
+@pytest.mark.parametrize("poset, m_chains, w_chains, message", [
+    (DIAMOND3.poset, ROWS, COLS[:2], "m-chain and w-chain counts differ"),
+    (DIAMOND3.poset, ROWS[:2], COLS[:2], "grid must have n^2=4 elements, has 9"),
+    (DIAMOND3.poset, ((0, 1, 2), (3, 4, 5), (6, 7)), COLS, "m-chain of length 2, expected 3"),
+    (DIAMOND3.poset, ROWS, ((0, 3, 6), (4, 1, 7), (2, 5, 8)),
+     "w-chain not ordered bottom-to-top at (4,1)"),
+    (DIAMOND3.poset, ((0, 1, 2), (0, 4, 5), (6, 7, 8)), COLS, "m-chains overlap"),
+    (DIAMOND3.poset, ((0, 0, 1), (3, 4, 5), (6, 7, 8)), COLS,
+     "m-chains do not partition the elements"),
+    (DIAMOND3.poset, ROWS, ((0, 3, 6), (1, 4, 7), (2, 5, 9)),
+     "w-chains do not partition the elements"),
+    (DIAMOND3.poset, ROWS, ((3, 6, 7), (0, 1, 4), (2, 5, 8)),
+     "chains m0 and w0 intersect 0 times"),
+    (DIAMOND3.poset, ROWS, ((0, 1, 4), (3, 6, 7), (2, 5, 8)),
+     "chains m0 and w0 intersect 2 times"),
+    (DIAMOND3.poset, ROWS, ROWS, "chains m0 and w0 intersect 3 times"),
+])
+def test_grid_validation_names_each_broken_invariant(poset, m_chains, w_chains, message):
+    with pytest.raises(PosetError) as exc:
+        validate_tangled_grid(TangledGrid(poset, m_chains, w_chains))
+    assert str(exc.value) == message
+
+
+def test_embedded_grids_validate():
+    grids = [random_tangled_grid(n, seed) for n in range(1, 8) for seed in range(3)]
+    grids += [embed_in_tangled_grid(build_rotation_poset(irving_leather(k)))
+              for k in range(1, 5)]
+    grids += [grid_diamond(n) for n in range(1, 7)]
+    for grid in grids:
+        validate_tangled_grid(grid)
+
+
+# --- one poset build per sweep instance -------------------------------------
+
+def test_sweep_instance_builds_each_poset_once(monkeypatch):
+    import smcensus.posets as posets_module
+
+    calls = {"poset_from_below": 0, "FinitePoset": 0}
+    from_below = posets_module.poset_from_below
+    post_init = FinitePoset.__post_init__
+
+    def counted_from_below(*args, **kwargs):
+        calls["poset_from_below"] += 1
+        return from_below(*args, **kwargs)
+
+    def counted_post_init(self):
+        calls["FinitePoset"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(posets_module, "poset_from_below", counted_from_below)
+    monkeypatch.setattr(FinitePoset, "__post_init__", counted_post_init)
+    for item in instance_plan(RunConfig())[:12]:
+        calls.update(dict.fromkeys(calls, 0))
+        row = _sweep_one((item, False))
+        assert row["grid_ok"] and row["sets_equal"]
+        assert calls == {"poset_from_below": 1, "FinitePoset": 2}, item
