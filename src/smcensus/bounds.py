@@ -27,14 +27,24 @@ order as one ``np.cumsum``, keeps the first maximum (a later chunk
 replaces it only when strictly greater), and feeds one ``math.fsum`` per
 block chunk by chunk, which is exactly rounded whatever the grouping.
 
-The Whitworth identity is checked in integers by one kernel over the
-binomial rows of m and n, cross-multiplied, for ``whitworth`` and
-``whitworth_sweep`` alike.
+The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
+is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
+so n! times the left side is N = sum_j C(m,j) g_n[j+a], and each triple is
+the test N (a+1) C(n-m+1, a+1) == (n+1)!, with no lcm and no division.
+``whitworth`` sums N in that factorial form; ``whitworth_sweep`` gets the N
+of every a at once as a binomial transform: from row = g_n, m steps
+row <- [row[s] + row[s+1]] leave row[a] = N.
+
+The pmf integrals expand the law term by term: each (1 - x)^b row is one
+Pascal step from the row of b - 1, kept in a cache of the last
+_ROWS_KEPT rows, and the integral is one sum over the weight row
+L // (j + 1), L = lcm(1..d+1), kept for the longest polynomial so far.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -54,21 +64,16 @@ _BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one fsum of the s
 _CHUNK = 1 << 15  # values per evaluation chunk: its temporaries stay in cache
 
 
-def _binomial_row(n: int) -> list[int]:
-    return [comb(n, i) for i in range(n + 1)]
+def _factorial_row(n: int, fact: list[int]) -> list[int]:
+    """g_n[t] = t! (n-t)! for t = 0..n, so 1 / C(n, t) = g_n[t] / n!."""
+    return [fact[t] * fact[n - t] for t in range(n + 1)]
 
 
-def _whitworth_kernel(m: int, a: int, n: int, row_m: list[int],
-                      row_n: list[int]) -> tuple[int, int, int, bool]:
-    """The identity in integers, from the binomial rows of m and n: the left
-    side is num / d over the common denominator d = lcm of the C(n, j+a),
-    the right side (n+1) / rhs_den, and ok is their cross-multiplied
-    equality num rhs_den == (n+1) d."""
-    denoms = row_n[a:a + m + 1]
-    d = math.lcm(*denoms)
-    num = sum(c * (d // dn) for c, dn in zip(row_m, denoms))
-    rhs_den = (a + 1) * comb(n - m + 1, a + 1)
-    return num, d, rhs_den, num * rhs_den == (n + 1) * d
+def _factorials(top: int) -> list[int]:
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i
+    return fact
 
 
 def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
@@ -76,21 +81,37 @@ def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
     sum_j C(m,j)/C(n,j+a) = (n+1) / ((a+1) C(n-m+1, a+1)), exactly."""
     if m < 0 or a < 0 or n < m + a:
         raise ValueError("need m >= 0, a >= 0, n >= m + a")
-    num, d, rhs_den, ok = _whitworth_kernel(m, a, n, _binomial_row(m), _binomial_row(n))
-    return Fraction(num, d), Fraction(n + 1, rhs_den), ok
+    fact = _factorials(n + 1)
+    g = _factorial_row(n, fact)
+    num = sum(comb(m, j) * g[j + a] for j in range(m + 1))
+    rhs_den = (a + 1) * comb(n - m + 1, a + 1)
+    return (Fraction(num, fact[n]), Fraction(n + 1, rhs_den),
+            num * rhs_den == fact[n + 1])
+
+
+def _left_sides(n_max: int, fact: list[int]):
+    """(n, m, row) for every m <= n <= n_max, where row[a] for a = 0..n-m is
+    n! times the identity's left side: the binomial transform of g_n, one
+    step row[s] + row[s+1] per increment of m."""
+    for n in range(0, n_max + 1):
+        row = _factorial_row(n, fact)
+        for m in range(0, n + 1):
+            yield n, m, row
+            row = [lo + hi for lo, hi in zip(row, row[1:])]
 
 
 def whitworth_sweep(n_max: int) -> int:
     """Assert the identity for every (m, a, n) with n <= n_max; returns the
     number of triples checked."""
-    rows = [_binomial_row(n) for n in range(n_max + 1)]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    fact = _factorials(n_max + 1)
     checked = 0
-    for n in range(0, n_max + 1):
-        for m in range(0, n + 1):
-            for a in range(0, n - m + 1):
-                if not _whitworth_kernel(m, a, n, rows[m], rows[n])[3]:
-                    raise AssertionError(f"identity fails at m={m}, a={a}, n={n}")
-                checked += 1
+    for n, m, row in _left_sides(n_max, fact):
+        for a, num in enumerate(row):
+            if num * (a + 1) * comb(n - m + 1, a + 1) != fact[n + 1]:
+                raise AssertionError(f"identity fails at m={m}, a={a}, n={n}")
+        checked += len(row)
     return checked
 
 
@@ -171,6 +192,12 @@ class Interval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval with lo > hi")
+
+    @property
+    def certified_base(self) -> float:
+        """exp(2 hi): the base of the bound exp(2 n hi) over 2n chains that
+        the enclosure certifies."""
+        return math.exp(2.0 * self.hi)
 
 
 class GapIntegral(NamedTuple):
@@ -269,18 +296,38 @@ def _poly_mul_frac(a, b):
 
 # ----------------------------------------------------------- pmf integrals
 
+_ROWS_KEPT = 4  # rows of (1 - x)^b kept: an extended pmf reads three consecutive b
+_rows: dict[int, list[int]] = {}  # b -> coefficients of (1 - x)^b, the last few built
+_weights: list = [1, [1]]  # [L, the row L // (j + 1)], L = lcm(1..len), longest so far
+
+
 def _poly_int_01(coeffs: list[int]) -> Fraction:
-    """Exact integral over [0, 1], summed over the common denominator
-    lcm(1..len(coeffs))."""
-    lcm = math.lcm(*range(1, len(coeffs) + 1))
-    return Fraction(sum(c * (lcm // (j + 1)) for j, c in enumerate(coeffs)), lcm)
+    """Exact integral over [0, 1]: one sum of c_j L // (j + 1) over L =
+    lcm(1..len), the row kept for the longest polynomial integrated so far
+    (a longer L is a common denominator of a shorter polynomial too)."""
+    if len(coeffs) > len(_weights[1]):
+        lcm = math.lcm(*range(1, len(coeffs) + 1))
+        _weights[:] = [lcm, [lcm // (j + 1) for j in range(len(coeffs))]]
+    lcm, row = _weights
+    return Fraction(sum(map(operator.mul, coeffs, row)), lcm)
 
 
-def _one_minus_x_pow(m: int) -> list[int]:
-    """Coefficients of (1 - x)^m: the signed binomials (-1)^j C(m, j)."""
-    row = [1] * (m + 1)
-    for j in range(m):
-        row[j + 1] = -row[j] * (m - j) // (j + 1)
+def _one_minus_x_pow(b: int) -> list[int]:
+    """Coefficients of (1 - x)^b: one Pascal step from the row of b - 1 when
+    it is kept, else the signed binomials (-1)^j C(b, j) written directly."""
+    row = _rows.get(b)
+    if row is not None:
+        return row
+    prev = _rows.get(b - 1)
+    if prev is not None:
+        row = [c - d for c, d in zip(prev + [0], [0] + prev)]
+    else:
+        row = [1] * (b + 1)
+        for j in range(b):
+            row[j + 1] = -row[j] * (b - j) // (j + 1)
+    if len(_rows) >= _ROWS_KEPT:
+        del _rows[next(iter(_rows))]
+    _rows[b] = row
     return row
 
 
@@ -301,8 +348,7 @@ def line_gap_pmf_poly(k: int, variant: str) -> list[int]:
     terms = line_gap_terms(k, variant)
     out = [0] * (3 + max(b for _, b in terms))
     for a, b in terms:
-        for j, c in enumerate(_one_minus_x_pow(b)):
-            out[j + 2] += a * c
+        out[2:b + 3] = [o + a * c for o, c in zip(out[2:b + 3], _one_minus_x_pow(b))]
     return out
 
 

@@ -100,6 +100,7 @@ def _cmd_series(args, out) -> list[CheckResult]:
     limit = SERIES_LIMITS[args.which]
     return [CheckResult(f"series_{args.which}", interval.hi <= limit,
                         {"lo": interval.lo, "hi": interval.hi,
+                         "certified_base": interval.certified_base,
                          "truncation": interval.truncation, "limit": limit})]
 
 

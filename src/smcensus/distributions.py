@@ -250,10 +250,34 @@ def line_gap_tail(x, K: int, variant: str = PLAIN):
                for alpha, beta, s in law.general)
 
 
-def line_gap_total(x, K: int, variant: str = PLAIN):
-    """Sum of the pmf through K plus the exact tail; equals 1."""
-    return sum(line_gap_pmf(x, k, variant) for k in range(1, K + 1)) \
-        + line_gap_tail(x, K, variant)
+def line_gap_total(x, K: int, variant: str = PLAIN) -> Fraction:
+    """Sum of the pmf through K plus the exact tail; equals 1.
+
+    Exact for any rational x, a float included (taken exactly as
+    Fraction(x) = p / r): every term, a p^2 (r-p)^b / r^(b+2), the shortcut
+    p / r and the tail, is scaled by r^D, D the largest power of r in a
+    denominator, into an integer from one power table each of r - p and r,
+    so the sum is one integer over r^D.
+    """
+    _check_x(x)
+    law = GAP_LAWS[check_variant(variant)]
+    first = max(law.heads, default=1)
+    if K < first:
+        raise DistributionError(f"{variant} tail needs K >= {first}")
+    p, r = Fraction(x).as_integer_ratio()
+    pairs = [pair for k in range(1, K + 1) for pair in line_gap_terms(k, variant)]
+    tail_pows = [K + 1 + s for _, _, s in law.general]  # powers of r - p in the tail
+    D = max(max(b + 2 for _, b in pairs), max(tail_pows) + 1)
+    qp, rp = [1] * (D + 1), [1] * (D + 1)
+    for i in range(1, D + 1):
+        qp[i] = qp[i - 1] * (r - p)
+        rp[i] = rp[i - 1] * r
+    total = p * p * sum(a * qp[b] * rp[D - 2 - b] for a, b in pairs)
+    if law.shortcut:
+        total += p * rp[D - 1]
+    total += sum(qp[t] * rp[D - 1 - t] * ((alpha * (K + 1) + beta) * p + alpha * (r - p))
+                 for (alpha, beta, _), t in zip(law.general, tail_pows))
+    return Fraction(total, rp[D])
 
 
 def line_gap_window(x) -> int:

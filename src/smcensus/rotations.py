@@ -13,7 +13,7 @@ test suite verifies against brute force.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import posets
@@ -148,7 +148,9 @@ class RotationPoset:
     below[t] is the bitmask of rotations strictly below rotation t;
     m_chains[u] / w_chains[v] list the rotations involving job u /
     applicant v, bottom to top.  `finite_poset`, its cover relation, is
-    built on first use and shared by every later caller.
+    built on first use and shared by every later caller: from `covers`,
+    the sorted cover pairs, when the builder has them, else by a
+    transitive reduction of `below`.
     """
 
     n: int
@@ -156,20 +158,25 @@ class RotationPoset:
     below: tuple[int, ...]
     m_chains: tuple[tuple[int, ...], ...]
     w_chains: tuple[tuple[int, ...], ...]
+    covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False,
+                                                        compare=False)
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or bool(self.below[j] >> i & 1)
 
     @cached_property
     def finite_poset(self) -> posets.FinitePoset:
-        return posets.poset_from_below(len(self.rotations), list(self.below))
+        if self.covers is None:
+            return posets.poset_from_below(len(self.rotations), list(self.below))
+        return posets.FinitePoset(len(self.rotations), self.covers)
 
 
 def to_finite_poset(rposet: RotationPoset) -> posets.FinitePoset:
     return rposet.finite_poset
 
 
-def _with_chains(n: int, rotations: list[Rotation], below: list[int]) -> RotationPoset:
+def _with_chains(n: int, rotations: list[Rotation], below: list[int],
+                 covers: tuple[tuple[int, int], ...] | None = None) -> RotationPoset:
     m_ids: list[list[int]] = [[] for _ in range(n)]
     w_ids: list[list[int]] = [[] for _ in range(n)]
     for t, rot in enumerate(rotations):
@@ -181,7 +188,7 @@ def _with_chains(n: int, rotations: list[Rotation], below: list[int]) -> Rotatio
         return tuple(sorted(ids, key=lambda t: (below[t].bit_count(), t)))
 
     return RotationPoset(n, tuple(rotations), tuple(below),
-                         tuple(map(chain, m_ids)), tuple(map(chain, w_ids)))
+                         tuple(map(chain, m_ids)), tuple(map(chain, w_ids)), covers)
 
 
 def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
@@ -195,7 +202,8 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     from v to v', each applicant w strictly between them on u's list is
     first given a partner ranked above u by a rotation preceding rho.
     The chain order is a linear extension, so `below` is their closure
-    taken along it.  Ids are the BFS oracle's discovery order.
+    taken along it.  Ids are the BFS oracle's discovery order; the cover
+    relation is reduced once, on chain steps, and relabelled to them.
     """
     n = profile.n
     arank = applicant_ranks(profile)
@@ -246,15 +254,18 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
         for p in posets._bits(preds):
             below_on_chain[step] |= below_on_chain[p] | (1 << p)
 
-    order = sorted(range(r), key=_bfs_discovery_key(chain, below_on_chain))
+    covers_on_chain = posets.lower_cover_masks(below_on_chain)
+    order = sorted(range(r), key=_bfs_discovery_key(chain, below_on_chain, covers_on_chain))
     new_id = [0] * r
     for t, step in enumerate(order):
         new_id[step] = t
     below = [0] * r
+    covers = []
     for step in range(r):
         for p in posets._bits(below_on_chain[step]):
             below[new_id[step]] |= 1 << new_id[p]
-    return _with_chains(n, [chain[step] for step in order], below)
+        covers.extend((new_id[p], new_id[step]) for p in posets._bits(covers_on_chain[step]))
+    return _with_chains(n, [chain[step] for step in order], below, tuple(sorted(covers)))
 
 
 def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
@@ -265,21 +276,20 @@ def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
     raise AssertionError("no chain step lifts the applicant past a job that skipped it")
 
 
-def _bfs_discovery_key(chain: list[Rotation], below: list[int]):
+def _bfs_discovery_key(chain: list[Rotation], below: list[int], covers: list[int]):
     """Sort key reproducing the lattice BFS's rotation ids.
 
     The BFS visits downsets level by level, each level ordered by the
     lexicographically least linear extension (rotations compared by edges)
     and the exposed rotations of a state by edges; a rotation is first
     met at the state below[t].  So ids follow (|below[t]|, least extension
-    of below[t], edges).
+    of below[t], edges).  covers[t] is the mask of t's lower covers.
     """
     r = len(chain)
     by_edges = sorted(range(r), key=lambda step: chain[step].edges)
     edge_rank = [0] * r
     for i, step in enumerate(by_edges):
         edge_rank[step] = i
-    covers = posets.lower_cover_masks(below)
     upper_covers: list[list[int]] = [[] for _ in range(r)]
     for e in range(r):
         for f in posets._bits(covers[e]):

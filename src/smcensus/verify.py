@@ -372,12 +372,14 @@ def criterion_constants(config: RunConfig) -> CheckResult:
 
     plain = bounds.gap_log_series(config.series_truncation, PLAIN)
     details["plain_series"] = {"lo": plain.lo, "hi": plain.hi,
+                               "certified_base": plain.certified_base,
                                "limit": bounds.PLAIN_LOG_LIMIT,
                                "within": plain.hi <= bounds.PLAIN_LOG_LIMIT}
     ok &= plain.hi <= bounds.PLAIN_LOG_LIMIT
 
     ext = bounds.gap_log_series(config.series_truncation, EXTENDED)
     details["extended_series"] = {"lo": ext.lo, "hi": ext.hi,
+                                  "certified_base": ext.certified_base,
                                   "limit": bounds.EXTENDED_LOG_LIMIT,
                                   "within": ext.hi <= bounds.EXTENDED_LOG_LIMIT}
     ok &= ext.hi <= bounds.EXTENDED_LOG_LIMIT

@@ -178,6 +178,24 @@ def test_whitworth_negative_control(monkeypatch):
 
 def test_whitworth_sweep_small():
     assert whitworth_sweep(12) == sum((n + 1) * (n + 2) // 2 for n in range(13))
+    assert whitworth_sweep(0) == 1
+
+
+def test_whitworth_sweep_rows_match_per_term_oracle_for_every_triple():
+    # each row the sweep checks, read as left sides over n!, triple by triple
+    fact = [math.factorial(i) for i in range(42)]
+    triples = 0
+    for n, m, row in bounds._left_sides(40, fact):
+        assert len(row) == n - m + 1, (m, n)
+        for a, num in enumerate(row):
+            assert Fraction(num, fact[n]) == _oracle_whitworth(m, a, n)[0], (m, a, n)
+            triples += 1
+    assert triples == whitworth_sweep(40) == 12341
+
+
+def test_whitworth_sweep_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        whitworth_sweep(-1)
 
 
 def test_finite_bound_small_values():
@@ -276,6 +294,59 @@ def test_integral_checks():
         assert integral_check(k, EXTENDED)[2]
     with pytest.raises(ValueError):
         integral_check(1, EXTENDED)
+
+
+@pytest.fixture
+def cold_integral_caches():
+    """Empty the integral kernel's row and weight caches before and after."""
+    def clear():
+        bounds._rows.clear()
+        bounds._weights[:] = [1, [1]]
+
+    clear()
+    yield
+    clear()
+
+
+def _oracle_powers_at(needed):
+    """(1-x)^b for the b in `needed` only, stepping by repeated multiplication."""
+    row, out = [1], {}
+    for b in range(max(needed) + 1):
+        if b in needed:
+            out[b] = row
+        row = _oracle_poly_mul(row, [1, -1])
+    return out
+
+
+@pytest.mark.parametrize("k", [300, 1000])
+@pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
+def test_integrals_past_c10s_range_match_oracles(cold_integral_caches, k, variant):
+    # past the degrees c10 reaches, so a capped weight row would show
+    qpow = _oracle_powers_at({k - 1, k + 2, k + 3, k + 4})
+    poly = _oracle_pmf_poly(k, variant, qpow)
+    integral, closed, ok = integral_check(k, variant)
+    assert integral == _oracle_int_01(poly) == closed and ok
+    assert len(bounds._weights[1]) == len(poly)
+
+
+def test_cold_integral_at_a_high_degree(cold_integral_caches):
+    # no recursion from b down to 0, and no step-by-step walk either
+    integral, closed, ok = integral_check(5000, EXTENDED)
+    assert ok and integral == series_coefficient(5000, EXTENDED)
+
+
+def test_integral_caches_stay_bounded(cold_integral_caches):
+    longest = 0
+    for variant, first in ((PLAIN, 1), (EXTENDED, 2)):
+        for k in range(first, 201):
+            assert integral_check(k, variant)[2]
+            longest = max(longest, len(line_gap_pmf_poly(k, variant)))
+            assert len(bounds._rows) <= bounds._ROWS_KEPT
+            assert len(bounds._weights[1]) == longest
+    assert longest == 207
+    # a shorter polynomial reuses the longest row and gives the same value
+    assert integral_check(1, PLAIN)[:2] == (Fraction(1, 3), Fraction(1, 3))
+    assert len(bounds._weights[1]) == 207
 
 
 def test_pmf_polynomials_and_integrals_match_oracles():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,8 @@ def test_series_plain_within_limit(capsys):
     code, lines = run_cli(capsys, "series", "--which", "tg", "--truncate", "100000")
     assert code == 0
     assert lines[0]["hi"] <= 1.2038
+    assert lines[0]["certified_base"] == math.exp(2 * lines[0]["hi"])
+    assert 11.10 < lines[0]["certified_base"] < 11.11
 
 
 def test_series_extended_exceeds_limit(capsys):
@@ -61,6 +64,7 @@ def test_series_extended_exceeds_limit(capsys):
     code, lines = run_cli(capsys, "series", "--which", "sm", "--truncate", "100000")
     assert code == 1
     assert lines[0]["hi"] > 0.6331
+    assert lines[0]["certified_base"] == math.exp(2 * lines[0]["hi"]) > 3.55
 
 
 def test_bounds_has_no_series_flags():
@@ -157,14 +161,14 @@ CLI_REPORT_BYTES = [
     (["grids", "--n", "4", "--seed", "2"], 0,
      "56b2974f378dde8dbf31547cbb19b9b0692946e9f17c669dae083883fd6a67da"),
     (["series", "--which", "tg", "--truncate", "100000"], 0,
-     "4b8817e14ca07d89e56603e260a1e84c85fbb7fe30b1ae477c39d33a0e48aa94"),
+     "c82bbc6a7b7a33cf71c89bd829e36e8e21dc213062f713138aa3083ab10e8d81"),
     (["series", "--which", "sm", "--truncate", "100000"], 1,
-     "e77d7e414e95deb28b496c86e959fb79a0ec269326cdd8fa5f98a8bc76d74a74"),
+     "3631404cf23b14d4a96d46b2f294526de2ef62155923f60c4c6ea7076d556bcb"),
     # past the first 10^6-term block, ending partway through a chunk
     (["series", "--which", "tg", "--truncate", "2000017"], 0,
-     "776df16ca397de5fbd9031a5a634c7a27b3dfd0c6e52efeb0730ea483febe54d"),
+     "fc4b3bbed49fd8a719bb6b46b850fce08b8197fcc9fead84bb308c1ea36793e6"),
     (["series", "--which", "sm", "--truncate", "2000017"], 1,
-     "24544efa84b10c34e691748a1c25515884fd6874a45cc93c0548d6f352c7258d"),
+     "a1a38820ae568713f22e9489de36271148d9e3e9f9c99e27838ece4867d67c20"),
     (["bounds", "--n", "3"], 0,
      "f14d13af67ec82452f109448ffc34faf84e74d81da9671a43eb5e92acd92d836"),
     (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"], 0,
@@ -182,7 +186,7 @@ CLI_REPORT_BYTES = [
     # the identity and constants checks at the default 10^7 truncation and
     # 10^6 scan limit (c11 is the known extended-series failure)
     (["verify", "--only", "c10,c11"], 1,
-     "5fdc0dcb41d4406bb4d90b71e985cdaf15805df7c6fc31f8d1089247adb59ccc"),
+     "118e6b59fcaf6eaee445667ce247907d994f7445d405f204968ca364adc5b08b"),
     # the option-count bounds with their margins and the dominance check,
     # 200 Monte Carlo orders per family, at two seeds
     (["verify", "--only", "c06,c09", "--samples", "20000", "--seed", "42"], 0,
@@ -349,7 +353,7 @@ def test_verify_quick_run_report_bytes(quick_verify):
     # the quick run's report, byte for byte; a change to any value shows here
     text = "".join(line + "\n" for line in quick_verify[1])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        "4d9548b05f7271697d0ae9efe985f4113c49b790db22fcdec452db530b528004"
+        "fbc922f12f9112b8dde6388464be16aa807d79267d3f84d4c2b14e2be2cef79f"
 
 
 @pytest.mark.slow
@@ -391,3 +395,6 @@ def test_verify_only_several_checks(tmp_path, quick_verify):
     assert code == 1  # c11 is the documented failure
     assert [json.loads(line)["check"] for line in lines] == ["c04", "c11", "c14"]
     assert lines == lines_for(quick_verify[1], {"c04", "c11", "c14"})
+    details = json.loads(lines[1])["details"]
+    for key in ("plain_series", "extended_series"):
+        assert details[key]["certified_base"] == math.exp(2 * details[key]["hi"]), key

@@ -133,6 +133,60 @@ def test_normalization_exact_at_rational_points():
         assert line_gap_total(x, 35, EXTENDED) == 1
 
 
+def _oracle_total(x, K, variant):
+    """The former line_gap_total, kept as labelled oracle: one Fraction per
+    pmf point plus the closed-form tail."""
+    return sum(line_gap_pmf(x, k, variant) for k in range(1, K + 1)) \
+        + line_gap_tail(x, K, variant)
+
+
+@pytest.mark.parametrize("x", [Fraction(i, 21) for i in range(1, 21)]
+                         + [Fraction(1, 2), Fraction(3, 7), Fraction(1, 1000), 0.3],
+                         ids=str)
+def test_integer_normalization_equals_fraction_sum_oracle(x):
+    for variant in (PLAIN, EXTENDED):
+        for K in range(FIRST_TAIL[variant], 41):
+            total = line_gap_total(x, K, variant)
+            assert isinstance(total, Fraction)
+            assert total == _oracle_total(Fraction(x), K, variant) == 1, (variant, K)
+
+
+def test_normalization_fails_on_a_wrong_general_term(monkeypatch):
+    law = distributions.GAP_LAWS[EXTENDED]
+    alpha, beta, s = law.general[0]
+    monkeypatch.setitem(distributions.GAP_LAWS, EXTENDED,
+                        law._replace(general=((alpha, beta + 1, s),) + law.general[1:]))
+    for x in (Fraction(1, 21), Fraction(1, 2), 0.3):
+        assert line_gap_total(x, 40, EXTENDED) != 1
+        assert line_gap_total(x, 40, PLAIN) == 1
+    # the integrals read the same law, so they are held at pass here to
+    # leave the first ten failures to the normalization
+    monkeypatch.setattr(verify.bounds, "integral_check", lambda k, variant: (0, 0, True))
+    report = verify.criterion_identities(verify.RunConfig())
+    assert not report.passed
+    assert report.fields["details"]["failures"] == [("extended_norm", i) for i in range(1, 11)]
+
+
+@pytest.mark.parametrize("x", [0, 1, Fraction(-1, 2), Fraction(3, 2), 1.0])
+def test_normalization_rejects_x_outside_the_open_unit_interval(x):
+    with pytest.raises(DistributionError, match=r"outside \(0, 1\)"):
+        line_gap_total(x, 40, PLAIN)
+
+
+def test_normalization_rejects_an_unknown_variant():
+    with pytest.raises(DistributionError, match="unknown variant 'bogus'"):
+        line_gap_total(Fraction(1, 2), 40, "bogus")
+
+
+@pytest.mark.parametrize("K, variant, message", [
+    (2, EXTENDED, "extended tail needs K >= 3"),
+    (0, PLAIN, "plain tail needs K >= 1"),
+])
+def test_normalization_rejects_K_below_the_heads(K, variant, message):
+    with pytest.raises(DistributionError, match=message):
+        line_gap_total(Fraction(1, 2), K, variant)
+
+
 def test_tail_recurrence():
     x = Fraction(3, 7)
     for variant, k0 in ((PLAIN, 2), (EXTENDED, 4)):

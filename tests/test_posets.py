@@ -605,4 +605,18 @@ def test_sweep_instance_builds_each_poset_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         row = _sweep_one((item, False))
         assert row["grid_ok"] and row["sets_equal"]
-        assert calls == {"poset_from_below": 1, "FinitePoset": 2}, item
+        assert calls == {"poset_from_below": 0, "FinitePoset": 2}, item
+
+
+@pytest.mark.parametrize("rposets", [
+    lambda: sweep_plan_rotation_posets(42),
+    lambda: sweep_plan_rotation_posets(7),
+    lambda: [build_rotation_poset(irving_leather(k)) for k in range(1, 5)],
+], ids=["sweep-seed-42", "sweep-seed-7", "irving-leather-1-4"])
+def test_relabelled_chain_covers_equal_the_reduction(rposets):
+    # the builder reduces once, on chain steps, and relabels the covers
+    for rposet in rposets():
+        assert rposet.covers is not None
+        reduced = poset_from_below(len(rposet.rotations), list(rposet.below))
+        assert rposet.covers == reduced.covers
+        assert to_finite_poset(rposet).covers == reduced.covers
