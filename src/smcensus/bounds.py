@@ -8,24 +8,32 @@ variant and 0.6331 for the extended one.
 
 The closed form of the gap pmf's integral over x in [0, 1] is written
 once, in ``GAP_INTEGRALS``: exact heads at the first k, then num(k) /
-den(k), evaluated on an int or a float array, and the constant c of the
-term majorant.  ``series_coefficient`` makes one ``Fraction`` from it,
-``gap_log_series`` sums log k num(k) / den(k) and bounds the tail by c,
-and ``verify_term_majorants`` proves c den(k) - k^2 num(k) >= 0.  c10's
+den(k) as factor data (``Factors``: num = scale (k + s0) (k + s1) ... +
+add, den the same with scale 1 and add 0, multiplied left to right), and
+the constant c of the term majorant.  The int value of the factor data
+gives ``series_coefficient`` its one ``Fraction`` and
+``verify_term_majorants`` its proof of c den(k) - k^2 num(k) >= 0; the
+float kernel of ``gap_log_series`` sums (log k num(k)) / den(k) with the
+same factors in the same order and bounds the tail by c.  c10's
 ``integral_check`` integrates the expanded law (``line_gap_pmf_poly``,
 built from ``distributions.line_gap_terms``) and compares it with this
 closed form, which stays the labelled oracle for the law.
 
 The float sums run in blocks of _BLOCK terms, and each block is evaluated
-in chunks of _CHUNK values of k, so the numpy temporaries stay in cache
-and no block-sized temporary is made.  The results are bit-identical to
-evaluating each block as one array: every term is the same elementwise
-operation on the same k; ``gap_log_series`` writes the chunks into one
-block buffer and takes the same pairwise ``np.sum`` of it; the scan
-carries its cumulative sum from chunk to chunk in the same sequential
-order as one ``np.cumsum``, keeps the first maximum (a later chunk
-replaces it only when strictly greater), and feeds one ``math.fsum`` per
-block chunk by chunk, which is exactly rounded whatever the grouping.
+in chunks of at most _CHUNK values of k in buffers allocated once per
+call, so no temporary is made per chunk and none is block-sized.  A
+window array holds k .. k+m+span-1 for a chunk of m values and steps
+forward in place; each factor k + s is the shifted view window[s:s+m],
+exact because every value is an integer below 2^53, so a factor costs
+one multiply and no add.  The results are bit-identical to evaluating
+each block as one array: every term is the same sequence of elementwise
+operations on the same values; ``gap_log_series`` writes the terms into
+one block buffer and takes the same pairwise ``np.sum`` of it; the scan
+takes one ``np.log`` over k .. k+m and reads log(k+1) from it, carries
+its cumulative sum from chunk to chunk in the same sequential order as
+one ``np.cumsum``, keeps the first maximum (a later chunk replaces it
+only when strictly greater), and feeds one ``math.fsum`` per block chunk
+by chunk, which is exactly rounded whatever the grouping.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +69,7 @@ SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series ta
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
 _BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one fsum of the scan
-_CHUNK = 1 << 15  # values per evaluation chunk: its temporaries stay in cache
+_CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
 
 
 def _factorial_row(n: int, fact: list[int]) -> list[int]:
@@ -133,12 +141,6 @@ class ScanResult:
     certified_hi: float  # max_value plus a rounding-drift allowance
 
 
-def _chunks(lo: int, hi: int):
-    """k = lo..hi as float arrays of at most _CHUNK values each."""
-    for start in range(lo, hi + 1, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.float64)
-
-
 def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     """Maximum of finite_reveal_log_bound over 1..limit, vectorized.
 
@@ -152,26 +154,45 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     drift = 0.0
     prev_tail = 0.0
     last = 0.0  # the cumulative sum at the last k scanned
+    m = min(_CHUNK, limit - 1)
+    kk = np.arange(2, m + 4, dtype=np.float64)  # the window k .. k+m+1
+    logs = np.empty(m + 1)  # log k .. log(k+m)
+    cs = np.empty(m)  # the terms, then their cumulative sum
+    f = np.empty(m)
 
     def block(lo: int, hi: int):
-        """Scan lo..hi chunk by chunk, yielding each chunk's terms to fsum."""
+        """Scan lo..hi chunk by chunk, yielding each chunk's terms to fsum
+        before their buffer is reused."""
         nonlocal best_v, best_n, last
         run = 0.0  # the block's own running sum, carried across chunks
-        for k in _chunks(lo, hi):
-            terms = np.log(k) / ((k + 1.0) * (k + 2.0))
-            yield terms.tolist()
+        for at in range(lo, hi + 1, _CHUNK):
+            n = min(_CHUNK, hi + 1 - at)
+            k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
+            np.log(kk[:n + 1], out=logs[:n + 1])
+            terms = np.multiply(k1, k2, out=cs[:n])
+            np.divide(logs[:n], terms, out=terms)
+            yield terms
             terms[0] += run
             np.cumsum(terms, out=terms)
             run = float(terms[-1])
-            cs = prev_tail + terms
-            f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
-            i = int(np.argmax(f))
-            if float(f[i]) > best_v:
-                best_v, best_n = float(f[i]), int(k[i])
-            last = float(cs[-1])
+            terms += prev_tail
+            # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at
+            # a time in that order; logs[:n] is free once the terms are made
+            fk = np.multiply(logs[1:n + 1], 2.0, out=f[:n])
+            fk /= k1
+            rest = np.multiply(k2, 2.0, out=logs[:n])
+            rest /= k1
+            rest *= terms
+            fk += rest
+            i = int(np.argmax(fk))
+            if float(fk[i]) > best_v:
+                best_v, best_n = float(fk[i]), int(kk[i])
+            last = float(terms[-1])
+            kk[:] += n  # in place: kk belongs to the enclosing scan
 
     for lo in range(2, limit + 1, _BLOCK):
-        exact = math.fsum(chain.from_iterable(block(lo, min(lo + _BLOCK - 1, limit))))
+        chunks = block(lo, min(lo + _BLOCK - 1, limit))
+        exact = math.fsum(chain.from_iterable(terms.tolist() for terms in chunks))
         drift += abs((last - prev_tail) - exact)
         prev_tail = last
     certified = best_v + 2.0 * (drift + _SUM_PAD)
@@ -200,32 +221,64 @@ class Interval:
         return math.exp(2.0 * self.hi)
 
 
+class Factors(NamedTuple):
+    """scale * (k + s0) * (k + s1) * ... + add over the `shifts` s, multiplied
+    left to right: the one statement of a closed-form numerator or
+    denominator, read by its int value and by the float kernel."""
+
+    scale: int
+    shifts: tuple[int, ...]
+    add: int = 0
+
+    def __call__(self, k: int) -> int:
+        """The exact value at an int k."""
+        value = self.scale
+        for s in self.shifts:
+            value = value * (k + s)
+        return value + self.add
+
+    def fill(self, kk: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+        """The value at k = kk[0..n-1] into out, each factor k + s read as
+        the window's shifted view kk[s:s+n] (exact: kk holds integers below
+        2^53), in the order of __call__ (skipping a scale of 1 changes no
+        bit).  Needs two factors at least, counting a scale other than 1."""
+        factors = [kk[s:s + n] for s in self.shifts]
+        if self.scale != 1:
+            factors.insert(0, self.scale)
+        np.multiply(factors[0], factors[1], out=out)
+        for factor in factors[2:]:
+            out *= factor
+        if self.add:
+            out += self.add
+        return out
+
+
 class GapIntegral(NamedTuple):
     """The closed form of the pmf integral over x in [0, 1] for one variant:
     exact (num, den) `heads` at the first k, then num(k) / den(k) from k =
-    `start` on, for an int k or a float array; term_k <= c log k / k^2."""
+    `start` on, both as Factors; term_k <= c log k / k^2."""
 
     heads: dict[int, tuple[int, int]]
     start: int
-    num: Callable
-    den: Callable
+    num: Factors
+    den: Factors
     c: int
 
 
 GAP_INTEGRALS = {
-    PLAIN: GapIntegral({}, 1, lambda k: 2, lambda k: (k + 1) * (k + 2), 2),
+    PLAIN: GapIntegral({}, 1, Factors(2, ()), Factors(1, (1, 2)), 2),
     EXTENDED: GapIntegral({2: (1, 12), 3: (23, 630)}, 4,
-                          lambda k: 2 * k * (k + 7) + 72,
-                          lambda k: (k + 3) * (k + 5) * (k + 6) * (k + 7), 4),
+                          Factors(2, (0, 7), 72), Factors(1, (3, 5, 6, 7)), 4),
 }
 
 
 def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     """Enclosure of sum_k log k * int_0^1 pmf_k dx truncated at K.
 
-    The terms come from GAP_INTEGRALS; the tail past K is at most the
-    integral from K of c log k / k^2 (see verify_term_majorants), which is
-    decreasing past e: c (log K + 1) / K.
+    The terms (log k num(k)) / den(k) come from GAP_INTEGRALS, chunk by
+    chunk into the block buffer; work holds log k, then den.  The tail
+    past K is at most the integral from K of c log k / k^2 (see
+    verify_term_majorants), which is decreasing past e: c (log K + 1) / K.
     """
     law = GAP_INTEGRALS[check_variant(variant)]
     min_k = SERIES_MIN_TRUNCATION[variant]
@@ -235,13 +288,24 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     for k, (num, den) in law.heads.items():
         partial += math.log(k) * num / den
     first = max(2, law.start)
+    m = min(_CHUNK, K - first + 1)
+    span = max(law.num.shifts + law.den.shifts)
+    kk = np.arange(first, first + m + span, dtype=np.float64)  # k .. k+m+span-1
+    work = np.empty(m)
     buf = np.empty(min(_BLOCK, K - first + 1))
     for lo in range(first, K + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, K)
-        for k in _chunks(lo, hi):
-            at = int(k[0]) - lo
-            buf[at:at + len(k)] = np.log(k) * law.num(k) / law.den(k)
-        partial += float(np.sum(buf[:hi - lo + 1]))
+        size = min(_BLOCK, K + 1 - lo)
+        for at in range(0, size, _CHUNK):
+            n = min(_CHUNK, size - at)
+            out, logk = buf[at:at + n], np.log(kk[:n], out=work[:n])
+            if law.num.shifts:  # out = num * log k: the product commutes exactly
+                law.num.fill(kk, n, out)
+                out *= logk
+            else:  # a constant num, its value at any k
+                np.multiply(logk, law.num(0), out=out)
+            out /= law.den.fill(kk, n, work[:n])
+            kk += n
+        partial += float(np.sum(buf[:size]))
     tail = law.c * (math.log(K) + 1.0) / K
     return Interval(partial - _SUM_PAD, partial + tail + _SUM_PAD, K)
 

@@ -327,20 +327,24 @@ def _revealed_before(order: tuple[int, ...], i: int) -> int:
     return T
 
 
+def _uniform_prefixes(n: int, i: int) -> tuple[list[int], list[int]]:
+    """The sets T a uniform order can reveal before i, each with n! times
+    its probability as weight.  X_i depends only on the *set* revealed
+    before i, whose law weights a prefix set T by |T|! (n-1-|T|)! / n!."""
+    by_size = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
+    sets = [T for T in range(1 << n) if not T >> i & 1]
+    return sets, [by_size[T.bit_count()] for T in sets]
+
+
 def _order_hists(family: TupleFamily, i: int, orders) -> tuple[np.ndarray, int]:
     """The law of X_i over the orders as the (member x X_i) integer
     histogram matrix; every row sums to the returned total."""
     single = _single_order(orders)
     if single is not None:
         return family.option_counts.histograms(i, [_revealed_before(single, i)], [1]), 1
-    n = family.n
     if orders == "uniform":
-        # X_i depends only on the *set* revealed before i, whose law under
-        # a uniform order weights a prefix set T by |T|! (n-1-|T|)! / n!
-        by_size = [factorial(size) * factorial(n - 1 - size) for size in range(n)]
-        sets = [T for T in range(1 << n) if not T >> i & 1]
-        weights = [by_size[T.bit_count()] for T in sets]
-        return family.option_counts.histograms(i, sets, weights), factorial(n)
+        sets, weights = _uniform_prefixes(family.n, i)
+        return family.option_counts.histograms(i, sets, weights), factorial(family.n)
     fracs = [Fraction(w) for _, w in orders]
     total = math.lcm(*(w.denominator for w in fracs))
     sets = [_revealed_before(order, i) for order, _ in orders]
@@ -429,7 +433,15 @@ def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
         raise FamilyError("family is empty")
     if family.n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(f"needs at most {EXACT_COMPONENT_LIMIT} components")
-    comps = [_order_hists(family, i, "uniform") for i in range(family.n)]
+    which, sets, weights = [], [], []  # every component's (i, T) pairs, one call
+    for i in range(family.n):
+        i_sets, i_weights = _uniform_prefixes(family.n, i)
+        which += [i] * len(i_sets)
+        sets += i_sets
+        weights += i_weights
+    all_hists = family.option_counts.histograms(which, sets, weights)
+    comps = [(all_hists[i, :, :len(values) + 1], factorial(family.n))
+             for i, values in enumerate(family.components)]
     return {variant: _aggregate(variant, comps)
             for variant in ("averaged", "worst_member", "mean_product")}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -427,8 +428,9 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
 
     def gof(tag, samples, cells):
         m = len(samples)
+        tally = Counter(samples)
         for k, p in cells:
-            f = samples.count(k) / m
+            f = tally[k] / m
             if abs(f - p) > 4 * math.sqrt(p * (1 - p) / m):
                 bad.append((tag, k, f, p))
 

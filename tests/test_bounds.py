@@ -7,7 +7,7 @@ import pytest
 
 from smcensus import bounds
 from smcensus.bounds import (EXTENDED_LOG_LIMIT, GAP_INTEGRALS, PLAIN_LOG_LIMIT,
-                             Interval, ScanResult,
+                             SERIES_MIN_TRUNCATION, Interval, ScanResult,
                              bound_report, finite_reveal_log_bound,
                              finite_reveal_log_bound_scan, gap_log_series,
                              integral_check, line_gap_pmf_poly,
@@ -72,6 +72,14 @@ def _oracle_whitworth(m, a, n):
     return lhs, Fraction(n + 1, (a + 1) * math.comb(n - m + 1, a + 1))
 
 
+def _oracle_num_den(k, variant):
+    """num(k) and den(k) of the series terms, the closed forms written out;
+    on a float array they are the block-at-once float operations, in order."""
+    if variant == PLAIN:
+        return 2, (k + 1) * (k + 2)
+    return 2 * k * (k + 7) + 72, (k + 3) * (k + 5) * (k + 6) * (k + 7)
+
+
 def _oracle_series(K, variant):
     """gap_log_series with each block evaluated as one array."""
     law = GAP_INTEGRALS[variant]
@@ -81,7 +89,8 @@ def _oracle_series(K, variant):
     for lo in range(max(2, law.start), K + 1, 10 ** 6):
         hi = min(lo + 10 ** 6 - 1, K)
         k = np.arange(lo, hi + 1, dtype=np.float64)
-        partial += float(np.sum(np.log(k) * law.num(k) / law.den(k)))
+        num, den = _oracle_num_den(k, variant)
+        partial += float(np.sum(np.log(k) * num / den))
     tail = law.c * (math.log(K) + 1.0) / K
     return Interval(partial - 1e-10, partial + tail + 1e-10, K)
 
@@ -135,11 +144,39 @@ def test_chunked_scan_equals_block_oracle(limit):
     assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit)
 
 
+# a first chunk of one value, chunk edges (one value short, exact and one
+# past) and, for the larger chunks, a 10^6-term block end they do not divide
+@pytest.mark.parametrize("chunk", [1, 7, 4099, bounds._CHUNK])
+def test_kernels_are_chunk_invariant(monkeypatch, chunk):
+    monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    counts = [1, chunk - 1, chunk, chunk + 1, 3000] + ([10 ** 6 + 5] if chunk > 7 else [])
+    for variant in (PLAIN, EXTENDED):
+        first = max(2, GAP_INTEGRALS[variant].start)
+        for K in sorted({max(first - 1 + c, SERIES_MIN_TRUNCATION[variant]) for c in counts}):
+            assert gap_log_series(K, variant) == _oracle_series(K, variant), (variant, K)
+    for limit in sorted({1 + c for c in counts}):
+        assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit), limit
+
+
 def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
     # one 8 MB block buffer for the series; a block-sized array would be
-    # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan)
+    # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan);
+    # the scan holds four chunk buffers and one chunk's terms as a list
     assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 12
-    assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 32
+    assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 4
+
+
+def test_factor_data_gives_the_closed_forms():
+    for variant in (PLAIN, EXTENDED):
+        law = GAP_INTEGRALS[variant]
+        for k in range(1, 10 ** 4 + 1):
+            assert (law.num(k), law.den(k)) == _oracle_num_den(k, variant), (variant, k)
+        for k in range(law.start, 50):
+            num, den = _oracle_num_den(k, variant)
+            assert series_coefficient(k, variant) == Fraction(num, den), (variant, k)
+    assert series_coefficient(1, PLAIN) == Fraction(1, 3)
+    assert [series_coefficient(k, EXTENDED) for k in (2, 3)] == \
+        [Fraction(1, 12), Fraction(23, 630)]
 
 
 def test_whitworth_examples():
