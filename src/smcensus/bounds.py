@@ -11,8 +11,9 @@ once, in ``GAP_INTEGRALS``: exact heads at the first k, then num(k) /
 den(k) as factor data (``Factors``: num = scale (k + s0) (k + s1) ... +
 add, den the same with scale 1 and add 0, multiplied left to right), and
 the constant c of the term majorant.  The int value of the factor data
-gives ``series_coefficient`` its one ``Fraction`` and
-``verify_term_majorants`` its proof of c den(k) - k^2 num(k) >= 0; the
+gives ``series_coefficient`` its one ``Fraction``, and its coefficients,
+multiplied out, give ``verify_term_majorants`` its proof of
+c den(k) - k^2 num(k) >= 0; the
 float kernel of ``gap_log_series`` sums (log k num(k)) / den(k) with the
 same factors in the same order and bounds the tail by c.  c10's
 ``integral_check`` integrates the expanded law (``line_gap_pmf_poly``,
@@ -55,7 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import comb
 from typing import NamedTuple
 
@@ -237,6 +238,14 @@ class Factors(NamedTuple):
             value = value * (k + s)
         return value + self.add
 
+    def coefficients(self) -> list[int]:
+        """The integer coefficients in k, lowest degree first."""
+        coeffs = [self.scale]
+        for s in self.shifts:  # times (k + s)
+            coeffs = [a * s + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += self.add
+        return coeffs
+
     def fill(self, kk: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
         """The value at k = kk[0..n-1] into out, each factor k + s read as
         the window's shifted view kk[s:s+n] (exact: kk holds integers below
@@ -314,48 +323,15 @@ def verify_term_majorants(variant: str) -> bool:
     """Prove term_k <= c log k / k^2 for every k, exactly.
 
     The inequality divides by log k and cross-multiplies into
-    P(k) = c den(k) - k^2 num(k) >= 0.  num and den have degree at most 2
-    and 4, so P is reconstructed by exact interpolation on five points, and
-    all its coefficients come out nonnegative, which settles every k >= 0 at
-    once (6 k + 4 for the plain variant, leading coefficient 2 k^4 for the
-    extended one).
+    P(k) = c den(k) - k^2 num(k) >= 0.  P's integer coefficients come from
+    multiplying out the factor data, and all of them are nonnegative,
+    which settles every k >= 0 at once (6 k + 4 for the plain variant,
+    leading coefficient 2 k^4 for the extended one).
     """
     law = GAP_INTEGRALS[check_variant(variant)]
-    diff = _interpolate_int_poly(
-        lambda k: law.c * law.den(k) - k * k * law.num(k), degree=4)
+    diff = [law.c * d - e for d, e in zip_longest(
+        law.den.coefficients(), [0, 0] + law.num.coefficients(), fillvalue=0)]
     return all(c >= 0 for c in diff)
-
-
-def _interpolate_int_poly(f, degree: int) -> list[int]:
-    """Exact coefficients of an integer polynomial from degree+1 samples."""
-    xs = list(range(degree + 1))
-    ys = [Fraction(f(x)) for x in xs]
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = _poly_mul_frac(basis, [Fraction(-xj), Fraction(1)])
-            denom *= xi - xj
-        scale = ys[i] / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("interpolation did not yield integers")
-        out.append(c.numerator)
-    return out
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 # ----------------------------------------------------------- pmf integrals

@@ -7,9 +7,8 @@ them: 0 when every record passed, 1 when at least one failed.  `random`
 writes an instance and no record.  Exit code 2 is a usage error: a
 rejected argument or input is reported as one JSON line
 ({"error": type, "message": text}) on stderr.
-verify --threads N (0..os.cpu_count(); 0, the default, defers to
-SMCENSUS_THREADS, an integer in 1..os.cpu_count(), else 1) sets the
-verify worker count; it affects speed only, never results.
+verify --threads N (1..os.cpu_count(), default 1) sets the verify worker
+count; it affects speed only, never results.
 """
 
 from __future__ import annotations
@@ -170,14 +169,7 @@ def _cmd_verify(args, out) -> list[CheckResult]:
     _check_range("--instances", args.instances, 0)
     _check_range("--max-n", args.max_n, 2, matchings.BRUTE_FORCE_CAP)
     _check_range("--truncate", args.truncate, max(bounds.SERIES_MIN_TRUNCATION.values()))
-    _check_range("--threads", args.threads, 0, max_threads())
-    if args.threads:
-        threads = args.threads
-    else:
-        try:
-            threads = RunConfig.from_env_threads()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    _check_range("--threads", args.threads, 1, max_threads())
     config = RunConfig(
         seed=args.seed,
         max_n=args.max_n,
@@ -185,7 +177,7 @@ def _cmd_verify(args, out) -> list[CheckResult]:
         mc_samples=args.samples,
         series_truncation=args.truncate,
         inject_fault=args.inject_fault,
-        threads=threads,
+        threads=args.threads,
     )
     only = None
     if args.only is not None:
@@ -254,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", type=int, default=10 ** 7)
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt one enumeration")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker count, 0..os.cpu_count() "
-                   "(default 0: SMCENSUS_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker count, 1..os.cpu_count() (default 1)")
     p.add_argument("--only", help="comma-separated check ids to run, e.g. c10,c11 "
                    "(default: all of c01..c14)")
 

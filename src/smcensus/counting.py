@@ -12,21 +12,24 @@ each family carries one columnar option-count table
 codes, and each revealed set T owns one row of an int64 group-id matrix,
 built from the row of T without its top bit and only for the sets asked
 for (and their top-bit ancestors): exact evaluation reads every set,
-Monte Carlo only the sampled ones.  One bincount over group * card_i +
-code_i gives X_i for a whole batch of sets, or of (component, set) pairs.
-Monte Carlo reveal orders are drawn on the lanes of ``rng.XoshiroLanes``,
-one order per lane, and tallied by (component, revealed set) in numpy.  ``option_count`` recomputes
-a single X_i from its definition and is the oracle the table is tested
-against.
+Monte Carlo only the sampled ones.  The table takes one request form, a
+list of (component, set) pairs: one bincount over group * card_i +
+code_i gives X_i for a whole batch of them.  Monte Carlo reveal orders
+are drawn on the lanes of ``rng.XoshiroLanes``, one order per lane, and
+tallied by (component, revealed set) in numpy.  ``option_count``
+recomputes a single X_i from its definition and is the oracle the table
+is tested against.
 
-Every path reduces through one function, ``_reduce``: per component it
-takes the exact int64 (member x X_i) histogram matrix, whose rows all sum
-to a common total (1 for a single order, n! for uniform orders, the lcm
-of the weights' denominators for explicit weighted orders, the sample
-count for Monte Carlo), and returns the variant's statistic with the
-histogram row it comes from.  The table refuses totals whose pooled sums
-would overflow int64.  Exact bounds sum those histograms as Fractions;
-Monte Carlo bounds take a standard error from them.
+Every bound takes one path.  ``_request`` turns a ``BoundMode`` into one
+list of (component, revealed set, weight) triples and the common total
+each component's weights sum to: 1 for a single order, the lcm of the
+weights' denominators for explicit weighted orders, n! for uniform
+orders, the sample count for Monte Carlo.  One ``histograms`` call turns
+it into an exact int64 (component x member x X_i) array, which refuses
+totals whose pooled sums would overflow int64, and ``_aggregate``
+reduces it through ``_reduce``, the variant's statistic per component
+with the histogram row it comes from: exact bounds sum those rows as
+Fractions, Monte Carlo bounds take a standard error from them.
 
 Adapters cover the worked three-component family, perfect matchings of a
 bipartite graph (degree-factorial bound), and downsets of a tangled grid
@@ -39,8 +42,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import repeat
 from math import factorial
-from operator import or_
+from operator import and_, or_, rshift
 
 import numpy as np
 
@@ -102,13 +106,14 @@ class OptionCountTable:
     bit, in one vectorised step for all missing sets with that top bit;
     only the sets asked for and their top-bit ancestors are built.
 
-    For a batch of sets, each row's ids are shifted by the group counts of
-    the rows before it, so ids are distinct across the batch, and one
-    bincount over group * card_i + code_i marks the (group, value) pairs
-    present: X_i of a member is the number of values in its group.
-    ``histograms`` sums weights per (member, X_i) into an exact int64
-    matrix and raises FamilyError when the weights' total times the member
-    count or card_i + 1 (the pooled sums and count moments taken from it)
+    A request is a list of components with one revealed set each.  Each
+    set's ids are shifted by the group counts of the sets before it, so
+    ids are distinct across the batch, and one bincount over group *
+    card_i + code_i marks the (group, value) pairs present: X_i of a
+    member is the number of values in its group.  ``histograms`` sums
+    weights per (component, member, X_i) into an exact int64 array and
+    raises FamilyError when the weights' total times the member count or
+    the widest card + 1 (the pooled sums and count moments taken from it)
     would not fit in int64.
     """
 
@@ -128,27 +133,22 @@ class OptionCountTable:
         """How many revealed sets have a group-id row."""
         return len(self._slot)
 
-    def _check(self, i, sets) -> None:
-        """Raise unless component i, or i[r] for set r, may follow each set.
+    def _check(self, i: list[int], sets: list[int]) -> None:
+        """Raise unless component i[r] may follow set r, for every r.
 
-        An int component is checked against the OR of all sets, and the
-        sets are walked only to name the first offender; a list of
-        components is checked pair by pair."""
+        The pairs are screened by C-level reductions (the components' range,
+        the OR of the sets, one shift per pair) and walked only to name the
+        first offender."""
         n = self.n
-        if isinstance(i, int):
-            if not 0 <= i < n:
-                raise FamilyError(f"no row for component {i}")
-            union = reduce(or_, sets, 0)
-            if not (union >> i & 1 or union >> n):
-                return
-            i = [i] * len(sets)
-        elif len(i) != len(sets):
+        if len(i) != len(sets):
             raise FamilyError(f"{len(i)} components for {len(sets)} sets")
-        for c, T in zip(i, sets):
-            if not 0 <= c < n:
-                raise FamilyError(f"no row for component {c}")
-            if T >> c & 1 or T >> n:
-                raise FamilyError(f"no row for component {c} after set {T:#b}")
+        if (i and (min(i) < 0 or max(i) >= n)) or reduce(or_, sets, 0) >> n \
+                or any(map(and_, map(rshift, sets, i), repeat(1))):
+            for c, T in zip(i, sets):
+                if not 0 <= c < n:
+                    raise FamilyError(f"no row for component {c}")
+                if T >> c & 1 or T >> n:
+                    raise FamilyError(f"no row for component {c} after set {T:#b}")
 
     def _rows(self, sets) -> list[int]:
         """Group-id rows of ``sets``, building missing ones top bit by top bit."""
@@ -183,46 +183,39 @@ class OptionCountTable:
         self._groups[start:stop] = groups
         self._slot.update(zip(batch, range(start, stop)))
 
-    def counts(self, i, sets) -> np.ndarray:
-        """X_i as an int64 (set x member) matrix, one row per set in ``sets``;
-        with a list of components ``i``, one per set, row r holds X_{i[r]}."""
+    def counts(self, i: list[int], sets: list[int]) -> np.ndarray:
+        """X_{i[r]} after the set sets[r] as an int64 (set x member) matrix,
+        one row per set."""
         self._check(i, sets)
+        return self._counts(i, sets)
+
+    def _counts(self, i: list[int], sets: list[int]) -> np.ndarray:
         rows = self._rows(sets)
         groups = self._groups[rows]
         gid = self._ids[rows] + (np.cumsum(groups) - groups)[:, None]
-        card = self._cards[i] if isinstance(i, int) else max(
-            (self._cards[c] for c in set(i)), default=1)
+        card = max((self._cards[c] for c in set(i)), default=1)
         pairs = np.bincount((gid * card + self._codes[i]).ravel(),
                             minlength=int(groups.sum()) * card)
         return np.count_nonzero(pairs.reshape(-1, card), axis=1)[gid]
 
-    def row(self, i: int, T: int) -> tuple[int, ...]:
-        """X_i for every member, in member order, given the revealed set T."""
-        return tuple(self.counts(i, [T])[0].tolist())
-
-    def histograms(self, i, sets, weights) -> np.ndarray:
-        """H[member, x]: the total weight of the sets with X_i = x, an exact
-        int64 (member x card_i+1) matrix whose rows sum to sum(weights).
-        With a list of components ``i``, one per set, H[c, member, x] holds
-        every component c's matrix, each padded to the widest card + 1."""
-        single = isinstance(i, int)
-        if single:
-            self._check(i, [])  # counts checks every set
-        width = (self._cards[i] if single else max(self._cards, default=0)) + 1
+    def histograms(self, i: list[int], sets: list[int], weights: list[int]) -> np.ndarray:
+        """H[c, member, x]: the total weight of the sets r with i[r] = c
+        and X_c = x, an exact int64 (component x member x widest card + 1)
+        array; component c's rows each sum to the weight of its sets."""
+        self._check(i, sets)
+        width = max(self._cards, default=0) + 1
         total = sum(weights)
         if total * max(self.size, width) > INT64_MAX:
             raise FamilyError(f"weight total {total} overflows int64 option-count sums")
-        blocks = 1 if single else self.n
-        hist = np.zeros(blocks * self.size * width, np.int64)
+        hist = np.zeros(self.n * self.size * width, np.int64)
         cells = np.arange(self.size) * width
         weights = np.asarray(weights, dtype=np.int64).reshape(-1, 1)
         step = max(1, _CHUNK_CELLS // max(self.size, 1))
         for lo in range(0, len(sets), step):
-            chunk = slice(lo, lo + step)
-            comps = i if single else i[chunk]
-            block = 0 if single else np.array(comps, np.int64)[:, None] * (self.size * width)
-            np.add.at(hist, self.counts(comps, sets[chunk]) + block + cells, weights[chunk])
-        return hist.reshape(self.size, width) if single else hist.reshape(blocks, self.size, width)
+            comps, chunk = i[lo:lo + step], sets[lo:lo + step]
+            block = np.array(comps, np.int64)[:, None] * (self.size * width)
+            np.add.at(hist, self._counts(comps, chunk) + block + cells, weights[lo:lo + step])
+        return hist.reshape(self.n, self.size, width)
 
 
 def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
@@ -336,20 +329,33 @@ def _uniform_prefixes(n: int, i: int) -> tuple[list[int], list[int]]:
     return sets, [by_size[T.bit_count()] for T in sets]
 
 
-def _order_hists(family: TupleFamily, i: int, orders) -> tuple[np.ndarray, int]:
-    """The law of X_i over the orders as the (member x X_i) integer
-    histogram matrix; every row sums to the returned total."""
-    single = _single_order(orders)
-    if single is not None:
-        return family.option_counts.histograms(i, [_revealed_before(single, i)], [1]), 1
-    if orders == "uniform":
-        sets, weights = _uniform_prefixes(family.n, i)
-        return family.option_counts.histograms(i, sets, weights), factorial(family.n)
+def _request(n: int, mode: BoundMode, seed: int) -> tuple[list[int], list[int], list[int], int]:
+    """The reveal law of ``mode`` as one histogram request: (components,
+    revealed sets, weights, total), each component's weights summing to
+    total.  A single order is one weighted order of weight 1; weighted
+    orders count in the lcm of their weights' denominators; uniform orders
+    give every prefix set its n! probability; Monte Carlo gives every
+    sampled (component, set) pair its tally out of the sample count."""
+    if mode.samples:
+        return *_reveal_tallies(n, mode.samples, seed), mode.samples
+    comps, sets, weights = [], [], []
+    if mode.orders == "uniform":
+        for i in range(n):
+            i_sets, i_weights = _uniform_prefixes(n, i)
+            comps += [i] * len(i_sets)
+            sets += i_sets
+            weights += i_weights
+        return comps, sets, weights, factorial(n)
+    single = _single_order(mode.orders)
+    orders = ((single, 1),) if single is not None else mode.orders
     fracs = [Fraction(w) for _, w in orders]
     total = math.lcm(*(w.denominator for w in fracs))
-    sets = [_revealed_before(order, i) for order, _ in orders]
-    weights = [w.numerator * (total // w.denominator) for w in fracs]
-    return family.option_counts.histograms(i, sets, weights), total
+    order_weights = [w.numerator * (total // w.denominator) for w in fracs]
+    for i in range(n):
+        comps += [i] * len(orders)
+        sets += [_revealed_before(order, i) for order, _ in orders]
+        weights += order_weights
+    return comps, sets, weights, total
 
 
 def _reduce(variant: str, hists: np.ndarray, total: int):
@@ -384,21 +390,36 @@ def _log_value(variant: str, per_component) -> float:
     return math.fsum(per_component)
 
 
-def _aggregate(variant: str, comps) -> BoundResult:
-    """Exact bound from each component's (histogram matrix, total)."""
+def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
+               samples: int = 0) -> BoundResult:
+    """The bound from one request's (component x member x X) histogram
+    array, each component's rows out of ``total``: exact, or over
+    ``samples`` Monte Carlo orders with the delta-method standard error."""
     per_component = []
+    errs = []
     log_mix: dict[int, Fraction] = {}
     product = Fraction(1)
-    for hists, total in comps:
-        stat, hist, hist_total = _reduce(variant, hists, total)
+    for i, values in enumerate(family.components):
+        stat, hist, hist_total = _reduce(variant, hists[i, :, :len(values) + 1], total)
         per_component.append(stat)
-        if variant == "mean_product":
+        pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]
+        if samples:  # standard error of the statistic over the sampled orders
+            mean = float(stat)
+            if variant == "mean_product":
+                second = sum(w * c * c for c, w in pairs) / hist_total
+            else:
+                second = math.fsum(w / hist_total * math.log(c) ** 2 for c, w in pairs)
+            err = math.sqrt(max(second - mean * mean, 0.0) / samples)
+            errs.append(err / mean if variant == "mean_product" else err)  # delta method
+        elif variant == "mean_product":
             product *= stat
         else:
-            for c, w in enumerate(hist.tolist()):
-                if w:
-                    log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
+            for c, w in pairs:
+                log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
     value = _log_value(variant, per_component)
+    if samples:
+        stderr = math.sqrt(math.fsum(e * e for e in errs))
+        return BoundResult(variant, value, tuple(per_component), False, stderr=stderr)
     if variant == "mean_product":
         return BoundResult(variant, value, tuple(per_component), True, product=product)
     return BoundResult(variant, value, tuple(per_component), True, log_mix=log_mix)
@@ -422,8 +443,9 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
     if mode.samples > 0:
         if mode.orders != "uniform":
             raise FamilyError("Monte Carlo sampling applies to uniform orders only")
-        return _reveal_bound_mc(family, mode, seed)
-    return _aggregate(mode.variant, [_order_hists(family, i, mode.orders) for i in range(n)])
+    comps, sets, weights, total = _request(n, mode, seed)
+    hists = family.option_counts.histograms(comps, sets, weights)
+    return _aggregate(family, mode.variant, hists, total, mode.samples)
 
 
 def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
@@ -433,16 +455,9 @@ def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
         raise FamilyError("family is empty")
     if family.n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(f"needs at most {EXACT_COMPONENT_LIMIT} components")
-    which, sets, weights = [], [], []  # every component's (i, T) pairs, one call
-    for i in range(family.n):
-        i_sets, i_weights = _uniform_prefixes(family.n, i)
-        which += [i] * len(i_sets)
-        sets += i_sets
-        weights += i_weights
-    all_hists = family.option_counts.histograms(which, sets, weights)
-    comps = [(all_hists[i, :, :len(values) + 1], factorial(family.n))
-             for i, values in enumerate(family.components)]
-    return {variant: _aggregate(variant, comps)
+    comps, sets, weights, total = _request(family.n, BoundMode("averaged"), 0)
+    hists = family.option_counts.histograms(comps, sets, weights)
+    return {variant: _aggregate(family, variant, hists, total)
             for variant in ("averaged", "worst_member", "mean_product")}
 
 
@@ -493,29 +508,6 @@ def _distinct(words: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     order = np.argsort(ids)
     first = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are >= 0
     return words[:, order[first]], np.add.reduceat(weights[order], first)
-
-
-def _reveal_bound_mc(family: TupleFamily, mode: BoundMode, seed: int) -> BoundResult:
-    comps, sets, weights = _reveal_tallies(family.n, mode.samples, seed)
-    all_hists = family.option_counts.histograms(comps, sets, weights)
-    t = mode.samples
-    per_component = []
-    errs = []
-    for i, values in enumerate(family.components):
-        stat, hist, total = _reduce(mode.variant, all_hists[i, :, :len(values) + 1], t)
-        # standard error of the statistic over t sampled orders
-        mean = float(stat)
-        pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]
-        if mode.variant == "mean_product":
-            second = sum(w * c * c for c, w in pairs) / total
-        else:
-            second = math.fsum(w / total * math.log(c) ** 2 for c, w in pairs)
-        err = math.sqrt(max(second - mean * mean, 0.0) / t)
-        per_component.append(stat)
-        errs.append(err / mean if mode.variant == "mean_product" else err)  # delta method
-    stderr = math.sqrt(math.fsum(e * e for e in errs))
-    return BoundResult(mode.variant, _log_value(mode.variant, per_component),
-                       tuple(per_component), False, stderr=stderr)
 
 
 def bound_holds(result: BoundResult, family: TupleFamily, tol: float = 1e-9) -> bool:

@@ -27,9 +27,11 @@ inversion table ``rng.ScanTable``; ``CyclicGapSampler`` and
 ``LineGapSampler`` are the scalar oracles they are tested against.
 
 The module also hosts the stochastic-dominance check of revealed-chain
-option counts against the cyclic gap law, a Jensen inequality helper, and
-the Monte Carlo comparison of the extended gap under correlated versus
-independent slot indicators.
+option counts against the cyclic gap law (each level l of a grid read in
+one option-count request over all its chains, weighted by the uniform
+prefix law of ``counting._uniform_prefixes``), a Jensen inequality
+helper, and the Monte Carlo comparison of the extended gap under
+correlated versus independent slot indicators.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .counting import INT64_MAX, TupleFamily, downset_top_family
+from .counting import INT64_MAX, TupleFamily, _uniform_prefixes, downset_top_family
 from .posets import TangledGrid
 from .record import CheckResult
 from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold,
@@ -405,8 +407,8 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int,
     if not 2 <= l <= n:
         raise DistributionError(f"need 2 <= l <= n, got l={l}")
     fam = family if family is not None else downset_top_family(grid)
-    hists = _conditional_option_histograms(fam, chain_index, n)
-    return _dominance_report(n, chain_index, l, hists[l])
+    hists = _conditional_option_histograms(fam, n, [chain_index], [l])
+    return _dominance_report(n, chain_index, l, hists[l][chain_index])
 
 
 def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> CheckResult:
@@ -432,33 +434,32 @@ def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> Ch
                        {"chain": chain_index, "l": l, "witnesses": witnesses})
 
 
-def _conditional_option_histograms(fam: TupleFamily, chain_index: int, n: int):
-    """hist[l]: the (member x option count) integer weight matrix over
-    prefixes with exactly l opposite-side chains revealed before
-    chain_index."""
-    nch = 2 * n
-    opposite = ((1 << n) - 1) << n if chain_index < n else (1 << n) - 1
-    by_size = [factorial(size) * factorial(nch - 1 - size) for size in range(nch)]
-    prefixes: dict[int, tuple[list[int], list[int]]] = {l: ([], []) for l in range(n + 1)}
-    for T in range(1 << nch):
-        if not T >> chain_index & 1:
-            sets, weights = prefixes[(T & opposite).bit_count()]
-            sets.append(T)
-            weights.append(by_size[T.bit_count()])
-    return {l: fam.option_counts.histograms(chain_index, sets, weights)
-            for l, (sets, weights) in prefixes.items()}
+def _conditional_option_histograms(fam: TupleFamily, n: int, chains, levels):
+    """{l: H} for each l in ``levels``, from one histogram request per l:
+    H[chain] is the (member x option count) integer weight matrix over the
+    prefixes with exactly l opposite-side chains revealed before the chain,
+    for every chain in ``chains``, each prefix weighted by the uniform
+    order law of ``counting._uniform_prefixes``."""
+    requests = {l: ([], [], []) for l in levels}
+    for chain in chains:
+        opposite = ((1 << n) - 1) << n if chain < n else (1 << n) - 1
+        for T, w in zip(*_uniform_prefixes(2 * n, chain)):
+            request = requests.get((T & opposite).bit_count())
+            if request is not None:
+                request[0].append(chain)
+                request[1].append(T)
+                request[2].append(w)
+    return {l: fam.option_counts.histograms(*request) for l, request in requests.items()}
 
 
 def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
     """dominance_check for every chain and every l, sharing one family and
-    one histogram pass per chain."""
-    fam = downset_top_family(grid)
-    out = []
-    for chain_index in range(2 * grid.n):
-        hists = _conditional_option_histograms(fam, chain_index, grid.n)
-        for l in range(2, grid.n + 1):
-            out.append(_dominance_report(grid.n, chain_index, l, hists[l]))
-    return out
+    one histogram request per l."""
+    n = grid.n
+    hists = _conditional_option_histograms(downset_top_family(grid), n, range(2 * n),
+                                           range(2, n + 1))
+    return [_dominance_report(n, chain, l, hists[l][chain])
+            for chain in range(2 * n) for l in range(2, n + 1)]
 
 
 # ------------------------------------------------------ Jensen pair check

@@ -8,6 +8,8 @@ n <= 9 by default.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
 
 Matching = tuple[int, ...]
@@ -62,43 +64,28 @@ def gale_shapley(profile: PreferenceProfile, proposing_side: str = "jobs") -> Ma
 
 def unstable_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple[int, int]]:
     """All blocking pairs (job, applicant), sorted; empty iff stable."""
-    n = profile.n
-    validate_matching(matching, n)
-    jrank = job_ranks(profile)
-    arank = applicant_ranks(profile)
-    partner_of_applicant = [0] * n
-    for u, v in enumerate(matching):
-        partner_of_applicant[v] = u
-    out = []
-    for u in range(n):
-        mu = matching[u]
-        for v in range(n):
-            if v == mu:
-                continue
-            if jrank[u][v] < jrank[u][mu] and arank[v][u] < arank[v][partner_of_applicant[v]]:
-                out.append((u, v))
-    return out
+    return sorted(_blocking_pairs(profile, matching))
 
 
 def is_stable(profile: PreferenceProfile, matching: Matching) -> bool:
-    return not _has_blocking_pair(job_ranks(profile), applicant_ranks(profile),
-                                  profile.job_prefs, matching)
+    """No blocking pair; stops at the first one found."""
+    return next(_blocking_pairs(profile, matching), None) is None
 
 
-def _has_blocking_pair(jrank, arank, job_prefs, matching) -> bool:
-    # early-exit scan: for each job, only applicants it prefers to its partner
-    n = len(matching)
-    partner_of_applicant = [0] * n
+def _blocking_pairs(profile: PreferenceProfile, matching: Matching):
+    """Validate the matching, then yield each blocking pair (job,
+    applicant) job by job, scanning only the applicants a job prefers to
+    its partner."""
+    n = profile.n
+    validate_matching(matching, n)
+    arank = applicant_ranks(profile)
+    partner_rank = [0] * n  # partner_rank[v]: v's rank of its own partner
     for u, v in enumerate(matching):
-        partner_of_applicant[v] = u
-    for u in range(n):
-        cur_rank = jrank[u][matching[u]]
-        prefs_u = job_prefs[u]
-        for pos in range(cur_rank):
-            v = prefs_u[pos]
-            if arank[v][u] < arank[v][partner_of_applicant[v]]:
-                return True
-    return False
+        partner_rank[v] = arank[v][u]
+    for u, (prefs, ranks, v0) in enumerate(zip(profile.job_prefs, job_ranks(profile), matching)):
+        for v in islice(prefs, ranks[v0]):
+            if arank[v][u] < partner_rank[v]:
+                yield u, v
 
 
 def enumerate_stable_bruteforce(profile: PreferenceProfile,

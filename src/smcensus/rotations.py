@@ -18,8 +18,7 @@ from functools import cached_property
 
 from . import posets
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
-from .matchings import (Matching, gale_shapley, is_stable, unstable_pairs,
-                        validate_matching)
+from .matchings import Matching, gale_shapley, is_stable, unstable_pairs
 from .record import CheckResult
 
 STATE_CAP = 10 ** 6
@@ -74,7 +73,6 @@ def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Ro
     u -> partner(successor(u)) are exactly the exposed rotations.
     """
     n = profile.n
-    validate_matching(matching, n)
     if not is_stable(profile, matching):
         bad = unstable_pairs(profile, matching)  # only to name a witness
         raise NotExposedError(f"matching is unstable, e.g. blocking pair {bad[0]}")
@@ -147,10 +145,9 @@ class RotationPoset:
 
     below[t] is the bitmask of rotations strictly below rotation t;
     m_chains[u] / w_chains[v] list the rotations involving job u /
-    applicant v, bottom to top.  `finite_poset`, its cover relation, is
-    built on first use and shared by every later caller: from `covers`,
-    the sorted cover pairs, when the builder has them, else by a
-    transitive reduction of `below`.
+    applicant v, bottom to top.  `covers` lists the sorted cover pairs;
+    `finite_poset`, the cover relation as a `posets.FinitePoset`, is built
+    from them on first use and shared by every later caller.
     """
 
     n: int
@@ -158,16 +155,13 @@ class RotationPoset:
     below: tuple[int, ...]
     m_chains: tuple[tuple[int, ...], ...]
     w_chains: tuple[tuple[int, ...], ...]
-    covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False,
-                                                        compare=False)
+    covers: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or bool(self.below[j] >> i & 1)
 
     @cached_property
     def finite_poset(self) -> posets.FinitePoset:
-        if self.covers is None:
-            return posets.poset_from_below(len(self.rotations), list(self.below))
         return posets.FinitePoset(len(self.rotations), self.covers)
 
 
@@ -176,7 +170,7 @@ def to_finite_poset(rposet: RotationPoset) -> posets.FinitePoset:
 
 
 def _with_chains(n: int, rotations: list[Rotation], below: list[int],
-                 covers: tuple[tuple[int, int], ...] | None = None) -> RotationPoset:
+                 covers: tuple[tuple[int, int], ...]) -> RotationPoset:
     m_ids: list[list[int]] = [[] for _ in range(n)]
     w_ids: list[list[int]] = [[] for _ in range(n)]
     for t, rot in enumerate(rotations):
@@ -378,7 +372,7 @@ def build_rotation_poset_bfs(profile: PreferenceProfile,
     if ideals != reached:
         raise AssertionError("reached sets differ from the downsets of the derived order")
 
-    return _with_chains(n, rotations, below)
+    return _with_chains(n, rotations, below, fp.covers)
 
 
 def stable_matching_bijection(profile: PreferenceProfile,

@@ -39,20 +39,6 @@ class RunConfig:
     inject_fault: bool = False
     threads: int = 1
 
-    @staticmethod
-    def from_env_threads() -> int:
-        """SMCENSUS_THREADS, default 1; ValueError unless it is an integer
-        in 1..max_threads()."""
-        raw = os.environ.get("SMCENSUS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if not 1 <= threads <= max_threads():
-            raise ValueError(f"SMCENSUS_THREADS must be an integer in "
-                             f"1..{max_threads()}, got {raw!r}")
-        return threads
-
 
 def max_threads() -> int:
     """The largest worker count: a process pool forks all its workers at

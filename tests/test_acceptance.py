@@ -15,7 +15,7 @@ from smcensus.verify import RunConfig
 
 @pytest.fixture(scope="module")
 def config():
-    return RunConfig(threads=RunConfig.from_env_threads())
+    return RunConfig()
 
 
 @pytest.fixture(scope="module")

@@ -310,6 +310,14 @@ def test_term_majorants():
     assert verify_term_majorants(EXTENDED)
 
 
+@pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
+def test_term_majorant_with_too_small_a_constant_is_refused(monkeypatch, variant):
+    # c = 1 is below the leading ratio 2 of k^2 num(k) to den(k) in both laws
+    laws = {**GAP_INTEGRALS, variant: GAP_INTEGRALS[variant]._replace(c=1)}
+    monkeypatch.setattr(bounds, "GAP_INTEGRALS", laws)
+    assert not verify_term_majorants(variant)
+
+
 def test_term_majorant_inequalities_explicit():
     # the nonnegative polynomial coefficients prove every k; these integer
     # comparisons check the cross-multiplied inequalities independently

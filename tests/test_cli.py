@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from smcensus import distributions, rotations, verify
+from smcensus import cli, distributions, rotations, verify
 from smcensus.cli import main
 from smcensus.bounds import SERIES_MIN_TRUNCATION
 from smcensus.counting import FamilyError
@@ -275,11 +275,11 @@ def assert_usage_error(capsys, argv, error, message):
      "UsageError", f"--max-n must be in 2..{BRUTE_FORCE_CAP}"),
     (["verify", "--truncate", str(max(SERIES_MIN_TRUNCATION.values()) - 1), "--only", "c11"],
      "UsageError", f"--truncate must be >= {max(SERIES_MIN_TRUNCATION.values())}"),
-    (["verify", "--threads", "-3", "--only", "c05"],
-     "UsageError", f"--threads must be in 0..{verify.max_threads()}, got -3"),
+    (["verify", "--threads", "0", "--only", "c05"],
+     "UsageError", f"--threads must be in 1..{verify.max_threads()}, got 0"),
     # rejected before any pool is made, so no process is started
     (["verify", "--threads", str(verify.max_threads() + 1), "--only", "c05"],
-     "UsageError", f"--threads must be in 0..{verify.max_threads()}"),
+     "UsageError", f"--threads must be in 1..{verify.max_threads()}"),
     # a probe that reaches no cell has tested nothing, so it cannot pass
     (["simulate", "--kind", "asymptotic", "--n", "1", "--samples", "10"],
      "DistributionError", "no cell to test"),
@@ -289,17 +289,25 @@ def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message)
 
 
 @pytest.mark.parametrize("value", ["two", "", "0", "-1", str(verify.max_threads() + 1)])
-def test_bad_thread_variable_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("SMCENSUS_THREADS", value)
-    assert_usage_error(capsys, ["verify", "--only", "c05"], "UsageError",
-                       f"SMCENSUS_THREADS must be an integer in 1..{verify.max_threads()}")
+def test_bad_thread_count_exits_2(capsys, value):
+    argv = ["verify", "--threads", value, "--only", "c05"]
+    if value.lstrip("-").isdigit():
+        assert_usage_error(capsys, argv, "UsageError",
+                           f"--threads must be in 1..{verify.max_threads()}, got {value}")
+    else:  # not an integer: argparse refuses it before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
-def test_thread_variable_in_range(monkeypatch):
-    monkeypatch.delenv("SMCENSUS_THREADS", raising=False)
-    assert verify.RunConfig.from_env_threads() == 1
-    monkeypatch.setenv("SMCENSUS_THREADS", str(verify.max_threads()))
-    assert verify.RunConfig.from_env_threads() == verify.max_threads()
+def test_thread_count_defaults_to_one(monkeypatch):
+    """One worker unless --threads asks for more; SMCENSUS_THREADS is not read."""
+    seen = []
+    monkeypatch.setenv("SMCENSUS_THREADS", "2")
+    monkeypatch.setattr(cli, "run_verify_suite", lambda config, only: seen.append(config) or [])
+    assert main(["verify", "--only", "c05"]) == 0
+    assert main(["verify", "--threads", str(verify.max_threads()), "--only", "c05"]) == 0
+    assert [config.threads for config in seen] == [1, verify.max_threads()]
 
 
 def test_missing_instance_file_exits_2(tmp_path, capsys):

@@ -213,7 +213,7 @@ def test_table_matches_option_count_for_every_order(fam):
     table = fam.option_counts
     for order in permutations(range(fam.n)):
         for i in range(fam.n):
-            row = table.row(i, _revealed(order, i))
+            row = table.counts([i], [_revealed(order, i)])[0].tolist()
             for mi, member in enumerate(fam.members):
                 assert row[mi] == option_count(fam, member, order, i), (order, i)
 
@@ -221,11 +221,11 @@ def test_table_matches_option_count_for_every_order(fam):
 def test_table_rejects_rows_outside_the_family():
     table = diagonal_pair_family(2).option_counts
     with pytest.raises(FamilyError, match="no row"):
-        table.row(0, 0b001)  # component 0 cannot be revealed before itself
+        table.counts([0], [0b001])  # component 0 cannot be revealed before itself
     with pytest.raises(FamilyError, match="no row"):
-        table.row(0, 0b1000)
+        table.counts([0], [0b1000])
     with pytest.raises(FamilyError, match="no row"):
-        table.row(3, 0)
+        table.counts([3], [0])
 
 
 def _reference_mixes(fam, i):
@@ -489,7 +489,7 @@ def test_a_million_orders_stay_within_a_memory_bound():
     where one key block for all orders alone would be 61 MiB."""
     fam = downset_top_family(random_tangled_grid(4, 3))
     assert fam.n == 8
-    fam.option_counts.counts(0, [0])  # build the table outside the traced span
+    fam.option_counts.counts([0], [0])  # build the table outside the traced span
     tracemalloc.start()
     try:
         res = reveal_bound(fam, BoundMode("averaged", samples=10 ** 6), seed=5)
@@ -521,14 +521,16 @@ def _reference_dominance_hists(fam, chain, n):
 def test_dominance_histograms_match_option_count(grid):
     fam = downset_top_family(grid)
     reports = iter(dominance_check_grid(grid))
+    levels = range(2, grid.n + 1)
+    got_hists = _conditional_option_histograms(fam, grid.n, range(2 * grid.n), levels)
     for chain in range(2 * grid.n):
         want = _reference_dominance_hists(fam, chain, grid.n)
-        got_hists = _conditional_option_histograms(fam, chain, grid.n)
-        assert {l: _as_dicts(h) for l, h in got_hists.items()} == want
-        for l in range(2, grid.n + 1):
+        assert {l: _as_dicts(got_hists[l][chain]) for l in levels} == \
+            {l: want[l] for l in levels}
+        for l in levels:
             got = next(reports)
             assert got == _dominance_report_reference(grid.n, chain, l, want[l])
-            assert got == _dominance_report(grid.n, chain, l, got_hists[l])
+            assert got == _dominance_report(grid.n, chain, l, got_hists[l][chain])
 
 
 # ------------------------------------- dict-based oracle of the columnar table
@@ -717,8 +719,9 @@ def test_columnar_table_equals_dict_oracle(group):
         want = {"uniform": [], "explicit": [], "mc": []}  # per component, member dicts
         for i in range(n):
             sets = [T for T in range(1 << n) if not T >> i & 1]
-            assert table.counts(i, sets).tolist() == [list(ref.row(i, T)) for T in sets]
-            assert table.row(i, sets[-1]) == ref.row(i, sets[-1])
+            assert table.counts([i] * len(sets), sets).tolist() == \
+                [list(ref.row(i, T)) for T in sets]
+            assert tuple(table.counts([i], sets[-1:])[0].tolist()) == ref.row(i, sets[-1])
             uniform = [factorial(T.bit_count()) * factorial(n - 1 - T.bit_count())
                        for T in sets]
             weighted = {"uniform": (sets, uniform),
@@ -727,7 +730,8 @@ def test_columnar_table_equals_dict_oracle(group):
                         "mc": (list(tallies[i]), list(tallies[i].values()))}
             for kind, (ts, ws) in weighted.items():
                 want[kind].append(ref.histograms(i, zip(ts, ws)))
-                assert _as_dicts(table.histograms(i, ts, ws)) == want[kind][-1], (kind, i)
+                assert _as_dicts(table.histograms([i] * len(ts), ts, ws)[i]) == \
+                    want[kind][-1], (kind, i)
         uniform = [(hists, factorial(n)) for hists in want["uniform"]]
         assert reveal_bounds_exact(fam) == {v: _ref_aggregate(v, uniform) for v in variants}
         fixed = [([{c: 1} for c in ref.row(i, _revealed(ident, i))], 1) for i in range(n)]
@@ -741,12 +745,14 @@ def test_columnar_table_equals_dict_oracle(group):
             assert reveal_bound(fam, BoundMode(v, samples=MC_SAMPLES), seed=42) == \
                 _ref_mc(v, want["mc"], MC_SAMPLES)
         if grid is not None:
+            levels = range(2, grid.n + 1)
+            got = _conditional_option_histograms(fam, grid.n, range(2 * grid.n), levels)
             for chain in range(2 * grid.n):
-                got = _conditional_option_histograms(fam, chain, grid.n)
                 by_l = _conditional_histograms_reference(ref, chain, grid.n)
-                assert {l: _as_dicts(h) for l, h in got.items()} == by_l
-                for l in range(2, grid.n + 1):
-                    assert _dominance_report(grid.n, chain, l, got[l]) == \
+                assert {l: _as_dicts(got[l][chain]) for l in levels} == \
+                    {l: by_l[l] for l in levels}
+                for l in levels:
+                    assert _dominance_report(grid.n, chain, l, got[l][chain]) == \
                         _dominance_report_reference(grid.n, chain, l, by_l[l])
 
 
@@ -798,8 +804,8 @@ def test_histograms_in_small_chunks_equal_the_dict_oracle(monkeypatch):
         for i in range(fam.n):
             sets = [T for T in range(1 << fam.n) if not T >> i & 1]
             weights = list(range(1, len(sets) + 1))  # distinct, so a misaligned weight shows
-            assert _as_dicts(fam.option_counts.histograms(i, sets, weights)) == \
-                ref.histograms(i, zip(sets, weights))
+            assert _as_dicts(fam.option_counts.histograms([i] * len(sets), sets, weights)[i]) \
+                == ref.histograms(i, zip(sets, weights))
 
 
 @pytest.mark.parametrize("step", [None, 3], ids=["one-step", "3-sets-a-step"])
@@ -837,11 +843,7 @@ def test_component_lists_are_checked_per_set():
 def check_by_walk(n, i, sets):
     """The former OptionCountTable._check, kept as labelled oracle: every
     (component, set) pair tested in turn.  Returns the message, or None."""
-    if isinstance(i, int):
-        if not 0 <= i < n:
-            return f"no row for component {i}"
-        i = [i] * len(sets)
-    elif len(i) != len(sets):
+    if len(i) != len(sets):
         return f"{len(i)} components for {len(sets)} sets"
     for c, T in zip(i, sets):
         if not 0 <= c < n:
@@ -866,6 +868,7 @@ def check_by_walk(n, i, sets):
 ])
 def test_option_count_checks_name_the_first_offender(i, sets, message):
     table = diagonal_pair_family(2).option_counts  # three components
+    i = [i] * len(sets) if isinstance(i, int) else i  # one component for every set
     assert check_by_walk(3, i, sets) == message
     with pytest.raises(FamilyError) as exc:
         table.counts(i, sets)
@@ -876,7 +879,8 @@ def test_option_count_checks_name_the_first_offender(i, sets, message):
 @settings(max_examples=100, deadline=None)
 def test_option_count_check_matches_pair_walk(i, sets, as_list):
     table = diagonal_pair_family(2).option_counts
-    comps = [(i + k) % 4 - (k % 5 == 4) for k in range(len(sets))] if as_list else i
+    comps = [(i + k) % 4 - (k % 5 == 4) for k in range(len(sets))] if as_list \
+        else [i] * len(sets)
     want = check_by_walk(3, comps, sets)
     try:
         table._check(comps, sets)
@@ -886,20 +890,37 @@ def test_option_count_check_matches_pair_walk(i, sets, as_list):
     assert got == want
 
 
+def test_dominance_makes_one_histogram_request_per_grid_and_level(monkeypatch):
+    """c09 reads each grid's laws for 2 <= l <= n, every chain in one
+    request per l."""
+    calls = []
+    histograms = OptionCountTable.histograms
+
+    def counted(self, i, sets, weights):
+        calls.append(sorted(set(i)))
+        return histograms(self, i, sets, weights)
+
+    monkeypatch.setattr(OptionCountTable, "histograms", counted)
+    for _, grid in verify.dominance_grids(verify.RunConfig()):
+        calls.clear()
+        dominance_check_grid(grid)
+        assert calls == [list(range(2 * grid.n))] * (grid.n - 1)
+
+
 def test_dominance_criterion_fails_on_inflated_counts(monkeypatch):
-    counts = OptionCountTable.counts
+    counts = OptionCountTable._counts
 
     def inflated(self, i, sets):
-        return np.minimum(counts(self, i, sets) + 1, self._cards[i])
+        return np.minimum(counts(self, i, sets) + 1, np.take(self._cards, i)[:, None])
 
     assert verify.criterion_dominance(verify.RunConfig()).passed
-    monkeypatch.setattr(OptionCountTable, "counts", inflated)
+    monkeypatch.setattr(OptionCountTable, "_counts", inflated)
     assert not verify.criterion_dominance(verify.RunConfig()).passed
 
 
 def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
-    counts = OptionCountTable.counts
-    monkeypatch.setattr(OptionCountTable, "counts",
+    counts = OptionCountTable._counts
+    monkeypatch.setattr(OptionCountTable, "_counts",
                         lambda self, i, sets: np.ones_like(counts(self, i, sets)))
     config = verify.RunConfig(mc_samples=20000)
     result = verify.criterion_family_bounds(config)
@@ -949,7 +970,7 @@ def test_weight_total_past_int64_is_rejected():
     with pytest.raises(FamilyError, match="overflows int64"):
         reveal_bound(fam, BoundMode("averaged", orders=orders))
     # six members: a total of 2^63 // 6 still fits every pooled column sum
-    assert fam.option_counts.histograms(0, [0], [counting.INT64_MAX // 6]).sum() \
+    assert fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6]).sum() \
         == 6 * (counting.INT64_MAX // 6)
     with pytest.raises(FamilyError, match="overflows int64"):
-        fam.option_counts.histograms(0, [0], [counting.INT64_MAX // 6 + 1])
+        fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6 + 1])

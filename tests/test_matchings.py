@@ -104,6 +104,13 @@ def test_matching_validation():
         unstable_pairs(profile, (0, 0))
 
 
+def test_is_stable_validates_the_matching():
+    profile = random_instance(3, 1)
+    for matching in [(0, 1, 1), (0, 1)]:
+        with pytest.raises(ValueError, match="not a bijection"):
+            is_stable(profile, matching)
+
+
 def test_invalid_side():
     with pytest.raises(ValueError, match="proposing_side"):
         gale_shapley(instance_I2(), "managers")

@@ -103,7 +103,7 @@ def test_edge_uniqueness_negative_control():
     r0 = Rotation(((0, 0), (1, 1)))
     r1 = Rotation(((0, 0), (2, 2)))
     fake = RotationPoset(3, (r0, r1), (0, 0),
-                         ((0, 1), (0,), (1,)), ((0, 1), (0,), (1,)))
+                         ((0, 1), (0,), (1,)), ((0, 1), (0,), (1,)), ())
     report = check_structure(fake)
     assert not report.fields["checks"]["edge_uniqueness"]
     assert report.fields["witnesses"]["edge_uniqueness"]
