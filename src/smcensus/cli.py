@@ -5,8 +5,8 @@ them, one JSON line each (`check`, the record's fields and `passed`, in
 sorted key order) on stdout or --out FILE, and sets the exit code from
 them: 0 when every record passed, 1 when at least one failed.  `random`
 writes an instance and no record.  Exit code 2 is a usage error: a
-rejected argument or input is reported as one JSON line
-({"error": type, "message": text}) on stderr.
+rejected argument or input, an instance past a state cap included, is
+reported as one JSON line ({"error": type, "message": text}) on stderr.
 verify --threads N (1..os.cpu_count(), default 1) sets the verify worker
 count; it affects speed only, never results.
 """
@@ -38,7 +38,8 @@ class UsageError(ValueError):
     """Command-line arguments that name no usable input."""
 
 
-USAGE_ERRORS = (InstanceError, FamilyError, DistributionError, PosetError, ValueError)
+USAGE_ERRORS = (InstanceError, FamilyError, DistributionError, PosetError,
+                rotations.StateCapError, ValueError)
 
 
 def _emit(stream, obj) -> None:

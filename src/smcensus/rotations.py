@@ -5,9 +5,12 @@ each job to the next applicant in the cycle, producing another stable
 matching.  The rotation poset is built in polynomial time from one
 maximal elimination chain (Gusfield's type-1/type-2 precedences); the
 exhaustive lattice BFS over all elimination sequences stays as its
-labelled oracle.  The poset's downsets are in bijection with the stable
-matchings, which is the central equality this module exposes and the
-test suite verifies against brute force.
+labelled oracle.  Along the chain a successor table is kept up to date
+per elimination instead of being rebuilt at every matching (Gusfield,
+SIAM J. Comput. 16, 1987); `exposed_rotations` rebuilds it from scratch
+and is the table's oracle.  The poset's downsets are in bijection with
+the stable matchings, which is the central equality this module exposes
+and the test suite verifies against brute force.
 """
 
 from __future__ import annotations
@@ -70,12 +73,11 @@ def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Ro
 
     For each job u matched to v, the successor applicant is the first w
     below v on u's list preferring u to its own partner; cycles of
-    u -> partner(successor(u)) are exactly the exposed rotations.
+    u -> partner(successor(u)) are exactly the exposed rotations.  Built
+    from scratch: the labelled oracle of `_SuccessorTable`.
     """
     n = profile.n
-    if not is_stable(profile, matching):
-        bad = unstable_pairs(profile, matching)  # only to name a witness
-        raise NotExposedError(f"matching is unstable, e.g. blocking pair {bad[0]}")
+    _require_stable(profile, matching)
     arank = applicant_ranks(profile)
     partner = [0] * n
     for u, v in enumerate(matching):
@@ -89,27 +91,95 @@ def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Ro
             if arank[w][u] < arank[w][partner[w]]:
                 succ[u] = partner[w]
                 break
+    return _rotation_cycles(succ, matching)
 
+
+def _require_stable(profile: PreferenceProfile, matching: Matching) -> None:
+    if not is_stable(profile, matching):
+        bad = unstable_pairs(profile, matching)  # only to name a witness
+        raise NotExposedError(f"matching is unstable, e.g. blocking pair {bad[0]}")
+
+
+def _rotation_cycles(succ: list[int], matching) -> list[Rotation]:
+    """The cycles of job -> job map `succ` (-1: no successor) as rotations
+    of `matching`, sorted by edges."""
+    walk_of = [-1] * len(succ)  # the start of the walk that reached each job
     out = []
-    color = [0] * n  # 0 unvisited, 1 on current walk, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        walk = []
-        pos_in_walk: dict[int, int] = {}
+    for start in range(len(succ)):
         u = start
-        while u != -1 and color[u] == 0:
-            color[u] = 1
-            pos_in_walk[u] = len(walk)
-            walk.append(u)
+        while u != -1 and walk_of[u] < 0:
+            walk_of[u] = start
             u = succ[u]
-        if u != -1 and color[u] == 1:
-            cycle = walk[pos_in_walk[u]:]
+        if u != -1 and walk_of[u] == start:  # this walk closed a new cycle at u
+            cycle = [u]
+            while succ[cycle[-1]] != u:
+                cycle.append(succ[cycle[-1]])
             out.append(canonical_rotation([(x, matching[x]) for x in cycle]))
-        for x in walk:
-            color[x] = 2
     out.sort(key=lambda r: r.edges)
     return out
+
+
+def _first_preferring(prefs: tuple[int, ...], u: int, start: int, stop: int,
+                      arank, partner: list[int]) -> int:
+    """Position of the first applicant in prefs[start:stop] who prefers job
+    u to their partner (partner[w] is applicant w's job), or stop."""
+    for pos in range(start, stop):
+        w = prefs[pos]
+        if arank[w][u] < arank[w][partner[w]]:
+            return pos
+    return stop
+
+
+class _SuccessorTable:
+    """Successor applicants along an elimination chain from a stable matching.
+
+    succ[u] is the first applicant below job u's partner who prefers u to
+    their own partner (-1: none); the exposed rotations are the cycles of
+    u -> partner(succ[u]).  The table is built once; `eliminate` rescans
+    only the jobs whose successor is one of the rotation's applicants.
+    Those are the rotation's own jobs, whose successor is their new
+    partner, and the jobs whose successor gained a better partner.  Every
+    other job keeps its successor: applicants' partners only improve
+    along a chain, so one who did not prefer u still does not, and a
+    successor whose partner did not change still prefers u.
+    """
+
+    def __init__(self, profile: PreferenceProfile, matching: Matching):
+        n = profile.n
+        self.prefs = profile.job_prefs
+        self.jrank = job_ranks(profile)
+        self.arank = applicant_ranks(profile)
+        self.matching = list(matching)
+        self.partner = [0] * n
+        for u, v in enumerate(matching):
+            self.partner[v] = u
+        self.succ = [self._scan(u, self.jrank[u][v] + 1) for u, v in enumerate(matching)]
+
+    def _scan(self, u: int, start: int) -> int:
+        prefs = self.prefs[u]
+        pos = _first_preferring(prefs, u, start, len(prefs), self.arank, self.partner)
+        return prefs[pos] if pos < len(prefs) else -1
+
+    def exposed(self) -> list[Rotation]:
+        partner = self.partner
+        return _rotation_cycles([-1 if w < 0 else partner[w] for w in self.succ],
+                                self.matching)
+
+    def eliminate(self, rotation: Rotation) -> None:
+        """Eliminate an exposed rotation read off this table."""
+        edges = rotation.edges
+        k = len(edges)
+        moved = [False] * len(self.succ)
+        for i, (u, _) in enumerate(edges):
+            v = edges[(i + 1) % k][1]
+            self.matching[u] = v
+            self.partner[v] = u
+            moved[v] = True
+        # a rotation job's successor was its new partner, who no longer
+        # prefers it to their partner, so one rule rescans both kinds of job
+        for u, w in enumerate(self.succ):
+            if w >= 0 and moved[w]:
+                self.succ[u] = self._scan(u, self.jrank[u][w])
 
 
 def _apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
@@ -120,21 +190,51 @@ def _apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
     return tuple(new)
 
 
+def _require_edges(matching: Matching, rotation: Rotation) -> None:
+    for u, v in rotation.edges:
+        if matching[u] != v:
+            raise NotExposedError(f"edge ({u},{v}) not in matching")
+
+
 def eliminate(matching: Matching, rotation: Rotation,
               profile: PreferenceProfile | None = None) -> Matching:
     """Re-match each rotation job to the next applicant in the cycle.
 
-    Requires the rotation's edges to be present in the matching; when a
-    profile is supplied the full exposure condition is enforced and the
-    result is asserted stable.
+    Requires the rotation's edges to be present in the matching.  When a
+    profile is supplied the matching must be stable and the rotation
+    exposed in it (NotExposedError otherwise), and the result is asserted
+    stable.
     """
-    for u, v in rotation.edges:
-        if matching[u] != v:
-            raise NotExposedError(f"edge ({u},{v}) not in matching")
-    if profile is not None and rotation not in exposed_rotations(profile, matching):
-        raise NotExposedError(f"rotation {rotation.edges} not exposed")
+    if profile is None:
+        _require_edges(matching, rotation)
+        return _apply_rotation(matching, rotation)
+    _require_stable(profile, matching)
+    return _eliminate_exposed(matching, rotation, profile)
+
+
+def _eliminate_exposed(matching: Matching, rotation: Rotation,
+                       profile: PreferenceProfile) -> Matching:
+    """`eliminate` on a matching the caller knows to be stable.
+
+    Exposure is tested on the one rotation: each job's successor must be
+    the next edge's applicant, so only the job's list between its two
+    edges is scanned.  The result gets one full stability scan.
+    """
+    _require_edges(matching, rotation)
+    partner = [0] * profile.n
+    for u, v in enumerate(matching):
+        partner[v] = u
+    jrank = job_ranks(profile)
+    arank = applicant_ranks(profile)
+    edges = rotation.edges
+    k = len(edges)
+    for i, (u, v) in enumerate(edges):
+        stop = jrank[u][edges[(i + 1) % k][1]]
+        if _first_preferring(profile.job_prefs[u], u, jrank[u][v] + 1, stop + 1,
+                             arank, partner) != stop:
+            raise NotExposedError(f"rotation {rotation.edges} not exposed")
     new = _apply_rotation(matching, rotation)
-    if profile is not None and not is_stable(profile, new):
+    if not is_stable(profile, new):
         raise AssertionError("elimination broke stability")
     return new
 
@@ -190,6 +290,9 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
 
     From the job-optimal matching the first exposed rotation is eliminated
     until none is left; every rotation occurs on the chain exactly once.
+    Exposed rotations are read off one `_SuccessorTable` updated per
+    elimination, and each matching on the chain, the job-optimal one
+    included, gets one stability scan.
     Precedence (Gusfield, SIAM J. Comput. 16, 1987; Gusfield & Irving 1989,
     3.2-3.3): type 1, the rotation that moved job u to applicant v
     precedes every rotation containing (u, v); type 2, when rho moves u
@@ -202,27 +305,25 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     n = profile.n
     arank = applicant_ranks(profile)
     jrank = job_ranks(profile)
-    mu0 = gale_shapley(profile, "jobs")
-    partner0 = [0] * n
-    for u, v in enumerate(mu0):
-        partner0[v] = u
+    table = _SuccessorTable(profile, gale_shapley(profile, "jobs"))
+    partner0 = list(table.partner)
 
     chain: list[Rotation] = []
     moved_to: dict[tuple[int, int], int] = {}  # edge -> chain step that made it
     gains: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (rank of new partner, step)
-    matching = mu0
     while True:
-        exposed = exposed_rotations(profile, matching)
+        matching = tuple(table.matching)
+        if not is_stable(profile, matching):
+            raise AssertionError("the elimination chain reached an unstable matching")
+        exposed = table.exposed()
         if not exposed:
             break
         rot = exposed[0]
         step = len(chain)
         chain.append(rot)
-        matching = _apply_rotation(matching, rot)
-        if not is_stable(profile, matching):
-            raise AssertionError("elimination produced an unstable matching")
+        table.eliminate(rot)
         for u in rot.jobs:
-            v = matching[u]
+            v = table.matching[u]
             moved_to[(u, v)] = step
             gains[v].append((arank[v][u], step))
     if matching != gale_shapley(profile, "applicants"):
@@ -382,19 +483,25 @@ def stable_matching_bijection(profile: PreferenceProfile,
 
     Downsets stream subsets first, so each downset's matching is its
     predecessor's (the downset less its top rotation) with that rotation
-    eliminated under full exposure and stability checks: one checked
-    elimination per downset.  `rposet` defaults to a fresh build.
+    eliminated: one checked elimination per downset.  The predecessor's
+    matching was checked stable when it was made, so the check tests the
+    one rotation's exposure locally and scans the result for blocking
+    pairs once.  Raises StateCapError past `STATE_CAP` matchings.
+    `rposet` defaults to a fresh build.
     """
     if rposet is None:
         rposet = build_rotation_poset(profile)
     height = [b.bit_count() for b in rposet.below]
     by_mask: dict[int, Matching] = {}
     for mask in posets.enumerate_downset_masks(to_finite_poset(rposet)):
+        if len(by_mask) >= STATE_CAP:
+            raise StateCapError(f"more than {STATE_CAP} stable matchings")
         if not mask:
             by_mask[mask] = gale_shapley(profile, "jobs")
             continue
         top = max(posets._bits(mask), key=lambda t: (height[t], t))  # maximal in mask
-        by_mask[mask] = eliminate(by_mask[mask ^ (1 << top)], rposet.rotations[top], profile)
+        by_mask[mask] = _eliminate_exposed(by_mask[mask ^ (1 << top)],
+                                           rposet.rotations[top], profile)
     out = {frozenset(posets._bits(mask)): m for mask, m in by_mask.items()}
     if len(set(out.values())) != len(out):
         raise AssertionError("downset -> matching map is not injective")

@@ -334,6 +334,14 @@ def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):
     assert_usage_error(capsys, ["rotations", "--n", "3"], type(exc).__name__, str(exc))
 
 
+def test_bijection_state_cap_exits_2(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "il2.json"
+    path.write_text(serialize_instance(irving_leather(2)), encoding="utf-8")
+    monkeypatch.setattr(rotations, "STATE_CAP", 9)  # irving_leather(2) has 10
+    assert_usage_error(capsys, ["enumerate", "--method", "rotations", "--in", str(path)],
+                       "StateCapError", "more than 9 stable matchings")
+
+
 QUICK_VERIFY = ["verify", "--seed", "42", "--max-n", "4",
                 "--instances", "6", "--samples", "4000", "--truncate", "100000"]
 

@@ -6,7 +6,7 @@ import pytest
 from smcensus import posets, rotations, verify
 from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
                                 random_instance)
-from smcensus.matchings import enumerate_stable_bruteforce, unstable_pairs
+from smcensus.matchings import enumerate_stable_bruteforce, gale_shapley, unstable_pairs
 from smcensus.rotations import (NotExposedError, Rotation, RotationPoset,
                                 StateCapError, build_rotation_poset,
                                 build_rotation_poset_bfs, canonical_rotation,
@@ -45,6 +45,35 @@ def test_eliminate_requires_exposure():
     prof2 = PreferenceProfile(2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
     with pytest.raises(NotExposedError):
         eliminate((0, 1), rho, prof2)
+
+
+def test_eliminate_rejects_unstable_input():
+    rho = Rotation(((0, 0), (1, 1)))
+    # (1, 0) blocks (0, 1): job 1 and applicant 0 prefer each other
+    profile = PreferenceProfile(2, ((0, 1), (0, 1)), ((1, 0), (1, 0)))
+    with pytest.raises(NotExposedError, match="unstable"):
+        eliminate((0, 1), rho, profile)
+
+
+def test_eliminate_agrees_with_exposure_oracle():
+    """Every rotation whose edges a stable matching holds: eliminate
+    succeeds exactly when the from-scratch oracle calls it exposed."""
+    refused = 0
+    for profile in [irving_leather(2), irving_leather(3)] + \
+            [random_instance(n, 300 + n) for n in range(3, 9)]:
+        rposet = build_rotation_poset(profile)
+        for matching in stable_matching_bijection(profile, rposet).values():
+            exposed = exposed_rotations(profile, matching)
+            for rot in rposet.rotations:
+                if any(matching[u] != v for u, v in rot.edges):
+                    continue
+                if rot in exposed:
+                    assert eliminate(matching, rot, profile) == eliminate(matching, rot)
+                else:
+                    refused += 1
+                    with pytest.raises(NotExposedError, match="not exposed"):
+                        eliminate(matching, rot, profile)
+    assert refused  # the not-exposed case was met
 
 
 def test_elimination_preserves_stability():
@@ -146,26 +175,79 @@ def test_chain_builder_matches_bfs_on_larger_instances(n, count):
         assert check_structure(rposet).passed
 
 
+def _chain_sources():
+    plan = [verify._profile_for(item) for item in verify.instance_plan(verify.RunConfig())]
+    plan += [random_instance(n, 9100 + n + seed) for n in (20, 50, 80) for seed in range(6)]
+    return plan + [irving_leather(k) for k in range(5)]
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_successor_table_matches_oracle_along_chain(pick):
+    """At every step of a maximal elimination chain (the builder's, which
+    takes the first exposed rotation, and the one taking the last) the
+    incrementally kept table exposes what the from-scratch oracle does."""
+    for profile in _chain_sources():
+        table = rotations._SuccessorTable(profile, gale_shapley(profile, "jobs"))
+        steps = 0
+        while True:
+            exposed = table.exposed()
+            assert exposed == exposed_rotations(profile, tuple(table.matching)), steps
+            if not exposed:
+                break
+            table.eliminate(exposed[pick])
+            steps += 1
+        assert tuple(table.matching) == gale_shapley(profile, "applicants")
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    target = getattr(rotations, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(rotations, name, counting)
+    return calls
+
+
+def test_builder_scans_each_chain_state_once(monkeypatch):
+    oracle_calls = _count_calls(monkeypatch, "exposed_rotations")
+    stable_calls = _count_calls(monkeypatch, "is_stable")
+    for profile in (instance_I2(), irving_leather(3), random_instance(50, 4601)):
+        stable_calls.clear()
+        rposet = build_rotation_poset(profile)
+        assert len(stable_calls) == len(rposet.rotations) + 1
+    assert oracle_calls == []
+
+
+def test_bijection_keeps_the_state_cap(monkeypatch):
+    profile = irving_leather(2)  # 10 stable matchings
+    monkeypatch.setattr(rotations, "STATE_CAP", 10)
+    assert len(stable_matching_bijection(profile)) == 10
+    monkeypatch.setattr(rotations, "STATE_CAP", 9)
+    with pytest.raises(StateCapError, match="more than 9 stable matchings"):
+        stable_matching_bijection(profile)
+
+
 def test_bfs_oracle_keeps_its_state_cap():
     with pytest.raises(StateCapError):
         build_rotation_poset_bfs(irving_leather(3), state_cap=100)
 
 
 def test_bijection_eliminates_once_per_downset(monkeypatch):
-    calls = []
-
-    def counting_eliminate(*args, **kwargs):
-        calls.append(args)
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(rotations, "eliminate", counting_eliminate)
-    for profile in (instance_I2(), irving_leather(3), random_instance(9, 3)):
+    calls = _count_calls(monkeypatch, "_eliminate_exposed")
+    stable_calls = _count_calls(monkeypatch, "is_stable")
+    for profile in (instance_I2(), irving_leather(3), random_instance(9, 3),
+                    random_instance(50, 4601)):
         rposet = build_rotation_poset(profile)
         downsets = posets.count_downsets(to_finite_poset(rposet))
         calls.clear()
+        stable_calls.clear()
         out = stable_matching_bijection(profile, rposet)
         assert len(calls) == len(out) - 1 == downsets - 1
         assert all(len(args) == 3 and args[2] is profile for args in calls)
+        assert len(stable_calls) == len(out) - 1  # one stability scan each
 
 
 def test_bijection_reuses_a_given_poset():
