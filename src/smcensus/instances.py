@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .rng import Xoshiro256StarStar
 
 
@@ -46,6 +48,20 @@ class PreferenceProfile:
     def applicant_rank_table(self) -> tuple[tuple[int, ...], ...]:
         return _rank_table(self.applicant_prefs)
 
+    # The same ranks as read-only arrays, both indexed [job, applicant], for
+    # the batched stability kernel; their dtype also holds n, which the
+    # kernel uses as a sentinel.
+    @cached_property
+    def job_rank_array(self) -> np.ndarray:
+        """[u, v] = position of applicant v on job u's list."""
+        return _read_only(np.array(self.job_rank_table, dtype=np.min_scalar_type(self.n)))
+
+    @cached_property
+    def applicant_rank_array(self) -> np.ndarray:
+        """[u, v] = position of job u on applicant v's list."""
+        ranks = np.array(self.applicant_rank_table, dtype=np.min_scalar_type(self.n))
+        return _read_only(np.ascontiguousarray(ranks.T))
+
 
 def _rank_table(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     out = []
@@ -55,6 +71,11 @@ def _rank_table(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
             rank[x] = pos
         out.append(tuple(rank))
     return tuple(out)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def job_ranks(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:

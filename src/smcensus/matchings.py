@@ -1,20 +1,36 @@
 """Deferred acceptance, stability checking, and brute-force enumeration.
 
-A matching is a tuple mapping job index -> applicant index.  The
-brute-force enumerator, a pruned exhaustive search, is the ground-truth
-oracle for everything the rotation machinery produces; it is capped at
-n <= 9 by default.
+A matching is a tuple mapping job index -> applicant index.  There is one
+stability check, `stable_rows`, over a batch of matchings: a small batch
+is scanned row by row for blocking pairs, a large one is tested as one
+boolean array expression in bounded chunks; the row scan is the array
+kernel's oracle, and `is_stable` is the one-row case.  The brute-force
+enumerator, a pruned exhaustive search, is the ground-truth oracle for
+everything the rotation machinery produces; it is capped at n <= 9 by
+default.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import islice
+from typing import NoReturn
+
+import numpy as np
 
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
 
 Matching = tuple[int, ...]
 
 BRUTE_FORCE_CAP = 9
+
+# Batches of at most this many cells (rows * n^2) are scanned row by row:
+# there the array kernel's fixed cost, some 15-30 us a call, loses to the
+# scan's few microseconds a row.  Timed on stable matchings, the two break
+# even between about 300 and 1600 cells.
+ARRAY_MIN_CELLS = 1024
+# The array kernel tests at most this many cells at a time.
+CHUNK_CELLS = 1 << 20
 
 
 def validate_matching(matching: Matching, n: int) -> None:
@@ -68,8 +84,56 @@ def unstable_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple
 
 
 def is_stable(profile: PreferenceProfile, matching: Matching) -> bool:
-    """No blocking pair; stops at the first one found."""
-    return next(_blocking_pairs(profile, matching), None) is None
+    """No blocking pair: the one-row case of `stable_rows`."""
+    return stable_rows(profile, (matching,))[0]
+
+
+def stable_rows(profile: PreferenceProfile, matchings: Sequence[Matching]) -> list[bool]:
+    """One bool per matching: True iff it has no blocking pair.
+
+    Every row is validated (`validate_matching`'s ValueError).  A batch of
+    at most `ARRAY_MIN_CELLS` cells is scanned row by row, each scan
+    stopping at its first blocking pair; a larger one goes to
+    `_stable_rows_array` in chunks of at most `CHUNK_CELLS` cells.
+    """
+    n = profile.n
+    if len(matchings) * n * n <= ARRAY_MIN_CELLS:
+        return [next(_blocking_pairs(profile, m), None) is None for m in matchings]
+    step = max(1, CHUNK_CELLS // (n * n))
+    out: list[bool] = []
+    for start in range(0, len(matchings), step):
+        out += _stable_rows_array(profile, matchings[start:start + step])
+    return out
+
+
+def _stable_rows_array(profile: PreferenceProfile, matchings: Sequence[Matching]) -> list[bool]:
+    """`stable_rows` as one array expression over rows x jobs x applicants:
+    (u, v) blocks row r iff job u ranks v above its partner and v ranks u
+    above its partner."""
+    n = profile.n
+    jrank, arank = profile.job_rank_array, profile.applicant_rank_array
+    try:
+        rows = np.array(matchings)
+    except ValueError:  # rows of different lengths
+        rows = None
+    if rows is None or rows.shape != (len(matchings), n) or rows.dtype.kind not in "iu" \
+            or rows.min() < 0 or rows.max() >= n:
+        _validate_each(matchings, n)
+    jobs = np.arange(n)
+    own_job = jrank[jobs, rows]  # [r, u]: job u's rank of its partner
+    own_app = np.full(rows.shape, n, dtype=arank.dtype)  # n: no partner yet
+    own_app[np.arange(len(rows))[:, None], rows] = arank[jobs, rows]  # [r, v]
+    if own_app.max() == n:  # a repeated applicant leaves another unmatched
+        _validate_each(matchings, n)
+    blocked = jrank < own_job[:, :, None]
+    blocked &= arank < own_app[:, None, :]
+    return (~blocked.reshape(len(rows), -1).any(axis=1)).tolist()
+
+
+def _validate_each(matchings: Sequence[Matching], n: int) -> NoReturn:
+    for matching in matchings:
+        validate_matching(matching, n)
+    raise ValueError(f"matchings are not integer rows of length {n}")
 
 
 def _blocking_pairs(profile: PreferenceProfile, matching: Matching):

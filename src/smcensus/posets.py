@@ -200,19 +200,29 @@ def enumerate_downset_masks(poset: FinitePoset) -> Iterator[int]:
     excluded branch comes first, so the stream is deterministic and starts
     with the empty set and ends with the full set.
     """
+    for mask, _ in _downsets_with_tops(poset):
+        yield mask
+
+
+def _downsets_with_tops(poset: FinitePoset) -> Iterator[tuple[int, int]]:
+    """`enumerate_downset_masks` as (mask, top) pairs, top the element the
+    search included last (-1 for the empty set).  Later elements come later
+    in a topological order, so top is maximal in the downset, and the
+    downset without it was streamed earlier: it takes the excluded branch
+    at top, which comes first, and excludes everything after."""
     order = topological_order(poset)
     below = poset.below
     depth = len(order)
-    stack = [(0, 0)]  # (next index into order, downset so far)
+    stack = [(0, 0, -1)]  # (next index into order, downset so far, its top)
     while stack:
-        idx, cur = stack.pop()
+        idx, cur, top = stack.pop()
         if idx == depth:
-            yield cur
+            yield cur, top
             continue
         e = order[idx]
         if below[e] & ~cur == 0:
-            stack.append((idx + 1, cur | (1 << e)))
-        stack.append((idx + 1, cur))
+            stack.append((idx + 1, cur | (1 << e), e))
+        stack.append((idx + 1, cur, top))
 
 
 def enumerate_downsets(poset: FinitePoset) -> Iterator[frozenset[int]]:

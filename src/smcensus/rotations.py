@@ -10,7 +10,9 @@ per elimination instead of being rebuilt at every matching (Gusfield,
 SIAM J. Comput. 16, 1987); `exposed_rotations` rebuilds it from scratch
 and is the table's oracle.  The poset's downsets are in bijection with
 the stable matchings, which is the central equality this module exposes
-and the test suite verifies against brute force.
+and the test suite verifies against brute force.  The builder and the
+bijection each give every matching they make one full blocking-pair
+test, all of an instance's in one `stable_rows` batch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 from . import posets
 from .instances import PreferenceProfile, applicant_ranks, job_ranks
-from .matchings import Matching, gale_shapley, is_stable, unstable_pairs
+from .matchings import Matching, gale_shapley, is_stable, stable_rows, unstable_pairs
 from .record import CheckResult
 
 STATE_CAP = 10 ** 6
@@ -209,16 +211,20 @@ def eliminate(matching: Matching, rotation: Rotation,
         _require_edges(matching, rotation)
         return _apply_rotation(matching, rotation)
     _require_stable(profile, matching)
-    return _eliminate_exposed(matching, rotation, profile)
+    new = _eliminate_exposed(matching, rotation, profile)
+    if not is_stable(profile, new):
+        raise AssertionError("elimination broke stability")
+    return new
 
 
 def _eliminate_exposed(matching: Matching, rotation: Rotation,
                        profile: PreferenceProfile) -> Matching:
-    """`eliminate` on a matching the caller knows to be stable.
+    """`eliminate` on a matching the caller knows to be stable, leaving the
+    result's stability test to the caller.
 
     Exposure is tested on the one rotation: each job's successor must be
     the next edge's applicant, so only the job's list between its two
-    edges is scanned.  The result gets one full stability scan.
+    edges is scanned.
     """
     _require_edges(matching, rotation)
     partner = [0] * profile.n
@@ -233,10 +239,7 @@ def _eliminate_exposed(matching: Matching, rotation: Rotation,
         if _first_preferring(profile.job_prefs[u], u, jrank[u][v] + 1, stop + 1,
                              arank, partner) != stop:
             raise NotExposedError(f"rotation {rotation.edges} not exposed")
-    new = _apply_rotation(matching, rotation)
-    if not is_stable(profile, new):
-        raise AssertionError("elimination broke stability")
-    return new
+    return _apply_rotation(matching, rotation)
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,8 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     From the job-optimal matching the first exposed rotation is eliminated
     until none is left; every rotation occurs on the chain exactly once.
     Exposed rotations are read off one `_SuccessorTable` updated per
-    elimination, and each matching on the chain, the job-optimal one
-    included, gets one stability scan.
+    elimination, and the r + 1 matchings on the chain, the job-optimal one
+    included, get one full blocking-pair test in one `stable_rows` call.
     Precedence (Gusfield, SIAM J. Comput. 16, 1987; Gusfield & Irving 1989,
     3.2-3.3): type 1, the rotation that moved job u to applicant v
     precedes every rotation containing (u, v); type 2, when rho moves u
@@ -309,24 +312,22 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     partner0 = list(table.partner)
 
     chain: list[Rotation] = []
+    states = [tuple(table.matching)]  # the matchings along the chain
     moved_to: dict[tuple[int, int], int] = {}  # edge -> chain step that made it
     gains: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (rank of new partner, step)
-    while True:
-        matching = tuple(table.matching)
-        if not is_stable(profile, matching):
-            raise AssertionError("the elimination chain reached an unstable matching")
-        exposed = table.exposed()
-        if not exposed:
-            break
+    while exposed := table.exposed():
         rot = exposed[0]
         step = len(chain)
         chain.append(rot)
         table.eliminate(rot)
+        states.append(tuple(table.matching))
         for u in rot.jobs:
             v = table.matching[u]
             moved_to[(u, v)] = step
             gains[v].append((arank[v][u], step))
-    if matching != gale_shapley(profile, "applicants"):
+    if not all(stable_rows(profile, states)):
+        raise AssertionError("the elimination chain reached an unstable matching")
+    if states[-1] != gale_shapley(profile, "applicants"):
         raise AssertionError("elimination chain does not end at the applicant-optimal matching")
 
     r = len(chain)
@@ -481,36 +482,44 @@ def stable_matching_bijection(profile: PreferenceProfile,
                               ) -> dict[frozenset[int], Matching]:
     """Explicit downset -> stable matching map.
 
-    Downsets stream subsets first, so each downset's matching is its
-    predecessor's (the downset less its top rotation) with that rotation
-    eliminated: one checked elimination per downset.  The predecessor's
-    matching was checked stable when it was made, so the check tests the
-    one rotation's exposure locally and scans the result for blocking
-    pairs once.  Raises StateCapError past `STATE_CAP` matchings.
-    `rposet` defaults to a fresh build.
+    Raises StateCapError past `STATE_CAP` matchings.  `rposet` defaults to
+    a fresh build.
     """
-    if rposet is None:
-        rposet = build_rotation_poset(profile)
-    height = [b.bit_count() for b in rposet.below]
-    by_mask: dict[int, Matching] = {}
-    for mask in posets.enumerate_downset_masks(to_finite_poset(rposet)):
-        if len(by_mask) >= STATE_CAP:
-            raise StateCapError(f"more than {STATE_CAP} stable matchings")
-        if not mask:
-            by_mask[mask] = gale_shapley(profile, "jobs")
-            continue
-        top = max(posets._bits(mask), key=lambda t: (height[t], t))  # maximal in mask
-        by_mask[mask] = _eliminate_exposed(by_mask[mask ^ (1 << top)],
-                                           rposet.rotations[top], profile)
-    out = {frozenset(posets._bits(mask)): m for mask, m in by_mask.items()}
-    if len(set(out.values())) != len(out):
-        raise AssertionError("downset -> matching map is not injective")
-    return out
+    return {frozenset(posets._bits(mask)): m
+            for mask, m in _matchings_by_downset(profile, rposet).items()}
 
 
 def enumerate_stable_via_rotations(profile: PreferenceProfile,
                                    rposet: RotationPoset | None = None) -> set[Matching]:
-    return set(stable_matching_bijection(profile, rposet).values())
+    return set(_matchings_by_downset(profile, rposet).values())
+
+
+def _matchings_by_downset(profile: PreferenceProfile,
+                          rposet: RotationPoset | None) -> dict[int, Matching]:
+    """The bijection keyed by downset bitmask.
+
+    Downsets stream subsets first, each with the rotation the enumeration
+    included last, which is maximal in it; so each downset's matching is
+    its predecessor's (the downset less that rotation) with the rotation
+    eliminated, its exposure tested locally.  The D - 1 new matchings then
+    get one full blocking-pair test in one `stable_rows` call.
+    """
+    if rposet is None:
+        rposet = build_rotation_poset(profile)
+    rots = rposet.rotations
+    by_mask: dict[int, Matching] = {}
+    for mask, top in posets._downsets_with_tops(to_finite_poset(rposet)):
+        if len(by_mask) >= STATE_CAP:
+            raise StateCapError(f"more than {STATE_CAP} stable matchings")
+        if top < 0:
+            by_mask[mask] = gale_shapley(profile, "jobs")
+            continue
+        by_mask[mask] = _eliminate_exposed(by_mask[mask ^ (1 << top)], rots[top], profile)
+    if not all(stable_rows(profile, list(by_mask.values())[1:])):  # all but the root
+        raise AssertionError("elimination broke stability")
+    if len(set(by_mask.values())) != len(by_mask):
+        raise AssertionError("downset -> matching map is not injective")
+    return by_mask
 
 
 STRUCTURE_CLAIMS = ("vertex_chains", "edge_uniqueness", "chain_counts",

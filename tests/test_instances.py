@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,22 @@ def test_rank_tables_are_built_once_and_leave_identity_alone():
     assert profile == fresh and hash(profile) == hash(fresh)
     assert {profile: 1}[fresh] == 1
     assert repr(profile) == repr(fresh)
+
+
+@pytest.mark.parametrize("n", [1, 6, 255, 256])
+def test_rank_arrays_hold_the_rank_tables_indexed_job_then_applicant(n):
+    profile = random_instance(n, 5)
+    jrank, arank = profile.job_rank_array, profile.applicant_rank_array
+    assert profile.job_rank_array is jrank and profile.applicant_rank_array is arank
+    assert jrank.tolist() == [list(row) for row in job_ranks(profile)]
+    assert arank.T.tolist() == [list(row) for row in applicant_ranks(profile)]
+    for ranks in (jrank, arank):
+        assert ranks.shape == (n, n) and ranks.flags.c_contiguous
+        assert ranks.dtype.itemsize == (1 if n < 256 else 2)
+        assert int(np.array(n, dtype=ranks.dtype)) == n  # room for the sentinel n
+        with pytest.raises(ValueError):
+            ranks[0, 0] = 1
+    assert profile == random_instance(n, 5)
 
 
 def test_irving_leather_doubling():

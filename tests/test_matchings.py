@@ -1,14 +1,17 @@
+import re
 from functools import lru_cache
 from itertools import chain, permutations
-from math import factorial
+from math import ceil, factorial
 
 import numpy as np
 import pytest
 
+from smcensus import matchings, rotations, verify
 from smcensus.instances import (PreferenceProfile, applicant_ranks, instance_I2,
                                 irving_leather, job_ranks, random_instance)
 from smcensus.matchings import (enumerate_stable_bruteforce, gale_shapley,
-                                is_stable, unstable_pairs)
+                                is_stable, stable_rows, unstable_pairs)
+from smcensus.rng import Xoshiro256StarStar
 from smcensus.verify import RunConfig, _profile_for, instance_plan
 
 
@@ -144,3 +147,101 @@ def test_numpy_filter_matches_is_stable_filter_on_sweep_plan():
         profile = _profile_for(item)
         assert stable_by_permutation_filter(profile) == \
             stable_by_is_stable_filter(profile), item
+
+
+def scanned(profile, rows):
+    """The array kernel's oracle: one blocking-pair scan per row."""
+    return [not unstable_pairs(profile, m) for m in rows]
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = matchings._stable_rows_array
+
+    def counting(profile, rows):
+        calls.append(len(rows))
+        return kernel(profile, rows)
+
+    monkeypatch.setattr(matchings, "_stable_rows_array", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_array_kernel_matches_scan_on_every_permutation(n):
+    rows = list(permutations(range(n)))
+    for seed in range(4):
+        profile = random_instance(n, 8200 + 10 * n + seed)
+        want = scanned(profile, rows)
+        assert matchings._stable_rows_array(profile, rows) == want
+        assert stable_rows(profile, rows) == want
+        # the stable rows are exactly the brute-force oracle's
+        assert {m for m, ok in zip(rows, want) if ok} == enumerate_stable_bruteforce(profile)
+
+
+def _swapped(matching, rng):
+    """The matching with two random jobs' applicants exchanged."""
+    out = list(matching)
+    i, j = rng.randrange(len(out)), rng.randrange(len(out))
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_array_kernel_matches_scan_above_the_constant(n):
+    rng = Xoshiro256StarStar(n)
+    for seed in range(5):
+        profile = random_instance(n, 8300 + seed)
+        stable = list(rotations.enumerate_stable_via_rotations(profile))
+        rows = stable + [_swapped(m, rng) for m in stable]
+        for _ in range(40):
+            row = list(range(n))
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        assert len(rows) * n * n > matchings.ARRAY_MIN_CELLS
+        want = scanned(profile, rows)
+        assert want[:len(stable)] == [True] * len(stable)
+        assert not all(want)
+        assert matchings._stable_rows_array(profile, rows) == want
+        assert stable_rows(profile, rows) == want
+        assert [is_stable(profile, m) for m in rows] == want
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+def test_array_kernel_runs_once_per_chunk(monkeypatch, chunk_rows):
+    profile = irving_leather(3)  # n = 8, 268 stable matchings
+    rows = sorted(enumerate_stable_bruteforce(profile))
+    rng = Xoshiro256StarStar(chunk_rows)
+    rows += [_swapped(m, rng) for m in rows[:50]]
+    want = scanned(profile, rows)
+    calls = count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(matchings, "CHUNK_CELLS", chunk_rows * 64)
+    assert stable_rows(profile, rows) == want
+    assert len(calls) == ceil(len(rows) / chunk_rows)
+    assert sum(calls) == len(rows) and max(calls) == chunk_rows
+
+
+@pytest.mark.parametrize("n, count", [(5, 2), (50, 3)])  # the scan and the array path
+def test_malformed_rows_raise_validate_matchings_error(monkeypatch, n, count):
+    profile = random_instance(n, 8400)
+    good = gale_shapley(profile, "jobs")
+    dup = (good[1],) + good[1:]
+    bad_rows = [dup, good[:-1] + (n,), good[:-1] + (-1,), good[:-1], good + (0,)]
+    calls = count_kernel_calls(monkeypatch)
+    for bad in bad_rows:
+        with pytest.raises(ValueError) as oracle:
+            matchings.validate_matching(bad, n)
+        rows = [good] * count + [bad] + [good] * count
+        with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+            stable_rows(profile, rows)
+        with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+            is_stable(profile, bad)
+    assert bool(calls) == (n == 50)
+
+
+def test_sweep_plan_stays_on_the_scan_path(monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
+    rows = verify.run_sweep(RunConfig())
+    assert all(r["sets_equal"] for r in rows)
+    assert calls == []
+    rposet = rotations.build_rotation_poset(random_instance(50, 4601))
+    assert calls == [len(rposet.rotations) + 1]  # the chain takes the array path

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from smcensus.counting import BipartiteGraph, perfect_matching_family
 from smcensus.instances import instance_I2, irving_leather, random_instance
 from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
-                             count_downsets, count_downsets_bruteforce,
+                             _downsets_with_tops, count_downsets, count_downsets_bruteforce,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_to_json,
                              poset_from_below, random_tangled_grid,
@@ -78,6 +78,22 @@ def test_count_matches_bruteforce(poset):
     assert count_downsets(poset) == count_downsets_bruteforce(poset) == \
         count_downsets_reference(poset)
     assert len(list(enumerate_downset_masks(poset))) == count_downsets(poset)
+
+
+@given(random_posets())
+@settings(max_examples=80, deadline=None)
+def test_each_downset_top_is_maximal_and_its_removal_streamed_earlier(poset):
+    seen = set()
+    pairs = list(_downsets_with_tops(poset))
+    assert [mask for mask, _ in pairs] == list(enumerate_downset_masks(poset))
+    for mask, top in pairs:
+        if top < 0:
+            assert mask == 0
+        else:
+            assert mask >> top & 1
+            assert not any(poset.below[e] >> top & 1 for e in _bits(mask))  # maximal
+            assert mask ^ (1 << top) in seen
+        seen.add(mask)
 
 
 def test_count_matches_bruteforce_at_sixteen_elements():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from smcensus import posets, rotations, verify
+from smcensus import matchings, posets, rotations, verify
 from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
                                 random_instance)
 from smcensus.matchings import enumerate_stable_bruteforce, gale_shapley, unstable_pairs
@@ -199,26 +199,32 @@ def test_successor_table_matches_oracle_along_chain(pick):
         assert tuple(table.matching) == gale_shapley(profile, "applicants")
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=rotations):
     calls = []
-    target = getattr(rotations, name)
+    target = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return target(*args, **kwargs)
 
-    monkeypatch.setattr(rotations, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_builder_scans_each_chain_state_once(monkeypatch):
     oracle_calls = _count_calls(monkeypatch, "exposed_rotations")
-    stable_calls = _count_calls(monkeypatch, "is_stable")
+    single_calls = _count_calls(monkeypatch, "is_stable")
+    batch_calls = _count_calls(monkeypatch, "stable_rows")
     for profile in (instance_I2(), irving_leather(3), random_instance(50, 4601)):
-        stable_calls.clear()
+        batch_calls.clear()
         rposet = build_rotation_poset(profile)
-        assert len(stable_calls) == len(rposet.rotations) + 1
-    assert oracle_calls == []
+        # one batch holding the r + 1 chain states, each once
+        assert len(batch_calls) == 1
+        states = batch_calls[0][1]
+        assert len(states) == len(set(states)) == len(rposet.rotations) + 1
+        assert states[0] == gale_shapley(profile, "jobs")
+        assert states[-1] == gale_shapley(profile, "applicants")
+    assert oracle_calls == single_calls == []
 
 
 def test_bijection_keeps_the_state_cap(monkeypatch):
@@ -237,17 +243,87 @@ def test_bfs_oracle_keeps_its_state_cap():
 
 def test_bijection_eliminates_once_per_downset(monkeypatch):
     calls = _count_calls(monkeypatch, "_eliminate_exposed")
-    stable_calls = _count_calls(monkeypatch, "is_stable")
+    single_calls = _count_calls(monkeypatch, "is_stable")
+    batch_calls = _count_calls(monkeypatch, "stable_rows")
     for profile in (instance_I2(), irving_leather(3), random_instance(9, 3),
                     random_instance(50, 4601)):
         rposet = build_rotation_poset(profile)
         downsets = posets.count_downsets(to_finite_poset(rposet))
         calls.clear()
-        stable_calls.clear()
+        batch_calls.clear()
         out = stable_matching_bijection(profile, rposet)
         assert len(calls) == len(out) - 1 == downsets - 1
         assert all(len(args) == 3 and args[2] is profile for args in calls)
-        assert len(stable_calls) == len(out) - 1  # one stability scan each
+        # one batch holding each non-root downset's matching once
+        assert len(batch_calls) == 1
+        checked = batch_calls[0][1]
+        assert len(checked) == len(set(checked)) == len(out) - 1
+        assert set(checked) == set(out.values()) - {gale_shapley(profile, "jobs")}
+    assert single_calls == []
+
+
+def _unstable_swap(profile, matching):
+    """The first exchange of two jobs' applicants that leaves a blocking pair."""
+    for i in range(profile.n):
+        for j in range(i + 1, profile.n):
+            out = list(matching)
+            out[i], out[j] = out[j], out[i]
+            if unstable_pairs(profile, tuple(out)):
+                return out
+    raise AssertionError("no unstable swap")
+
+
+# n = 4 stays on the row scan, n = 50 takes the array kernel
+FAULT_CASES = [(irving_leather(2), False), (random_instance(50, 4601), True)]
+
+
+@pytest.mark.parametrize("profile, on_array_path", FAULT_CASES)
+def test_builder_rejects_an_unstable_chain_state(monkeypatch, profile, on_array_path):
+    """Negative control: one state in the middle of the chain is made
+    unstable (two jobs exchange applicants, the table kept consistent) and
+    the chain goes on from it; only the batched check can see it."""
+    r = len(build_rotation_poset(profile).rotations)
+    eliminate_step = rotations._SuccessorTable.eliminate
+    steps = []
+
+    def faulty(table, rotation):
+        eliminate_step(table, rotation)
+        if len(steps) == r // 2:
+            table.matching = _unstable_swap(profile, table.matching)
+            for u, v in enumerate(table.matching):
+                table.partner[v] = u
+            table.succ = [table._scan(u, table.jrank[u][v] + 1)
+                          for u, v in enumerate(table.matching)]
+        steps.append(rotation)
+
+    monkeypatch.setattr(rotations._SuccessorTable, "eliminate", faulty)
+    kernel_calls = _count_calls(monkeypatch, "_stable_rows_array", matchings)
+    with pytest.raises(AssertionError, match="reached an unstable matching"):
+        build_rotation_poset(profile)
+    assert bool(kernel_calls) == on_array_path
+
+
+@pytest.mark.parametrize("profile, on_array_path", FAULT_CASES)
+def test_bijection_rejects_an_unstable_downset_matching(monkeypatch, profile, on_array_path):
+    """Negative control: the last downset's elimination returns an unstable
+    matching; no later elimination starts from it, so only the batched
+    check can see it."""
+    rposet = build_rotation_poset(profile)
+    last = posets.count_downsets(to_finite_poset(rposet)) - 2
+    eliminate_exposed = rotations._eliminate_exposed
+    calls = []
+
+    def faulty(matching, rotation, prof):
+        new = eliminate_exposed(matching, rotation, prof)
+        calls.append(rotation)
+        return tuple(_unstable_swap(prof, new)) if len(calls) - 1 == last else new
+
+    monkeypatch.setattr(rotations, "_eliminate_exposed", faulty)
+    kernel_calls = _count_calls(monkeypatch, "_stable_rows_array", matchings)
+    with pytest.raises(AssertionError, match="elimination broke stability"):
+        stable_matching_bijection(profile, rposet)
+    assert len(calls) == last + 1
+    assert bool(kernel_calls) == on_array_path
 
 
 def test_bijection_reuses_a_given_poset():
