@@ -617,9 +617,7 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     profile = random_instance(n, seed)
     rposet = build_rotation_poset(profile)
     fp = to_finite_poset(rposet)
-    from .posets import strict_below_masks
-    below = strict_below_masks(fp)
-    below_incl = [below[e] | (1 << e) for e in range(fp.size)]
+    below_incl = [b | (1 << e) for e, b in enumerate(fp.below)]
     downsets = list(enumerate_downset_masks(fp))
 
     chains = list(rposet.m_chains) + list(rposet.w_chains)

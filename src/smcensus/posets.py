@@ -99,11 +99,6 @@ def _kahn_below(lower: list[int], up_adj: list[list[int]]) -> tuple[list[int], l
     return below, through
 
 
-def strict_below_masks(poset: FinitePoset) -> list[int]:
-    """below[e] = bitmask of elements strictly below e."""
-    return list(poset.below)
-
-
 def lower_cover_masks(below: list[int]) -> list[int]:
     """Transitive reduction of transitively closed strict-below masks:
     f < e is a cover iff f lies below no g < e."""

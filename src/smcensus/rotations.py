@@ -17,7 +17,6 @@ test, all of an instance's in one `stable_rows` batch.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -246,9 +245,10 @@ def _eliminate_exposed(matching: Matching, rotation: Rotation,
 class RotationPoset:
     """All rotations of an instance with their elimination order.
 
-    below[t] is the bitmask of rotations strictly below rotation t;
-    m_chains[u] / w_chains[v] list the rotations involving job u /
-    applicant v, bottom to top.  `covers` lists the sorted cover pairs;
+    Ids are a linear extension: below[t], the bitmask of rotations
+    strictly below rotation t, has no bit at t or above.  m_chains[u] /
+    w_chains[v] list the rotations involving job u / applicant v in id
+    order, which is bottom to top.  `covers` lists the sorted cover pairs;
     `finite_poset`, the cover relation as a `posets.FinitePoset`, is built
     from them on first use and shared by every later caller.
     """
@@ -280,12 +280,8 @@ def _with_chains(n: int, rotations: list[Rotation], below: list[int],
         for u, v in rot.edges:
             m_ids[u].append(t)
             w_ids[v].append(t)
-
-    def chain(ids: list[int]) -> tuple[int, ...]:
-        return tuple(sorted(ids, key=lambda t: (below[t].bit_count(), t)))
-
     return RotationPoset(n, tuple(rotations), tuple(below),
-                         tuple(map(chain, m_ids)), tuple(map(chain, w_ids)), covers)
+                         tuple(map(tuple, m_ids)), tuple(map(tuple, w_ids)), covers)
 
 
 def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
@@ -302,8 +298,9 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     from v to v', each applicant w strictly between them on u's list is
     first given a partner ranked above u by a rotation preceding rho.
     The chain order is a linear extension, so `below` is their closure
-    taken along it.  Ids are the BFS oracle's discovery order; the cover
-    relation is reduced once, on chain steps, and relabelled to them.
+    taken along it.  A rotation's id is its chain step.  The BFS oracle
+    numbers rotations in discovery order, another linear extension, so
+    the two builders agree by rotation content, not id for id.
     """
     n = profile.n
     arank = applicant_ranks(profile)
@@ -350,18 +347,9 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
         for p in posets._bits(preds):
             below_on_chain[step] |= below_on_chain[p] | (1 << p)
 
-    covers_on_chain = posets.lower_cover_masks(below_on_chain)
-    order = sorted(range(r), key=_bfs_discovery_key(chain, below_on_chain, covers_on_chain))
-    new_id = [0] * r
-    for t, step in enumerate(order):
-        new_id[step] = t
-    below = [0] * r
-    covers = []
-    for step in range(r):
-        for p in posets._bits(below_on_chain[step]):
-            below[new_id[step]] |= 1 << new_id[p]
-        covers.extend((new_id[p], new_id[step]) for p in posets._bits(covers_on_chain[step]))
-    return _with_chains(n, [chain[step] for step in order], below, tuple(sorted(covers)))
+    covers = [(p, step) for step, c in enumerate(posets.lower_cover_masks(below_on_chain))
+              for p in posets._bits(c)]
+    return _with_chains(n, chain, below_on_chain, tuple(sorted(covers)))
 
 
 def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
@@ -370,45 +358,6 @@ def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
         if got < rank:
             return step
     raise AssertionError("no chain step lifts the applicant past a job that skipped it")
-
-
-def _bfs_discovery_key(chain: list[Rotation], below: list[int], covers: list[int]):
-    """Sort key reproducing the lattice BFS's rotation ids.
-
-    The BFS visits downsets level by level, each level ordered by the
-    lexicographically least linear extension (rotations compared by edges)
-    and the exposed rotations of a state by edges; a rotation is first
-    met at the state below[t].  So ids follow (|below[t]|, least extension
-    of below[t], edges).  covers[t] is the mask of t's lower covers.
-    """
-    r = len(chain)
-    by_edges = sorted(range(r), key=lambda step: chain[step].edges)
-    edge_rank = [0] * r
-    for i, step in enumerate(by_edges):
-        edge_rank[step] = i
-    upper_covers: list[list[int]] = [[] for _ in range(r)]
-    for e in range(r):
-        for f in posets._bits(covers[e]):
-            upper_covers[f].append(e)
-
-    def least_extension(mask: int) -> list[int]:
-        # greedy: always take the smallest available rotation by edges
-        waiting = {e: covers[e].bit_count() for e in posets._bits(mask)}
-        heap = [(edge_rank[e], e) for e, c in waiting.items() if c == 0]
-        heapq.heapify(heap)
-        out = []
-        while heap:
-            rank, e = heapq.heappop(heap)
-            out.append(rank)
-            for g in upper_covers[e]:
-                if g in waiting:
-                    waiting[g] -= 1
-                    if waiting[g] == 0:
-                        heapq.heappush(heap, (edge_rank[g], g))
-        return out
-
-    return lambda step: (below[step].bit_count(), least_extension(below[step]),
-                         edge_rank[step])
 
 
 def build_rotation_poset_bfs(profile: PreferenceProfile,

@@ -17,7 +17,7 @@ from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_to_json,
                              poset_from_below, random_tangled_grid,
-                             strict_below_masks, validate_tangled_grid)
+                             validate_tangled_grid)
 from smcensus.rotations import build_rotation_poset, to_finite_poset
 from smcensus.verify import RunConfig, _profile_for, _sweep_one, instance_plan
 
@@ -190,7 +190,7 @@ def covers_by_triple_loop(size, below):
 @given(random_posets())
 @settings(max_examples=80, deadline=None)
 def test_poset_from_below_matches_triple_loop(poset):
-    below = strict_below_masks(poset)
+    below = poset.below
     assert poset_from_below(poset.size, below).covers == \
         covers_by_triple_loop(poset.size, below)
 
@@ -199,7 +199,7 @@ def test_poset_from_below_matches_triple_loop_on_grids():
     grids = [grid_diamond(n) for n in range(1, 6)]
     grids += [random_tangled_grid(2 + seed % 6, seed) for seed in range(12)]
     for grid in grids:
-        below = strict_below_masks(grid.poset)
+        below = grid.poset.below
         assert poset_from_below(grid.poset.size, below).covers == \
             covers_by_triple_loop(grid.poset.size, below)
 
@@ -234,7 +234,7 @@ def strict_above_masks(poset):
 def count_downsets_reference(poset):
     """The former count_downsets, the memoised pivot count, kept as oracle:
     ideals(P) = ideals(P - upset(x)) + ideals(P - downset(x))."""
-    below = strict_below_masks(poset)
+    below = poset.below
     above = strict_above_masks(poset)
     memo = {}
     comp = [below[e] | above[e] for e in range(poset.size)]

@@ -156,16 +156,65 @@ def test_exposed_requires_stability():
 
 
 def assert_same_poset(profile):
+    """The chain builder equals the BFS oracle by rotation content: the
+    oracle's ids, its discovery order, map to the builder's, its chain
+    steps, through each rotation's edges, and every relation agrees."""
     fast, oracle = build_rotation_poset(profile), build_rotation_poset_bfs(profile)
-    assert fast.rotations == oracle.rotations  # same ids, not only the same set
-    assert fast.below == oracle.below
-    assert fast == oracle
+    id_of = {rot.edges: t for t, rot in enumerate(fast.rotations)}
+    assert len(id_of) == len(fast.rotations) == len(oracle.rotations)
+    to_fast = [id_of[rot.edges] for rot in oracle.rotations]
+
+    def mask(bits):
+        return sum(1 << to_fast[t] for t in posets._bits(bits))
+
+    assert fast.n == oracle.n
+    for t, below in enumerate(oracle.below):
+        assert fast.below[to_fast[t]] == mask(below)
+    assert fast.covers == tuple(sorted((to_fast[a], to_fast[b]) for a, b in oracle.covers))
+    for ours, theirs in ((fast.m_chains, oracle.m_chains), (fast.w_chains, oracle.w_chains)):
+        assert ours == tuple(tuple(to_fast[t] for t in chain) for chain in theirs)
     return fast
 
 
+def _sweep_plan():
+    return [verify._profile_for(item) for item in verify.instance_plan(verify.RunConfig())]
+
+
+def assert_ids_bottom_to_top(rposet):
+    for t, below in enumerate(rposet.below):
+        assert below >> t == 0, t
+    for chain in rposet.m_chains + rposet.w_chains:
+        assert all(a < b for a, b in zip(chain, chain[1:])), chain
+
+
+def test_builder_ids_are_a_linear_extension():
+    """Both builders list the vertex chains in id order, unsorted, so their
+    ids must run bottom to top."""
+    profiles = _sweep_plan()
+    for profile in profiles + [irving_leather(k) for k in range(4)]:
+        assert_ids_bottom_to_top(build_rotation_poset_bfs(profile))
+    profiles += [random_instance(n, 7300 + n + seed) for n in (30, 50) for seed in range(5)]
+    for profile in profiles + [irving_leather(k) for k in range(6)]:
+        assert_ids_bottom_to_top(build_rotation_poset(profile))
+
+
+def test_builder_ids_are_chain_steps():
+    """Replaying the rotations in id order from the job-optimal matching,
+    each is the first exposed rotation at its step, and the replay ends at
+    the applicant-optimal matching."""
+    profiles = _sweep_plan() + [random_instance(50, 7400 + seed) for seed in range(4)]
+    for profile in profiles + [irving_leather(k) for k in range(5)]:
+        m = gale_shapley(profile, "jobs")
+        for step, rot in enumerate(build_rotation_poset(profile).rotations):
+            assert exposed_rotations(profile, m)[0] == rot, step
+            m = eliminate(m, rot, profile)
+        assert exposed_rotations(profile, m) == []
+        assert m == gale_shapley(profile, "applicants")
+
+
 def test_chain_builder_matches_bfs_over_sweep_plan():
-    for item in verify.instance_plan(verify.RunConfig()):
-        assert_same_poset(verify._profile_for(item))
+    for profile in _sweep_plan():
+        assert_same_poset(profile)
 
 
 @pytest.mark.parametrize("n, count", [(30, 40), (50, 20)])
@@ -176,7 +225,7 @@ def test_chain_builder_matches_bfs_on_larger_instances(n, count):
 
 
 def _chain_sources():
-    plan = [verify._profile_for(item) for item in verify.instance_plan(verify.RunConfig())]
+    plan = _sweep_plan()
     plan += [random_instance(n, 9100 + n + seed) for n in (20, 50, 80) for seed in range(6)]
     return plan + [irving_leather(k) for k in range(5)]
 
