@@ -409,7 +409,10 @@ def integral_check(k: int, variant: str = PLAIN) -> tuple[Fraction, Fraction, bo
 
 # --------------------------------------------------------------- the report
 
-def bound_report(n: int, digits: int = 12) -> dict:
+REPORT_DIGITS = 12  # significant digits of each reported bound value
+
+
+def bound_report(n: int) -> dict:
     """Per-n values of the exponential bounds at 50-digit working precision,
     plus the one-time base comparisons."""
     if n < 1:
@@ -431,6 +434,6 @@ def bound_report(n: int, digits: int = 12) -> dict:
         }
         return {
             "n": n,
-            "values": {k: mp.nstr(v, digits) for k, v in values.items()},
+            "values": {k: mp.nstr(v, REPORT_DIGITS) for k, v in values.items()},
             "checks": checks,
         }

@@ -22,8 +22,7 @@ is tested against.
 
 Every bound takes one path.  ``_request`` turns a ``BoundMode`` into one
 list of (component, revealed set, weight) triples and the common total
-each component's weights sum to: 1 for a single order, the lcm of the
-weights' denominators for explicit weighted orders, n! for uniform
+each component's weights sum to: 1 for a single order, n! for uniform
 orders, the sample count for Monte Carlo.  One ``histograms`` call turns
 it into an exact int64 (component x member x X_i) array, which refuses
 totals whose pooled sums would overflow int64, and ``_aggregate``
@@ -54,6 +53,8 @@ from .rng import Xoshiro256StarStar, lane_rounds
 EXACT_COMPONENT_LIMIT = 8
 
 VARIANTS = ("fixed_order", "averaged", "worst_member", "mean_product")
+
+BOUND_TOL = 1e-9  # exact margins below this are decided at 60 digits
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 _CHUNK_CELLS = 1 << 18  # (set, member) cells per histogram step, bounding temporaries
@@ -253,17 +254,18 @@ def _mix_log(hist: np.ndarray, total: int) -> float:
 
 @dataclass(frozen=True)
 class BoundMode:
-    """How to aggregate the option counts.
+    """How to aggregate the option counts: one of five modes.
 
-    variant: 'fixed_order' (expected log over members, one fixed order),
-    'averaged' (expected log over members and orders), 'worst_member'
-    (per component, worst member's expected log), 'mean_product'
-    (per component, worst member's expected count; product bound).
-    orders: 'uniform', a single order tuple, or a tuple of (order, weight)
-    pairs with nonnegative weights summing to 1; reveal_bound checks that
-    every order is a permutation of the component indices.
-    samples: 0 for exact evaluation (uniform orders need n <= 8),
-    otherwise the Monte Carlo sample count.
+    ``BoundMode("fixed_order", orders=order)``: the expected log over
+    members under one reveal order, a tuple of component indices that
+    reveal_bound checks is a permutation of them.
+    ``BoundMode(variant)``, exact over uniform orders (n <= 8), with
+    variant 'averaged' (expected log over members and orders),
+    'worst_member' (per component, worst member's expected log) or
+    'mean_product' (per component, worst member's expected count; product
+    bound).
+    ``BoundMode("averaged", samples=k)``: 'averaged' over k Monte Carlo
+    uniform orders, with a standard error.
     """
 
     variant: str
@@ -277,12 +279,13 @@ class BoundMode:
             raise FamilyError(f"samples must be an int, got {self.samples!r}")
         if self.samples < 0:
             raise FamilyError(f"samples must be >= 0, got {self.samples}")
-        if self.orders != "uniform" and _single_order(self.orders) is None:
-            weights = [Fraction(w) for _, w in self.orders]
-            if any(w < 0 for w in weights):
-                raise FamilyError("order weights must be nonnegative")
-            if sum(weights) != 1:
-                raise FamilyError("order weights must sum to 1")
+        if self.variant == "fixed_order":
+            if type(self.orders) is not tuple or any(type(j) is not int for j in self.orders):
+                raise FamilyError("fixed_order requires a single order, a tuple of ints")
+        elif self.orders != "uniform":
+            raise FamilyError(f"{self.variant} takes uniform orders only")
+        if self.samples and self.variant != "averaged":
+            raise FamilyError("Monte Carlo sampling applies to averaged uniform orders only")
 
 
 @dataclass
@@ -296,20 +299,6 @@ class BoundResult:
     log_mix: dict[int, Fraction] | None = None  # exact weights of log arguments
     product: Fraction | None = None             # exact product, mean_product only
     stderr: float | None = None
-
-
-def _single_order(orders) -> tuple[int, ...] | None:
-    if isinstance(orders, tuple) and orders and isinstance(orders[0], int):
-        return orders
-    return None
-
-
-def _check_orders(orders, n: int) -> None:
-    """Every order in a single or weighted ``orders`` permutes range(n)."""
-    single = _single_order(orders)
-    for order in [single] if single is not None else [order for order, _ in orders]:
-        if not all(type(j) is int for j in order) or sorted(order) != list(range(n)):
-            raise FamilyError(f"reveal order {order!r} is not a permutation of range({n})")
 
 
 def _revealed_before(order: tuple[int, ...], i: int) -> int:
@@ -332,30 +321,21 @@ def _uniform_prefixes(n: int, i: int) -> tuple[list[int], list[int]]:
 def _request(n: int, mode: BoundMode, seed: int) -> tuple[list[int], list[int], list[int], int]:
     """The reveal law of ``mode`` as one histogram request: (components,
     revealed sets, weights, total), each component's weights summing to
-    total.  A single order is one weighted order of weight 1; weighted
-    orders count in the lcm of their weights' denominators; uniform orders
-    give every prefix set its n! probability; Monte Carlo gives every
-    sampled (component, set) pair its tally out of the sample count."""
+    total.  A single order gives each component its one set, of weight 1;
+    uniform orders give every prefix set its n! probability; Monte Carlo
+    gives every sampled (component, set) pair its tally out of the sample
+    count."""
     if mode.samples:
         return *_reveal_tallies(n, mode.samples, seed), mode.samples
+    if mode.orders != "uniform":
+        return list(range(n)), [_revealed_before(mode.orders, i) for i in range(n)], [1] * n, 1
     comps, sets, weights = [], [], []
-    if mode.orders == "uniform":
-        for i in range(n):
-            i_sets, i_weights = _uniform_prefixes(n, i)
-            comps += [i] * len(i_sets)
-            sets += i_sets
-            weights += i_weights
-        return comps, sets, weights, factorial(n)
-    single = _single_order(mode.orders)
-    orders = ((single, 1),) if single is not None else mode.orders
-    fracs = [Fraction(w) for _, w in orders]
-    total = math.lcm(*(w.denominator for w in fracs))
-    order_weights = [w.numerator * (total // w.denominator) for w in fracs]
     for i in range(n):
-        comps += [i] * len(orders)
-        sets += [_revealed_before(order, i) for order, _ in orders]
-        weights += order_weights
-    return comps, sets, weights, total
+        i_sets, i_weights = _uniform_prefixes(n, i)
+        comps += [i] * len(i_sets)
+        sets += i_sets
+        weights += i_weights
+    return comps, sets, weights, factorial(n)
 
 
 def _reduce(variant: str, hists: np.ndarray, total: int):
@@ -393,8 +373,8 @@ def _log_value(variant: str, per_component) -> float:
 def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
                samples: int = 0) -> BoundResult:
     """The bound from one request's (component x member x X) histogram
-    array, each component's rows out of ``total``: exact, or over
-    ``samples`` Monte Carlo orders with the delta-method standard error."""
+    array, each component's rows out of ``total``: exact, or the averaged
+    bound over ``samples`` Monte Carlo orders with its standard error."""
     per_component = []
     errs = []
     log_mix: dict[int, Fraction] = {}
@@ -403,14 +383,9 @@ def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
         stat, hist, hist_total = _reduce(variant, hists[i, :, :len(values) + 1], total)
         per_component.append(stat)
         pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]
-        if samples:  # standard error of the statistic over the sampled orders
-            mean = float(stat)
-            if variant == "mean_product":
-                second = sum(w * c * c for c, w in pairs) / hist_total
-            else:
-                second = math.fsum(w / hist_total * math.log(c) ** 2 for c, w in pairs)
-            err = math.sqrt(max(second - mean * mean, 0.0) / samples)
-            errs.append(err / mean if variant == "mean_product" else err)  # delta method
+        if samples:  # standard error of the mean log over the sampled orders
+            second = math.fsum(w / hist_total * math.log(c) ** 2 for c, w in pairs)
+            errs.append(math.sqrt(max(second - stat * stat, 0.0) / samples))
         elif variant == "mean_product":
             product *= stat
         else:
@@ -431,18 +406,12 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
     if not family.members:
         raise FamilyError("family is empty")
     n = family.n
-    if mode.variant == "fixed_order" and _single_order(mode.orders) is None:
-        raise FamilyError("fixed_order requires a single order")
-    if mode.orders != "uniform":
-        _check_orders(mode.orders, n)
-    exact_ok = (mode.orders != "uniform") or n <= EXACT_COMPONENT_LIMIT
-    if mode.samples == 0 and not exact_ok:
+    if mode.orders != "uniform" and sorted(mode.orders) != list(range(n)):
+        raise FamilyError(f"reveal order {mode.orders!r} is not a permutation of range({n})")
+    if mode.orders == "uniform" and not mode.samples and n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(
             f"exact uniform-order expectation supports up to {EXACT_COMPONENT_LIMIT}"
             " components; set samples for Monte Carlo")
-    if mode.samples > 0:
-        if mode.orders != "uniform":
-            raise FamilyError("Monte Carlo sampling applies to uniform orders only")
     comps, sets, weights, total = _request(n, mode, seed)
     hists = family.option_counts.histograms(comps, sets, weights)
     return _aggregate(family, mode.variant, hists, total, mode.samples)
@@ -510,13 +479,14 @@ def _distinct(words: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     return words[:, order[first]], np.add.reduceat(weights[order], first)
 
 
-def bound_holds(result: BoundResult, family: TupleFamily, tol: float = 1e-9) -> bool:
-    """log |S| <= bound: exact modes within tol (high-precision fallback for
-    hairline margins), Monte Carlo modes within 4 standard errors."""
+def bound_holds(result: BoundResult, family: TupleFamily) -> bool:
+    """log |S| <= bound: exact modes by float when the margin is at least
+    BOUND_TOL, else at high precision; Monte Carlo modes within 4 standard
+    errors."""
     target = math.log(len(family.members))
     if not result.exact:
         return result.value >= target - 4.0 * result.stderr
-    if result.value - target >= tol:
+    if result.value - target >= BOUND_TOL:
         return True
     if result.product is not None:  # product bound compares exactly as rationals
         return result.product >= len(family.members)

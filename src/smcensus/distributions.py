@@ -69,19 +69,16 @@ def _check_count(count: int) -> None:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Finite support pmf; probabilities are Fractions or floats."""
+    """Finite support pmf; probabilities are Fractions."""
 
-    support: tuple[tuple[int, object], ...]
+    support: tuple[tuple[int, Fraction], ...]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        total = sum(p for _, p in self.support)
+    def validate(self) -> None:
         if any(p < 0 for _, p in self.support):
             raise DistributionError("negative probability")
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise DistributionError(f"pmf sums to {total}, not 1")
-        elif abs(total - 1.0) > tol:
-            raise DistributionError(f"pmf sums to {total}")
+        total = sum(p for _, p in self.support)
+        if total != 1:
+            raise DistributionError(f"pmf sums to {total}, not 1")
 
     def cdf(self) -> list[tuple[int, object]]:
         out = []
@@ -288,14 +285,17 @@ def line_gap_window(x) -> int:
     return math.ceil(40 / x)
 
 
-def line_gap_log_mean(x: float, variant: str = PLAIN, rel_tail: float = 1e-14) -> float:
+LOG_MEAN_TAIL = 1e-14  # line_gap_log_mean stops once tail mass * log k falls below it
+
+
+def line_gap_log_mean(x: float, variant: str = PLAIN) -> float:
     """E[log gap], truncated where the remaining mass is negligible."""
     _check_x(x)
     total = 0.0
     k = 2
     while True:
         total += math.log(k) * line_gap_pmf(x, k, variant)
-        if k > 4 and line_gap_tail(x, k, variant) * math.log(k + 50) < rel_tail:
+        if k > 4 and line_gap_tail(x, k, variant) * math.log(k + 50) < LOG_MEAN_TAIL:
             break
         k += 1
     return total
@@ -467,8 +467,8 @@ def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
 JENSEN_TOL = 1e-12  # a Jensen pair passes iff lhs >= rhs - JENSEN_TOL
 
 
-def jensen_pair_check(a0, a1, a2, x, tol: float = JENSEN_TOL):
-    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - tol.
+def jensen_pair_check(a0, a1, a2, x):
+    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - JENSEN_TOL.
     The scalar oracle of ``jensen_grid``."""
     if a0 <= 0 or a1 <= 0 or a2 <= 0:
         raise DistributionError("a0, a1, a2 must be positive")
@@ -479,7 +479,7 @@ def jensen_pair_check(a0, a1, a2, x, tol: float = JENSEN_TOL):
            + x * (1 - x) * (math.log(a0 + a1) + math.log(a0 + a2))
            + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
     rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
-    return lhs, rhs, lhs >= rhs - tol
+    return lhs, rhs, lhs >= rhs - JENSEN_TOL
 
 
 def jensen_grid(a_max: int, x_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -592,9 +592,12 @@ def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:
 
 # ------------------------------------- finite-n asymptotic dominance probe
 
-def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
-                               xs=(0.3, 0.5, 0.7), tol: float = 0.02,
-                               targets: int = 5) -> CheckResult:
+PROBE_XS = (0.3, 0.5, 0.7)  # x buckets of the asymptotic probe, each +-0.05 wide
+PROBE_TOL = 0.02           # the probe's slack on Pr[X <= y] besides 3 sigma
+PROBE_TARGETS = 5          # the longest m-chains the probe tests
+
+
+def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000) -> CheckResult:
     """Monte Carlo probe of the asymptotic domination of chain option
     counts by the extended gap law, on the rotation poset of one random
     instance.
@@ -603,7 +606,7 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     option count X is computed structurally and bucketed by the fraction
     x of other w-chains revealed first, excluding the chain's own partner
     at the current top (whose early reveal is the gap-1 shortcut).  The
-    probe requires Pr[X <= y] >= Pr[gap <= y] - tol - 3 sigma per bucket;
+    probe requires Pr[X <= y] >= Pr[gap <= y] - PROBE_TOL - 3 sigma per bucket;
     tops at a chain boundary are skipped, mirroring the interior-only
     analysis.  This is a slack sanity probe, not an exact criterion.
     The record's fields are ``n``, the ``worst_shortfall`` and the number
@@ -622,7 +625,7 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
 
     chains = list(rposet.m_chains) + list(rposet.w_chains)
     nch = 2 * n
-    target_ids = sorted(range(n), key=lambda u: -len(chains[u]))[:targets]
+    target_ids = sorted(range(n), key=lambda u: -len(chains[u]))[:PROBE_TARGETS]
     target_ids = [u for u in target_ids if len(chains[u]) >= 3]
     if not target_ids:
         raise DistributionError(f"asymptotic probe has no cell to test: no m-chain of "
@@ -681,7 +684,7 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
                 if c >= n and c != wpair:
                     l_count += 1
             x = l_count / n
-            bucket = min(xs, key=lambda v: abs(v - x))
+            bucket = min(PROBE_XS, key=lambda v: abs(v - x))
             if abs(bucket - x) > 0.05:
                 continue
             options = 0
@@ -711,6 +714,6 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000,
     if not counts:
         raise DistributionError(f"asymptotic probe has no cell to test: no (x, chain) "
                                 f"bucket reached {min_count} of {samples} samples")
-    allowance = tol + 3.0 * math.sqrt(0.25 / min(counts))
+    allowance = PROBE_TOL + 3.0 * math.sqrt(0.25 / min(counts))
     return CheckResult("simulate_asymptotic", worst <= allowance,
                        {"n": n, "worst_shortfall": worst, "cells": len(counts)})

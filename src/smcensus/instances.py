@@ -42,10 +42,12 @@ class PreferenceProfile:
     # the dataclass fields, so equality and hashing see only n and the rows).
     @cached_property
     def job_rank_table(self) -> tuple[tuple[int, ...], ...]:
+        """rank[u][v] = position of applicant v on job u's list (0 = best)."""
         return _rank_table(self.job_prefs)
 
     @cached_property
     def applicant_rank_table(self) -> tuple[tuple[int, ...], ...]:
+        """rank[v][u] = position of job u on applicant v's list (0 = best)."""
         return _rank_table(self.applicant_prefs)
 
     # The same ranks as read-only arrays, both indexed [job, applicant], for
@@ -76,16 +78,6 @@ def _rank_table(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def job_ranks(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
-    """rank[u][v] = position of applicant v on job u's list (0 = best)."""
-    return profile.job_rank_table
-
-
-def applicant_ranks(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
-    """rank[v][u] = position of job u on applicant v's list (0 = best)."""
-    return profile.applicant_rank_table
 
 
 def _is_int(x) -> bool:

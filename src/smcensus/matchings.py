@@ -18,7 +18,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .instances import PreferenceProfile, applicant_ranks, job_ranks
+from .instances import PreferenceProfile
 
 Matching = tuple[int, ...]
 
@@ -45,9 +45,9 @@ def gale_shapley(profile: PreferenceProfile, proposing_side: str = "jobs") -> Ma
     starting point for all rotation eliminations.
     """
     if proposing_side == "jobs":
-        prop_prefs, recv_rank = profile.job_prefs, applicant_ranks(profile)
+        prop_prefs, recv_rank = profile.job_prefs, profile.applicant_rank_table
     elif proposing_side == "applicants":
-        prop_prefs, recv_rank = profile.applicant_prefs, job_ranks(profile)
+        prop_prefs, recv_rank = profile.applicant_prefs, profile.job_rank_table
     else:
         raise ValueError("proposing_side must be 'jobs' or 'applicants'")
 
@@ -142,31 +142,31 @@ def _blocking_pairs(profile: PreferenceProfile, matching: Matching):
     its partner."""
     n = profile.n
     validate_matching(matching, n)
-    arank = applicant_ranks(profile)
+    jrank, arank = profile.job_rank_table, profile.applicant_rank_table
     partner_rank = [0] * n  # partner_rank[v]: v's rank of its own partner
     for u, v in enumerate(matching):
         partner_rank[v] = arank[v][u]
-    for u, (prefs, ranks, v0) in enumerate(zip(profile.job_prefs, job_ranks(profile), matching)):
+    for u, (prefs, ranks, v0) in enumerate(zip(profile.job_prefs, jrank, matching)):
         for v in islice(prefs, ranks[v0]):
             if arank[v][u] < partner_rank[v]:
                 yield u, v
 
 
-def enumerate_stable_bruteforce(profile: PreferenceProfile,
-                                cap: int = BRUTE_FORCE_CAP) -> set[Matching]:
+def enumerate_stable_bruteforce(profile: PreferenceProfile) -> set[Matching]:
     """All stable matchings by exhaustive search over perfect matchings.
 
     Jobs are assigned in index order.  Every blocking pair of a perfect
     matching joins two of its pairs, so a partial matching is abandoned as
     soon as two of its pairs block each other: every completion keeps that
-    blocking pair.  Independent of the rotation machinery; the cap marks the
-    oracle boundary (default 9).
+    blocking pair.  Independent of the rotation machinery; `BRUTE_FORCE_CAP`
+    marks the oracle boundary.
     """
     n = profile.n
+    cap = BRUTE_FORCE_CAP
     if n > cap:
         raise ValueError(f"n={n} above brute-force cap {cap}")
-    jrank = job_ranks(profile)
-    arank = applicant_ranks(profile)
+    jrank = profile.job_rank_table
+    arank = profile.applicant_rank_table
     out: set[Matching] = set()
     _extend_stable(0, (1 << n) - 1, [0] * n, out, jrank, arank)
     return out

@@ -117,7 +117,7 @@ def poset_from_below(size: int, below: list[int]) -> FinitePoset:
     return FinitePoset(size, tuple(sorted(covers)))
 
 
-def count_downsets(poset: FinitePoset, cap: int = STATE_CAP) -> int:
+def count_downsets(poset: FinitePoset) -> int:
     """Exact number of downsets (order ideals), by a transfer count over one
     linear extension.
 
@@ -126,8 +126,9 @@ def count_downsets(poset: FinitePoset, cap: int = STATE_CAP) -> int:
     upper cover) that lie in the downset; element e may join a state only
     if all its lower covers are in it.  After each step the states are
     restricted to the new frontier and merged with integer counts.  Raises
-    PosetError once a step leaves more than `cap` live states.
+    PosetError once a step leaves more than `STATE_CAP` live states.
     """
+    cap = STATE_CAP
     size = poset.size
     lower = [0] * size      # lower covers as a bitmask
     uppers = [0] * size     # unprocessed upper covers of each element

@@ -11,6 +11,8 @@ per scan, with no float anywhere in the draw path.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -122,9 +124,7 @@ class Xoshiro256StarStar:
 
 def bernoulli_threshold(p) -> int:
     """Integer t with t/2^64 closest below-or-equal to probability p."""
-    from fractions import Fraction
-
-    f = Fraction(p) if not isinstance(p, float) else Fraction(p)
+    f = Fraction(p)
     if not 0 <= f <= 1:
         raise ValueError("probability outside [0, 1]")
     return int(f * (1 << 64))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import posets
-from .instances import PreferenceProfile, applicant_ranks, job_ranks
+from .instances import PreferenceProfile
 from .matchings import Matching, gale_shapley, is_stable, stable_rows, unstable_pairs
 from .record import CheckResult
 
@@ -79,12 +79,12 @@ def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Ro
     """
     n = profile.n
     _require_stable(profile, matching)
-    arank = applicant_ranks(profile)
+    arank = profile.applicant_rank_table
     partner = [0] * n
     for u, v in enumerate(matching):
         partner[v] = u
 
-    jrank = job_ranks(profile)
+    jrank = profile.job_rank_table
     succ = [-1] * n
     for u in range(n):
         for pos in range(jrank[u][matching[u]] + 1, n):
@@ -148,8 +148,8 @@ class _SuccessorTable:
     def __init__(self, profile: PreferenceProfile, matching: Matching):
         n = profile.n
         self.prefs = profile.job_prefs
-        self.jrank = job_ranks(profile)
-        self.arank = applicant_ranks(profile)
+        self.jrank = profile.job_rank_table
+        self.arank = profile.applicant_rank_table
         self.matching = list(matching)
         self.partner = [0] * n
         for u, v in enumerate(matching):
@@ -191,24 +191,13 @@ def _apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
     return tuple(new)
 
 
-def _require_edges(matching: Matching, rotation: Rotation) -> None:
-    for u, v in rotation.edges:
-        if matching[u] != v:
-            raise NotExposedError(f"edge ({u},{v}) not in matching")
-
-
 def eliminate(matching: Matching, rotation: Rotation,
-              profile: PreferenceProfile | None = None) -> Matching:
+              profile: PreferenceProfile) -> Matching:
     """Re-match each rotation job to the next applicant in the cycle.
 
-    Requires the rotation's edges to be present in the matching.  When a
-    profile is supplied the matching must be stable and the rotation
-    exposed in it (NotExposedError otherwise), and the result is asserted
-    stable.
+    The matching must be stable, hold the rotation's edges and expose it
+    (NotExposedError otherwise); the result is asserted stable.
     """
-    if profile is None:
-        _require_edges(matching, rotation)
-        return _apply_rotation(matching, rotation)
     _require_stable(profile, matching)
     new = _eliminate_exposed(matching, rotation, profile)
     if not is_stable(profile, new):
@@ -225,12 +214,14 @@ def _eliminate_exposed(matching: Matching, rotation: Rotation,
     the next edge's applicant, so only the job's list between its two
     edges is scanned.
     """
-    _require_edges(matching, rotation)
+    for u, v in rotation.edges:
+        if matching[u] != v:
+            raise NotExposedError(f"edge ({u},{v}) not in matching")
     partner = [0] * profile.n
     for u, v in enumerate(matching):
         partner[v] = u
-    jrank = job_ranks(profile)
-    arank = applicant_ranks(profile)
+    jrank = profile.job_rank_table
+    arank = profile.applicant_rank_table
     edges = rotation.edges
     k = len(edges)
     for i, (u, v) in enumerate(edges):
@@ -303,8 +294,8 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
     the two builders agree by rotation content, not id for id.
     """
     n = profile.n
-    arank = applicant_ranks(profile)
-    jrank = job_ranks(profile)
+    arank = profile.applicant_rank_table
+    jrank = profile.job_rank_table
     table = _SuccessorTable(profile, gale_shapley(profile, "jobs"))
     partner0 = list(table.partner)
 
@@ -360,15 +351,16 @@ def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
     raise AssertionError("no chain step lifts the applicant past a job that skipped it")
 
 
-def build_rotation_poset_bfs(profile: PreferenceProfile,
-                             state_cap: int = STATE_CAP) -> RotationPoset:
+def build_rotation_poset_bfs(profile: PreferenceProfile) -> RotationPoset:
     """Labelled oracle: breadth-first exploration of all elimination
     sequences from the job-optimal matching; the order is read off the
     reachable eliminated-sets (rho below rho' iff every reachable set
     containing rho' contains rho) and cross-checked to be a lattice of
-    downsets.  Exponential in general: it visits every stable matching.
+    downsets.  Exponential in general: it visits every stable matching,
+    and raises StateCapError past `STATE_CAP` of them.
     """
     n = profile.n
+    cap = STATE_CAP
     mu0 = gale_shapley(profile, "jobs")
 
     rot_ids: dict[tuple, int] = {}
@@ -391,8 +383,8 @@ def build_rotation_poset_bfs(profile: PreferenceProfile,
                     "elimination produced an unstable matching"
                 seen = states.get(new_mask)
                 if seen is None:
-                    if len(states) >= state_cap:
-                        raise StateCapError(f"more than {state_cap} lattice states")
+                    if len(states) >= cap:
+                        raise StateCapError(f"more than {cap} lattice states")
                     states[new_mask] = new_matching
                     next_frontier.append(new_mask)
                 elif seen != new_matching:

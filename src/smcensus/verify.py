@@ -27,15 +27,17 @@ from .record import CheckResult
 from .rng import Xoshiro256StarStar, bernoulli_threshold
 
 
+SAMPLER_DRAWS = 10 ** 5  # c13's draws per sampler
+SCAN_LIMIT = 10 ** 6     # c11 scans the finite reveal bound over 1..SCAN_LIMIT
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
     max_n: int = 7
     num_instances: int = 200
-    sampler_draws: int = 10 ** 5
     mc_samples: int = 10 ** 6
     series_truncation: int = 10 ** 7
-    scan_limit: int = 10 ** 6
     inject_fault: bool = False
     threads: int = 1
 
@@ -352,7 +354,7 @@ def criterion_constants(config: RunConfig) -> CheckResult:
     ok = True
     t0 = time.perf_counter()
 
-    scan = bounds.finite_reveal_log_bound_scan(config.scan_limit)
+    scan = bounds.finite_reveal_log_bound_scan(SCAN_LIMIT)
     details["finite_scan"] = {"max": scan.max_value, "argmax": scan.argmax,
                               "certified_hi": scan.certified_hi}
     ok &= scan.certified_hi <= bounds.PLAIN_LOG_LIMIT
@@ -410,7 +412,7 @@ def criterion_jensen_and_dependence(config: RunConfig) -> CheckResult:
 @_timed
 def criterion_samplers(config: RunConfig) -> CheckResult:
     bad = []
-    draws = config.sampler_draws
+    draws = SAMPLER_DRAWS
 
     def gof(tag, samples, cells):
         m = len(samples)

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
@@ -79,6 +82,17 @@ def test_verify_has_no_suite_flag():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "all", "--only", "c10"])
     assert exc.value.code == 2
+
+
+def test_verify_sets_every_run_config_field():
+    """Every RunConfig field is a flag of `verify`: a field that the command
+    does not set is an option no caller changes, and belongs in a constant."""
+    tree = ast.parse(inspect.getsource(cli._cmd_verify))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "RunConfig"]
+    assert len(calls) == 1
+    assert {kw.arg for kw in calls[0].keywords} == \
+        {field.name for field in dataclasses.fields(verify.RunConfig)}
 
 
 def test_random_round_trips(capsys):

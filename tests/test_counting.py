@@ -119,15 +119,6 @@ def test_bounds_cover_family_size_exact_and_mc():
         assert bound_holds(res, fam)
 
 
-def test_explicit_order_weights():
-    fam = diagonal_pair_family(3)
-    orders = (((0, 1, 2), Fraction(1, 2)), ((2, 1, 0), Fraction(1, 2)))
-    res = reveal_bound(fam, BoundMode("averaged", orders=orders))
-    assert bound_holds(res, fam)
-    with pytest.raises(FamilyError, match="sum to 1"):
-        BoundMode("averaged", orders=(((0, 1, 2), Fraction(1, 3)),))
-
-
 def test_negative_sample_count_is_rejected():
     with pytest.raises(FamilyError, match="samples must be >= 0"):
         BoundMode("averaged", samples=-5)
@@ -285,63 +276,11 @@ def test_exact_bounds_equal_per_subset_reference(fam):
 
 
 def _explicit_orders(n):
-    """Four distinct orders whose weights have denominators 4, 6, 4, 3:
-    their lcm, 12, is none of the denominators."""
+    """Four distinct orders with weights 3, 2, 3 and 4 out of 12, for the
+    table's histograms under weights that are neither uniform nor tallies."""
     ident = tuple(range(n))
     orders = [ident, ident[::-1], ident[1:] + ident[:1], ident[2:] + ident[:2]]
-    weights = [Fraction(1, 4), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)]
-    return tuple(zip(orders, weights))
-
-
-HALVES = (((1, 0, 2), Fraction(1, 2)), ((2, 0, 1), Fraction(1, 2)))
-
-EXPLICIT_CASES = [pytest.param(p.values[0], _explicit_orders(p.values[0].n), id=p.id)
-                  for p in ORACLE_FAMILIES] + [
-    # the first and the last member tie on component 0 (log 4 / 2 and log 2
-    # are the same float) with different histograms: the tie-break shows
-    pytest.param(TupleFamily((tuple(range(4)), (0, 1), tuple(range(5))),
-                             ((0, 1, 4), (1, 1, 4), (1, 0, 1), (2, 0, 2), (3, 0, 3),
-                              (0, 0, 0))), HALVES, id="tied"),
-    # only the last member has the largest X_0
-    pytest.param(TupleFamily(((0, 1),) * 3, ((1, 0, 1), (1, 1, 0), (0, 0, 0))),
-                 HALVES, id="last-worst"),
-]
-
-
-@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
-@pytest.mark.parametrize("fam, orders", EXPLICIT_CASES)
-def test_explicit_weighted_orders_match_per_order_reference(fam, orders, variant):
-    nm = len(fam.members)
-    per_component, log_mix = [], {}
-    for i in range(fam.n):
-        mixes = [{} for _ in fam.members]  # per member, {X_i: weight} by Fractions
-        for order, w in orders:
-            for mi, member in enumerate(fam.members):
-                c = option_count(fam, member, order, i)
-                mixes[mi][c] = mixes[mi].get(c, 0) + w
-        if variant == "averaged":
-            comp = {}
-            for mix in mixes:
-                _add_mix(comp, mix, Fraction(1, nm))
-            per_component.append(_mix_log(comp))
-            _add_mix(log_mix, comp)
-        elif variant == "worst_member":
-            logs = [_mix_log(mix) for mix in mixes]
-            best = max(range(nm), key=lambda mi: (logs[mi], mi))
-            per_component.append(logs[best])
-            _add_mix(log_mix, mixes[best])
-        else:
-            per_component.append(max(sum(p * c for c, p in mix.items()) for mix in mixes))
-    res = reveal_bound(fam, BoundMode(variant, orders=orders))
-    assert res.exact
-    assert res.per_component == tuple(per_component)
-    if variant == "mean_product":
-        assert res.product == math.prod(per_component)
-        assert res.value == math.fsum(math.log(x) for x in per_component)
-    else:
-        assert res.log_mix == log_mix
-        assert res.value == math.fsum(per_component)
-    assert bound_holds(res, fam)
+    return tuple(zip(orders, (3, 2, 3, 4)))
 
 
 def _sampled_orders(n, samples, seed):
@@ -359,47 +298,28 @@ def _sampled_orders(n, samples, seed):
             yield tuple(sorted(range(n), key=keys.__getitem__))
 
 
-def _naive_mc(fam, variant, samples, seed):
-    """Per-sample loop over orders and members, straight from option_count."""
+def _naive_mc(fam, samples, seed):
+    """The averaged Monte Carlo bound and its standard error by a
+    per-sample loop over orders and members, straight from option_count."""
     n, nm = fam.n, len(fam.members)
-    logs = [[[] for _ in range(nm)] for _ in range(n)]
-    lins = [[[] for _ in range(nm)] for _ in range(n)]
+    logs = [[] for _ in range(n)]
     for order in _sampled_orders(n, samples, seed):
         for i in range(n):
-            for mi, member in enumerate(fam.members):
-                c = option_count(fam, member, order, i)
-                logs[i][mi].append(math.log(c))
-                lins[i][mi].append(c)
-
-    def mean_stderr(values_per_member):
-        mean = math.fsum(math.fsum(v) for v in values_per_member) / len(values_per_member) / samples
-        sq = math.fsum(math.fsum(x * x for x in v) for v in values_per_member)
-        var = max(sq / len(values_per_member) / samples - mean * mean, 0.0)
-        return mean, math.sqrt(var / samples)
-
+            logs[i] += [math.log(option_count(fam, member, order, i)) for member in fam.members]
     per_component, errs = [], []
-    for i in range(n):
-        if variant == "averaged":
-            mean, err = mean_stderr(logs[i])
-        elif variant == "worst_member":
-            mean, err = max((mean_stderr([v]) for v in logs[i]), key=lambda p: p[0])
-        else:
-            mean, err = max((mean_stderr([v]) for v in lins[i]), key=lambda p: p[0])
-            err /= mean
+    for values in logs:
+        mean = math.fsum(values) / nm / samples
+        var = max(math.fsum(x * x for x in values) / nm / samples - mean * mean, 0.0)
         per_component.append(mean)
-        errs.append(err)
-    if variant == "mean_product":
-        value = math.fsum(math.log(x) for x in per_component)
-    else:
-        value = math.fsum(per_component)
-    return value, math.sqrt(math.fsum(e * e for e in errs))
+        errs.append(math.sqrt(var / samples))
+    return math.fsum(per_component), math.sqrt(math.fsum(e * e for e in errs))
 
 
-@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+@pytest.mark.parametrize("variant", ["averaged"])  # the one Monte Carlo variant
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
 def test_monte_carlo_matches_naive_per_sample_loop(fam, variant):
     res = reveal_bound(fam, BoundMode(variant, samples=120), seed=17)
-    value, stderr = _naive_mc(fam, variant, 120, 17)
+    value, stderr = _naive_mc(fam, 120, 17)
     assert math.isclose(res.value, value, rel_tol=1e-12)
     assert math.isclose(res.stderr, stderr, rel_tol=1e-12)
 
@@ -456,11 +376,11 @@ def _wide_family(n, size, seed):
     return TupleFamily(((0, 1, 2),) * n, tuple(sorted(members)))
 
 
-@pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
+@pytest.mark.parametrize("variant", ["averaged"])  # the one Monte Carlo variant
 def test_monte_carlo_on_70_components_matches_naive_loop(variant):
     fam = _wide_family(70, 6, 4)
     res = reveal_bound(fam, BoundMode(variant, samples=25), seed=8)
-    value, stderr = _naive_mc(fam, variant, 25, 8)
+    value, stderr = _naive_mc(fam, 25, 8)
     assert math.isclose(res.value, value, rel_tol=1e-12)
     assert math.isclose(res.stderr, stderr, rel_tol=1e-12)
 
@@ -627,23 +547,16 @@ def _ref_tallies(n, samples, seed):
     return tallies
 
 
-def _ref_mc(variant, hists_per_component, t):
-    """ORACLE: the Monte Carlo bound from each component's per-member dicts
-    over t sampled orders, with its delta-method standard error."""
+def _ref_mc(hists_per_component, t):
+    """ORACLE: the averaged Monte Carlo bound from each component's
+    per-member dicts over t sampled orders, with its standard error."""
     per_component, errs = [], []
     for hists in hists_per_component:
-        stat, hist, total = _ref_reduce(variant, hists, t)
-        mean = float(stat)
-        if variant == "mean_product":
-            second = sum(w * c * c for c, w in hist.items()) / total
-        else:
-            second = math.fsum(w / total * math.log(c) ** 2 for c, w in hist.items())
-        err = math.sqrt(max(second - mean * mean, 0.0) / t)
+        stat, hist, total = _ref_reduce("averaged", hists, t)
+        second = math.fsum(w / total * math.log(c) ** 2 for c, w in hist.items())
         per_component.append(stat)
-        errs.append(err / mean if variant == "mean_product" else err)
-    value = (math.fsum(math.log(x) for x in per_component) if variant == "mean_product"
-             else math.fsum(per_component))
-    return BoundResult(variant, value, tuple(per_component), False,
+        errs.append(math.sqrt(max(second - stat * stat, 0.0) / t))
+    return BoundResult("averaged", math.fsum(per_component), tuple(per_component), False,
                        stderr=math.sqrt(math.fsum(e * e for e in errs)))
 
 
@@ -712,7 +625,7 @@ FAMILY_GROUPS = ["oracle", "c06@42", "c06@7", "c09@42", "c09@7"]
 @pytest.mark.parametrize("group", FAMILY_GROUPS)
 def test_columnar_table_equals_dict_oracle(group):
     variants = ("averaged", "worst_member", "mean_product")
-    for k, (fam, grid) in enumerate(_family_group(group)):
+    for fam, grid in _family_group(group):
         table, ref, n = fam.option_counts, OptionCountTableReference(fam), fam.n
         ident, explicit = tuple(range(n)), _explicit_orders(n)
         tallies = _ref_tallies(n, MC_SAMPLES, 42)
@@ -726,7 +639,7 @@ def test_columnar_table_equals_dict_oracle(group):
                        for T in sets]
             weighted = {"uniform": (sets, uniform),
                         "explicit": ([_revealed(o, i) for o, _ in explicit],
-                                     [int(w * 12) for _, w in explicit]),
+                                     [w for _, w in explicit]),
                         "mc": (list(tallies[i]), list(tallies[i].values()))}
             for kind, (ts, ws) in weighted.items():
                 want[kind].append(ref.histograms(i, zip(ts, ws)))
@@ -737,13 +650,8 @@ def test_columnar_table_equals_dict_oracle(group):
         fixed = [([{c: 1} for c in ref.row(i, _revealed(ident, i))], 1) for i in range(n)]
         assert reveal_bound(fam, BoundMode("fixed_order", orders=ident)) == \
             _ref_aggregate("fixed_order", fixed)
-        for v in variants:
-            assert reveal_bound(fam, BoundMode(v, orders=explicit)) == \
-                _ref_aggregate(v, [(hists, 12) for hists in want["explicit"]])
-        # Monte Carlo draws dominate: c06's variant everywhere, the others in turn
-        for v in ("averaged", variants[1 + k % 2]):
-            assert reveal_bound(fam, BoundMode(v, samples=MC_SAMPLES), seed=42) == \
-                _ref_mc(v, want["mc"], MC_SAMPLES)
+        assert reveal_bound(fam, BoundMode("averaged", samples=MC_SAMPLES), seed=42) == \
+            _ref_mc(want["mc"], MC_SAMPLES)
         if grid is not None:
             levels = range(2, grid.n + 1)
             got = _conditional_option_histograms(fam, grid.n, range(2 * grid.n), levels)
@@ -942,13 +850,18 @@ def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
     (0, 1, 2, 3),                                       # one component too many
     (0, 1),                                             # one too few
     (0, 0, 1),                                          # a repeat
-    (((0, 1), Fraction(1, 2)), ((0, 1, 2), Fraction(1, 2))),  # a short weighted order
-], ids=["too-long", "too-short", "repeat", "weighted-short"])
+], ids=["too-long", "too-short", "repeat"])
 def test_orders_that_do_not_permute_the_components_are_rejected(orders):
     fam = diagonal_pair_family(2)
-    variant = "averaged" if isinstance(orders[0], tuple) else "fixed_order"
     with pytest.raises(FamilyError, match="not a permutation"):
-        reveal_bound(fam, BoundMode(variant, orders=orders))
+        reveal_bound(fam, BoundMode("fixed_order", orders=orders))
+
+
+@pytest.mark.parametrize("orders", ["uniform", [0, 1, 2], (False, True, 2), (0.0, 1, 2)],
+                         ids=["uniform", "list", "bools", "float"])
+def test_fixed_order_takes_one_tuple_of_ints(orders):
+    with pytest.raises(FamilyError, match="a single order, a tuple of ints"):
+        BoundMode("fixed_order", orders=orders)
 
 
 @pytest.mark.parametrize("samples", [True, False, 2.0, "3", None])
@@ -957,18 +870,28 @@ def test_non_int_sample_counts_are_rejected(samples):
         BoundMode("averaged", samples=samples)
 
 
-def test_negative_order_weights_are_rejected():
-    with pytest.raises(FamilyError, match="nonnegative"):
-        BoundMode("averaged", orders=(((0, 1, 2), Fraction(3, 2)),
-                                      ((2, 1, 0), Fraction(-1, 2))))
+# the valid (variant, orders, samples) combinations before the five modes:
+# every variant but fixed_order took a single order, weighted orders and
+# Monte Carlo orders too
+DROPPED_MODES = [
+    *((v, (0, 1, 2), 0) for v in ("averaged", "worst_member", "mean_product")),
+    *((v, (((0, 1, 2), Fraction(1, 2)), ((2, 1, 0), Fraction(1, 2))), 0)
+      for v in ("averaged", "worst_member", "mean_product")),
+    *((v, "uniform", 300) for v in ("worst_member", "mean_product")),
+]
+
+
+@pytest.mark.parametrize("variant, orders, samples", DROPPED_MODES,
+                         ids=["single-averaged", "single-worst", "single-product",
+                              "weighted-averaged", "weighted-worst", "weighted-product",
+                              "mc-worst", "mc-product"])
+def test_only_the_five_bound_modes_are_accepted(variant, orders, samples):
+    with pytest.raises(FamilyError):
+        BoundMode(variant, orders=orders, samples=samples)
 
 
 def test_weight_total_past_int64_is_rejected():
     fam = diagonal_pair_family(2)
-    tiny = Fraction(1, 2 ** 63)  # weights out of a common total of 2^63
-    orders = (((0, 1, 2), tiny), ((2, 1, 0), 1 - tiny))
-    with pytest.raises(FamilyError, match="overflows int64"):
-        reveal_bound(fam, BoundMode("averaged", orders=orders))
     # six members: a total of 2^63 // 6 still fits every pooled column sum
     assert fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6]).sum() \
         == 6 * (counting.INT64_MAX // 6)

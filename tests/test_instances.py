@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcensus.instances import (InstanceError, PreferenceProfile,
-                                applicant_ranks, instance_I2, irving_leather,
-                                job_ranks, parse_instance, random_instance,
+from smcensus.instances import (InstanceError, PreferenceProfile, instance_I2,
+                                irving_leather, parse_instance, random_instance,
                                 serialize_instance)
 
 
@@ -92,8 +91,8 @@ def test_profile_invariants_enforced():
 def test_rank_tables_are_built_once_and_leave_identity_alone():
     profile = random_instance(6, 4)
     fresh = random_instance(6, 4)
-    jrank, arank = job_ranks(profile), applicant_ranks(profile)
-    assert job_ranks(profile) is jrank and applicant_ranks(profile) is arank
+    jrank, arank = profile.job_rank_table, profile.applicant_rank_table
+    assert profile.job_rank_table is jrank and profile.applicant_rank_table is arank
     for u in range(6):
         for pos in range(6):
             assert jrank[u][profile.job_prefs[u][pos]] == pos
@@ -110,8 +109,8 @@ def test_rank_arrays_hold_the_rank_tables_indexed_job_then_applicant(n):
     profile = random_instance(n, 5)
     jrank, arank = profile.job_rank_array, profile.applicant_rank_array
     assert profile.job_rank_array is jrank and profile.applicant_rank_array is arank
-    assert jrank.tolist() == [list(row) for row in job_ranks(profile)]
-    assert arank.T.tolist() == [list(row) for row in applicant_ranks(profile)]
+    assert jrank.tolist() == [list(row) for row in profile.job_rank_table]
+    assert arank.T.tolist() == [list(row) for row in profile.applicant_rank_table]
     for ranks in (jrank, arank):
         assert ranks.shape == (n, n) and ranks.flags.c_contiguous
         assert ranks.dtype.itemsize == (1 if n < 256 else 2)

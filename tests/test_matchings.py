@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from smcensus import matchings, rotations, verify
-from smcensus.instances import (PreferenceProfile, applicant_ranks, instance_I2,
-                                irving_leather, job_ranks, random_instance)
+from smcensus.instances import PreferenceProfile, instance_I2, irving_leather, random_instance
 from smcensus.matchings import (enumerate_stable_bruteforce, gale_shapley,
                                 is_stable, stable_rows, unstable_pairs)
 from smcensus.rng import Xoshiro256StarStar
@@ -33,7 +32,7 @@ def stable_by_permutation_filter(profile):
     """
     n = profile.n
     match, partner = all_permutations(n)
-    jrank, arank = job_ranks(profile), applicant_ranks(profile)
+    jrank, arank = profile.job_rank_table, profile.applicant_rank_table
     # each side's rank of its own partner, per permutation
     own_j = [np.take(np.array(jrank[u], dtype=np.int8), match[u]) for u in range(n)]
     own_a = [np.take(np.array(arank[v], dtype=np.int8), partner[v]) for v in range(n)]

@@ -115,12 +115,14 @@ def test_enumeration_is_canonical_and_complete():
     assert frozenset() in sets and frozenset(range(4)) in sets
 
 
-def test_count_cap():
+def test_count_cap(monkeypatch):
     # the cap bounds live states, not poset size: every antichain element
     # leaves the frontier as soon as it is processed, so one state suffices
-    assert count_downsets(antichain(41), cap=1) == 2 ** 41
+    monkeypatch.setattr("smcensus.posets.STATE_CAP", 1)
+    assert count_downsets(antichain(41)) == 2 ** 41
+    monkeypatch.setattr("smcensus.posets.STATE_CAP", 0)
     with pytest.raises(PosetError, match="more than 0 states"):
-        count_downsets(antichain(41), cap=0)
+        count_downsets(antichain(41))
     with pytest.raises(PosetError, match="brute-force count needs size <= 20"):
         count_downsets_bruteforce(antichain(21))
 
@@ -328,16 +330,18 @@ def transfer_peak(poset):
     return peak
 
 
-def test_count_and_smallest_cap_match_reference():
+def test_count_and_smallest_cap_match_reference(monkeypatch):
     # the smallest cap that lets a count through is its peak of live states
     cases = [embed_in_tangled_grid(rp).poset for rp in sweep_plan_rotation_posets()]
     cases += [grid_diamond(n).poset for n in range(1, 7)]
     for poset in cases:
         want = count_downsets_reference(poset)
         peak = transfer_peak(poset)
-        assert count_downsets(poset, cap=peak) == want
+        monkeypatch.setattr("smcensus.posets.STATE_CAP", peak)
+        assert count_downsets(poset) == want
+        monkeypatch.setattr("smcensus.posets.STATE_CAP", peak - 1)
         with pytest.raises(PosetError, match=f"more than {peak - 1} states"):
-            count_downsets(poset, cap=peak - 1)
+            count_downsets(poset)
 
 
 def test_count_matches_references_on_sweep_plan():

@@ -8,7 +8,7 @@ from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
                                 random_instance)
 from smcensus.matchings import enumerate_stable_bruteforce, gale_shapley, unstable_pairs
 from smcensus.rotations import (NotExposedError, Rotation, RotationPoset,
-                                StateCapError, build_rotation_poset,
+                                StateCapError, _apply_rotation, build_rotation_poset,
                                 build_rotation_poset_bfs, canonical_rotation,
                                 check_structure, eliminate,
                                 enumerate_stable_via_rotations,
@@ -38,8 +38,8 @@ def test_eliminate_applies_cyclic_shift():
 def test_eliminate_requires_exposure():
     profile = instance_I2()
     rho = Rotation(((0, 0), (1, 1)))
-    with pytest.raises(NotExposedError):
-        eliminate((1, 0), rho)
+    with pytest.raises(NotExposedError, match="not in matching"):
+        eliminate((1, 0), rho, profile)
     # edges present but successor condition violated: build a profile where
     # the cycle exists in the matching but is not a rotation
     prof2 = PreferenceProfile(2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
@@ -68,7 +68,7 @@ def test_eliminate_agrees_with_exposure_oracle():
                 if any(matching[u] != v for u, v in rot.edges):
                     continue
                 if rot in exposed:
-                    assert eliminate(matching, rot, profile) == eliminate(matching, rot)
+                    assert eliminate(matching, rot, profile) == _apply_rotation(matching, rot)
                 else:
                     refused += 1
                     with pytest.raises(NotExposedError, match="not exposed"):
@@ -285,9 +285,10 @@ def test_bijection_keeps_the_state_cap(monkeypatch):
         stable_matching_bijection(profile)
 
 
-def test_bfs_oracle_keeps_its_state_cap():
-    with pytest.raises(StateCapError):
-        build_rotation_poset_bfs(irving_leather(3), state_cap=100)
+def test_bfs_oracle_keeps_its_state_cap(monkeypatch):
+    monkeypatch.setattr(rotations, "STATE_CAP", 100)
+    with pytest.raises(StateCapError, match="more than 100 lattice states"):
+        build_rotation_poset_bfs(irving_leather(3))
 
 
 def test_bijection_eliminates_once_per_downset(monkeypatch):
