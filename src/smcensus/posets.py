@@ -301,6 +301,14 @@ def grid_diamond(n: int) -> TangledGrid:
     return TangledGrid(poset, m_chains, w_chains)
 
 
+def grid_key(rposet: "RotationPoset") -> tuple:
+    """Everything `embed_in_tangled_grid` reads of a rotation poset: n, each
+    rotation's first edge in id order and the covers.  The kept chains
+    follow from the first edges and the top rotations from the covers, so
+    posets with equal keys embed to equal grids."""
+    return rposet.n, tuple(rot.edges[0] for rot in rposet.rotations), rposet.covers
+
+
 def embed_in_tangled_grid(rposet: "RotationPoset") -> TangledGrid:
     """Embed a rotation poset into an n x n tangled grid.
 

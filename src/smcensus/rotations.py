@@ -242,6 +242,8 @@ class RotationPoset:
     order, which is bottom to top.  `covers` lists the sorted cover pairs;
     `finite_poset`, the cover relation as a `posets.FinitePoset`, is built
     from them on first use and shared by every later caller.
+    `job_optimal` is the job-optimal stable matching, the bijection's
+    image of the empty downset.
     """
 
     n: int
@@ -250,6 +252,7 @@ class RotationPoset:
     m_chains: tuple[tuple[int, ...], ...]
     w_chains: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+    job_optimal: Matching = field(repr=False, compare=False)
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or bool(self.below[j] >> i & 1)
@@ -264,7 +267,7 @@ def to_finite_poset(rposet: RotationPoset) -> posets.FinitePoset:
 
 
 def _with_chains(n: int, rotations: list[Rotation], below: list[int],
-                 covers: tuple[tuple[int, int], ...]) -> RotationPoset:
+                 covers: tuple[tuple[int, int], ...], job_optimal: Matching) -> RotationPoset:
     m_ids: list[list[int]] = [[] for _ in range(n)]
     w_ids: list[list[int]] = [[] for _ in range(n)]
     for t, rot in enumerate(rotations):
@@ -272,7 +275,8 @@ def _with_chains(n: int, rotations: list[Rotation], below: list[int],
             m_ids[u].append(t)
             w_ids[v].append(t)
     return RotationPoset(n, tuple(rotations), tuple(below),
-                         tuple(map(tuple, m_ids)), tuple(map(tuple, w_ids)), covers)
+                         tuple(map(tuple, m_ids)), tuple(map(tuple, w_ids)), covers,
+                         job_optimal)
 
 
 def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
@@ -340,7 +344,7 @@ def build_rotation_poset(profile: PreferenceProfile) -> RotationPoset:
 
     covers = [(p, step) for step, c in enumerate(posets.lower_cover_masks(below_on_chain))
               for p in posets._bits(c)]
-    return _with_chains(n, chain, below_on_chain, tuple(sorted(covers)))
+    return _with_chains(n, chain, below_on_chain, tuple(sorted(covers)), states[0])
 
 
 def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
@@ -415,7 +419,7 @@ def build_rotation_poset_bfs(profile: PreferenceProfile) -> RotationPoset:
     if ideals != reached:
         raise AssertionError("reached sets differ from the downsets of the derived order")
 
-    return _with_chains(n, rotations, below, fp.covers)
+    return _with_chains(n, rotations, below, fp.covers, mu0)
 
 
 def stable_matching_bijection(profile: PreferenceProfile,
@@ -439,7 +443,8 @@ def _matchings_by_downset(profile: PreferenceProfile,
                           rposet: RotationPoset | None) -> dict[int, Matching]:
     """The bijection keyed by downset bitmask.
 
-    Downsets stream subsets first, each with the rotation the enumeration
+    The empty downset maps to the poset's job-optimal matching.  Downsets
+    stream subsets first, each with the rotation the enumeration
     included last, which is maximal in it; so each downset's matching is
     its predecessor's (the downset less that rotation) with the rotation
     eliminated, its exposure tested locally.  The D - 1 new matchings then
@@ -453,7 +458,7 @@ def _matchings_by_downset(profile: PreferenceProfile,
         if len(by_mask) >= STATE_CAP:
             raise StateCapError(f"more than {STATE_CAP} stable matchings")
         if top < 0:
-            by_mask[mask] = gale_shapley(profile, "jobs")
+            by_mask[mask] = rposet.job_optimal
             continue
         by_mask[mask] = _eliminate_exposed(by_mask[mask ^ (1 << top)], rots[top], profile)
     if not all(stable_rows(profile, list(by_mask.values())[1:])):  # all but the root

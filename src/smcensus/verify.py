@@ -7,6 +7,16 @@ The instance sweep (brute-force enumeration, rotation poset, bijection,
 structure checks, grid embedding) is computed once and shared by the
 criteria that consume it, optionally split across worker processes;
 results never depend on the worker count.
+
+Small instances repeat the same tangled grids: most have no rotation or
+one, so 502 instances at n <= 7 give about 145 distinct grids (71 % are
+repeats) and the default 202-instance plan 74 (63 %).  A run therefore
+keeps one dict from `posets.grid_key` to the grid stage's results and
+embeds, validates and counts each distinct grid once; a worker process
+gives each of its jobs a dict of its own.  For the same reason c06
+bounds each distinct family once and c09 checks each distinct grid once
+(6-11 of c06's 20 grid families and 7-9 of c09's 21 grids are distinct),
+while failures, margins and counts still run over every tag.
 """
 
 from __future__ import annotations
@@ -67,7 +77,10 @@ def _profile_for(item: tuple[int, int]) -> PreferenceProfile:
     return random_instance(n, seed)
 
 
-def _sweep_one(args) -> dict:
+def _sweep_one(args, grids: dict | None = None) -> dict:
+    """One sweep row.  `grids` maps `posets.grid_key` to (grid_ok,
+    grid_downsets), the grid stage's results, and is shared by the
+    instances of one run; None gives this instance a dict of its own."""
     item, inject = args
     n, seed = item
     profile = _profile_for(item)
@@ -81,12 +94,15 @@ def _sweep_one(args) -> dict:
     bijection_elapsed = time.perf_counter() - t0
 
     report = rotations.check_structure(rposet)
-    grid_ok, grid_downsets = True, None
-    try:
-        grid = posets.embed_in_tangled_grid(rposet)
-        grid_downsets = posets.count_downsets(grid.poset)
-    except posets.PosetError:
-        grid_ok = False
+    grids = {} if grids is None else grids
+    key = posets.grid_key(rposet)
+    if key not in grids:
+        try:
+            grid = posets.embed_in_tangled_grid(rposet)
+            grids[key] = True, posets.count_downsets(grid.poset)
+        except posets.PosetError:
+            grids[key] = False, None
+    grid_ok, grid_downsets = grids[key]
     return {
         "n": n,
         "seed": seed,
@@ -103,6 +119,8 @@ def _sweep_one(args) -> dict:
 
 
 def run_sweep(config: RunConfig) -> list[dict]:
+    """The rows of every instance of the plan; the grid-stage results are
+    shared within one run (see the module docstring)."""
     plan = instance_plan(config)
     jobs = [(item, config.inject_fault and i == 2)
             for i, item in enumerate(plan)]
@@ -114,7 +132,8 @@ def run_sweep(config: RunConfig) -> list[dict]:
                 return list(pool.map(_sweep_one, jobs, chunksize=8))
         except OSError:
             pass  # sandboxed environments may forbid fork; fall back
-    return [_sweep_one(job) for job in jobs]
+    grids: dict = {}
+    return [_sweep_one(job, grids) for job in jobs]
 
 
 def _timed(fn):
@@ -240,12 +259,15 @@ def criterion_family_bounds(config: RunConfig) -> CheckResult:
     mc_samples = max(200, config.mc_samples // 500)
     margins: dict[str, list[float]] = {}  # variant -> value - log |S| per family
     mc_se = None  # smallest Monte Carlo margin in standard errors
+    bounds_of: dict[counting.TupleFamily, dict] = {}  # equal families, equal bounds
     for tag, fam in family_bound_families(config):
-        results = counting.reveal_bounds_exact(fam)
-        ident = tuple(range(fam.n))
-        results["fixed_order"] = reveal_bound(fam, BoundMode("fixed_order", orders=ident))
-        results["averaged_mc"] = reveal_bound(
-            fam, BoundMode("averaged", samples=mc_samples), seed=config.seed)
+        results = bounds_of.get(fam)
+        if results is None:
+            results = bounds_of[fam] = counting.reveal_bounds_exact(fam)
+            ident = tuple(range(fam.n))
+            results["fixed_order"] = reveal_bound(fam, BoundMode("fixed_order", orders=ident))
+            results["averaged_mc"] = reveal_bound(
+                fam, BoundMode("averaged", samples=mc_samples), seed=config.seed)
         target = math.log(len(fam.members))
         for variant, res in results.items():
             if not bound_holds(res, fam):
@@ -316,8 +338,11 @@ def criterion_dominance(config: RunConfig) -> CheckResult:
     bad = []
     reports = 0  # (grid, chain, l) comparisons checked
     grids = dominance_grids(config)
+    reports_of: dict[posets.TangledGrid, list[CheckResult]] = {}  # equal grids, equal reports
     for tag, grid in grids:
-        for rep in distributions.dominance_check_grid(grid):
+        if grid not in reports_of:
+            reports_of[grid] = distributions.dominance_check_grid(grid)
+        for rep in reports_of[grid]:
             reports += 1
             if not rep.passed:
                 f = rep.fields

@@ -844,6 +844,103 @@ def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
                                                    / len(logs))
 
 
+# ------------------------------- c06 and c09 compute once per distinct input
+
+def test_family_bounds_run_once_per_distinct_family(monkeypatch):
+    config = verify.RunConfig(seed=21, mc_samples=20000)
+    families = [fam for _, fam in verify.family_bound_families(config)]
+    exact, bounds = [], []
+    reveal_exact, reveal = counting.reveal_bounds_exact, counting.reveal_bound
+
+    def counted_exact(fam):
+        exact.append(fam)
+        return reveal_exact(fam)
+
+    def counted(fam, mode, seed=0):
+        bounds.append(fam)
+        return reveal(fam, mode, seed)
+
+    monkeypatch.setattr(counting, "reveal_bounds_exact", counted_exact)
+    monkeypatch.setattr(verify, "reveal_bound", counted)
+    verify.criterion_family_bounds(config)
+    assert Counter(exact) == Counter(dict.fromkeys(families, 1))
+    assert Counter(bounds) == Counter(dict.fromkeys(families, 2))  # fixed order, Monte Carlo
+    assert len(set(families)) < len(families)
+
+
+def test_dominance_runs_once_per_distinct_grid(monkeypatch):
+    config = verify.RunConfig(seed=21)
+    grids = [grid for _, grid in verify.dominance_grids(config)]
+    checked = []
+    check = dominance_check_grid
+
+    def counted(grid):
+        checked.append(grid)
+        return check(grid)
+
+    monkeypatch.setattr(verify.distributions, "dominance_check_grid", counted)
+    verify.criterion_dominance(config)
+    assert Counter(checked) == Counter(dict.fromkeys(grids, 1))
+    assert len(set(grids)) < len(grids)
+
+
+def plain_family_bounds(config):
+    """c06's verdict and details from a loop that bounds every tag's family."""
+    bad, margins, mc_se = [], {}, []
+    for tag, fam in verify.family_bound_families(config):
+        results = reveal_bounds_exact(fam)
+        results["fixed_order"] = reveal_bound(
+            fam, BoundMode("fixed_order", orders=tuple(range(fam.n))))
+        results["averaged_mc"] = reveal_bound(
+            fam, BoundMode("averaged", samples=max(200, config.mc_samples // 500)),
+            seed=config.seed)
+        target = math.log(len(fam.members))
+        for variant, res in results.items():
+            if not bound_holds(res, fam):
+                bad.append((tag, variant, res.value, target))
+            margins.setdefault(variant, []).append(res.value - target)
+        mc = results["averaged_mc"]
+        if mc.stderr > 0:
+            mc_se.append((mc.value - target) / mc.stderr)
+    return not bad, {
+        "failures": bad[:10],
+        "min_margin": {**{v: min(ms) for v, ms in margins.items()},
+                       "averaged_mc_se": min(mc_se, default=None)},
+        "mean_margin": {v: math.fsum(ms) / len(ms) for v, ms in margins.items()}}
+
+
+def plain_dominance(config):
+    """c09's verdict and details from a loop that checks every tag's grid."""
+    bad, reports = [], 0
+    grids = verify.dominance_grids(config)
+    for tag, grid in grids:
+        for rep in dominance_check_grid(grid):
+            reports += 1
+            if not rep.passed:
+                f = rep.fields
+                bad.append((tag, f["chain"], f["l"], f["witnesses"][:2]))
+    return not bad, {"grids": len(grids), "reports": reports, "failures": bad[:10]}
+
+
+@pytest.mark.parametrize("seed", [21, 42])
+def test_deduplicated_criteria_equal_a_plain_loop(seed):
+    config = verify.RunConfig(seed=seed, mc_samples=20000)
+    for criterion, plain in ((verify.criterion_family_bounds, plain_family_bounds),
+                             (verify.criterion_dominance, plain_dominance)):
+        res = criterion(config)
+        assert (res.passed, res.fields["details"]) == plain(config)
+
+
+def test_deduplicated_dominance_names_the_failures_of_a_plain_loop(monkeypatch):
+    counts = OptionCountTable._counts
+    monkeypatch.setattr(OptionCountTable, "_counts", lambda self, i, sets: np.minimum(
+        counts(self, i, sets) + 1, np.take(self._cards, i)[:, None]))
+    config = verify.RunConfig(seed=21)
+    res = verify.criterion_dominance(config)
+    assert not res.passed
+    assert (res.passed, res.fields["details"]) == plain_dominance(config)
+
+
 # ----------------------------------------------- orders checked at the boundary
 
 @pytest.mark.parametrize("orders", [

@@ -1,6 +1,7 @@
 import gc
 import random
 import types
+from collections import Counter
 from functools import reduce
 from heapq import heappop, heappush
 from math import comb
@@ -10,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smcensus.posets as posets_module
 from smcensus.counting import BipartiteGraph, perfect_matching_family
 from smcensus.instances import instance_I2, irving_leather, random_instance
 from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
                              _downsets_with_tops, count_downsets, count_downsets_bruteforce,
                              embed_in_tangled_grid, enumerate_downset_masks,
-                             enumerate_downsets, grid_diamond, grid_to_json,
+                             enumerate_downsets, grid_diamond, grid_key, grid_to_json,
                              poset_from_below, random_tangled_grid,
                              validate_tangled_grid)
-from smcensus.rotations import build_rotation_poset, to_finite_poset
-from smcensus.verify import RunConfig, _profile_for, _sweep_one, instance_plan
+from smcensus.rotations import Rotation, _with_chains, build_rotation_poset, to_finite_poset
+from smcensus.verify import RunConfig, _profile_for, _sweep_one, instance_plan, run_sweep
 
 
 def chain(k):
@@ -605,8 +607,6 @@ def test_embedded_grids_validate():
 # --- one poset build per sweep instance -------------------------------------
 
 def test_sweep_instance_builds_each_poset_once(monkeypatch):
-    import smcensus.posets as posets_module
-
     calls = {"poset_from_below": 0, "FinitePoset": 0}
     from_below = posets_module.poset_from_below
     post_init = FinitePoset.__post_init__
@@ -640,3 +640,120 @@ def test_relabelled_chain_covers_equal_the_reduction(rposets):
         reduced = poset_from_below(len(rposet.rotations), list(rposet.below))
         assert rposet.covers == reduced.covers
         assert to_finite_poset(rposet).covers == reduced.covers
+
+
+# --- one grid stage per distinct grid key in a sweep ------------------------
+
+SWEEP_PLANS = {"seed-42": RunConfig(seed=42), "seed-7": RunConfig(seed=7),
+               "max-n-7": RunConfig(seed=1000, num_instances=500, max_n=7)}
+
+
+def without_timing(rows):
+    return [{k: v for k, v in r.items() if k != "bijection_elapsed"} for r in rows]
+
+
+def covers_only_pair():
+    """Two rotation posets on the same rotations, hence the same n and first
+    edges, that differ only in their covers."""
+    rots = [Rotation(((0, 0), (1, 1))), Rotation(((2, 2), (3, 3)))]
+    return [_with_chains(4, rots, below, covers, (0, 1, 2, 3))
+            for below, covers in (([0, 0], ()), ([0, 1], ((0, 1),)))]
+
+
+@pytest.mark.parametrize("config", SWEEP_PLANS.values(), ids=SWEEP_PLANS.keys())
+def test_shared_grid_results_leave_every_row_unchanged(config):
+    fresh = [_sweep_one((item, False)) for item in instance_plan(config)]
+    assert without_timing(run_sweep(config)) == without_timing(fresh)
+
+
+@pytest.mark.parametrize("rposets", [
+    *(lambda config=config: [build_rotation_poset(_profile_for(item))
+                             for item in instance_plan(config)]
+      for config in SWEEP_PLANS.values()),
+    lambda: [build_rotation_poset(irving_leather(k)) for k in range(1, 5)],
+    covers_only_pair,
+], ids=[*SWEEP_PLANS.keys(), "irving-leather-1-4", "covers-only-pair"])
+def test_posets_sharing_a_grid_key_embed_to_equal_grids(rposets):
+    grid_of: dict = {}
+    for rposet in rposets():
+        grid = embed_in_tangled_grid(rposet)
+        assert grid_of.setdefault(grid_key(rposet), grid) == grid
+
+
+def test_a_covers_only_difference_changes_the_grid():
+    a, b = covers_only_pair()
+    assert embed_in_tangled_grid(a) != embed_in_tangled_grid(b)
+    assert grid_key(a) != grid_key(b)
+
+
+def count_grid_stage(monkeypatch) -> dict:
+    """Count the sweep's grid embeddings by key and its downset counts."""
+    calls = {"embed": Counter(), "count_downsets": 0}
+    embed, count = posets_module.embed_in_tangled_grid, posets_module.count_downsets
+
+    def counted_embed(rposet):
+        calls["embed"][grid_key(rposet)] += 1
+        return embed(rposet)
+
+    def counted_count(poset):
+        calls["count_downsets"] += 1
+        return count(poset)
+
+    monkeypatch.setattr(posets_module, "embed_in_tangled_grid", counted_embed)
+    monkeypatch.setattr(posets_module, "count_downsets", counted_count)
+    return calls
+
+
+def plan_grid_keys(config) -> set:
+    return {grid_key(build_rotation_poset(_profile_for(item)))
+            for item in instance_plan(config)}
+
+
+def test_sweep_embeds_and_counts_each_grid_key_once(monkeypatch):
+    config = SWEEP_PLANS["max-n-7"]
+    keys = plan_grid_keys(config)
+    calls = count_grid_stage(monkeypatch)
+    run_sweep(config)
+    assert calls["embed"] == Counter(dict.fromkeys(keys, 1))
+    # one count per instance for its rotation poset, one per key for its grid
+    assert calls["count_downsets"] == len(instance_plan(config)) + len(keys)
+    assert len(keys) < len(instance_plan(config)) / 2
+
+
+def test_a_second_sweep_repeats_every_grid_call(monkeypatch):
+    config = SWEEP_PLANS["seed-42"]
+    calls = count_grid_stage(monkeypatch)
+    run_sweep(config)
+    first = (Counter(calls["embed"]), calls["count_downsets"])
+    run_sweep(config)
+    assert (calls["embed"], calls["count_downsets"]) == \
+        (Counter({key: 2 * k for key, k in first[0].items()}), 2 * first[1])
+
+
+def test_a_memoised_poset_error_fails_every_instance_sharing_its_key(monkeypatch):
+    config = SWEEP_PLANS["seed-42"]
+    clean = run_sweep(config)
+    raised = Counter()
+    embed = posets_module.embed_in_tangled_grid
+
+    def no_empty_grids(rposet):  # one failing key per n: the empty rotation poset
+        if not rposet.rotations:
+            raised[rposet.n] += 1
+            raise PosetError("refused")
+        return embed(rposet)
+
+    monkeypatch.setattr(posets_module, "embed_in_tangled_grid", no_empty_grids)
+    rows = run_sweep(config)
+    empty = [r["downset_count"] == 1 for r in clean]
+    assert raised == Counter({r["n"]: 1 for r, e in zip(clean, empty) if e})
+    assert sum(empty) > len(raised)  # some key is shared by several instances
+    for r, c, e in zip(rows, clean, empty):
+        want = {**c, "grid_ok": False, "grid_downsets": None} if e else c
+        assert without_timing([r]) == without_timing([want])
+
+
+def test_two_worker_sweep_equals_the_single_process_sweep():
+    # each worker's job gets a grid-result dict of its own
+    config = SWEEP_PLANS["seed-42"]
+    two = run_sweep(RunConfig(seed=config.seed, threads=2))
+    assert without_timing(two) == without_timing(run_sweep(config))

@@ -132,7 +132,7 @@ def test_edge_uniqueness_negative_control():
     r0 = Rotation(((0, 0), (1, 1)))
     r1 = Rotation(((0, 0), (2, 2)))
     fake = RotationPoset(3, (r0, r1), (0, 0),
-                         ((0, 1), (0,), (1,)), ((0, 1), (0,), (1,)), ())
+                         ((0, 1), (0,), (1,)), ((0, 1), (0,), (1,)), (), (0, 1, 2))
     report = check_structure(fake)
     assert not report.fields["checks"]["edge_uniqueness"]
     assert report.fields["witnesses"]["edge_uniqueness"]
@@ -310,6 +310,20 @@ def test_bijection_eliminates_once_per_downset(monkeypatch):
         assert len(checked) == len(set(checked)) == len(out) - 1
         assert set(checked) == set(out.values()) - {gale_shapley(profile, "jobs")}
     assert single_calls == []
+
+
+@pytest.mark.parametrize("build", [build_rotation_poset, build_rotation_poset_bfs],
+                         ids=["chain", "bfs"])
+def test_bijection_of_a_built_poset_runs_no_deferred_acceptance(monkeypatch, build):
+    for profile in (instance_I2(), irving_leather(3), random_instance(9, 3)):
+        rposet = build(profile)
+        assert rposet.job_optimal == gale_shapley(profile, "jobs")
+        calls = _count_calls(monkeypatch, "gale_shapley")
+        out = stable_matching_bijection(profile, rposet)
+        monkeypatch.undo()
+        assert calls == []
+        assert out[frozenset()] == rposet.job_optimal
+        assert set(out.values()) == enumerate_stable_bruteforce(profile)
 
 
 def _unstable_swap(profile, matching):
