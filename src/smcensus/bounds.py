@@ -33,8 +33,12 @@ one block buffer and takes the same pairwise ``np.sum`` of it; the scan
 takes one ``np.log`` over k .. k+m and reads log(k+1) from it, carries
 its cumulative sum from chunk to chunk in the same sequential order as
 one ``np.cumsum``, keeps the first maximum (a later chunk replaces it
-only when strictly greater), and feeds one ``math.fsum`` per block chunk
-by chunk, which is exactly rounded whatever the grouping.
+only when strictly greater), and checks each block against its exactly
+rounded sum, ``_exact_sum`` fed chunk by chunk: each term's significand
+is split into two integer halves below 2^27, summed per binary exponent
+by ``np.bincount`` (exact, every partial sum an integer below 2^53), and
+the bins are carried in one Python int, so the result equals
+``math.fsum`` of the terms without making a Python float per term.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -56,7 +60,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from math import comb
 from typing import NamedTuple
 
@@ -69,8 +73,9 @@ EXTENDED_LOG_LIMIT = 0.6331
 SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
-_BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one fsum of the scan
+_BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one exact sum of the scan
 _CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
+_LANES = 8  # exact-sum bins per binary exponent, so consecutive terms hit different bins
 
 
 def _factorial_row(n: int, fact: list[int]) -> list[int]:
@@ -135,6 +140,45 @@ def finite_reveal_log_bound(n: int) -> float:
     return 2 * math.log(n + 1) / (n + 1) + 2 * (n + 2) / (n + 1) * s
 
 
+def _exact_sum(chunks) -> float:
+    """The correctly rounded sum of the values of a sequence of nonempty
+    finite float arrays, each of fewer than 2^26 values: the value of
+    math.fsum over them.
+
+    Each value is x = m 2^e (np.frexp, 1/2 <= |m| < 1), split into
+    h = floor(m 2^26), |h| <= 2^26, and f = m 2^26 - h in [0, 1), a
+    multiple of 2^-27, so x = (2^27 h + 2^27 f) 2^(e-53) with both halves
+    integers below 2^27.  Each array's h and f are summed by np.bincount per
+    (e, lane of _LANES): every partial sum is an integer (times 2^-27 for f)
+    below 2^53, hence exact, and the lanes keep consecutive adds of monotone
+    terms off one bin.  The bins are carried in one Python int in units of
+    2^-1126 (e >= -1073), and one int division rounds the total correctly.
+    """
+    total = 0
+    bufs = None
+    for x in chunks:
+        n = len(x)
+        if bufs is None or len(bufs[0]) < n:  # once per call, unless an array grows
+            bufs = (np.empty(n), np.empty(n), np.empty(n, np.int32), np.empty(n, np.intp),
+                    np.arange(n, dtype=np.intp) % _LANES)
+        m, h, e, idx, lane = (buf[:n] for buf in bufs)
+        np.frexp(x, out=(m, e))
+        m *= 2.0 ** 26
+        np.floor(m, out=h)
+        m -= h  # f, exact
+        e_lo = int(e.min())
+        bins = (int(e.max()) - e_lo + 1) * _LANES
+        np.subtract(e, e_lo, out=idx)
+        idx *= _LANES
+        idx += lane
+        h_sums = np.bincount(idx, h, bins).reshape(-1, _LANES).sum(axis=1)
+        f_sums = np.bincount(idx, m, bins).reshape(-1, _LANES).sum(axis=1)
+        for shift, h_sum, f_sum in zip(range(e_lo + 1073, e_lo + 1073 + len(h_sums)),
+                                       h_sums.tolist(), f_sums.tolist()):
+            total += ((int(h_sum) << 27) + int(f_sum * 2 ** 27)) << shift
+    return total / (1 << 1126)
+
+
 @dataclass(frozen=True)
 class ScanResult:
     max_value: float
@@ -145,9 +189,9 @@ class ScanResult:
 def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     """Maximum of finite_reveal_log_bound over 1..limit, vectorized.
 
-    The cumulative sum is cross-checked, block by block, against an exactly
-    rounded sum of the block's terms so the certified bound absorbs any
-    accumulation drift.
+    The cumulative sum is cross-checked, block by block, against the
+    exactly rounded sum of the block's terms (``_exact_sum``) so the
+    certified bound absorbs any accumulation drift.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -162,8 +206,8 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     f = np.empty(m)
 
     def block(lo: int, hi: int):
-        """Scan lo..hi chunk by chunk, yielding each chunk's terms to fsum
-        before their buffer is reused."""
+        """Scan lo..hi chunk by chunk, yielding each chunk's terms to the
+        exact sum before their buffer is reused."""
         nonlocal best_v, best_n, last
         run = 0.0  # the block's own running sum, carried across chunks
         for at in range(lo, hi + 1, _CHUNK):
@@ -192,8 +236,7 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
             kk[:] += n  # in place: kk belongs to the enclosing scan
 
     for lo in range(2, limit + 1, _BLOCK):
-        chunks = block(lo, min(lo + _BLOCK - 1, limit))
-        exact = math.fsum(chain.from_iterable(terms.tolist() for terms in chunks))
+        exact = _exact_sum(block(lo, min(lo + _BLOCK - 1, limit)))
         drift += abs((last - prev_tail) - exact)
         prev_tail = last
     certified = best_v + 2.0 * (drift + _SUM_PAD)

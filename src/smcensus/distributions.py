@@ -22,9 +22,9 @@ own pairs; past them each general entry (alpha, beta, s) gives the pair
 ``bounds.line_gap_pmf_poly`` expands them into integer polynomials.
 
 The samplers are lane-vectorized and generative: each draw follows the
-model above, with every capped scan drawn from one u64 by the integer
-inversion table ``rng.ScanTable``; ``CyclicGapSampler`` and
-``LineGapSampler`` are the scalar oracles they are tested against.
+model above, with every capped scan drawn from one u64 by the exact
+inversion of ``rng.ScanTable``; the scalar samplers of tests/oracles.py
+are the oracles they are tested against.
 
 The module also hosts the stochastic-dominance check of revealed-chain
 option counts against the cyclic gap law (each level l of a grid read in
@@ -150,23 +150,6 @@ def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
     return CyclicGapMoments(e_all, e_unchosen, e_chosen)
 
 
-class CyclicGapSampler:
-    """Scalar oracle for ``sample_cyclic_gap``: a deterministic stream of
-    cyclic gaps, one partial Fisher-Yates choice of l points per draw."""
-
-    def __init__(self, n: int, l: int, seed: int):
-        _check_cyclic(n, l)
-        self.n, self.l = n, l
-        self._rng = Xoshiro256StarStar(seed)
-
-    def next(self) -> int:
-        chosen = self._rng.sample_range(self.n + 1, self.l)
-        return _arc_containing_zero(tuple(chosen), self.n)
-
-    def take(self, count: int) -> list[int]:
-        return [self.next() for _ in range(count)]
-
-
 def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> list[int]:
     """`count` cyclic gaps, lane-vectorized: each draw gives the n+1 points
     u64 keys and chooses the l points with the smallest keys (keys tie with
@@ -285,6 +268,12 @@ def line_gap_window(x) -> int:
     return math.ceil(40 / x)
 
 
+# The widest window a line-gap sampler takes: its scan table is a Python
+# big-int loop linear in the window, and `simulate --kind dependence`
+# builds five, about half a second of work at this cap (x >= 2e-4).
+WINDOW_CAP = 2 * 10 ** 5
+
+
 LOG_MEAN_TAIL = 1e-14  # line_gap_log_mean stops once tail mass * log k falls below it
 
 
@@ -301,58 +290,9 @@ def line_gap_log_mean(x: float, variant: str = PLAIN) -> float:
     return total
 
 
-class LineGapSampler:
-    """Scalar oracle for ``sample_line_gap``: a deterministic line-gap
-    stream that scans slot by slot with one Bernoulli draw per slot, on the
-    integer line truncated at ``line_gap_window(x)``."""
-
-    def __init__(self, x: float, variant: str, seed: int):
-        _check_x(x)
-        check_variant(variant)
-        self.x = x
-        self.variant = variant
-        self.window = line_gap_window(x)
-        self._thr = bernoulli_threshold(Fraction(x))
-        self._rng = Xoshiro256StarStar(seed)
-
-    def _scan(self, limit: int) -> int:
-        """Steps until the first marked slot, capped at limit (>= 1)."""
-        for step in range(1, limit + 1):
-            if self._rng.bernoulli(self._thr):
-                return step
-        return limit
-
-    def next(self) -> int:
-        rng = self._rng
-        if self.variant == PLAIN:
-            down = 0 if rng.bernoulli(self._thr) else self._scan(self.window)
-            up = self._scan(self.window)
-            return down + up
-        if rng.bernoulli(self._thr):  # shortcut branch
-            return 1
-        in_a = {j: rng.bernoulli(self._thr) for j in SLOTS}
-        in_b = {j: rng.bernoulli(self._thr) for j in SLOTS}
-        if in_a[0] or in_b[0]:
-            lo = 0
-        elif in_a[-1] or in_b[-1]:
-            lo = -1
-        else:
-            lo = -1 - self._scan(self.window)
-        if in_a[1] or in_b[1]:
-            hi = 1
-        elif in_a[2] or in_b[2]:
-            hi = 2
-        else:
-            hi = 2 + self._scan(self.window)
-        return hi - lo
-
-    def take(self, count: int) -> list[int]:
-        return [self.next() for _ in range(count)]
-
-
 def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
-    """`count` line gaps, lane-vectorized, from the same generative model as
-    ``LineGapSampler``: slot indicators plus two capped scans, each scan
+    """`count` line gaps, lane-vectorized, from the generative model of the
+    module docstring: slot indicators plus two capped scans, each scan
     drawn from one u64 by inversion."""
     _check_x(x)
     check_variant(variant)
@@ -372,9 +312,14 @@ def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
 
 
 def _marking(x) -> tuple[np.uint64, ScanTable]:
-    """The slot-marking threshold of x and the table of its capped scan."""
+    """The slot-marking threshold of x and the table of its capped scan;
+    raise before any work when the window passes WINDOW_CAP."""
+    window = line_gap_window(x)
+    if window > WINDOW_CAP:
+        raise DistributionError(f"x={x} needs a scan window of {window}, above the cap "
+                                f"{WINDOW_CAP} (x >= {40 / WINDOW_CAP})")
     thr = bernoulli_threshold(Fraction(x))
-    return np.uint64(thr), ScanTable(thr, line_gap_window(x))
+    return np.uint64(thr), ScanTable(thr, window)
 
 
 def _extended_draws(lanes: XoshiroLanes, m: int, thr: np.uint64, scan: ScanTable):
@@ -585,9 +530,30 @@ def gap_dependence_check(x: float, pattern, seed: int,
 
 
 def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:
-    lo = np.where(in_a[0] | b[0], 0, np.where(in_a[-1] | b[-1], -1, -1 - down))
-    hi = np.where(in_a[1] | b[1], 1, np.where(in_a[2] | b[2], 2, 2 + up))
-    return np.where(branch, 1, hi - lo)
+    """The extended gap hi - lo of each lane from its slot marks h_j = A_j | B_j.
+
+    lo is 0 when slot 0 is marked, else -1 when slot -1 is, else -1 - down;
+    hi is 1, 2 or 2 + up likewise; the shortcut branch gives 1.  So
+    gap = 1 + ~branch (~h_0 (1 + ~h_-1 down) + ~h_1 (1 + ~h_2 up)), taken
+    in exact int64 arithmetic in two buffers, with no selection.
+    """
+    m = len(down)
+    gap, part, free = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m, bool)
+
+    def unmarked(j):
+        np.logical_or(in_a[j], b[j], out=free)
+        return np.logical_not(free, out=free)
+
+    np.multiply(unmarked(-1), down, out=gap)
+    gap += 1
+    gap *= unmarked(0)
+    np.multiply(unmarked(2), up, out=part)
+    part += 1
+    part *= unmarked(1)
+    gap += part
+    gap *= np.logical_not(branch, out=free)
+    gap += 1
+    return gap
 
 
 # ------------------------------------- finite-n asymptotic dominance probe

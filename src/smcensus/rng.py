@@ -5,12 +5,15 @@ SplitMix64, so identical seeds give bit-identical streams on every
 platform.  A numpy-vectorized multi-lane variant backs the heavy Monte
 Carlo checks; lane j of the vector generator carries exactly the same
 state as the scalar generator opened with ``stream=j``.  Truncated
-geometric scans are drawn by integer inversion (``ScanTable``), one u64
-per scan, with no float anywhere in the draw path.
+geometric scans are drawn by inversion (``ScanTable``), one u64 per scan:
+a float logarithm only picks where each lane's search starts, and
+comparisons of the u64 with the table's integers settle the count, so
+the result is the exact integer inversion.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +23,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GUARD_BITS = 64  # ScanTable's running-product precision below the binary point
-_U5, _U7, _U9, _U17, _U19, _U45, _U57 = (np.uint64(k) for k in (5, 7, 9, 17, 19, 45, 57))
+_U5, _U7, _U9, _U11, _U17, _U19, _U27, _U30, _U31, _U45, _U57 = (
+    np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 27, 30, 31, 45, 57))
 
 MC_LANES = 1 << 14   # widest round of a vectorized draw
 KEY_CELLS = 1 << 20  # cap on the u64 keys a round holds at once (8 MiB)
@@ -140,16 +144,25 @@ class XoshiroLanes:
     """
 
     def __init__(self, seed: int, lanes: int):
-        # SplitMix64 outputs 0 .. 4*lanes-1 at once, by the closed form
-        z = (np.arange(1, 4 * lanes + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-             + np.uint64(seed & _MASK64))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        state = (z ^ (z >> np.uint64(31))).reshape(lanes, 4)
-        zero_rows = ~state.any(axis=1)
-        state[zero_rows, 0] = np.uint64(_GAMMA)
-        self._s = tuple(np.ascontiguousarray(state.T))  # s0, s1, s2, s3: rows of one array
-        self._t = np.empty(lanes, np.uint64)
+        # word r of lane j is SplitMix64 output 4 j + r, by the closed form
+        # mix(seed + (4 j + r + 1) gamma), computed in place row by row
+        state = np.empty((4, lanes), np.uint64)
+        t = self._t = np.empty(lanes, np.uint64)
+        state[0] = np.arange(1, 4 * lanes + 1, 4, dtype=np.uint64)
+        for r in (3, 2, 1, 0):  # row 0 holds 4 j + 1 until it is mixed last
+            z = state[r]
+            if r:
+                np.add(state[0], np.uint64(r), out=z)
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(seed & _MASK64)
+            z ^= np.right_shift(z, _U30, out=t)
+            z *= np.uint64(_MIX1)
+            z ^= np.right_shift(z, _U27, out=t)
+            z *= np.uint64(_MIX2)
+            z ^= np.right_shift(z, _U31, out=t)
+        zero_lanes = ~state.any(axis=0)  # all-zero state is a fixed point of xoshiro
+        state[0, zero_lanes] = np.uint64(_GAMMA)
+        self._s = tuple(state)  # s0, s1, s2, s3: rows of one array
         self.lanes = lanes
 
     def next_u64(self) -> np.ndarray:
@@ -231,9 +244,42 @@ class ScanTable:
                 break
             self.bounds.append(t)
             p = p * q >> 64
-        # ascending, so a searchsorted count of entries <= U leaves #{k : U < T_k}
-        self._ascending = np.array(self.bounds[::-1], dtype=np.uint64)
+        # for a count c: T_{c+1}, 0 past the last, and T_c - 1, 2^64 - 1 at c = 0
+        self._next = np.array(self.bounds + [0], dtype=np.uint64)
+        self._last = np.array([_MASK64] + [t - 1 for t in self.bounds], dtype=np.uint64)
+        prob = threshold / (1 << 64)
+        # 1 / log(1 - p); -0.0 where p rounds to 1, which starts every count at 0
+        self._per_log = 1 / math.log1p(-prob) if prob < 1 else -0.0
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """Scan lengths for a vector of uniform u64 draws."""
-        return 1 + len(self._ascending) - np.searchsorted(self._ascending, u, side="right")
+        """Scan lengths 1 + #{k : U < T_k} for a vector of uniform u64 draws U.
+
+        T_k is close to 2^64 (1 - p)^k, so each lane starts its count at
+        floor(log u / log(1 - p)), clipped to [0, len(T)], with u =
+        (U >> 11) 2^-53 + 2^-54 in (0, 1).  The float only picks the start:
+        every lane then steps up while U < T_{c+1} and down while U >= T_c,
+        until no lane moves, and those integer comparisons give the exact
+        count (T is nonincreasing, so the two tests never both hold).
+        """
+        n = len(u)
+        word = np.empty(n, np.uint64)
+        start = np.empty(n)
+        count = np.empty(n, np.int64)
+        up, down = np.empty(n, bool), np.empty(n, bool)
+        np.right_shift(u, _U11, out=word)
+        np.copyto(start, word.view(np.int64), casting="unsafe")  # exact: below 2^53
+        start *= 2.0 ** -53
+        start += 2.0 ** -54
+        np.log(start, out=start)
+        start *= self._per_log
+        np.minimum(start, len(self.bounds), out=start)
+        np.copyto(count, start, casting="unsafe")  # truncation: start >= 0
+        while True:
+            np.less(u, np.take(self._next, count, out=word, mode="clip"), out=up)
+            np.greater(u, np.take(self._last, count, out=word, mode="clip"), out=down)
+            if not (up.any() or down.any()):
+                break
+            count += up
+            count -= down
+        count += 1
+        return count

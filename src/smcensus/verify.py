@@ -439,19 +439,27 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
     bad = []
     draws = SAMPLER_DRAWS
 
-    def gof(tag, samples, cells):
+    def gof(tag, samples, cells, support):
+        """Each listed cell within 4 standard errors of its mass, and no
+        draw outside the law's support (lo, hi), hi None for no ceiling."""
         m = len(samples)
         tally = Counter(samples)
+        lo, hi = support
+        outside = sum(c for k, c in tally.items() if k < lo or (hi is not None and k > hi))
+        if outside:
+            bad.append((tag, "outside_support", outside))
         for k, p in cells:
             f = tally[k] / m
             if abs(f - p) > 4 * math.sqrt(p * (1 - p) / m):
                 bad.append((tag, k, f, p))
 
-    a = distributions.sample_cyclic_gap(3, 2, config.seed, draws)
-    b = distributions.sample_cyclic_gap(3, 2, config.seed, draws)
+    n, l = 3, 2
+    a = distributions.sample_cyclic_gap(n, l, config.seed, draws)
+    b = distributions.sample_cyclic_gap(n, l, config.seed, draws)
     if a != b:
         bad.append(("cyclic_determinism",))
-    gof("cyclic(3,2)", a, [(1, 1 / 6), (2, 2 / 6), (3, 3 / 6)])
+    # the cyclic law's support is 1..n+2-l, where C(n-k, l-2) > 0
+    gof(f"cyclic({n},{l})", a, [(1, 1 / 6), (2, 2 / 6), (3, 3 / 6)], (1, n + 2 - l))
 
     for variant in (PLAIN, EXTENDED):
         s1 = distributions.sample_line_gap(0.5, variant, config.seed, draws)
@@ -460,7 +468,7 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
             bad.append((f"{variant}_determinism",))
         cells = [(k, float(distributions.line_gap_pmf(0.5, k, variant)))
                  for k in range(1, 7)]
-        gof(f"line_{variant}", s1, cells)
+        gof(f"line_{variant}", s1, cells, (1, None))
     return CheckResult("c13", not bad, {"name": "sampler goodness of fit and determinism",
                                         "details": {"draws": draws, "failures": bad[:10]}})
 

@@ -1,0 +1,128 @@
+"""Labelled oracles: the slower, plainer implementations that the fast
+kernels of smcensus are differentially tested against.  Nothing in
+src/ calls them.
+
+* ``scan_draw_searchsorted`` -- ScanTable inversion by a binary search
+  of the ascending table;
+* ``gap_from_slots_where`` -- the extended gap by nested selections;
+* ``lane_state_arange`` -- the XoshiroLanes state from one flat
+  SplitMix64 array, transposed;
+* ``exact_sum_fsum`` -- the exactly rounded sum by ``math.fsum`` over
+  Python floats;
+* ``CyclicGapSampler`` and ``LineGapSampler`` -- scalar streams of the
+  cyclic and line gaps, one partial Fisher-Yates choice or one Bernoulli
+  draw per slot.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import chain
+
+import numpy as np
+
+from smcensus.distributions import (PLAIN, SLOTS, _arc_containing_zero, _check_cyclic,
+                                    _check_x, check_variant, line_gap_window)
+from smcensus.rng import (_GAMMA, _MASK64, _MIX1, _MIX2, Xoshiro256StarStar,
+                          bernoulli_threshold)
+
+
+def scan_draw_searchsorted(table, u: np.ndarray) -> np.ndarray:
+    """Scan lengths 1 + #{k : U < T_k}: a searchsorted count of the
+    ascending table's entries <= U leaves the entries above U."""
+    ascending = np.array(table.bounds[::-1], dtype=np.uint64)
+    return 1 + len(ascending) - np.searchsorted(ascending, u, side="right")
+
+
+def gap_from_slots_where(in_a, b, down, up, branch) -> np.ndarray:
+    """The extended gap hi - lo by selection: lo is 0, -1 or -1 - down and
+    hi is 1, 2 or 2 + up by the first marked slot; the branch gives 1."""
+    lo = np.where(in_a[0] | b[0], 0, np.where(in_a[-1] | b[-1], -1, -1 - down))
+    hi = np.where(in_a[1] | b[1], 1, np.where(in_a[2] | b[2], 2, 2 + up))
+    return np.where(branch, 1, hi - lo)
+
+
+def lane_state_arange(seed: int, lanes: int) -> tuple[np.ndarray, ...]:
+    """The four state rows of XoshiroLanes(seed, lanes): SplitMix64 outputs
+    0 .. 4 lanes - 1 as one flat array, reshaped (lanes, 4) and transposed."""
+    z = (np.arange(1, 4 * lanes + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+         + np.uint64(seed & _MASK64))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    state = (z ^ (z >> np.uint64(31))).reshape(lanes, 4)
+    zero_rows = ~state.any(axis=1)
+    state[zero_rows, 0] = np.uint64(_GAMMA)
+    return tuple(np.ascontiguousarray(state.T))
+
+
+def exact_sum_fsum(chunks) -> float:
+    """The correctly rounded sum of the arrays' values: math.fsum over
+    their values as one list of Python floats."""
+    return math.fsum(chain.from_iterable(x.tolist() for x in chunks))
+
+
+class CyclicGapSampler:
+    """Scalar oracle for ``sample_cyclic_gap``: a deterministic stream of
+    cyclic gaps, one partial Fisher-Yates choice of l points per draw."""
+
+    def __init__(self, n: int, l: int, seed: int):
+        _check_cyclic(n, l)
+        self.n, self.l = n, l
+        self._rng = Xoshiro256StarStar(seed)
+
+    def next(self) -> int:
+        chosen = self._rng.sample_range(self.n + 1, self.l)
+        return _arc_containing_zero(tuple(chosen), self.n)
+
+    def take(self, count: int) -> list[int]:
+        return [self.next() for _ in range(count)]
+
+
+class LineGapSampler:
+    """Scalar oracle for ``sample_line_gap``: a deterministic line-gap
+    stream that scans slot by slot with one Bernoulli draw per slot, on the
+    integer line truncated at ``line_gap_window(x)``."""
+
+    def __init__(self, x: float, variant: str, seed: int):
+        _check_x(x)
+        check_variant(variant)
+        self.x = x
+        self.variant = variant
+        self.window = line_gap_window(x)
+        self._thr = bernoulli_threshold(Fraction(x))
+        self._rng = Xoshiro256StarStar(seed)
+
+    def _scan(self, limit: int) -> int:
+        """Steps until the first marked slot, capped at limit (>= 1)."""
+        for step in range(1, limit + 1):
+            if self._rng.bernoulli(self._thr):
+                return step
+        return limit
+
+    def next(self) -> int:
+        rng = self._rng
+        if self.variant == PLAIN:
+            down = 0 if rng.bernoulli(self._thr) else self._scan(self.window)
+            up = self._scan(self.window)
+            return down + up
+        if rng.bernoulli(self._thr):  # shortcut branch
+            return 1
+        in_a = {j: rng.bernoulli(self._thr) for j in SLOTS}
+        in_b = {j: rng.bernoulli(self._thr) for j in SLOTS}
+        if in_a[0] or in_b[0]:
+            lo = 0
+        elif in_a[-1] or in_b[-1]:
+            lo = -1
+        else:
+            lo = -1 - self._scan(self.window)
+        if in_a[1] or in_b[1]:
+            hi = 1
+        elif in_a[2] or in_b[2]:
+            hi = 2
+        else:
+            hi = 2 + self._scan(self.window)
+        return hi - lo
+
+    def take(self, count: int) -> list[int]:
+        return [self.next() for _ in range(count)]

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import exact_sum_fsum
 from smcensus import bounds
 from smcensus.bounds import (EXTENDED_LOG_LIMIT, GAP_INTEGRALS, PLAIN_LOG_LIMIT,
-                             SERIES_MIN_TRUNCATION, Interval, ScanResult,
+                             SERIES_MIN_TRUNCATION, Interval, ScanResult, _exact_sum,
                              bound_report, finite_reveal_log_bound,
                              finite_reveal_log_bound_scan, gap_log_series,
                              integral_check, line_gap_pmf_poly,
@@ -158,10 +159,50 @@ def test_kernels_are_chunk_invariant(monkeypatch, chunk):
         assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit), limit
 
 
+def _sum_cases():
+    """(name, list of arrays) inputs for the exact sum."""
+    r = np.random.default_rng(3)
+    k = np.arange(2, 2 + bounds._CHUNK, dtype=np.float64)
+    spread = r.standard_normal(4000) * 10.0 ** r.integers(-300, 301, 4000)
+    tiny = 5e-324 * r.integers(-2000, 2001, 3000).astype(np.float64)  # subnormals
+    mixed = np.concatenate([spread[:1000], tiny[:1000], np.zeros(500)])
+    r.shuffle(mixed)
+    return [
+        ("empty", []),
+        ("zeros", [np.zeros(7), np.array([-0.0, 0.0])]),
+        ("subnormals", [tiny]),
+        ("smallest", [np.array([5e-324, 5e-324, -5e-324, 2.0 ** -1022 - 5e-324])]),
+        ("spread", [spread[:1500], spread[1500:]]),
+        ("spread-positive", [np.abs(spread)]),
+        ("cancelling", [spread, -spread[::-1], np.array([1e-300])]),
+        ("mixed", [mixed]),
+        ("largest", [np.array([1.7e308, -1.7e308, 1.7e308, -(2.0 ** 1023)])]),
+        ("ties", [np.array([1.0, 2.0 ** -53, 2.0 ** -105]), np.array([1.0, 2.0 ** -53])]),
+        ("scan-chunk", [np.log(k) / ((k + 1) * (k + 2))]),
+        ("scan-chunks", [np.log(k) / ((k + 1) * (k + 2)), 1 / k[:100], k[::-1]]),
+    ]
+
+
+@pytest.mark.parametrize("name, chunks", _sum_cases(), ids=[c[0] for c in _sum_cases()])
+def test_exact_sum_equals_fsum_oracle(name, chunks):
+    got = _exact_sum(iter(chunks))
+    want = exact_sum_fsum(chunks)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+        (got.hex(), want.hex())
+
+
+def test_exact_sum_overflows_like_fsum():
+    chunks = [np.array([1.7e308]), np.array([1.7e308, -1.0])]
+    with pytest.raises(OverflowError):
+        exact_sum_fsum(chunks)
+    with pytest.raises(OverflowError):
+        _exact_sum(chunks)
+
+
 def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
     # one 8 MB block buffer for the series; a block-sized array would be
     # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan);
-    # the scan holds four chunk buffers and one chunk's terms as a list
+    # the scan holds four chunk buffers and the exact sum's five
     assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 12
     assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 4
 

@@ -338,6 +338,10 @@ def assert_usage_error(capsys, argv, error, message):
     # a probe that reaches no cell has tested nothing, so it cannot pass
     (["simulate", "--kind", "asymptotic", "--n", "1", "--samples", "10"],
      "DistributionError", "no cell to test"),
+    # a scan window past the cap is refused before its table is built
+    (["simulate", "--kind", "plain", "--x", "1e-5"], "DistributionError", "above the cap"),
+    (["simulate", "--kind", "extended", "--x", "1e-5"], "DistributionError", "above the cap"),
+    (["simulate", "--kind", "dependence", "--x", "1e-5"], "DistributionError", "above the cap"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)

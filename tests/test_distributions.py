@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smcensus import distributions, verify
-from smcensus.distributions import (EXTENDED, JENSEN_TOL, PLAIN, CyclicGapSampler,
-                                    DistributionError, LineGapSampler,
+from oracles import CyclicGapSampler, LineGapSampler, gap_from_slots_where
+from smcensus import distributions, rng, verify
+from smcensus.distributions import (EXTENDED, JENSEN_TOL, PLAIN, SLOTS, WINDOW_CAP,
+                                    DistributionError, _gap_from_slots,
                                     asymptotic_dominance_probe,
                                     cyclic_gap_expectation, cyclic_gap_pmf,
                                     cyclic_gap_pmf_bruteforce, dominance_check,
@@ -257,6 +258,55 @@ def test_sampler_frequencies_match_pmf():
         for k in range(1, 6):
             p = float(line_gap_pmf(0.5, k, variant))
             assert abs(s.count(k) / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+
+def test_gap_from_slots_equals_selection_oracle_on_every_mark_combination():
+    """All 2^9 combinations of the eight slot marks and the branch, each
+    at several scan lengths (1 and the largest of c12's windows included)."""
+    marks = (np.arange(512)[:, None] >> np.arange(9)) & 1 == 1
+    marks = np.tile(marks, (4, 1))
+    in_a = dict(zip(SLOTS, marks[:, 0:4].T))
+    in_b = dict(zip(SLOTS, marks[:, 4:8].T))
+    down = np.repeat([1, 2, 17, 400], 512)
+    up = np.roll(down, 512)
+    fast = _gap_from_slots(in_a, in_b, down, up, marks[:, 8])
+    assert fast.dtype == np.int64
+    assert fast.tolist() == gap_from_slots_where(in_a, in_b, down, up, marks[:, 8]).tolist()
+
+
+def test_c13_fails_on_draws_outside_the_support(monkeypatch):
+    """Impossible draws mixed into genuine ones (line gaps of 0, cyclic(3,2)
+    gaps of 7) are too few to move any listed cell past 4 standard errors,
+    so only the support check can catch them."""
+    line, cyclic = distributions.sample_line_gap, distributions.sample_cyclic_gap
+    monkeypatch.setattr(distributions, "sample_line_gap",
+                        lambda *args: line(*args) + [0] * 100)
+    monkeypatch.setattr(distributions, "sample_cyclic_gap",
+                        lambda *args: cyclic(*args) + [7] * 50)
+    res = verify.criterion_samplers(verify.RunConfig())
+    assert not res.passed
+    assert res.fields["details"]["failures"] == [
+        ("cyclic(3,2)", "outside_support", 50), ("line_plain", "outside_support", 100),
+        ("line_extended", "outside_support", 100)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: sample_line_gap(x, PLAIN, 0, 10),
+    lambda x: sample_line_gap(x, EXTENDED, 0, 10),
+    lambda x: gap_dependence_check(x, (), 0, 10),
+], ids=["plain", "extended", "dependence"])
+def test_samplers_refuse_a_window_past_the_cap_before_any_work(monkeypatch, call):
+    def no_table(*args):
+        raise AssertionError("a scan table was built")
+
+    x_cap = 40 / WINDOW_CAP  # the smallest x whose window is within the cap
+    assert distributions.line_gap_window(x_cap) == WINDOW_CAP
+    monkeypatch.setattr(distributions, "ScanTable", no_table)
+    for x in (x_cap * 0.999, 1e-5, 1e-9):
+        with pytest.raises(DistributionError, match="above the cap"):
+            call(x)
+    monkeypatch.setattr(distributions, "ScanTable", rng.ScanTable)
+    call(x_cap)  # the widest window within the cap runs
 
 
 def test_trivial_grid_dominance():

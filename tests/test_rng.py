@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import lane_state_arange, scan_draw_searchsorted
 from smcensus import rng
 from smcensus.rng import (KEY_CELLS, MC_LANES, ScanTable, Xoshiro256StarStar,
                           XoshiroLanes, _splitmix64, _stream_state, bernoulli_threshold,
@@ -28,6 +29,17 @@ def test_lanes_match_scalar_streams():
     for _ in range(3):
         vec = wide.next_u64()
         assert [int(v) for v in vec] == [s.next_u64() for s in scalars]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9001, (1 << 63) + 5, (1 << 64) - 1])
+@pytest.mark.parametrize("lanes", [1, 3, 4096])
+def test_lane_state_equals_flat_oracle_and_scalar_streams(seed, lanes):
+    state = XoshiroLanes(seed, lanes)._s
+    assert all(row.dtype == np.uint64 and row.flags.c_contiguous for row in state)
+    assert [row.tolist() for row in state] == [row.tolist() for row in
+                                               lane_state_arange(seed, lanes)]
+    scalar = [Xoshiro256StarStar(seed, stream=j)._s for j in range(lanes)]
+    assert [list(words) for words in zip(*(row.tolist() for row in state))] == scalar
 
 
 def test_stream_state_is_the_splitmix64_sequence():
@@ -163,6 +175,33 @@ def test_scan_table_draw_inverts_at_the_bounds(x):
     ks = list(range(1, len(bounds) + 1))
     expect = [k + 1 for k in ks] + ks + [1 + len(bounds), 1]
     assert table.draw(u).tolist() == expect
+
+
+def _edge_draws(table):
+    """U at 0, T_k - 1, T_k, T_k + 1 for every k, and 2^64 - 1."""
+    edges = {0, (1 << 64) - 1}
+    edges.update(t + d for t in table.bounds for d in (-1, 0, 1))
+    return np.array(sorted(u for u in edges if 0 <= u < 1 << 64), dtype=np.uint64)
+
+
+# c12's five x and c13's x = 0.5; p = 1 (an empty table); a window of one
+# step (an empty table); the smallest threshold, whose T_k sit 1 apart
+# just below 2^64; and a table whose last T_k repeat at 1
+@pytest.mark.parametrize("threshold, window", [
+    *((bernoulli_threshold(Fraction(x)), math.ceil(40 / x)) for x in (0.1, 0.3, 0.5, 0.7, 0.9)),
+    (1 << 64, 10), ((1 << 64) - 1, 10), (bernoulli_threshold(Fraction(1, 3)), 1),
+    (1, 300), (1 << 62, 200),
+], ids=["x0.1", "x0.3", "x0.5", "x0.7", "x0.9", "p1", "p1-ulp", "window1", "tiny", "to-1"])
+def test_scan_draw_equals_searchsorted_oracle(threshold, window):
+    table = ScanTable(threshold, window)
+    u = _edge_draws(table)
+    random = np.random.default_rng(threshold % 1000).integers(
+        0, 1 << 64, 50000, dtype=np.uint64)
+    for draws in (u, random, u[::-1].copy()):
+        got = table.draw(draws)
+        assert got.dtype == np.int64
+        assert got.tolist() == scan_draw_searchsorted(table, draws).tolist()
+        assert 1 <= got.min() and got.max() <= 1 + len(table.bounds)
 
 
 def test_scan_table_rejects_bad_parameters():
