@@ -8,7 +8,8 @@ writes an instance and no record.  Exit code 2 is a usage error: a
 rejected argument or input, an instance past a state cap included, is
 reported as one JSON line ({"error": type, "message": text}) on stderr.
 verify --threads N (1..os.cpu_count(), default 1) sets the verify worker
-count; it affects speed only, never results.
+count; it affects speed only, never results.  simulate --kind
+cyclic|plain|extended passes by `record.law_fit`, c13's rule.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from . import bounds, distributions, matchings, posets, rotations
 from .counting import FamilyError
@@ -27,7 +28,7 @@ from .distributions import EXTENDED, PLAIN, DistributionError
 from .instances import (InstanceError, parse_instance, random_instance,
                         serialize_instance)
 from .posets import PosetError
-from .record import CheckResult
+from .record import CheckResult, law_fit
 from .verify import CHECK_IDS, RunConfig, max_threads, run_verify_suite
 
 SERIES_VARIANTS = {"tg": PLAIN, "sm": EXTENDED}
@@ -109,45 +110,25 @@ def _cmd_bounds(args, out) -> list[CheckResult]:
     return [CheckResult("bounds", all(report["checks"].values()), report)]
 
 
-def _kl(f: float, p: float) -> float:
-    """Relative entropy of a Bernoulli(f) frequency from a Bernoulli(p) law."""
-    out = 0.0
-    for a, b in ((f, p), (1.0 - f, 1.0 - p)):
-        if a > 0:
-            if b <= 0:
-                return math.inf
-            out += a * math.log(a / b)
-    return out
-
-
-def _fits(freq: dict, pmf: dict, count: int) -> bool:
-    """Each reported frequency f against its exact mass p in `pmf` by the
-    4-standard-error rule in its large-deviation form, count KL(f || p) <=
-    4^2 / 2.  Near p that is |f - p| <= 4 SE; unlike the normal form it
-    stays sound for a value drawn once where fewer than one draw is
-    expected (each tail has chance at most e^-8).  A value outside the
-    support has p = 0, so it always fails."""
-    return all(count * _kl(f, float(pmf.get(k, 0))) <= 8.0 for k, f in freq.items())
+def _freq(samples, shown: int | None = None) -> dict:
+    """The frequency of each drawn value, or of the `shown` smallest."""
+    values, counts = np.unique(samples, return_counts=True)
+    return dict(zip(values[:shown].tolist(), (counts[:shown] / len(samples)).tolist()))
 
 
 def _cmd_simulate(args, out) -> list[CheckResult]:
     if args.kind == "cyclic":
-        samples = distributions.sample_cyclic_gap(args.n, args.l, args.seed,
-                                                  args.samples)
-        exact = dict(distributions.cyclic_gap_pmf(args.n, args.l).support)
-        pmf = {k: str(p) for k, p in exact.items()}
-        freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))}
-        return [CheckResult("simulate_cyclic", _fits(freq, exact, len(samples)),
-                            {"n": args.n, "l": args.l, "pmf": pmf, "freq": freq})]
+        samples = distributions.sample_cyclic_gap(args.n, args.l, args.seed, args.samples)
+        exact = distributions.cyclic_gap_pmf(args.n, args.l).support
+        return [CheckResult("simulate_cyclic", not law_fit(samples, [p for _, p in exact]),
+                            {"n": args.n, "l": args.l, "pmf": {k: str(p) for k, p in exact},
+                             "freq": _freq(samples)})]
     if args.kind in ("plain", "extended"):
-        samples = distributions.sample_line_gap(args.x, args.kind, args.seed,
-                                                args.samples)
-        freq = {k: samples.count(k) / len(samples) for k in sorted(set(samples))[:12]}
-        exact = {k: distributions.line_gap_pmf(Fraction(args.x), k, args.kind)
-                 for k in freq if k >= 1}
-        return [CheckResult(f"simulate_{args.kind}", _fits(freq, exact, len(samples)),
+        samples = distributions.sample_line_gap(args.x, args.kind, args.seed, args.samples)
+        cells = distributions.line_gap_cells(args.x, args.kind)
+        return [CheckResult(f"simulate_{args.kind}", not law_fit(samples, *cells),
                             {"x": args.x, "window": distributions.line_gap_window(args.x),
-                             "freq": freq})]
+                             "freq": _freq(samples, distributions.FIT_CELLS)})]
     if args.kind == "dependence":
         results = [distributions.gap_dependence_check(args.x, pattern, args.seed,
                                                       args.samples)

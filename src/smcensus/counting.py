@@ -48,6 +48,7 @@ from operator import and_, or_, rshift
 import numpy as np
 
 from .posets import TangledGrid, enumerate_downset_masks
+from .record import SE_RULE
 from .rng import Xoshiro256StarStar, lane_rounds
 
 EXACT_COMPONENT_LIMIT = 8
@@ -481,11 +482,11 @@ def _distinct(words: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def bound_holds(result: BoundResult, family: TupleFamily) -> bool:
     """log |S| <= bound: exact modes by float when the margin is at least
-    BOUND_TOL, else at high precision; Monte Carlo modes within 4 standard
-    errors."""
+    BOUND_TOL, else at high precision; Monte Carlo modes within SE_RULE
+    standard errors."""
     target = math.log(len(family.members))
     if not result.exact:
-        return result.value >= target - 4.0 * result.stderr
+        return result.value >= target - SE_RULE * result.stderr
     if result.value - target >= BOUND_TOL:
         return True
     if result.product is not None:  # product bound compares exactly as rationals

@@ -23,14 +23,14 @@ own pairs; past them each general entry (alpha, beta, s) gives the pair
 
 The samplers are lane-vectorized and generative: each draw follows the
 model above, with every capped scan drawn from one u64 by the exact
-inversion of ``rng.ScanTable``; the scalar samplers of tests/oracles.py
-are the oracles they are tested against.
+inversion of ``rng.ScanTable``, into one int64 array; the scalar
+samplers of tests/oracles.py are the oracles they are tested against.
 
 The module also hosts the stochastic-dominance check of revealed-chain
 option counts against the cyclic gap law (each level l of a grid read in
 one option-count request over all its chains, weighted by the uniform
 prefix law of ``counting._uniform_prefixes``), a Jensen inequality
-helper, and the Monte Carlo comparison of the extended gap under
+grid, and the Monte Carlo comparison of the extended gap under
 correlated versus independent slot indicators.
 """
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from .counting import INT64_MAX, TupleFamily, _uniform_prefixes, downset_top_family
 from .posets import TangledGrid
-from .record import CheckResult
+from .record import SE_RULE, CheckResult
 from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold,
                   lane_rounds)
 
@@ -150,7 +150,7 @@ def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
     return CyclicGapMoments(e_all, e_unchosen, e_chosen)
 
 
-def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> list[int]:
+def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> np.ndarray:
     """`count` cyclic gaps, lane-vectorized: each draw gives the n+1 points
     u64 keys and chooses the l points with the smallest keys (keys tie with
     probability below (n+1)^2 / 2^65 per draw; the partition breaks ties)."""
@@ -163,7 +163,7 @@ def sample_cyclic_gap(n: int, l: int, seed: int, count: int) -> list[int]:
         first, last = chosen.min(axis=0), chosen.max(axis=0)
         after_zero = np.where(chosen == 0, n + 1, chosen).min(axis=0)
         gaps.append(np.where(first == 0, after_zero, n + 1 - last + first))
-    return np.concatenate(gaps).tolist()
+    return np.concatenate(gaps)
 
 
 # ------------------------------------------------------------------ line gap
@@ -262,6 +262,16 @@ def line_gap_total(x, K: int, variant: str = PLAIN) -> Fraction:
     return Fraction(total, rp[D])
 
 
+FIT_CELLS = 12  # a line-gap fit's cells: k = 1..FIT_CELLS, then the tail above
+
+
+def line_gap_cells(x, variant: str) -> tuple[list[Fraction], Fraction]:
+    """``record.law_fit``'s masses and tail for a line gap, x taken exactly."""
+    x = Fraction(x)
+    return ([line_gap_pmf(x, k, variant) for k in range(1, FIT_CELLS + 1)],
+            line_gap_tail(x, FIT_CELLS, variant))
+
+
 def line_gap_window(x) -> int:
     """Width ceil(40/x) at which the samplers truncate the integer line
     (untouched-tail mass below 1e-12)."""
@@ -290,7 +300,7 @@ def line_gap_log_mean(x: float, variant: str = PLAIN) -> float:
     return total
 
 
-def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
+def sample_line_gap(x: float, variant: str, seed: int, count: int) -> np.ndarray:
     """`count` line gaps, lane-vectorized, from the generative model of the
     module docstring: slot indicators plus two capped scans, each scan
     drawn from one u64 by inversion."""
@@ -308,7 +318,7 @@ def sample_line_gap(x: float, variant: str, seed: int, count: int) -> list[int]:
             branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
             in_b = {j: slot_u[j] < thr for j in SLOTS}
             gaps.append(_gap_from_slots(in_a, in_b, down, up, branch))
-    return np.concatenate(gaps).tolist()
+    return np.concatenate(gaps)
 
 
 def _marking(x) -> tuple[np.uint64, ScanTable]:
@@ -407,31 +417,16 @@ def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
             for chain in range(2 * n) for l in range(2, n + 1)]
 
 
-# ------------------------------------------------------ Jensen pair check
+# ------------------------------------------------------------ Jensen grid
 
 JENSEN_TOL = 1e-12  # a Jensen pair passes iff lhs >= rhs - JENSEN_TOL
 
 
-def jensen_pair_check(a0, a1, a2, x):
-    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - JENSEN_TOL.
-    The scalar oracle of ``jensen_grid``."""
-    if a0 <= 0 or a1 <= 0 or a2 <= 0:
-        raise DistributionError("a0, a1, a2 must be positive")
-    if not 0 <= x <= 1:
-        raise DistributionError("x must lie in [0, 1]")
-    a0, a1, a2, x = float(a0), float(a1), float(a2), float(x)
-    lhs = (x * x * math.log(a0)
-           + x * (1 - x) * (math.log(a0 + a1) + math.log(a0 + a2))
-           + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
-    rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
-    return lhs, rhs, lhs >= rhs - JENSEN_TOL
-
-
 def jensen_grid(a_max: int, x_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``jensen_pair_check``'s lhs and rhs at every grid point a0, a1, a2 in
-    1..a_max and x = xi / x_steps, xi in 0..x_steps, as one array
-    expression: (points, lhs, rhs), points an int (point x 4) matrix of
-    (a0, a1, a2, xi) rows in lexicographic order."""
+    """The two sides of the two-indicator Jensen inequality lhs >= rhs at
+    every grid point a0, a1, a2 in 1..a_max and x = xi / x_steps, xi in
+    0..x_steps, as one array expression: (points, lhs, rhs), points an int
+    (point x 4) matrix of (a0, a1, a2, xi) rows in lexicographic order."""
     a = np.arange(1, a_max + 1)
     a0, a1, a2, xi = np.meshgrid(a, a, a, np.arange(x_steps + 1), indexing="ij")
     x = xi / x_steps
@@ -491,9 +486,10 @@ def gap_dependence_check(x: float, pattern, seed: int,
     Both estimates share the branch draw, the base marking and the slot
     uniforms (an identified class reuses its representative's uniform), so
     the difference estimator is tight; pass iff the dependent mean does
-    not exceed the independent one by more than 4 standard errors of the
-    paired difference.  The sample count is rounded up to whole blocks of
-    MC_BLOCK and drawn in the balanced rounds of ``rng.lane_rounds``.
+    not exceed the independent one by more than SE_RULE standard errors
+    of the paired difference.  The sample count is rounded up to whole
+    blocks of MC_BLOCK and drawn in the balanced rounds of
+    ``rng.lane_rounds``.
     """
     _check_x(x)
     _check_count(samples)
@@ -524,7 +520,7 @@ def gap_dependence_check(x: float, pattern, seed: int,
     mean_diff = sum_diff / total
     var_diff = max(sum_diff2 / total - mean_diff * mean_diff, 0.0)
     stderr = math.sqrt(var_diff / total)
-    passed = mean_diff <= 4.0 * stderr
+    passed = mean_diff <= SE_RULE * stderr
     return GapDependenceResult(tuple(pattern), x, total, mean_d, mean_i,
                                mean_diff, stderr, passed)
 

@@ -12,7 +12,8 @@ meets every w-chain in exactly one element, checked on one bitmask per
 chain.  The embedding below turns any rotation poset into one, writing
 the grid's covers directly from the rotation poset's covers and the pads'
 coordinates; `poset_from_below`, the transitive reduction of strict-below
-masks, is the oracle its covers are tested against.
+masks, is the oracle its covers are tested against, and tests/oracles.py
+holds the count's, a 2^size subset filter.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from heapq import heappop, heappush
 from operator import or_
 from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
     from .rotations import RotationPoset
 
 STATE_CAP = 2 * 10 ** 6  # live transfer states; the cost of a count, unlike poset size
-BRUTE_FORCE_SIZE = 20    # the subset filter holds 2^size 64-bit masks at once
 
 
 class PosetError(ValueError):
@@ -165,23 +163,6 @@ def count_downsets(poset: FinitePoset) -> int:
             raise PosetError(f"downset count needs more than {cap} states")
         states = nxt
     return sum(states.values())
-
-
-def count_downsets_bruteforce(poset: FinitePoset) -> int:
-    """2^size subset filter; oracle for count_downsets at size <= ~16.
-
-    A subset is kept unless it holds some element without all of the
-    elements below it.  Refuses posets past BRUTE_FORCE_SIZE elements,
-    whose subset array would not fit in memory.
-    """
-    if poset.size > BRUTE_FORCE_SIZE:
-        raise PosetError(f"brute-force count needs size <= {BRUTE_FORCE_SIZE}, "
-                         f"got {poset.size}")
-    subsets = np.arange(1 << poset.size, dtype=np.int64)
-    closed = np.ones(subsets.shape, dtype=bool)
-    for e, b in enumerate(poset.below):
-        closed &= (subsets >> e & 1 == 0) | (subsets & b == b)
-    return int(closed.sum())
 
 
 def topological_order(poset: FinitePoset) -> list[int]:

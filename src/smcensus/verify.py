@@ -16,7 +16,8 @@ embeds, validates and counts each distinct grid once; a worker process
 gives each of its jobs a dict of its own.  For the same reason c06
 bounds each distinct family once and c09 checks each distinct grid once
 (6-11 of c06's 20 grid families and 7-9 of c09's 21 grids are distinct),
-while failures, margins and counts still run over every tag.
+while failures, margins and counts still run over every tag.  c06, c12
+and c13 decide by `record.SE_RULE`, c13 through `record.law_fit`.
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
+
+import numpy as np
 
 from . import bounds, counting, distributions, matchings, posets, rotations
 from .counting import BoundMode, BipartiteGraph, bound_holds, reveal_bound
 from .distributions import EXTENDED, PLAIN
 from .instances import PreferenceProfile, instance_I2, random_instance
-from .record import CheckResult
+from .record import CheckResult, law_fit
 from .rng import Xoshiro256StarStar, bernoulli_threshold
 
 
@@ -437,40 +440,18 @@ def criterion_jensen_and_dependence(config: RunConfig) -> CheckResult:
 @_timed
 def criterion_samplers(config: RunConfig) -> CheckResult:
     bad = []
-    draws = SAMPLER_DRAWS
-
-    def gof(tag, samples, cells, support):
-        """Each listed cell within 4 standard errors of its mass, and no
-        draw outside the law's support (lo, hi), hi None for no ceiling."""
-        m = len(samples)
-        tally = Counter(samples)
-        lo, hi = support
-        outside = sum(c for k, c in tally.items() if k < lo or (hi is not None and k > hi))
-        if outside:
-            bad.append((tag, "outside_support", outside))
-        for k, p in cells:
-            f = tally[k] / m
-            if abs(f - p) > 4 * math.sqrt(p * (1 - p) / m):
-                bad.append((tag, k, f, p))
-
     n, l = 3, 2
-    a = distributions.sample_cyclic_gap(n, l, config.seed, draws)
-    b = distributions.sample_cyclic_gap(n, l, config.seed, draws)
-    if a != b:
-        bad.append(("cyclic_determinism",))
-    # the cyclic law's support is 1..n+2-l, where C(n-k, l-2) > 0
-    gof(f"cyclic({n},{l})", a, [(1, 1 / 6), (2, 2 / 6), (3, 3 / 6)], (1, n + 2 - l))
-
-    for variant in (PLAIN, EXTENDED):
-        s1 = distributions.sample_line_gap(0.5, variant, config.seed, draws)
-        s2 = distributions.sample_line_gap(0.5, variant, config.seed, draws)
-        if s1 != s2:
-            bad.append((f"{variant}_determinism",))
-        cells = [(k, float(distributions.line_gap_pmf(0.5, k, variant)))
-                 for k in range(1, 7)]
-        gof(f"line_{variant}", s1, cells, (1, None))
+    fits = [("cyclic", f"cyclic({n},{l})", partial(distributions.sample_cyclic_gap, n, l),
+             ([p for _, p in distributions.cyclic_gap_pmf(n, l).support],))]
+    fits += [(variant, f"line_{variant}", partial(distributions.sample_line_gap, 0.5, variant),
+              distributions.line_gap_cells(0.5, variant)) for variant in (PLAIN, EXTENDED)]
+    for name, tag, sample, cells in fits:
+        a = sample(config.seed, SAMPLER_DRAWS)
+        if not np.array_equal(a, sample(config.seed, SAMPLER_DRAWS)):
+            bad.append((f"{name}_determinism",))
+        bad += [(tag, *cell) for cell in law_fit(a, *cells)]
     return CheckResult("c13", not bad, {"name": "sampler goodness of fit and determinism",
-                                        "details": {"draws": draws, "failures": bad[:10]}})
+                                        "details": {"draws": SAMPLER_DRAWS, "failures": bad[:10]}})
 
 
 @_timed

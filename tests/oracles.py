@@ -11,7 +11,10 @@ src/ calls them.
   Python floats;
 * ``CyclicGapSampler`` and ``LineGapSampler`` -- scalar streams of the
   cyclic and line gaps, one partial Fisher-Yates choice or one Bernoulli
-  draw per slot.
+  draw per slot;
+* ``count_downsets_bruteforce`` -- the downset count by a 2^size subset
+  filter;
+* ``jensen_pair_check`` -- one point of ``jensen_grid`` in scalar floats.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from itertools import chain
 
 import numpy as np
 
-from smcensus.distributions import (PLAIN, SLOTS, _arc_containing_zero, _check_cyclic,
-                                    _check_x, check_variant, line_gap_window)
+from smcensus.distributions import (JENSEN_TOL, PLAIN, SLOTS, DistributionError,
+                                    _arc_containing_zero, _check_cyclic, _check_x,
+                                    check_variant, line_gap_window)
+from smcensus.posets import FinitePoset, PosetError
 from smcensus.rng import (_GAMMA, _MASK64, _MIX1, _MIX2, Xoshiro256StarStar,
                           bernoulli_threshold)
 
@@ -126,3 +131,38 @@ class LineGapSampler:
 
     def take(self, count: int) -> list[int]:
         return [self.next() for _ in range(count)]
+
+
+BRUTE_FORCE_SIZE = 20  # the subset filter holds 2^size 64-bit masks at once
+
+
+def count_downsets_bruteforce(poset: FinitePoset) -> int:
+    """2^size subset filter; oracle for count_downsets at size <= ~16.
+
+    A subset is kept unless it holds some element without all of the
+    elements below it.  Refuses posets past BRUTE_FORCE_SIZE elements,
+    whose subset array would not fit in memory.
+    """
+    if poset.size > BRUTE_FORCE_SIZE:
+        raise PosetError(f"brute-force count needs size <= {BRUTE_FORCE_SIZE}, "
+                         f"got {poset.size}")
+    subsets = np.arange(1 << poset.size, dtype=np.int64)
+    closed = np.ones(subsets.shape, dtype=bool)
+    for e, b in enumerate(poset.below):
+        closed &= (subsets >> e & 1 == 0) | (subsets & b == b)
+    return int(closed.sum())
+
+
+def jensen_pair_check(a0, a1, a2, x):
+    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - JENSEN_TOL.
+    The scalar oracle of ``jensen_grid``."""
+    if a0 <= 0 or a1 <= 0 or a2 <= 0:
+        raise DistributionError("a0, a1, a2 must be positive")
+    if not 0 <= x <= 1:
+        raise DistributionError("x must lie in [0, 1]")
+    a0, a1, a2, x = float(a0), float(a1), float(a2), float(x)
+    lhs = (x * x * math.log(a0)
+           + x * (1 - x) * (math.log(a0 + a1) + math.log(a0 + a2))
+           + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
+    rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
+    return lhs, rhs, lhs >= rhs - JENSEN_TOL

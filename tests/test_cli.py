@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from smcensus import cli, distributions, rotations, verify
@@ -282,6 +283,33 @@ def test_c06_c09_pins_differ_between_seeds():
 def test_simulate_fails_on_samples_off_the_exact_pmf(monkeypatch, capsys, argv,
                                                      sampler, value):
     monkeypatch.setattr(distributions, sampler, lambda *args: [value] * args[-1])
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_c13_and_simulate_fail_on_the_same_biased_draws(monkeypatch, capsys):
+    """Plain line gaps at x = 0.5 with cell 1 raised to 5 standard errors
+    above its mass x^2, by turning draws of 3 into 1s: c13 names that cell
+    alone, and `simulate` exits 1 on the same draws."""
+    argv = ["simulate", "--kind", "plain", "--x", "0.5", "--seed", "42",
+            "--samples", str(verify.SAMPLER_DRAWS)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    line = distributions.sample_line_gap
+
+    def biased(x, variant, seed, count):
+        s = line(x, variant, seed, count)
+        if variant == distributions.PLAIN:
+            want = round(count * (0.25 + 5 * math.sqrt(0.25 * 0.75 / count)))
+            have = int(np.count_nonzero(s == 1))
+            assert want > have
+            s[np.flatnonzero(s == 3)[:want - have]] = 1
+        return s
+
+    monkeypatch.setattr(distributions, "sample_line_gap", biased)
+    res = verify.criterion_samplers(verify.RunConfig(seed=42))
+    assert not res.passed
+    assert [f[:2] for f in res.fields["details"]["failures"]] == [("line_plain", 1)]
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
 

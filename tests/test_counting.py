@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -24,6 +25,7 @@ from smcensus.distributions import (_conditional_option_histograms,
                                     _dominance_report, cyclic_gap_pmf,
                                     dominance_check_grid)
 from smcensus.posets import count_downsets, grid_diamond, random_tangled_grid
+from smcensus.record import SE_RULE
 from smcensus.rng import (KEY_CELLS, MC_LANES, Xoshiro256StarStar, XoshiroLanes,
                           bernoulli_threshold)
 
@@ -117,6 +119,16 @@ def test_bounds_cover_family_size_exact_and_mc():
         res = reveal_bound(fam, BoundMode("averaged", samples=1500), seed=3)
         assert res.stderr is not None
         assert bound_holds(res, fam)
+
+
+def test_bound_holds_fails_a_monte_carlo_bound_past_se_rule_standard_errors():
+    fam = diagonal_pair_family(4)
+    res = reveal_bound(fam, BoundMode("averaged", samples=1500), seed=3)
+    target = math.log(len(fam.members))
+    assert res.stderr > 0
+    for se, holds in ((SE_RULE - 1, True), (SE_RULE + 1, False)):
+        shifted = dataclasses.replace(res, value=target - se * res.stderr)
+        assert bound_holds(shifted, fam) is holds
 
 
 def test_negative_sample_count_is_rejected():

@@ -1,25 +1,29 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import CyclicGapSampler, LineGapSampler, gap_from_slots_where
+from oracles import (CyclicGapSampler, LineGapSampler, gap_from_slots_where,
+                     jensen_pair_check)
 from smcensus import distributions, rng, verify
-from smcensus.distributions import (EXTENDED, JENSEN_TOL, PLAIN, SLOTS, WINDOW_CAP,
+from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, PLAIN, SLOTS, WINDOW_CAP,
                                     DistributionError, _gap_from_slots,
                                     asymptotic_dominance_probe,
                                     cyclic_gap_expectation, cyclic_gap_pmf,
                                     cyclic_gap_pmf_bruteforce, dominance_check,
                                     dominance_check_grid, gap_dependence_check,
-                                    jensen_grid, jensen_pair_check,
+                                    jensen_grid,
                                     legal_identification_patterns,
-                                    line_gap_log_mean, line_gap_pmf,
+                                    line_gap_cells, line_gap_log_mean, line_gap_pmf,
                                     line_gap_tail, line_gap_terms,
                                     line_gap_total,
                                     sample_cyclic_gap, sample_line_gap)
 from smcensus.posets import grid_diamond, random_tangled_grid
+from smcensus.record import SE_RULE, law_fit
 
 
 def test_small_cyclic_pmf():
@@ -203,10 +207,10 @@ def test_x_range_validation():
 
 
 def test_samplers_deterministic():
-    assert sample_cyclic_gap(5, 3, 7, 500) == sample_cyclic_gap(5, 3, 7, 500)
+    assert sample_cyclic_gap(5, 3, 7, 500).tolist() == sample_cyclic_gap(5, 3, 7, 500).tolist()
     for variant in (PLAIN, EXTENDED):
-        assert sample_line_gap(0.3, variant, 7, 500) == \
-            sample_line_gap(0.3, variant, 7, 500)
+        assert sample_line_gap(0.3, variant, 7, 500).tolist() == \
+            sample_line_gap(0.3, variant, 7, 500).tolist()
 
 
 def two_sample_z(a: list[int], b: list[int], cells) -> float:
@@ -227,12 +231,12 @@ def two_sample_z(a: list[int], b: list[int], cells) -> float:
 
 def test_fast_samplers_match_scalar_oracles():
     draws = 20000
-    fast = sample_cyclic_gap(6, 3, 11, draws)
+    fast = sample_cyclic_gap(6, 3, 11, draws).tolist()
     slow = CyclicGapSampler(6, 3, 12).take(draws)
     assert two_sample_z(fast, slow, range(1, 6)) < 4.5
     for x in (0.1, 0.3, 0.9):
         for variant in (PLAIN, EXTENDED):
-            fast = sample_line_gap(x, variant, 11, draws)
+            fast = sample_line_gap(x, variant, 11, draws).tolist()
             slow = LineGapSampler(x, variant, 12).take(draws)
             top = min(12, round(3 / x))
             assert two_sample_z(fast, slow, range(1, top)) < 4.5, (x, variant)
@@ -241,23 +245,87 @@ def test_fast_samplers_match_scalar_oracles():
 def test_fast_samplers_golden_values():
     # the first draws of seed 7, and draws on both sides of the boundary
     # between the two rounds of 10000 lanes; a change of any stream shows here
-    assert sample_cyclic_gap(5, 3, 7, 12) == [1, 4, 3, 2, 2, 3, 4, 2, 2, 3, 3, 2]
-    assert sample_line_gap(0.3, PLAIN, 7, 12) == [5, 4, 7, 5, 6, 8, 2, 2, 9, 9, 1, 12]
-    assert sample_line_gap(0.3, EXTENDED, 7, 12) == [1, 3, 8, 3, 2, 2, 4, 10, 1, 3, 1, 3]
-    assert sample_line_gap(0.5, EXTENDED, 7, 20000)[9998:10002] == [1, 2, 1, 3]
-    assert sample_cyclic_gap(50, 2, 7, 20000)[9998:10002] == [28, 49, 50, 33]
+    assert sample_cyclic_gap(5, 3, 7, 12).tolist() == [1, 4, 3, 2, 2, 3, 4, 2, 2, 3, 3, 2]
+    assert sample_line_gap(0.3, PLAIN, 7, 12).tolist() == [5, 4, 7, 5, 6, 8, 2, 2, 9, 9, 1, 12]
+    assert sample_line_gap(0.3, EXTENDED, 7, 12).tolist() == \
+        [1, 3, 8, 3, 2, 2, 4, 10, 1, 3, 1, 3]
+    assert sample_line_gap(0.5, EXTENDED, 7, 20000)[9998:10002].tolist() == [1, 2, 1, 3]
+    assert sample_cyclic_gap(50, 2, 7, 20000)[9998:10002].tolist() == [28, 49, 50, 33]
 
 
 def test_sampler_frequencies_match_pmf():
     draws = 40000
-    s = sample_cyclic_gap(3, 2, 42, draws)
+    s = sample_cyclic_gap(3, 2, 42, draws).tolist()
     for k, p in [(1, 1 / 6), (2, 2 / 6), (3, 3 / 6)]:
         assert abs(s.count(k) / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
     for variant in (PLAIN, EXTENDED):
-        s = sample_line_gap(0.5, variant, 42, draws)
+        s = sample_line_gap(0.5, variant, 42, draws).tolist()
         for k in range(1, 6):
             p = float(line_gap_pmf(0.5, k, variant))
             assert abs(s.count(k) / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+
+def test_law_fit_boundary_is_se_rule_squared_over_two():
+    """The largest count of a cell whose m KL(f || p) stays at most
+    SE_RULE^2 / 2 passes, and one more draw fails; the KL is taken at 50
+    digits so that the two counts straddle the boundary by a clear margin."""
+    m, p = 1000, Fraction(3, 10)
+
+    def m_kl(count):
+        with mpmath.workdps(50):
+            f = mpmath.mpf(count) / m
+            q = mpmath.mpf(p.numerator) / p.denominator
+            return m * (f * mpmath.log(f / q) + (1 - f) * mpmath.log((1 - f) / (1 - q)))
+
+    top = max(c for c in range(300, m) if m_kl(c) <= SE_RULE ** 2 / 2)
+    assert m_kl(top) < SE_RULE ** 2 / 2 - 1e-6 and m_kl(top + 1) > SE_RULE ** 2 / 2 + 1e-6
+
+    def draws(count):
+        return np.array([1] * count + [2] * (m - count))
+
+    assert law_fit(draws(top), [p, 1 - p]) == []
+    assert law_fit(draws(top + 1), [p, 1 - p]) == [
+        (1, (top + 1) / m, 0.3), (2, (m - top - 1) / m, 0.7)]
+
+
+def test_law_fit_fails_one_draw_in_a_cell_of_mass_zero():
+    masses = [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
+    assert law_fit(np.array([1, 3] * 500), masses) == []
+    assert law_fit(np.array([1, 3] * 500 + [2]), masses) == [(2, 1 / 1001, 0.0)]
+
+
+def test_law_fit_fails_draws_outside_the_support():
+    masses = [Fraction(1, 2), Fraction(1, 2)]
+    genuine = [1, 2] * 500
+    assert law_fit(np.array(genuine + [0, -3]), masses) == [("outside_support", 2)]
+    # with no tail the support ends at K, so draws above it are outside too
+    assert law_fit(np.array(genuine + [3]), masses) == [("outside_support", 1)]
+    # with a tail they fall in the tail cell
+    assert law_fit(np.array([1] * 1000 + [3]), masses[:1], masses[1]) == [
+        (1, 1000 / 1001, 0.5), (">1", 1 / 1001, 0.5)]
+
+
+def test_law_fit_decides_the_line_gap_tail():
+    s = sample_line_gap(0.5, PLAIN, 42, 10 ** 5)
+    masses, tail = line_gap_cells(0.5, PLAIN)
+    assert law_fit(s, masses, tail) == []
+    clipped = np.minimum(s, FIT_CELLS)
+    assert (f">{FIT_CELLS}", 0.0, float(tail)) in law_fit(clipped, masses, tail)
+
+
+@pytest.mark.parametrize("n, l", [(2, 2), (3, 2), (5, 3), (12, 7), (50, 2)])
+def test_cyclic_fit_cells_sum_to_one(n, l):
+    support = cyclic_gap_pmf(n, l).support  # law_fit reads masses of k = 1..K
+    assert [k for k, _ in support] == list(range(1, len(support) + 1))
+    assert sum(p for _, p in support) == 1
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(0.3), Fraction(9, 10)])
+@pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
+def test_line_fit_cells_and_tail_sum_to_one(x, variant):
+    masses, tail = line_gap_cells(x, variant)
+    assert len(masses) == FIT_CELLS and tail > 0
+    assert sum(masses) + tail == 1
 
 
 def test_gap_from_slots_equals_selection_oracle_on_every_mark_combination():
@@ -276,18 +344,35 @@ def test_gap_from_slots_equals_selection_oracle_on_every_mark_combination():
 
 def test_c13_fails_on_draws_outside_the_support(monkeypatch):
     """Impossible draws mixed into genuine ones (line gaps of 0, cyclic(3,2)
-    gaps of 7) are too few to move any listed cell past 4 standard errors,
-    so only the support check can catch them."""
+    gaps of 7) are too few to move any law cell past SE_RULE standard
+    errors, so only the out-of-support cell can catch them."""
     line, cyclic = distributions.sample_line_gap, distributions.sample_cyclic_gap
     monkeypatch.setattr(distributions, "sample_line_gap",
-                        lambda *args: line(*args) + [0] * 100)
+                        lambda *args: np.concatenate([line(*args), [0] * 100]))
     monkeypatch.setattr(distributions, "sample_cyclic_gap",
-                        lambda *args: cyclic(*args) + [7] * 50)
+                        lambda *args: np.concatenate([cyclic(*args), [7] * 50]))
     res = verify.criterion_samplers(verify.RunConfig())
     assert not res.passed
     assert res.fields["details"]["failures"] == [
         ("cyclic(3,2)", "outside_support", 50), ("line_plain", "outside_support", 100),
         ("line_extended", "outside_support", 100)]
+
+
+def test_c13_fails_when_a_sampler_repeats_no_draws(monkeypatch):
+    """A plain-gap sampler whose second call at one seed swaps two unequal
+    draws keeps every cell's count, so only the determinism check sees it."""
+    line, calls = distributions.sample_line_gap, itertools.count()
+
+    def drifting(x, variant, seed, count):
+        s = line(x, variant, seed, count)
+        if variant == PLAIN and next(calls) % 2:
+            i = int(np.flatnonzero(s != s[0])[0])
+            s[[0, i]] = s[[i, 0]]
+        return s
+
+    monkeypatch.setattr(distributions, "sample_line_gap", drifting)
+    res = verify.criterion_samplers(verify.RunConfig())
+    assert res.fields["details"]["failures"] == [("plain_determinism",)]
 
 
 @pytest.mark.parametrize("call", [
@@ -372,6 +457,43 @@ def test_c12_fails_on_a_grid_with_one_inequality_reversed(monkeypatch):
     res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=1000))
     assert not res.passed
     assert res.fields["details"]["failures"] == [want]
+
+
+def scale_dependent_gaps(monkeypatch, shift: float) -> None:
+    """Multiply every dependent gap by e^shift: the paired log-gap
+    difference moves up by shift and keeps its standard error.  Each round
+    of gap_dependence_check computes its independent gaps, then its
+    dependent ones, so the dependent gaps are every second call."""
+    real = distributions._gap_from_slots
+    calls = itertools.count()
+
+    def scaled(*args):
+        gap = real(*args)
+        return gap * math.exp(shift) if next(calls) % 2 else gap
+
+    monkeypatch.setattr(distributions, "_gap_from_slots", scaled)
+
+
+def test_dependence_check_decides_at_se_rule_standard_errors(monkeypatch):
+    base = gap_dependence_check(0.3, ((-1, 1),), seed=5, samples=20000)
+    assert base.passed and base.diff_stderr > 0
+    for se, passed in ((SE_RULE - 1, True), (SE_RULE + 1, False)):
+        with monkeypatch.context() as m:
+            scale_dependent_gaps(m, se * base.diff_stderr - base.diff_mean)
+            res = gap_dependence_check(0.3, ((-1, 1),), seed=5, samples=20000)
+        assert math.isclose(res.diff_mean, se * base.diff_stderr, rel_tol=1e-9)
+        assert math.isclose(res.diff_stderr, base.diff_stderr, rel_tol=1e-9)
+        assert res.passed is passed
+
+
+def test_c12_fails_when_the_dependent_log_gap_is_shifted_up(monkeypatch):
+    scale_dependent_gaps(monkeypatch, 0.05)
+    res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=20000))
+    assert not res.passed
+    failures = res.fields["details"]["failures"]
+    assert len(failures) == 10  # the first ten of 25 cells, every one failing
+    for tag, _, _, diff_mean, diff_stderr in failures:
+        assert tag == "dependence" and diff_mean > SE_RULE * diff_stderr
 
 
 def test_identification_patterns():

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_downsets_bruteforce
 import smcensus.posets as posets_module
 from smcensus.counting import BipartiteGraph, perfect_matching_family
 from smcensus.instances import instance_I2, irving_leather, random_instance
 from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
-                             _downsets_with_tops, count_downsets, count_downsets_bruteforce,
+                             _downsets_with_tops, count_downsets,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_key, grid_to_json,
                              poset_from_below, random_tangled_grid,
