@@ -6,8 +6,7 @@ is scanned row by row for blocking pairs, a large one is tested as one
 boolean array expression in bounded chunks; the row scan is the array
 kernel's oracle, and `is_stable` is the one-row case.  The brute-force
 enumerator, a pruned exhaustive search, is the ground-truth oracle for
-everything the rotation machinery produces; it is capped at n <= 9 by
-default.
+everything the rotation machinery produces; it is capped at n <= 9.
 """
 
 from __future__ import annotations
@@ -155,42 +154,71 @@ def _blocking_pairs(profile: PreferenceProfile, matching: Matching):
 def enumerate_stable_bruteforce(profile: PreferenceProfile) -> set[Matching]:
     """All stable matchings by exhaustive search over perfect matchings.
 
-    Jobs are assigned in index order.  Every blocking pair of a perfect
-    matching joins two of its pairs, so a partial matching is abandoned as
-    soon as two of its pairs block each other: every completion keeps that
-    blocking pair.  Independent of the rotation machinery; `BRUTE_FORCE_CAP`
-    marks the oracle boundary.
+    Jobs are assigned in index order, depth first, with forward checking.
+    Every blocking pair of a perfect matching joins two of its pairs, so
+    each unassigned job carries a mask of the applicants it may still take:
+    on assigning (u, v) every later job u2 loses v, each v2 that u ranks
+    above v and that ranks u above u2 ((u, v2) would block), and, when v
+    ranks u2 above u, each v2 that u2 ranks below v ((u2, v) would block).
+    A branch ends as soon as some later job has no applicant left, so the
+    last job is reached with exactly one and completes a stable matching.
+    Independent of the rotation machinery; `BRUTE_FORCE_CAP` marks the
+    oracle boundary.
+
+    The masks are the (n + 1)-bit fields of one int, field u for job u
+    (n applicant bits under a zero guard bit), so one assignment strikes
+    every later job in a few int operations, and adding 2^n - 1 to every
+    field carries into the guard bits of exactly the nonempty fields.
     """
     n = profile.n
     cap = BRUTE_FORCE_CAP
     if n > cap:
         raise ValueError(f"n={n} above brute-force cap {cap}")
-    jrank = profile.job_rank_table
-    arank = profile.applicant_rank_table
+    width = n + 1
+    ones = sum(1 << (u * width) for u in range(n))  # bit 0 of every field
+    full = (1 << n) - 1
+    fill = ones * full  # every field full: no applicant struck yet
+    guards = ones << n
+    # better[u][v]: the applicants u ranks above v; worse[v], field u2: the
+    # applicants u2 ranks below v
+    better = []
+    worse = [0] * n
+    for u, prefs in enumerate(profile.job_prefs):
+        row, above = [0] * n, 0
+        for v in prefs:
+            row[v] = above
+            above |= 1 << v
+            worse[v] |= (full ^ above) << (u * width)
+        better.append(row)
+    # fond[v][u]: all ones in the fields of the jobs v ranks above u;
+    # lure[u], field u2: the applicants that rank u above u2
+    fond = []
+    lure = [0] * n
+    for v, prefs in enumerate(profile.applicant_prefs):
+        row, above, below = [0] * n, 0, 0
+        for u in prefs:
+            row[u] = above
+            above |= full << (u * width)
+        for u in reversed(prefs):
+            lure[u] |= below << v
+            below |= 1 << (u * width)
+        fond.append(row)
     out: set[Matching] = set()
-    _extend_stable(0, (1 << n) - 1, [0] * n, out, jrank, arank)
-    return out
-
-
-def _extend_stable(u: int, free: int, match: list[int], out: set[Matching],
-                   jrank, arank) -> None:
-    """Assign job u each free applicant that leaves no blocking pair among
-    jobs 0..u, recursing to job u + 1; complete matchings go to `out`."""
-    n = len(match)
-    if u == n:
-        out.add(tuple(match))
-        return
-    ju = jrank[u]
-    for v in range(n):
-        if not free >> v & 1:
+    last = n - 1
+    stack = [(0, (), fill)]  # (next job, its predecessors' applicants, masks)
+    while stack:
+        u, prefix, allowed = stack.pop()
+        options = allowed >> (u * width) & full
+        if u == last:  # options is the one applicant left
+            out.add(prefix + (options.bit_length() - 1,))
             continue
-        av = arank[v]
-        for u2 in range(u):
-            v2 = match[u2]
-            # (u, v2) blocks, or (u2, v) blocks
-            if (ju[v2] < ju[v] and arank[v2][u] < arank[v2][u2]) or \
-                    (jrank[u2][v] < jrank[u2][v2] and av[u2] < av[u]):
-                break
-        else:
-            match[u] = v
-            _extend_stable(u + 1, free & ~(1 << v), match, out, jrank, arank)
+        better_u, lure_u = better[u], lure[u]
+        later = guards >> ((u + 1) * width) << ((u + 1) * width)
+        while options:
+            bit = options & -options
+            options ^= bit
+            v = bit.bit_length() - 1
+            left = allowed & ~(ones * better_u[v] & lure_u | worse[v] & fond[v][u] | ones << v)
+            if (left + fill) & later == later:
+                stack.append((u + 1, prefix + (v,), left))
+    return out

@@ -57,10 +57,6 @@ def _stream_state(seed: int, stream: int) -> list[int]:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """Scalar xoshiro256** stream.
 
@@ -69,19 +65,19 @@ class Xoshiro256StarStar:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._s = _stream_state(seed & _MASK64, stream)
+        self._s = tuple(_stream_state(seed & _MASK64, stream))
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        x = (s1 * 5) & _MASK64
+        result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64  # rotl(s1 * 5, 7) * 9
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        self._s = (s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64)  # s3 = rotl(s3, 45)
         return result
 
     def random(self) -> float:
@@ -101,9 +97,14 @@ class Xoshiro256StarStar:
                 return r
 
     def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: element i swaps with j drawn as
+        ``randrange(i + 1)`` draws it, with the bitmask rejection inlined,
+        so the stream and the state left behind are randrange's."""
+        next_u64 = self.next_u64
         for i in range(len(xs) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            shift = 64 - i.bit_length()
+            while (j := next_u64() >> shift) > i:
+                pass
             xs[i], xs[j] = xs[j], xs[i]
 
     def permutation(self, n: int) -> list[int]:

@@ -14,14 +14,20 @@ src/ calls them.
   draw per slot;
 * ``count_downsets_bruteforce`` -- the downset count by a 2^size subset
   filter;
-* ``jensen_pair_check`` -- one point of ``jensen_grid`` in scalar floats.
+* ``jensen_pair_check`` -- one point of ``jensen_grid`` in scalar floats;
+* ``stable_by_permutation_filter`` -- the stable matchings by the literal
+  filter of all n! perfect matchings (``all_permutations``), the oracle of
+  the forward-checked ``enumerate_stable_bruteforce``;
+* ``shuffle_by_randrange`` -- the textbook Fisher-Yates shuffle, one
+  ``randrange`` call per element.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -166,3 +172,40 @@ def jensen_pair_check(a0, a1, a2, x):
            + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
     rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
     return lhs, rhs, lhs >= rhs - JENSEN_TOL
+
+
+@lru_cache(maxsize=None)
+def all_permutations(n):
+    """Every perfect matching on n pairs, one column per permutation:
+    match[u] holds job u's applicant and partner[v] applicant v's job."""
+    flat = chain.from_iterable(permutations(range(n)))
+    rows = np.fromiter(flat, dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
+    partner = np.argsort(rows, axis=1).astype(np.int8)
+    return np.ascontiguousarray(rows.T), np.ascontiguousarray(partner.T)
+
+
+def stable_by_permutation_filter(profile):
+    """Reference oracle: the literal filter of all n! perfect matchings.
+
+    Every (job u, applicant v) pair is tested on every permutation through
+    rank-table gathers; a permutation is dropped only when some pair blocks.
+    """
+    n = profile.n
+    match, partner = all_permutations(n)
+    jrank, arank = profile.job_rank_table, profile.applicant_rank_table
+    # each side's rank of its own partner, per permutation
+    own_j = [np.take(np.array(jrank[u], dtype=np.int8), match[u]) for u in range(n)]
+    own_a = [np.take(np.array(arank[v], dtype=np.int8), partner[v]) for v in range(n)]
+    blocked = np.zeros(match.shape[1], dtype=bool)
+    for u in range(n):
+        for v in range(n):
+            blocked |= (own_j[u] > jrank[u][v]) & (own_a[v] > arank[v][u])
+    return set(map(tuple, match[:, ~blocked].T.tolist()))
+
+
+def shuffle_by_randrange(rng: Xoshiro256StarStar, xs: list) -> None:
+    """In-place Fisher-Yates shuffle: element i, from the last down to
+    the second, swaps with ``rng.randrange(i + 1)``."""
+    for i in range(len(xs) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        xs[i], xs[j] = xs[j], xs[i]

@@ -1,46 +1,20 @@
+import ast
 import re
-from functools import lru_cache
-from itertools import chain, permutations
-from math import ceil, factorial
+from itertools import permutations
+from math import ceil
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import stable_by_permutation_filter
 from smcensus import matchings, rotations, verify
 from smcensus.instances import PreferenceProfile, instance_I2, irving_leather, random_instance
-from smcensus.matchings import (enumerate_stable_bruteforce, gale_shapley,
-                                is_stable, stable_rows, unstable_pairs)
+from smcensus.matchings import (BRUTE_FORCE_CAP, enumerate_stable_bruteforce,
+                                gale_shapley, is_stable, stable_rows, unstable_pairs)
 from smcensus.rng import Xoshiro256StarStar
 from smcensus.verify import RunConfig, _profile_for, instance_plan
-
-
-@lru_cache(maxsize=None)
-def all_permutations(n):
-    """Every perfect matching on n pairs, one column per permutation:
-    match[u] holds job u's applicant and partner[v] applicant v's job."""
-    flat = chain.from_iterable(permutations(range(n)))
-    rows = np.fromiter(flat, dtype=np.int8, count=n * factorial(n)).reshape(-1, n)
-    partner = np.argsort(rows, axis=1).astype(np.int8)
-    return np.ascontiguousarray(rows.T), np.ascontiguousarray(partner.T)
-
-
-def stable_by_permutation_filter(profile):
-    """Reference oracle: the literal filter of all n! perfect matchings.
-
-    Every (job u, applicant v) pair is tested on every permutation through
-    rank-table gathers; a permutation is dropped only when some pair blocks.
-    """
-    n = profile.n
-    match, partner = all_permutations(n)
-    jrank, arank = profile.job_rank_table, profile.applicant_rank_table
-    # each side's rank of its own partner, per permutation
-    own_j = [np.take(np.array(jrank[u], dtype=np.int8), match[u]) for u in range(n)]
-    own_a = [np.take(np.array(arank[v], dtype=np.int8), partner[v]) for v in range(n)]
-    blocked = np.zeros(match.shape[1], dtype=bool)
-    for u in range(n):
-        for v in range(n):
-            blocked |= (own_j[u] > jrank[u][v]) & (own_a[v] > arank[v][u])
-    return set(map(tuple, match[:, ~blocked].T.tolist()))
 
 
 def stable_by_is_stable_filter(profile):
@@ -139,6 +113,69 @@ def test_pruned_search_on_irving_leather_eight():
     stable = enumerate_stable_bruteforce(profile)
     assert len(stable) == 268
     assert stable == stable_by_permutation_filter(profile)
+
+
+@pytest.mark.parametrize("seed", [1, 7])  # the default plan, seed 42, is tested above
+def test_pruned_search_matches_filter_on_other_sweep_plans(seed):
+    for item in instance_plan(RunConfig(seed=seed)):
+        profile = _profile_for(item)
+        assert enumerate_stable_bruteforce(profile) == \
+            stable_by_permutation_filter(profile), item
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = st.lists(st.permutations(range(n)).map(tuple), min_size=n, max_size=n).map(tuple)
+    return PreferenceProfile(n, draw(rows), draw(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_pruned_search_matches_filter_on_any_small_profile(profile):
+    assert enumerate_stable_bruteforce(profile) == stable_by_permutation_filter(profile)
+
+
+def _cyclic_latin_square(n):
+    """Job u ranks u, u+1, ...; applicant v ranks v+1, ..., v (mod n)."""
+    jobs = tuple(tuple((u + k) % n for k in range(n)) for u in range(n))
+    apps = tuple(tuple((v + 1 + k) % n for k in range(n)) for v in range(n))
+    return PreferenceProfile(n, jobs, apps)
+
+
+@pytest.mark.parametrize("n", range(1, BRUTE_FORCE_CAP + 1))
+def test_pruned_search_on_hand_built_extremes(n):
+    # identical rows on both sides: job 0 and applicant 0 pair first, then
+    # 1 and 1, ..., so the identity is the one stable matching
+    same = tuple(tuple(range(n)) for _ in range(n))
+    identical = PreferenceProfile(n, same, same)
+    assert enumerate_stable_bruteforce(identical) == {tuple(range(n))}
+    # the cyclic Latin square: each of the n shifts u -> u + k is stable
+    # (job u's k-th choice ranks u (n - 1 - k)-th), and nothing else is;
+    # at n = 2 it is instance_I2
+    cyclic = _cyclic_latin_square(n)
+    assert n != 2 or cyclic == instance_I2()
+    shifts = {tuple((u + k) % n for u in range(n)) for k in range(n)}
+    assert enumerate_stable_bruteforce(cyclic) == shifts
+    if n <= 8:
+        assert stable_by_permutation_filter(identical) == {tuple(range(n))}
+        assert stable_by_permutation_filter(cyclic) == shifts
+
+
+def test_bruteforce_imports_nothing_but_instances():
+    """The oracle is the ground truth for everything the rotation machinery
+    produces, so it must never share that code."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(matchings.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("smcensus." if node.level else "") + (node.module or "")
+            if module.rstrip(".") == "smcensus":  # from smcensus (or .) import x
+                imported.update(f"smcensus.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+    assert {m for m in imported if m.split(".")[0] == "smcensus"} == {"smcensus.instances"}
 
 
 def test_numpy_filter_matches_is_stable_filter_on_sweep_plan():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import lane_state_arange, scan_draw_searchsorted
+from oracles import lane_state_arange, scan_draw_searchsorted, shuffle_by_randrange
 from smcensus import rng
+from smcensus.instances import PreferenceProfile, random_instance
 from smcensus.rng import (KEY_CELLS, MC_LANES, ScanTable, Xoshiro256StarStar,
                           XoshiroLanes, _splitmix64, _stream_state, bernoulli_threshold,
                           lane_rounds)
@@ -39,7 +40,7 @@ def test_lane_state_equals_flat_oracle_and_scalar_streams(seed, lanes):
     assert [row.tolist() for row in state] == [row.tolist() for row in
                                                lane_state_arange(seed, lanes)]
     scalar = [Xoshiro256StarStar(seed, stream=j)._s for j in range(lanes)]
-    assert [list(words) for words in zip(*(row.tolist() for row in state))] == scalar
+    assert list(zip(*(row.tolist() for row in state))) == scalar
 
 
 def test_stream_state_is_the_splitmix64_sequence():
@@ -109,6 +110,36 @@ def test_shuffle_permutes():
     xs = list(range(12))
     rng.shuffle(xs)
     assert sorted(xs) == list(range(12))
+
+
+@pytest.mark.parametrize("seed", [0, 1, (1 << 63) + 5, (1 << 64) - 1])
+@pytest.mark.parametrize("stream", [0, 3])
+def test_shuffle_equals_fisher_yates_over_randrange(seed, stream):
+    """Same permutation and same state left behind, so random_instance,
+    which draws all 2n rows from one generator, stays on the same stream."""
+    fast, slow = Xoshiro256StarStar(seed, stream), Xoshiro256StarStar(seed, stream)
+    for length in [0, 1, 2, 3, 4, 5, 8, 9, 17, 64, 65]:
+        got, want = list(range(length)), list(range(length))
+        fast.shuffle(got)
+        shuffle_by_randrange(slow, want)
+        assert got == want, length
+        assert [fast.next_u64() for _ in range(8)] == [slow.next_u64() for _ in range(8)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_instance_equals_profile_built_by_randrange(seed):
+    n, gen = 50, Xoshiro256StarStar(seed)
+
+    def rows():
+        out = []
+        for _ in range(n):
+            row = list(range(n))
+            shuffle_by_randrange(gen, row)
+            out.append(tuple(row))
+        return tuple(out)
+
+    jobs = rows()
+    assert random_instance(n, seed) == PreferenceProfile(n, jobs, rows())
 
 
 def test_bernoulli_threshold_exact():
