@@ -44,9 +44,9 @@ The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
 so n! times the left side is N = sum_j C(m,j) g_n[j+a], and each triple is
 the test N (a+1) C(n-m+1, a+1) == (n+1)!, with no lcm and no division.
-``whitworth`` sums N in that factorial form; ``whitworth_sweep`` gets the N
-of every a at once as a binomial transform: from row = g_n, m steps
-row <- [row[s] + row[s+1]] leave row[a] = N.
+``whitworth_sweep`` gets the N of every a at once as a binomial
+transform: from row = g_n, m steps row <- [row[s] + row[s+1]] leave
+row[a] = N.
 
 The pmf integrals expand the law term by term: each (1 - x)^b row is one
 Pascal step from the row of b - 1, kept in a cache of the last
@@ -88,19 +88,6 @@ def _factorials(top: int) -> list[int]:
     for i in range(1, top + 1):
         fact[i] = fact[i - 1] * i
     return fact
-
-
-def whitworth(m: int, a: int, n: int) -> tuple[Fraction, Fraction, bool]:
-    """Both sides of the binomial-ratio summation identity
-    sum_j C(m,j)/C(n,j+a) = (n+1) / ((a+1) C(n-m+1, a+1)), exactly."""
-    if m < 0 or a < 0 or n < m + a:
-        raise ValueError("need m >= 0, a >= 0, n >= m + a")
-    fact = _factorials(n + 1)
-    g = _factorial_row(n, fact)
-    num = sum(comb(m, j) * g[j + a] for j in range(m + 1))
-    rhs_den = (a + 1) * comb(n - m + 1, a + 1)
-    return (Fraction(num, fact[n]), Fraction(n + 1, rhs_den),
-            num * rhs_den == fact[n + 1])
 
 
 def _left_sides(n_max: int, fact: list[int]):
@@ -320,7 +307,7 @@ class GapIntegral(NamedTuple):
 GAP_INTEGRALS = {
     PLAIN: GapIntegral({}, 1, Factors(2, ()), Factors(1, (1, 2)), 2),
     EXTENDED: GapIntegral({2: (1, 12), 3: (23, 630)}, 4,
-                          Factors(2, (0, 7), 72), Factors(1, (3, 5, 6, 7)), 4),
+                          Factors(2, (0, 7), 72), Factors(1, (3, 5, 6, 7)), 2),
 }
 
 
@@ -369,7 +356,9 @@ def verify_term_majorants(variant: str) -> bool:
     P(k) = c den(k) - k^2 num(k) >= 0.  P's integer coefficients come from
     multiplying out the factor data, and all of them are nonnegative,
     which settles every k >= 0 at once (6 k + 4 for the plain variant,
-    leading coefficient 2 k^4 for the extended one).
+    28 k^3 + 250 k^2 + 1062 k + 1260 for the extended one).  c is the
+    smallest integer that proves it: both laws have k^2 num(k) / den(k)
+    tending to 2.
     """
     law = GAP_INTEGRALS[check_variant(variant)]
     diff = [law.c * d - e for d, e in zip_longest(

@@ -119,7 +119,7 @@ def _freq(samples, shown: int | None = None) -> dict:
 def _cmd_simulate(args, out) -> list[CheckResult]:
     if args.kind == "cyclic":
         samples = distributions.sample_cyclic_gap(args.n, args.l, args.seed, args.samples)
-        exact = distributions.cyclic_gap_pmf(args.n, args.l).support
+        exact = distributions.cyclic_gap_pmf(args.n, args.l)
         return [CheckResult("simulate_cyclic", not law_fit(samples, [p for _, p in exact]),
                             {"n": args.n, "l": args.l, "pmf": {k: str(p) for k, p in exact},
                              "freq": _freq(samples)})]

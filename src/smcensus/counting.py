@@ -16,9 +16,9 @@ Monte Carlo only the sampled ones.  The table takes one request form, a
 list of (component, set) pairs: one bincount over group * card_i +
 code_i gives X_i for a whole batch of them.  Monte Carlo reveal orders
 are drawn on the lanes of ``rng.XoshiroLanes``, one order per lane, and
-tallied by (component, revealed set) in numpy.  ``option_count``
-recomputes a single X_i from its definition and is the oracle the table
-is tested against.
+tallied by (component, revealed set) in numpy.  ``option_count`` of
+tests/oracles.py recomputes a single X_i from its definition and is the
+oracle the table is tested against.
 
 Every bound takes one path.  ``_request`` turns a ``BoundMode`` into one
 list of (component, revealed set, weight) triples and the common total
@@ -234,19 +234,6 @@ def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
     return before[keys] - first[:, None], before[offsets + groups * card] - first
 
 
-def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: int) -> int:
-    """Number of possible i-th components among members agreeing with
-    ``member`` on every component revealed before i under ``order``."""
-    if member not in family.members:
-        raise FamilyError(f"{member} is not a family member")
-    if sorted(order) != list(range(family.n)):
-        raise FamilyError("order must be a permutation of the component indices")
-    prefix = order[: order.index(i)]
-    vals = {m[i] for m in family.members
-            if all(m[j] == member[j] for j in prefix)}
-    return len(vals)
-
-
 def _mix_log(hist: np.ndarray, total: int) -> float:
     """sum of w / total * log c over one histogram row (column c = count);
     each w / total is an integer ratio, so it rounds once."""
@@ -402,8 +389,10 @@ def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
 
 
 def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundResult:
-    """Bound log |S| per the chosen mode; exact where feasible, else seeded
-    Monte Carlo over reveal orders with a reported standard error."""
+    """Bound log |S| per the chosen mode: seeded Monte Carlo over uniform
+    reveal orders, with a reported standard error, when ``mode.samples`` is
+    set, else exact.  Exact uniform orders need at most
+    EXACT_COMPONENT_LIMIT components; past it FamilyError is raised."""
     if not family.members:
         raise FamilyError("family is empty")
     n = family.n

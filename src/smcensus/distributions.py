@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple
 
@@ -67,28 +67,6 @@ def _check_count(count: int) -> None:
         raise DistributionError(f"sample count must be >= 1, got {count}")
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Finite support pmf; probabilities are Fractions."""
-
-    support: tuple[tuple[int, Fraction], ...]
-
-    def validate(self) -> None:
-        if any(p < 0 for _, p in self.support):
-            raise DistributionError("negative probability")
-        total = sum(p for _, p in self.support)
-        if total != 1:
-            raise DistributionError(f"pmf sums to {total}, not 1")
-
-    def cdf(self) -> list[tuple[int, object]]:
-        out = []
-        acc = 0
-        for k, p in sorted(self.support):
-            acc += p
-            out.append((k, acc))
-        return out
-
-
 # ---------------------------------------------------------------- cyclic gap
 
 def _check_cyclic(n: int, l: int) -> None:
@@ -96,18 +74,19 @@ def _check_cyclic(n: int, l: int) -> None:
         raise DistributionError(f"need 2 <= l <= n, got l={l}, n={n}")
 
 
-def cyclic_gap_pmf(n: int, l: int) -> Pmf:
-    """Exact arc-length law for l chosen points among n+1 cyclic positions."""
+def cyclic_gap_pmf(n: int, l: int) -> tuple[tuple[int, Fraction], ...]:
+    """Exact arc-length law for l chosen points among n+1 cyclic positions:
+    the (k, Pr[gap = k]) pairs of its support, k ascending."""
     _check_cyclic(n, l)
     denom = comb(n + 1, l)
     support = tuple((k, Fraction(k * comb(n - k, l - 2), denom))
                     for k in range(1, n + 1) if comb(n - k, l - 2) > 0)
-    pmf = Pmf(support)
-    pmf.validate()
-    return pmf
+    if sum(p for _, p in support) != 1:
+        raise DistributionError(f"cyclic gap pmf ({n}, {l}) does not sum to 1")
+    return support
 
 
-def cyclic_gap_pmf_bruteforce(n: int, l: int) -> Pmf:
+def cyclic_gap_pmf_bruteforce(n: int, l: int) -> tuple[tuple[int, Fraction], ...]:
     """Oracle: enumerate all C(n+1, l) choices on the circle directly."""
     _check_cyclic(n, l)
     counts: dict[int, int] = {}
@@ -116,8 +95,7 @@ def cyclic_gap_pmf_bruteforce(n: int, l: int) -> Pmf:
         total += 1
         k = _arc_containing_zero(chosen, n)
         counts[k] = counts.get(k, 0) + 1
-    support = tuple((k, Fraction(c, total)) for k, c in sorted(counts.items()))
-    return Pmf(support)
+    return tuple((k, Fraction(c, total)) for k, c in sorted(counts.items()))
 
 
 def _arc_containing_zero(chosen: tuple[int, ...], n: int) -> int:
@@ -284,22 +262,6 @@ def line_gap_window(x) -> int:
 WINDOW_CAP = 2 * 10 ** 5
 
 
-LOG_MEAN_TAIL = 1e-14  # line_gap_log_mean stops once tail mass * log k falls below it
-
-
-def line_gap_log_mean(x: float, variant: str = PLAIN) -> float:
-    """E[log gap], truncated where the remaining mass is negligible."""
-    _check_x(x)
-    total = 0.0
-    k = 2
-    while True:
-        total += math.log(k) * line_gap_pmf(x, k, variant)
-        if k > 4 and line_gap_tail(x, k, variant) * math.log(k + 50) < LOG_MEAN_TAIL:
-            break
-        k += 1
-    return total
-
-
 def sample_line_gap(x: float, variant: str, seed: int, count: int) -> np.ndarray:
     """`count` line gaps, lane-vectorized, from the generative model of the
     module docstring: slot indicators plus two capped scans, each scan
@@ -344,8 +306,7 @@ def _extended_draws(lanes: XoshiroLanes, m: int, thr: np.uint64, scan: ScanTable
 
 # ------------------------------------------------------------- dominance
 
-def dominance_check(grid: TangledGrid, chain_index: int, l: int,
-                    family: TupleFamily | None = None) -> CheckResult:
+def dominance_check(grid: TangledGrid, chain_index: int, l: int) -> CheckResult:
     """Check that the option count for one chain, conditioned on exactly l
     opposite-side chains being revealed first, is dominated by the cyclic
     gap law: Pr[X <= y] >= Pr[gap <= y] for every y, for every downset.
@@ -361,8 +322,7 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int,
         raise DistributionError("chain index out of range")
     if not 2 <= l <= n:
         raise DistributionError(f"need 2 <= l <= n, got l={l}")
-    fam = family if family is not None else downset_top_family(grid)
-    hists = _conditional_option_histograms(fam, n, [chain_index], [l])
+    hists = _conditional_option_histograms(downset_top_family(grid), n, [chain_index], [l])
     return _dominance_report(n, chain_index, l, hists[l][chain_index])
 
 
@@ -374,16 +334,17 @@ def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> Ch
     cum the row's cumulative weight at y and num / den the gap CDF there;
     Fractions are built only for the witnesses.
     """
-    ref_cdf = cyclic_gap_pmf(n, l).cdf()
-    ys = [y for y, _ in ref_cdf]
+    pmf = cyclic_gap_pmf(n, l)
+    ys = [y for y, _ in pmf]
+    ref_cdf = list(accumulate(p for _, p in pmf))
     totals = hists.sum(axis=1)
     cum = np.cumsum(hists, axis=1)[:, np.minimum(ys, hists.shape[1] - 1)]
-    num = np.array([p.numerator for _, p in ref_cdf], dtype=np.int64)
-    den = np.array([p.denominator for _, p in ref_cdf], dtype=np.int64)
+    num = np.array([p.numerator for p in ref_cdf], dtype=np.int64)
+    den = np.array([p.denominator for p in ref_cdf], dtype=np.int64)
     if int(totals.max(initial=0)) * int(den.max()) > INT64_MAX:
         raise DistributionError("option-count weights too large for the dominance check")
     below = cum * den < totals[:, None] * num
-    witnesses = [(mi, ys[k], Fraction(int(cum[mi, k]), int(totals[mi])), ref_cdf[k][1])
+    witnesses = [(mi, ys[k], Fraction(int(cum[mi, k]), int(totals[mi])), ref_cdf[k])
                  for mi, k in zip(*(idx.tolist() for idx in np.nonzero(below)))]
     return CheckResult("dominance", not witnesses,
                        {"chain": chain_index, "l": l, "witnesses": witnesses})

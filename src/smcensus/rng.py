@@ -30,19 +30,9 @@ MC_LANES = 1 << 14   # widest round of a vectorized draw
 KEY_CELLS = 1 << 20  # cap on the u64 keys a round holds at once (8 MiB)
 
 
-def _splitmix64(state: int):
-    """Yield the SplitMix64 output sequence starting from ``state``."""
-    x = state & _MASK64
-    while True:
-        x = (x + _GAMMA) & _MASK64
-        z = x
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
-
-
 def _splitmix64_at(seed: int, i: int) -> int:
-    """Output i of ``_splitmix64(seed)`` in closed form: mix(seed + (i+1) gamma)."""
+    """Output i of the SplitMix64 sequence from ``seed`` in closed form:
+    mix(seed + (i+1) gamma)."""
     z = (seed + (i + 1) * _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -80,10 +70,6 @@ class Xoshiro256StarStar:
         self._s = (s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64)  # s3 = rotl(s3, 45)
         return result
 
-    def random(self) -> float:
-        """Float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by bitmask rejection."""
         if n <= 0:
@@ -111,16 +97,6 @@ class Xoshiro256StarStar:
         xs = list(range(n))
         self.shuffle(xs)
         return xs
-
-    def sample_range(self, m: int, k: int) -> list[int]:
-        """k distinct values from range(m), via partial Fisher-Yates; order discarded."""
-        if not 0 <= k <= m:
-            raise ValueError("need 0 <= k <= m")
-        xs = list(range(m))
-        for i in range(k):
-            j = i + self.randrange(m - i)
-            xs[i], xs[j] = xs[j], xs[i]
-        return sorted(xs[:k])
 
     def bernoulli(self, threshold: int) -> bool:
         """True with probability threshold / 2^64 (integer threshold, exact)."""
@@ -165,13 +141,6 @@ class XoshiroLanes:
         state[0, zero_lanes] = np.uint64(_GAMMA)
         self._s = tuple(state)  # s0, s1, s2, s3: rows of one array
         self.lanes = lanes
-
-    def next_u64(self) -> np.ndarray:
-        return self.next_block(1, self.lanes)[0]
-
-    def bernoulli(self, threshold: int) -> np.ndarray:
-        """Boolean vector, each lane True with probability threshold / 2^64."""
-        return self.next_u64() < np.uint64(threshold & _MASK64)
 
     def next_block(self, rows: int, width: int) -> np.ndarray:
         """The next ``rows`` draws of the first ``width`` lanes, shape (rows, width)."""

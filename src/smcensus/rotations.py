@@ -4,11 +4,11 @@ A rotation is a cyclic list of matched edges whose elimination re-matches
 each job to the next applicant in the cycle, producing another stable
 matching.  The rotation poset is built in polynomial time from one
 maximal elimination chain (Gusfield's type-1/type-2 precedences); the
-exhaustive lattice BFS over all elimination sequences stays as its
-labelled oracle.  Along the chain a successor table is kept up to date
-per elimination instead of being rebuilt at every matching (Gusfield,
-SIAM J. Comput. 16, 1987); `exposed_rotations` rebuilds it from scratch
-and is the table's oracle.  The poset's downsets are in bijection with
+exhaustive lattice BFS over all elimination sequences, in
+tests/oracles.py, is its labelled oracle.  Along the chain a successor
+table is kept up to date per elimination instead of being rebuilt at
+every matching (Gusfield, SIAM J. Comput. 16, 1987); `exposed_rotations`
+rebuilds it from scratch and is the table's oracle.  The poset's downsets are in bijection with
 the stable matchings, which is the central equality this module exposes
 and the test suite verifies against brute force.  The builder and the
 bijection each give every matching they make one full blocking-pair
@@ -56,10 +56,6 @@ class Rotation:
     @property
     def jobs(self) -> tuple[int, ...]:
         return tuple(u for u, _ in self.edges)
-
-    @property
-    def applicants(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.edges)
 
 
 def canonical_rotation(edges) -> Rotation:
@@ -353,73 +349,6 @@ def _first_gain_above(gains: list[tuple[int, int]], rank: int) -> int:
         if got < rank:
             return step
     raise AssertionError("no chain step lifts the applicant past a job that skipped it")
-
-
-def build_rotation_poset_bfs(profile: PreferenceProfile) -> RotationPoset:
-    """Labelled oracle: breadth-first exploration of all elimination
-    sequences from the job-optimal matching; the order is read off the
-    reachable eliminated-sets (rho below rho' iff every reachable set
-    containing rho' contains rho) and cross-checked to be a lattice of
-    downsets.  Exponential in general: it visits every stable matching,
-    and raises StateCapError past `STATE_CAP` of them.
-    """
-    n = profile.n
-    cap = STATE_CAP
-    mu0 = gale_shapley(profile, "jobs")
-
-    rot_ids: dict[tuple, int] = {}
-    rotations: list[Rotation] = []
-    states: dict[int, Matching] = {0: mu0}  # eliminated-set bitmask -> matching
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for mask in frontier:
-            matching = states[mask]
-            for rot in exposed_rotations(profile, matching):
-                rid = rot_ids.get(rot.edges)
-                if rid is None:
-                    rid = len(rotations)
-                    rot_ids[rot.edges] = rid
-                    rotations.append(rot)
-                new_mask = mask | (1 << rid)
-                new_matching = _apply_rotation(matching, rot)
-                assert not unstable_pairs(profile, new_matching), \
-                    "elimination produced an unstable matching"
-                seen = states.get(new_mask)
-                if seen is None:
-                    if len(states) >= cap:
-                        raise StateCapError(f"more than {cap} lattice states")
-                    states[new_mask] = new_matching
-                    next_frontier.append(new_mask)
-                elif seen != new_matching:
-                    raise AssertionError("same eliminated-set reached two matchings")
-        frontier = next_frontier
-
-    r = len(rotations)
-    full = (1 << r) - 1
-    below_incl = [full] * r  # AND of all reached sets containing t
-    for mask in states:
-        for t in posets._bits(mask):
-            below_incl[t] &= mask
-    below = [below_incl[t] & ~(1 << t) for t in range(r)]
-
-    for i in range(r):
-        for j in posets._bits(below[i]):
-            if below[j] >> i & 1:
-                raise AssertionError("derived elimination order is not antisymmetric")
-
-    # reached sets must be exactly the downsets of the derived order
-    reached = set(states)
-    for mask in reached:
-        for t in posets._bits(mask):
-            if below[t] & ~mask:
-                raise AssertionError("reached set is not downward closed")
-    fp = posets.poset_from_below(r, below)
-    ideals = set(posets.enumerate_downset_masks(fp))
-    if ideals != reached:
-        raise AssertionError("reached sets differ from the downsets of the derived order")
-
-    return _with_chains(n, rotations, below, fp.covers, mu0)
 
 
 def stable_matching_bijection(profile: PreferenceProfile,

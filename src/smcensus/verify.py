@@ -206,14 +206,19 @@ def _table_value(expr: str, n_max: int) -> int:
 @_timed
 def criterion_table(config: RunConfig) -> CheckResult:
     bad = []
+    orders = list(_TABLE_ROWS["pair_then_zero"])
+    revealed = [sum(1 << j for j in order[:order.index(0)]) for order in orders]
     for n_max in (2, 5, 10):
         fam = counting.diagonal_pair_family(n_max)
+        column = {member: k for k, member in enumerate(fam.members)}
+        # X_0 per order and member, from the table c06's bounds read
+        x0 = dict(zip(orders, fam.option_counts.counts([0] * len(orders), revealed).tolist()))
         for i in range(1, n_max + 1):
             shapes = {"pair_then_zero": (i, i, 0), "outer_pair": (i, 0, i),
                       "zero_then_pair": (0, i, i)}
             for row, member in shapes.items():
                 for order, expr in _TABLE_ROWS[row].items():
-                    got = counting.option_count(fam, member, order, 0)
+                    got = x0[order][column[member]]
                     want = _table_value(expr, n_max)
                     if got != want:
                         bad.append((n_max, row, i, order, got, want))
@@ -314,8 +319,8 @@ def criterion_distributions(config: RunConfig) -> CheckResult:
     bad = []
     for n in range(2, 13):
         for l in range(2, n + 1):
-            closed = dict(distributions.cyclic_gap_pmf(n, l).support)
-            brute = dict(distributions.cyclic_gap_pmf_bruteforce(n, l).support)
+            closed = dict(distributions.cyclic_gap_pmf(n, l))
+            brute = dict(distributions.cyclic_gap_pmf_bruteforce(n, l))
             if closed != brute:
                 bad.append(("pmf", n, l))
     for n in range(2, 21):
@@ -442,7 +447,7 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
     bad = []
     n, l = 3, 2
     fits = [("cyclic", f"cyclic({n},{l})", partial(distributions.sample_cyclic_gap, n, l),
-             ([p for _, p in distributions.cyclic_gap_pmf(n, l).support],))]
+             ([p for _, p in distributions.cyclic_gap_pmf(n, l)],))]
     fits += [(variant, f"line_{variant}", partial(distributions.sample_line_gap, 0.5, variant),
               distributions.line_gap_cells(0.5, variant)) for variant in (PLAIN, EXTENDED)]
     for name, tag, sample, cells in fits:

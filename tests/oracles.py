@@ -2,6 +2,9 @@
 kernels of smcensus are differentially tested against.  Nothing in
 src/ calls them.
 
+* ``splitmix64`` -- the SplitMix64 output sequence as a generator, one
+  step at a time; the oracle of the closed form that seeds every
+  xoshiro256** stream;
 * ``scan_draw_searchsorted`` -- ScanTable inversion by a binary search
   of the ascending table;
 * ``gap_from_slots_where`` -- the extended gap by nested selections;
@@ -10,8 +13,17 @@ src/ calls them.
 * ``exact_sum_fsum`` -- the exactly rounded sum by ``math.fsum`` over
   Python floats;
 * ``CyclicGapSampler`` and ``LineGapSampler`` -- scalar streams of the
-  cyclic and line gaps, one partial Fisher-Yates choice or one Bernoulli
-  draw per slot;
+  cyclic and line gaps, one partial Fisher-Yates choice
+  (``sample_range``) or one Bernoulli draw per slot;
+* ``line_gap_log_mean`` -- E[log gap] of the line-gap law, summed k by k
+  from its pmf until the tail is negligible (``LOG_MEAN_TAIL``);
+* ``option_count`` -- one option count X_i straight from its definition,
+  a filter of the family's members; the oracle of the columnar
+  ``OptionCountTable``;
+* ``build_rotation_poset_bfs`` -- the rotation poset by breadth-first
+  search over every elimination sequence, capped at
+  ``rotations.STATE_CAP`` states (read at call time); the oracle of the
+  chain builder ``build_rotation_poset``;
 * ``count_downsets_bruteforce`` -- the downset count by a 2^size subset
   filter;
 * ``jensen_pair_check`` -- one point of ``jensen_grid`` in scalar floats;
@@ -31,12 +43,28 @@ from itertools import chain, permutations
 
 import numpy as np
 
+from smcensus import posets, rotations
+from smcensus.counting import FamilyError, TupleFamily
 from smcensus.distributions import (JENSEN_TOL, PLAIN, SLOTS, DistributionError,
                                     _arc_containing_zero, _check_cyclic, _check_x,
-                                    check_variant, line_gap_window)
+                                    check_variant, line_gap_pmf, line_gap_tail,
+                                    line_gap_window)
+from smcensus.instances import PreferenceProfile
+from smcensus.matchings import Matching, gale_shapley, unstable_pairs
 from smcensus.posets import FinitePoset, PosetError
 from smcensus.rng import (_GAMMA, _MASK64, _MIX1, _MIX2, Xoshiro256StarStar,
                           bernoulli_threshold)
+
+
+def splitmix64(state: int):
+    """Yield the SplitMix64 output sequence starting from ``state``."""
+    x = state & _MASK64
+    while True:
+        x = (x + _GAMMA) & _MASK64
+        z = x
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def scan_draw_searchsorted(table, u: np.ndarray) -> np.ndarray:
@@ -83,11 +111,22 @@ class CyclicGapSampler:
         self._rng = Xoshiro256StarStar(seed)
 
     def next(self) -> int:
-        chosen = self._rng.sample_range(self.n + 1, self.l)
+        chosen = sample_range(self._rng, self.n + 1, self.l)
         return _arc_containing_zero(tuple(chosen), self.n)
 
     def take(self, count: int) -> list[int]:
         return [self.next() for _ in range(count)]
+
+
+def sample_range(rng: Xoshiro256StarStar, m: int, k: int) -> list[int]:
+    """k distinct values from range(m), via partial Fisher-Yates; order discarded."""
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
+    xs = list(range(m))
+    for i in range(k):
+        j = i + rng.randrange(m - i)
+        xs[i], xs[j] = xs[j], xs[i]
+    return sorted(xs[:k])
 
 
 class LineGapSampler:
@@ -137,6 +176,35 @@ class LineGapSampler:
 
     def take(self, count: int) -> list[int]:
         return [self.next() for _ in range(count)]
+
+
+LOG_MEAN_TAIL = 1e-14  # line_gap_log_mean stops once tail mass * log k falls below it
+
+
+def line_gap_log_mean(x: float, variant: str = PLAIN) -> float:
+    """E[log gap], truncated where the remaining mass is negligible."""
+    _check_x(x)
+    total = 0.0
+    k = 2
+    while True:
+        total += math.log(k) * line_gap_pmf(x, k, variant)
+        if k > 4 and line_gap_tail(x, k, variant) * math.log(k + 50) < LOG_MEAN_TAIL:
+            break
+        k += 1
+    return total
+
+
+def option_count(family: TupleFamily, member: tuple, order: tuple[int, ...], i: int) -> int:
+    """Number of possible i-th components among members agreeing with
+    ``member`` on every component revealed before i under ``order``."""
+    if member not in family.members:
+        raise FamilyError(f"{member} is not a family member")
+    if sorted(order) != list(range(family.n)):
+        raise FamilyError("order must be a permutation of the component indices")
+    prefix = order[: order.index(i)]
+    vals = {m[i] for m in family.members
+            if all(m[j] == member[j] for j in prefix)}
+    return len(vals)
 
 
 BRUTE_FORCE_SIZE = 20  # the subset filter holds 2^size 64-bit masks at once
@@ -209,3 +277,71 @@ def shuffle_by_randrange(rng: Xoshiro256StarStar, xs: list) -> None:
     for i in range(len(xs) - 1, 0, -1):
         j = rng.randrange(i + 1)
         xs[i], xs[j] = xs[j], xs[i]
+
+
+def build_rotation_poset_bfs(profile: PreferenceProfile) -> rotations.RotationPoset:
+    """Labelled oracle: breadth-first exploration of all elimination
+    sequences from the job-optimal matching; the order is read off the
+    reachable eliminated-sets (rho below rho' iff every reachable set
+    containing rho' contains rho) and cross-checked to be a lattice of
+    downsets.  Exponential in general: it visits every stable matching,
+    and raises StateCapError past `rotations.STATE_CAP` of them, the cap
+    read at call time.
+    """
+    n = profile.n
+    cap = rotations.STATE_CAP
+    mu0 = gale_shapley(profile, "jobs")
+
+    rot_ids: dict[tuple, int] = {}
+    rots: list[rotations.Rotation] = []
+    states: dict[int, Matching] = {0: mu0}  # eliminated-set bitmask -> matching
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for mask in frontier:
+            matching = states[mask]
+            for rot in rotations.exposed_rotations(profile, matching):
+                rid = rot_ids.get(rot.edges)
+                if rid is None:
+                    rid = len(rots)
+                    rot_ids[rot.edges] = rid
+                    rots.append(rot)
+                new_mask = mask | (1 << rid)
+                new_matching = rotations._apply_rotation(matching, rot)
+                assert not unstable_pairs(profile, new_matching), \
+                    "elimination produced an unstable matching"
+                seen = states.get(new_mask)
+                if seen is None:
+                    if len(states) >= cap:
+                        raise rotations.StateCapError(f"more than {cap} lattice states")
+                    states[new_mask] = new_matching
+                    next_frontier.append(new_mask)
+                elif seen != new_matching:
+                    raise AssertionError("same eliminated-set reached two matchings")
+        frontier = next_frontier
+
+    r = len(rots)
+    full = (1 << r) - 1
+    below_incl = [full] * r  # AND of all reached sets containing t
+    for mask in states:
+        for t in posets._bits(mask):
+            below_incl[t] &= mask
+    below = [below_incl[t] & ~(1 << t) for t in range(r)]
+
+    for i in range(r):
+        for j in posets._bits(below[i]):
+            if below[j] >> i & 1:
+                raise AssertionError("derived elimination order is not antisymmetric")
+
+    # reached sets must be exactly the downsets of the derived order
+    reached = set(states)
+    for mask in reached:
+        for t in posets._bits(mask):
+            if below[t] & ~mask:
+                raise AssertionError("reached set is not downward closed")
+    fp = posets.poset_from_below(r, below)
+    ideals = set(posets.enumerate_downset_masks(fp))
+    if ideals != reached:
+        raise AssertionError("reached sets differ from the downsets of the derived order")
+
+    return rotations._with_chains(n, rots, below, fp.covers, mu0)

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import option_count
 from smcensus import counting, verify
 from smcensus.counting import (EXACT_COMPONENT_LIMIT, BipartiteGraph,
                                BoundMode, BoundResult, FamilyError,
                                OptionCountTable, TupleFamily, bound_holds,
                                bregman_log_bound, count_perfect_matchings,
                                diagonal_pair_family, downset_top_family,
-                               option_count, perfect_matching_family,
-                               random_bipartite_graph, reveal_bound,
-                               reveal_bounds_exact)
+                               perfect_matching_family, random_bipartite_graph,
+                               reveal_bound, reveal_bounds_exact)
 from smcensus.distributions import (_conditional_option_histograms,
                                     _dominance_report, cyclic_gap_pmf,
                                     dominance_check_grid)
@@ -587,7 +587,8 @@ def _conditional_histograms_reference(table, chain_index, n):
 
 def _dominance_report_reference(n, chain_index, l, hists):
     """ORACLE: the dominance report by Fractions, one member at a time."""
-    ref_cdf = cyclic_gap_pmf(n, l).cdf()
+    pmf = cyclic_gap_pmf(n, l)
+    ref_cdf = [(y, sum(p for k, p in pmf if k <= y)) for y, _ in pmf]
     witnesses = []
     for mi, hist in enumerate(hists):
         total = sum(hist.values())

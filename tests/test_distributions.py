@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (CyclicGapSampler, LineGapSampler, gap_from_slots_where,
-                     jensen_pair_check)
+                     jensen_pair_check, line_gap_log_mean)
 from smcensus import distributions, rng, verify
 from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, PLAIN, SLOTS, WINDOW_CAP,
                                     DistributionError, _gap_from_slots,
@@ -18,7 +18,7 @@ from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, PLAIN, SLOT
                                     dominance_check_grid, gap_dependence_check,
                                     jensen_grid,
                                     legal_identification_patterns,
-                                    line_gap_cells, line_gap_log_mean, line_gap_pmf,
+                                    line_gap_cells, line_gap_pmf,
                                     line_gap_tail, line_gap_terms,
                                     line_gap_total,
                                     sample_cyclic_gap, sample_line_gap)
@@ -27,15 +27,15 @@ from smcensus.record import SE_RULE, law_fit
 
 
 def test_small_cyclic_pmf():
-    pmf = dict(cyclic_gap_pmf(3, 2).support)
+    pmf = dict(cyclic_gap_pmf(3, 2))
     assert pmf == {1: Fraction(1, 6), 2: Fraction(2, 6), 3: Fraction(3, 6)}
 
 
 def test_cyclic_pmf_matches_enumeration():
     for n in range(2, 10):
         for l in range(2, n + 1):
-            closed = dict(cyclic_gap_pmf(n, l).support)
-            brute = dict(cyclic_gap_pmf_bruteforce(n, l).support)
+            closed = dict(cyclic_gap_pmf(n, l))
+            brute = dict(cyclic_gap_pmf_bruteforce(n, l))
             assert closed == brute, (n, l)
 
 
@@ -315,7 +315,7 @@ def test_law_fit_decides_the_line_gap_tail():
 
 @pytest.mark.parametrize("n, l", [(2, 2), (3, 2), (5, 3), (12, 7), (50, 2)])
 def test_cyclic_fit_cells_sum_to_one(n, l):
-    support = cyclic_gap_pmf(n, l).support  # law_fit reads masses of k = 1..K
+    support = cyclic_gap_pmf(n, l)  # law_fit reads masses of k = 1..K
     assert [k for k, _ in support] == list(range(1, len(support) + 1))
     assert sum(p for _, p in support) == 1
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import lane_state_arange, scan_draw_searchsorted, shuffle_by_randrange
+from oracles import (lane_state_arange, sample_range, scan_draw_searchsorted,
+                     shuffle_by_randrange, splitmix64)
 from smcensus import rng
 from smcensus.instances import PreferenceProfile, random_instance
 from smcensus.rng import (KEY_CELLS, MC_LANES, ScanTable, Xoshiro256StarStar,
-                          XoshiroLanes, _splitmix64, _stream_state, bernoulli_threshold,
-                          lane_rounds)
+                          XoshiroLanes, _stream_state, bernoulli_threshold, lane_rounds)
 
 
 def test_streams_are_deterministic():
@@ -23,12 +23,12 @@ def test_lanes_match_scalar_streams():
     lanes = XoshiroLanes(9001, 16)
     scalars = [Xoshiro256StarStar(9001, stream=j) for j in range(16)]
     for _ in range(50):
-        vec = lanes.next_u64()
+        vec = lanes.next_block(1, 16)[0]
         assert [int(v) for v in vec] == [s.next_u64() for s in scalars]
     wide = XoshiroLanes(9001, 4096)
     scalars = [Xoshiro256StarStar(9001, stream=j) for j in range(4096)]
     for _ in range(3):
-        vec = wide.next_u64()
+        vec = wide.next_block(1, 4096)[0]
         assert [int(v) for v in vec] == [s.next_u64() for s in scalars]
 
 
@@ -45,7 +45,7 @@ def test_lane_state_equals_flat_oracle_and_scalar_streams(seed, lanes):
 
 def test_stream_state_is_the_splitmix64_sequence():
     for seed in (0, 9001, (1 << 64) - 1):
-        gen = _splitmix64(seed)
+        gen = splitmix64(seed)
         for stream in range(1024):
             assert _stream_state(seed, stream) == [next(gen) for _ in range(4)]
 
@@ -55,12 +55,12 @@ def test_next_block_rows_are_successive_draws():
     block = a.next_block(3, 5)
     assert block.shape == (3, 5)
     for row in block:
-        assert row.tolist() == b.next_u64()[:5].tolist()
+        assert row.tolist() == b.next_block(1, 8)[0, :5].tolist()
 
 
 @pytest.mark.parametrize("lanes, width", [(7, 3), (7, 7), (1, 1)])
 def test_in_place_steps_match_scalar_streams_across_interleaved_calls(lanes, width):
-    """next_u64 and next_block in any interleaving stay on the scalar
+    """Full-width and partial blocks in any interleaving stay on the scalar
     streams, writing into a returned array changes no later draw, and a
     later draw changes no returned array."""
     vec = XoshiroLanes(77, lanes)
@@ -68,7 +68,7 @@ def test_in_place_steps_match_scalar_streams_across_interleaved_calls(lanes, wid
     kept = []
     for step in range(12):
         if step % 3 == 0:
-            got = vec.next_u64()
+            got = vec.next_block(1, lanes)[0]
             want = [s.next_u64() for s in scalars]
         else:
             got = vec.next_block(step % 3, width)
@@ -99,7 +99,7 @@ def test_randrange_bounds_and_determinism():
 def test_sample_range_distinct_sorted():
     rng = Xoshiro256StarStar(6)
     for _ in range(200):
-        got = rng.sample_range(10, 4)
+        got = sample_range(rng, 10, 4)
         assert got == sorted(got)
         assert len(set(got)) == 4
         assert all(0 <= x < 10 for x in got)

@@ -3,14 +3,14 @@ from math import comb
 
 import pytest
 
+from oracles import build_rotation_poset_bfs
 from smcensus import matchings, posets, rotations, verify
 from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
                                 random_instance)
 from smcensus.matchings import enumerate_stable_bruteforce, gale_shapley, unstable_pairs
 from smcensus.rotations import (NotExposedError, Rotation, RotationPoset,
                                 StateCapError, _apply_rotation, build_rotation_poset,
-                                build_rotation_poset_bfs, canonical_rotation,
-                                check_structure, eliminate,
+                                canonical_rotation, check_structure, eliminate,
                                 enumerate_stable_via_rotations,
                                 exposed_rotations, poset_to_json,
                                 stable_matching_bijection, to_finite_poset)
