@@ -20,25 +20,18 @@ same factors in the same order and bounds the tail by c.  c10's
 built from ``distributions.line_gap_terms``) and compares it with this
 closed form, which stays the labelled oracle for the law.
 
-The float sums run in blocks of _BLOCK terms, and each block is evaluated
-in chunks of at most _CHUNK values of k in buffers allocated once per
-call, so no temporary is made per chunk and none is block-sized.  A
-window array holds k .. k+m+span-1 for a chunk of m values and steps
-forward in place; each factor k + s is the shifted view window[s:s+m],
-exact because every value is an integer below 2^53, so a factor costs
-one multiply and no add.  The results are bit-identical to evaluating
-each block as one array: every term is the same sequence of elementwise
-operations on the same values; ``gap_log_series`` writes the terms into
-one block buffer and takes the same pairwise ``np.sum`` of it; the scan
-takes one ``np.log`` over k .. k+m and reads log(k+1) from it, carries
-its cumulative sum from chunk to chunk in the same sequential order as
-one ``np.cumsum``, keeps the first maximum (a later chunk replaces it
-only when strictly greater), and checks each block against its exactly
-rounded sum, ``_exact_sum`` fed chunk by chunk: each term's significand
-is split into two integer halves below 2^27, summed per binary exponent
-by ``np.bincount`` (exact, every partial sum an integer below 2^53), and
-the bins are carried in one Python int, so the result equals
-``math.fsum`` of the terms without making a Python float per term.
+The series sums run in blocks of _BLOCK terms, and both float kernels
+evaluate chunks of at most _CHUNK values of k in buffers allocated once
+per call.  A window array holds k .. k+m+span-1 for a chunk of m values
+and steps forward in place; each factor k + s is its shifted view
+window[s:s+m], exact as every value is an integer below 2^53.  Every term
+is the same sequence of elementwise operations as in one block-sized
+array, so the results are bit-identical to it: ``gap_log_series`` takes
+the same pairwise ``np.sum`` of a block buffer, and the scan carries one
+running sum through its chunks in the order of one ``np.cumsum`` and keeps
+the first maximum.  The scan's ceiling holds at every n it covers by the
+error bound of recursive summation, and ``finite_reveal_log_ceiling``
+carries it past the last n with the plain series.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -73,9 +66,8 @@ EXTENDED_LOG_LIMIT = 0.6331
 SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
-_BLOCK = 10 ** 6  # terms per block: one np.sum of the series, one exact sum of the scan
+_BLOCK = 10 ** 6  # terms per block: one np.sum of the series
 _CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
-_LANES = 8  # exact-sum bins per binary exponent, so consecutive terms hit different bins
 
 
 def _factorial_row(n: int, fact: list[int]) -> list[int]:
@@ -127,107 +119,75 @@ def finite_reveal_log_bound(n: int) -> float:
     return 2 * math.log(n + 1) / (n + 1) + 2 * (n + 2) / (n + 1) * s
 
 
-def _exact_sum(chunks) -> float:
-    """The correctly rounded sum of the values of a sequence of nonempty
-    finite float arrays, each of fewer than 2^26 values: the value of
-    math.fsum over them.
-
-    Each value is x = m 2^e (np.frexp, 1/2 <= |m| < 1), split into
-    h = floor(m 2^26), |h| <= 2^26, and f = m 2^26 - h in [0, 1), a
-    multiple of 2^-27, so x = (2^27 h + 2^27 f) 2^(e-53) with both halves
-    integers below 2^27.  Each array's h and f are summed by np.bincount per
-    (e, lane of _LANES): every partial sum is an integer (times 2^-27 for f)
-    below 2^53, hence exact, and the lanes keep consecutive adds of monotone
-    terms off one bin.  The bins are carried in one Python int in units of
-    2^-1126 (e >= -1073), and one int division rounds the total correctly.
-    """
-    total = 0
-    bufs = None
-    for x in chunks:
-        n = len(x)
-        if bufs is None or len(bufs[0]) < n:  # once per call, unless an array grows
-            bufs = (np.empty(n), np.empty(n), np.empty(n, np.int32), np.empty(n, np.intp),
-                    np.arange(n, dtype=np.intp) % _LANES)
-        m, h, e, idx, lane = (buf[:n] for buf in bufs)
-        np.frexp(x, out=(m, e))
-        m *= 2.0 ** 26
-        np.floor(m, out=h)
-        m -= h  # f, exact
-        e_lo = int(e.min())
-        bins = (int(e.max()) - e_lo + 1) * _LANES
-        np.subtract(e, e_lo, out=idx)
-        idx *= _LANES
-        idx += lane
-        h_sums = np.bincount(idx, h, bins).reshape(-1, _LANES).sum(axis=1)
-        f_sums = np.bincount(idx, m, bins).reshape(-1, _LANES).sum(axis=1)
-        for shift, h_sum, f_sum in zip(range(e_lo + 1073, e_lo + 1073 + len(h_sums)),
-                                       h_sums.tolist(), f_sums.tolist()):
-            total += ((int(h_sum) << 27) + int(f_sum * 2 ** 27)) << shift
-    return total / (1 << 1126)
-
-
 @dataclass(frozen=True)
 class ScanResult:
     max_value: float
     argmax: int
-    certified_hi: float  # max_value plus a rounding-drift allowance
+    certified_hi: float  # a ceiling on the exact f(n) at every n of the scan
 
 
 def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
-    """Maximum of finite_reveal_log_bound over 1..limit, vectorized.
+    """Maximum of finite_reveal_log_bound over 1..limit, vectorized, and a
+    ceiling on the exact f(n) at every n of the scan.
 
-    The cumulative sum is cross-checked, block by block, against the
-    exactly rounded sum of the block's terms (``_exact_sum``) so the
-    certified bound absorbs any accumulation drift.
+    Write f(n) = 2 log(n+1)/(n+1) + 2 (n+2)/(n+1) S_n, S_n the sum of
+    t_k = log k / ((k+1)(k+2)) over 2 <= k <= n; t'_k >= 0 are the float
+    terms, s'_n their float running sum (one rounded add per term), f'(n)
+    the float f from s'_n, u = 2^-53, gamma_m = m u / (1 - m u),
+    gamma = gamma_(limit-2) and s' = s'_limit.  Then at every n <= limit:
+    1. |s'_n - sum_(k<=n) t'_k| <= gamma_(n-2) sum_(k<=n) t'_k, recursive
+       summation of n - 1 nonnegative terms (Higham, Accuracy and Stability
+       of Numerical Algorithms, sec. 4.2), and gamma_(n-2) <= gamma;
+    2. sum_(k<=n) t'_k <= sum_(k<=limit) t'_k <= s' / (1 - gamma) by 1, so
+       that error is at most D = gamma s' / (1 - gamma);
+    3. f puts 2 (n+2)/(n+1) <= 8/3 on it (n >= 2; f(1) has no sum), and
+       2 _SUM_PAD = 2e-10 covers the rounding of the terms (np.log within a
+       few ulps), of f from s'_n and of D, about 1e-15 in all;
+    4. f'(n) <= max_value.
+    So f(n) <= max_value + (8/3) D + 2 _SUM_PAD = certified_hi.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     best_v, best_n = 2 * math.log(2) / 2, 1
-    drift = 0.0
-    prev_tail = 0.0
-    last = 0.0  # the cumulative sum at the last k scanned
+    run = 0.0  # the running sum at the last k scanned
     m = min(_CHUNK, limit - 1)
     kk = np.arange(2, m + 4, dtype=np.float64)  # the window k .. k+m+1
     logs = np.empty(m + 1)  # log k .. log(k+m)
-    cs = np.empty(m)  # the terms, then their cumulative sum
+    cs = np.empty(m)  # the terms, then their running sum
     f = np.empty(m)
+    for at in range(2, limit + 1, _CHUNK):
+        n = min(_CHUNK, limit + 1 - at)
+        k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
+        np.log(kk[:n + 1], out=logs[:n + 1])
+        terms = np.multiply(k1, k2, out=cs[:n])
+        np.divide(logs[:n], terms, out=terms)
+        terms[0] += run
+        np.cumsum(terms, out=terms)
+        run = float(terms[-1])
+        # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at a
+        # time in that order; logs[:n] is free once the terms are made
+        fk = np.multiply(logs[1:n + 1], 2.0, out=f[:n])
+        fk /= k1
+        rest = np.multiply(k2, 2.0, out=logs[:n])
+        rest /= k1
+        rest *= terms
+        fk += rest
+        i = int(np.argmax(fk))
+        if float(fk[i]) > best_v:
+            best_v, best_n = float(fk[i]), int(kk[i])
+        kk += n
+    adds = max(limit - 2, 0) * 2.0 ** -53  # m u for gamma_m
+    gamma = adds / (1 - adds)
+    drift = gamma * run / (1 - gamma)
+    return ScanResult(best_v, best_n, best_v + 8 / 3 * drift + 2 * _SUM_PAD)
 
-    def block(lo: int, hi: int):
-        """Scan lo..hi chunk by chunk, yielding each chunk's terms to the
-        exact sum before their buffer is reused."""
-        nonlocal best_v, best_n, last
-        run = 0.0  # the block's own running sum, carried across chunks
-        for at in range(lo, hi + 1, _CHUNK):
-            n = min(_CHUNK, hi + 1 - at)
-            k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
-            np.log(kk[:n + 1], out=logs[:n + 1])
-            terms = np.multiply(k1, k2, out=cs[:n])
-            np.divide(logs[:n], terms, out=terms)
-            yield terms
-            terms[0] += run
-            np.cumsum(terms, out=terms)
-            run = float(terms[-1])
-            terms += prev_tail
-            # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at
-            # a time in that order; logs[:n] is free once the terms are made
-            fk = np.multiply(logs[1:n + 1], 2.0, out=f[:n])
-            fk /= k1
-            rest = np.multiply(k2, 2.0, out=logs[:n])
-            rest /= k1
-            rest *= terms
-            fk += rest
-            i = int(np.argmax(fk))
-            if float(fk[i]) > best_v:
-                best_v, best_n = float(fk[i]), int(kk[i])
-            last = float(terms[-1])
-            kk[:] += n  # in place: kk belongs to the enclosing scan
 
-    for lo in range(2, limit + 1, _BLOCK):
-        exact = _exact_sum(block(lo, min(lo + _BLOCK - 1, limit)))
-        drift += abs((last - prev_tail) - exact)
-        prev_tail = last
-    certified = best_v + 2.0 * (drift + _SUM_PAD)
-    return ScanResult(best_v, best_n, certified)
+def finite_reveal_log_ceiling(limit: int, plain_hi: float) -> float:
+    """A ceiling on finite_reveal_log_bound(n) at every n > limit >= 1 from
+    plain_hi >= 2 S_inf, the plain series' upper end: log x / x decreases
+    for x >= e, and 2 (n+2)/(n+1) in n, so they are at most their values at
+    n = limit + 1, and S_n <= S_inf."""
+    return 2 * math.log(limit + 2) / (limit + 2) + (limit + 3) / (limit + 2) * plain_hi
 
 
 # ------------------------------------------------------------- series values

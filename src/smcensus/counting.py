@@ -16,7 +16,8 @@ Monte Carlo only the sampled ones.  The table takes one request form, a
 list of (component, set) pairs: one bincount over group * card_i +
 code_i gives X_i for a whole batch of them.  Monte Carlo reveal orders
 are drawn on the lanes of ``rng.XoshiroLanes``, one order per lane, and
-tallied by (component, revealed set) in numpy.  ``option_count`` of
+tallied as one int64 code per (component, revealed set) pair, which caps
+Monte Carlo at MC_COMPONENT_LIMIT = 57 components.  ``option_count`` of
 tests/oracles.py recomputes a single X_i from its definition and is the
 oracle the table is tested against.
 
@@ -59,7 +60,7 @@ BOUND_TOL = 1e-9  # exact margins below this are decided at 60 digits
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 _CHUNK_CELLS = 1 << 18  # (set, member) cells per histogram step, bounding temporaries
-_WORD_BITS = 62  # bits of a (component, revealed set) code per int64 word
+MC_COMPONENT_LIMIT = 57  # largest n whose reveal codes, n + bit_length(n - 1) bits, fit an int64
 
 
 class FamilyError(ValueError):
@@ -391,8 +392,8 @@ def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
 def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundResult:
     """Bound log |S| per the chosen mode: seeded Monte Carlo over uniform
     reveal orders, with a reported standard error, when ``mode.samples`` is
-    set, else exact.  Exact uniform orders need at most
-    EXACT_COMPONENT_LIMIT components; past it FamilyError is raised."""
+    set, else exact.  Exact uniform orders take at most EXACT_COMPONENT_LIMIT
+    components, Monte Carlo MC_COMPONENT_LIMIT; past them FamilyError is raised."""
     if not family.members:
         raise FamilyError("family is empty")
     n = family.n
@@ -402,6 +403,9 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
         raise FamilyError(
             f"exact uniform-order expectation supports up to {EXACT_COMPONENT_LIMIT}"
             " components; set samples for Monte Carlo")
+    if mode.samples and n > MC_COMPONENT_LIMIT:
+        raise FamilyError(
+            f"Monte Carlo reveal orders support up to {MC_COMPONENT_LIMIT} components")
     comps, sets, weights, total = _request(n, mode, seed)
     hists = family.option_counts.histograms(comps, sets, weights)
     return _aggregate(family, mode.variant, hists, total, mode.samples)
@@ -429,44 +433,25 @@ def _reveal_tallies(n: int, samples: int, seed: int) -> tuple[list[int], list[in
     ``rng.lane_rounds``, and reveals the components in ascending key order,
     ties to the lower index (a stable argsort).  The set revealed before
     each component is the cumulative OR along the order.  Each pair is the
-    integer T << k | i, k the bit length of n - 1, held in int64 words of
-    _WORD_BITS bits so that any n fits; one sort per round (``_distinct``)
-    counts the distinct pairs, and one more sums the rounds when there are
-    several."""
+    int64 code T << k | i, k the bit length of n - 1, which n + k <= 63
+    bits hold up to MC_COMPONENT_LIMIT components; one ``np.unique`` per
+    round counts the distinct codes, and one more sums the rounds when
+    there are several."""
     k = (n - 1).bit_length()
-    words = (n + k - 1) // _WORD_BITS + 1
     lanes, rounds = lane_rounds(seed, samples, keys=max(n, 1))
     found, counts = [], []
     for m in rounds:
         order = np.argsort(lanes.next_block(n, m), axis=0, kind="stable")
-        place = order + k  # each component's bit in the codes
-        codes = np.empty((words, n * m), np.int64)
-        for w in range(words):
-            bits = np.where(place // _WORD_BITS == w, np.left_shift(1, place % _WORD_BITS), 0)
-            codes[w] = (np.cumsum(bits, axis=0) - bits).ravel()  # revealed before
-        codes[0] |= order.ravel()
-        distinct, count = _distinct(codes[::-1], np.ones(n * m, np.int64))
+        bits = np.left_shift(1, order + k)  # each component's bit in the codes
+        distinct, count = np.unique((np.cumsum(bits, axis=0) - bits) | order, return_counts=True)
         found.append(distinct)
         counts.append(count)
-    distinct, count = (found[0], counts[0]) if len(rounds) == 1 else \
-        _distinct(np.concatenate(found, axis=1), np.concatenate(counts))
-    pairs = [0] * len(count)
-    for row in distinct.tolist():
-        pairs = [p << _WORD_BITS | c for p, c in zip(pairs, row)]
+    if len(rounds) > 1:  # one code's counts summed over the rounds
+        distinct, pair = np.unique(np.concatenate(found), return_inverse=True)
+        count = np.zeros(len(distinct), np.int64)
+        np.add.at(count, pair, np.concatenate(counts))
     mask = (1 << k) - 1
-    return [p & mask for p in pairs], [p >> k for p in pairs], count.tolist()
-
-
-def _distinct(words: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of an int64 word matrix, most significant word
-    first, in ascending order, with the summed int64 weights of each."""
-    ids = words[0]
-    for w in words[1:]:  # dense ids of the word prefixes, below len(w)^2
-        ids = (np.unique(ids, return_inverse=True)[1] * len(w)
-               + np.unique(w, return_inverse=True)[1])
-    order = np.argsort(ids)
-    first = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are >= 0
-    return words[:, order[first]], np.add.reduceat(weights[order], first)
+    return (distinct & mask).tolist(), (distinct >> k).tolist(), count.tolist()
 
 
 def bound_holds(result: BoundResult, family: TupleFamily) -> bool:

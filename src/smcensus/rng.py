@@ -169,8 +169,11 @@ class XoshiroLanes:
 def lane_rounds(seed: int, total: int, keys: int = 1) -> tuple[XoshiroLanes, list[int]]:
     """Split `total` lane draws into balanced rounds of at most MC_LANES
     lanes, and of at most KEY_CELLS u64 keys when each lane holds `keys` at
-    once: one generator, and the number m of its first lanes each round uses."""
-    width = min(MC_LANES, max(1, KEY_CELLS // keys))
+    once: one generator, and the number m of its first lanes each round uses.
+    A lane of more than KEY_CELLS keys is refused before any is drawn."""
+    if keys > KEY_CELLS:
+        raise ValueError(f"{keys} keys per lane exceed the {KEY_CELLS} a round holds")
+    width = min(MC_LANES, KEY_CELLS // keys)
     rounds = -(-total // width)
     size = -(-total // rounds)
     return XoshiroLanes(seed, size), [min(size, total - r * size) for r in range(rounds)]

@@ -41,7 +41,7 @@ from .rng import Xoshiro256StarStar, bernoulli_threshold
 
 
 SAMPLER_DRAWS = 10 ** 5  # c13's draws per sampler
-SCAN_LIMIT = 10 ** 6     # c11 scans the finite reveal bound over 1..SCAN_LIMIT
+SCAN_LIMIT = 10 ** 6     # c11 scans the finite reveal bound over 1..SCAN_LIMIT, then closes it
 
 
 @dataclass
@@ -388,11 +388,12 @@ def criterion_constants(config: RunConfig) -> CheckResult:
     t0 = time.perf_counter()
 
     scan = bounds.finite_reveal_log_bound_scan(SCAN_LIMIT)
-    details["finite_scan"] = {"max": scan.max_value, "argmax": scan.argmax,
-                              "certified_hi": scan.certified_hi}
-    ok &= scan.certified_hi <= bounds.PLAIN_LOG_LIMIT
-
     plain = bounds.gap_log_series(config.series_truncation, PLAIN)
+    past_hi = bounds.finite_reveal_log_ceiling(SCAN_LIMIT, plain.hi)
+    details["finite_scan"] = {"max": scan.max_value, "argmax": scan.argmax,
+                              "certified_hi": scan.certified_hi, "past_limit_hi": past_hi}
+    ok &= max(scan.certified_hi, past_hi) <= bounds.PLAIN_LOG_LIMIT
+
     details["plain_series"] = {"lo": plain.lo, "hi": plain.hi,
                                "certified_base": plain.certified_base,
                                "limit": bounds.PLAIN_LOG_LIMIT,

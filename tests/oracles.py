@@ -10,8 +10,6 @@ src/ calls them.
 * ``gap_from_slots_where`` -- the extended gap by nested selections;
 * ``lane_state_arange`` -- the XoshiroLanes state from one flat
   SplitMix64 array, transposed;
-* ``exact_sum_fsum`` -- the exactly rounded sum by ``math.fsum`` over
-  Python floats;
 * ``CyclicGapSampler`` and ``LineGapSampler`` -- scalar streams of the
   cyclic and line gaps, one partial Fisher-Yates choice
   (``sample_range``) or one Bernoulli draw per slot;
@@ -93,12 +91,6 @@ def lane_state_arange(seed: int, lanes: int) -> tuple[np.ndarray, ...]:
     zero_rows = ~state.any(axis=1)
     state[zero_rows, 0] = np.uint64(_GAMMA)
     return tuple(np.ascontiguousarray(state.T))
-
-
-def exact_sum_fsum(chunks) -> float:
-    """The correctly rounded sum of the arrays' values: math.fsum over
-    their values as one list of Python floats."""
-    return math.fsum(chain.from_iterable(x.tolist() for x in chunks))
 
 
 class CyclicGapSampler:

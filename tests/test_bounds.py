@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import exact_sum_fsum
-from smcensus import bounds
+from smcensus import bounds, verify
 from smcensus.bounds import (EXTENDED_LOG_LIMIT, GAP_INTEGRALS, PLAIN_LOG_LIMIT,
-                             SERIES_MIN_TRUNCATION, Interval, ScanResult, _exact_sum,
+                             SERIES_MIN_TRUNCATION, Interval, ScanResult,
                              bound_report, finite_reveal_log_bound,
                              finite_reveal_log_bound_scan, gap_log_series,
                              integral_check, line_gap_pmf_poly,
@@ -20,7 +19,7 @@ from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
 # ------------------------------------------------------------------ oracles
 # The direct loops the bounds kernels replaced: (1-x)^m by repeated
 # multiplication, one Fraction per integral term and per Whitworth term,
-# and one numpy array per 10^6-term block of the series and the scan.
+# one numpy array per 10^6-term block of the series, and one for the scan.
 
 
 def _oracle_poly_mul(a, b):
@@ -97,23 +96,20 @@ def _oracle_series(K, variant):
 
 
 def _oracle_scan(limit):
-    """finite_reveal_log_bound_scan with each block evaluated as one array
-    and one fsum over the block's terms as a list."""
+    """finite_reveal_log_bound_scan with all its terms as one array and one
+    np.cumsum, certified by the same summation error bound."""
+    k = np.arange(2, limit + 1, dtype=np.float64)
+    terms = np.log(k) / ((k + 1.0) * (k + 2.0))
+    cs = np.cumsum(terms)
+    f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
     best_v, best_n = 2 * math.log(2) / 2, 1
-    drift = 0.0
-    prev_tail = 0.0
-    for lo in range(2, limit + 1, 10 ** 6):
-        hi = min(lo + 10 ** 6 - 1, limit)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = np.log(k) / ((k + 1.0) * (k + 2.0))
-        cs = prev_tail + np.cumsum(terms)
-        f = 2.0 * np.log(k + 1.0) / (k + 1.0) + 2.0 * (k + 2.0) / (k + 1.0) * cs
+    if limit > 1 and float(f.max()) > best_v:
         i = int(np.argmax(f))
-        if float(f[i]) > best_v:
-            best_v, best_n = float(f[i]), int(k[i])
-        drift += abs(float(cs[-1] - prev_tail) - math.fsum(terms.tolist()))
-        prev_tail = float(cs[-1])
-    return ScanResult(best_v, best_n, best_v + 2.0 * (drift + 1e-10))
+        best_v, best_n = float(f[i]), int(k[i])
+    adds = max(limit - 2, 0) * 2.0 ** -53
+    gamma = adds / (1 - adds)
+    drift = gamma * (float(cs[-1]) if limit > 1 else 0.0) / (1 - gamma)
+    return ScanResult(best_v, best_n, best_v + 8 / 3 * drift + 2 * 1e-10)
 
 
 def _traced_peak_mib(call):
@@ -159,52 +155,42 @@ def test_kernels_are_chunk_invariant(monkeypatch, chunk):
         assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit), limit
 
 
-def _sum_cases():
-    """(name, list of arrays) inputs for the exact sum."""
-    r = np.random.default_rng(3)
-    k = np.arange(2, 2 + bounds._CHUNK, dtype=np.float64)
-    spread = r.standard_normal(4000) * 10.0 ** r.integers(-300, 301, 4000)
-    tiny = 5e-324 * r.integers(-2000, 2001, 3000).astype(np.float64)  # subnormals
-    mixed = np.concatenate([spread[:1000], tiny[:1000], np.zeros(500)])
-    r.shuffle(mixed)
-    return [
-        ("empty", []),
-        ("zeros", [np.zeros(7), np.array([-0.0, 0.0])]),
-        ("subnormals", [tiny]),
-        ("smallest", [np.array([5e-324, 5e-324, -5e-324, 2.0 ** -1022 - 5e-324])]),
-        ("spread", [spread[:1500], spread[1500:]]),
-        ("spread-positive", [np.abs(spread)]),
-        ("cancelling", [spread, -spread[::-1], np.array([1e-300])]),
-        ("mixed", [mixed]),
-        ("largest", [np.array([1.7e308, -1.7e308, 1.7e308, -(2.0 ** 1023)])]),
-        ("ties", [np.array([1.0, 2.0 ** -53, 2.0 ** -105]), np.array([1.0, 2.0 ** -53])]),
-        ("scan-chunk", [np.log(k) / ((k + 1) * (k + 2))]),
-        ("scan-chunks", [np.log(k) / ((k + 1) * (k + 2)), 1 / k[:100], k[::-1]]),
-    ]
+def _scaled(x):
+    """The float x as an exact integer multiple of 2^-1074."""
+    num, den = x.as_integer_ratio()
+    return num * ((1 << 1074) // den)
 
 
-@pytest.mark.parametrize("name, chunks", _sum_cases(), ids=[c[0] for c in _sum_cases()])
-def test_exact_sum_equals_fsum_oracle(name, chunks):
-    got = _exact_sum(iter(chunks))
-    want = exact_sum_fsum(chunks)
-    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
-        (got.hex(), want.hex())
-
-
-def test_exact_sum_overflows_like_fsum():
-    chunks = [np.array([1.7e308]), np.array([1.7e308, -1.0])]
-    with pytest.raises(OverflowError):
-        exact_sum_fsum(chunks)
-    with pytest.raises(OverflowError):
-        _exact_sum(chunks)
+# over three chunks and a partial one, at the real chunk and at a small one
+@pytest.mark.parametrize("chunk", [7, bounds._CHUNK])
+def test_summation_bound_holds_at_every_n(monkeypatch, chunk):
+    # the float running sum at every n lies within D = gamma s' / (1 - gamma)
+    # of the exact sum of its float terms, as the scan's certificate claims
+    monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    limit = 3 * bounds._CHUNK + 5
+    scan = finite_reveal_log_bound_scan(limit)
+    assert scan == _oracle_scan(limit)
+    k = np.arange(2, limit + 1, dtype=np.float64)
+    terms = np.log(k) / ((k + 1.0) * (k + 2.0))
+    running = np.cumsum(terms)  # the scan's running sum, by the oracle test
+    adds = limit - 2
+    gamma = Fraction(adds, 2 ** 53 - adds)  # adds u / (1 - adds u), exactly
+    drift = gamma * Fraction(float(running[-1])) / (1 - gamma)
+    exact, worst = 0, 0
+    for term, got in zip(terms.tolist(), running.tolist()):
+        exact += _scaled(term)
+        worst = max(worst, abs(_scaled(got) - exact))
+    assert Fraction(worst, 1 << 1074) <= drift
+    margin = scan.certified_hi - scan.max_value - 2e-10
+    assert abs(margin - float(8 * drift / 3)) <= 4 * math.ulp(scan.certified_hi)
 
 
 def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
     # one 8 MB block buffer for the series; a block-sized array would be
     # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan);
-    # the scan holds four chunk buffers and the exact sum's five
+    # the scan holds its four chunk buffers, 1 MiB in all
     assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 12
-    assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 4
+    assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 2
 
 
 def test_factor_data_gives_the_closed_forms():
@@ -267,6 +253,26 @@ def test_finite_bound_scan():
     # the scan maximum grows toward the series value
     assert finite_reveal_log_bound(10) < finite_reveal_log_bound(1000) \
         < scan.max_value + 1e-12
+
+
+def test_c11_ceiling_past_the_scan_holds_at_every_later_n(monkeypatch):
+    # c11's closed-form ceiling past the scan limit, against every f(n) up
+    # to five times the limit; each f(n) is finite_reveal_log_bound's float
+    # expression on the correctly rounded (math.fsum) prefix sum, kept as an
+    # exact int multiple of 2^-1074
+    monkeypatch.setattr(verify, "SCAN_LIMIT", 1000)
+    res = verify.criterion_constants(verify.RunConfig(series_truncation=10 ** 5))
+    details = res.fields["details"]
+    ceiling = details["finite_scan"]["past_limit_hi"]
+    assert ceiling == bounds.finite_reveal_log_ceiling(1000, details["plain_series"]["hi"])
+    exact = 0
+    for n in range(2, 5001):
+        exact += _scaled(math.log(n) / ((n + 1) * (n + 2)))
+        if n > 1000:
+            f = 2 * math.log(n + 1) / (n + 1) + 2 * (n + 2) / (n + 1) * (exact / (1 << 1074))
+            assert f <= ceiling, n
+            if n % 1000 == 0:
+                assert f == finite_reveal_log_bound(n)
 
 
 def test_series_enclosures_nest():

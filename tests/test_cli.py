@@ -223,7 +223,7 @@ CLI_REPORT_BYTES = [
     # the identity and constants checks at the default 10^7 truncation and
     # 10^6 scan limit (c11 is the known extended-series failure)
     (["verify", "--only", "c10,c11"], 1,
-     "c6e76100fba6147713710729666965576b24a6f6f108596c7608fea0f54b0b57"),
+     "aab8ecabbcb114a1f738c7224cc4165bf325577a4087ca736892dd2d26045c7c"),
     # the option-count bounds with their margins and the dominance check,
     # 200 Monte Carlo orders per family, at two seeds
     (["verify", "--only", "c06,c09", "--samples", "20000", "--seed", "42"], 0,
@@ -370,6 +370,10 @@ def assert_usage_error(capsys, argv, error, message):
     (["simulate", "--kind", "plain", "--x", "1e-5"], "DistributionError", "above the cap"),
     (["simulate", "--kind", "extended", "--x", "1e-5"], "DistributionError", "above the cap"),
     (["simulate", "--kind", "dependence", "--x", "1e-5"], "DistributionError", "above the cap"),
+    # n + 1 keys per draw past the cap on the keys a round holds, refused
+    # before any key block is allocated
+    (["simulate", "--kind", "cyclic", "--n", "1048576"],
+     "ValueError", "1048577 keys per lane exceed the 1048576 a round holds"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)
@@ -456,7 +460,7 @@ def test_verify_quick_run_report_bytes(quick_verify):
     # the quick run's report, byte for byte; a change to any value shows here
     text = "".join(line + "\n" for line in quick_verify[1])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        "02847ef66ab1e9e20f20f8113300d8f60c2981cb43860b5798bd17e5b319f540"
+        "0f7676013766a185e62ba7904c93aef0a4716f20f330ab60f1086ee05c1b84c7"
 
 
 @pytest.mark.slow

@@ -83,9 +83,19 @@ def test_in_place_steps_match_scalar_streams_across_interleaved_calls(lanes, wid
 def test_lane_rounds_balance_and_cap_the_keys_held():
     for total, keys, want in [(10, 1, [10]), (MC_LANES + 1, 1, [8193, 8192]),
                               (3 * MC_LANES, 1, [MC_LANES] * 3),
-                              (1000, KEY_CELLS // 100, [100] * 10), (5, KEY_CELLS * 2, [1] * 5)]:
+                              (1000, KEY_CELLS // 100, [100] * 10), (5, KEY_CELLS, [1] * 5)]:
         lanes, rounds = lane_rounds(3, total, keys)
         assert rounds == want and lanes.lanes == want[0] and sum(rounds) == total
+
+
+def test_lane_rounds_refuse_a_lane_past_the_key_cap(monkeypatch):
+    # a round holds one lane at least, so a lane of more keys than the cap
+    # is refused before any generator is built; a lane at the cap still runs
+    monkeypatch.setattr(rng, "KEY_CELLS", 64)
+    assert lane_rounds(3, 5, 64)[1] == [1] * 5
+    monkeypatch.setattr(rng, "XoshiroLanes", None)  # building one would fail
+    with pytest.raises(ValueError, match="65 keys per lane exceed the 64 a round holds"):
+        lane_rounds(3, 5, 65)
 
 
 def test_randrange_bounds_and_determinism():

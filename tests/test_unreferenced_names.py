@@ -1,14 +1,15 @@
 """src/ holds only what the toolkit runs.
 
-Every public function, class, method and property defined in src/ must be
-referenced somewhere in src/ or in the benchmark harness perfbench/*.py,
-outside its own definition; test-only code belongs in tests/ (labelled
-oracles in tests/oracles.py).  A module-level name counts as referenced by
-a bare name, an attribute or a string constant (the harness wraps
-functions by name); a method or property only by an attribute, and not by
-one read off an imported outside module (``np.random`` is no reference to
-a method ``random``).  Methods that share a name are told apart by no one.
-"""
+Every module-level function, class and constant defined in src/, private
+ones too, and every public method and property must be referenced
+somewhere in src/ or in the benchmark harness perfbench/*.py, outside its
+own definition (dunders are exempt); test-only code belongs in tests/
+(labelled oracles in tests/oracles.py).  A module-level name counts as
+referenced by a bare name, an attribute or a string constant (the harness
+wraps functions by name); a method or property only by an attribute, and
+not by one read off an imported outside module (``np.random`` is no
+reference to a method ``random``).  Methods that share a name are told
+apart by no one."""
 
 import ast
 from collections import Counter
@@ -60,14 +61,18 @@ def _uses(refs, name, method):
 
 
 def _definitions(tree):
-    """(qualified name, definition node, is a method) for the module's
-    public functions and classes and their classes' public methods and
-    properties."""
+    """(qualified name, name, definition node, is a method) for the
+    module's functions, classes and constants (the names a module-level
+    assignment binds) and its classes' public methods and properties."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node, False
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((sub.id, sub.id, node, False) for target in targets
+                        for sub in ast.walk(target) if isinstance(sub, ast.Name))
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{m.name}", m, True) for m in node.body
+            yield from ((f"{node.name}.{m.name}", m.name, m, True) for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
@@ -80,8 +85,9 @@ def unreferenced_names():
         for count, part in zip(total, _references(tree, outside)):
             count.update(part)
         if path in SRC:
-            defined += [(f"{path.stem}.{qual}", d.name, method, _references(d, outside))
-                        for qual, d, method in _definitions(tree)]
+            defined += [(f"{path.stem}.{qual}", name, method, _references(d, outside))
+                        for qual, name, d, method in _definitions(tree)
+                        if not (name.startswith("__") and name.endswith("__"))]
     return {qual: name for qual, name, method, own in defined
             if _uses(total, name, method) - _uses(own, name, method) <= 0}
 
