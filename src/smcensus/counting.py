@@ -403,9 +403,6 @@ def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundRe
         raise FamilyError(
             f"exact uniform-order expectation supports up to {EXACT_COMPONENT_LIMIT}"
             " components; set samples for Monte Carlo")
-    if mode.samples and n > MC_COMPONENT_LIMIT:
-        raise FamilyError(
-            f"Monte Carlo reveal orders support up to {MC_COMPONENT_LIMIT} components")
     comps, sets, weights, total = _request(n, mode, seed)
     hists = family.option_counts.histograms(comps, sets, weights)
     return _aggregate(family, mode.variant, hists, total, mode.samples)
@@ -436,7 +433,11 @@ def _reveal_tallies(n: int, samples: int, seed: int) -> tuple[list[int], list[in
     int64 code T << k | i, k the bit length of n - 1, which n + k <= 63
     bits hold up to MC_COMPONENT_LIMIT components; one ``np.unique`` per
     round counts the distinct codes, and one more sums the rounds when
-    there are several."""
+    there are several.  Past that limit FamilyError is raised before any
+    key is drawn."""
+    if n > MC_COMPONENT_LIMIT:
+        raise FamilyError(
+            f"Monte Carlo reveal orders support up to {MC_COMPONENT_LIMIT} components")
     k = (n - 1).bit_length()
     lanes, rounds = lane_rounds(seed, samples, keys=max(n, 1))
     found, counts = [], []
