@@ -93,9 +93,18 @@ def _left_sides(n_max: int, fact: list[int]):
             row = [lo + hi for lo, hi in zip(row, row[1:])]
 
 
+class IdentityError(AssertionError):
+    """The identity fails at the Whitworth triple ``triple`` = (m, a, n)."""
+
+    def __init__(self, m: int, a: int, n: int):
+        super().__init__(f"identity fails at m={m}, a={a}, n={n}")
+        self.triple = (m, a, n)
+
+
 def whitworth_sweep(n_max: int) -> int:
-    """Assert the identity for every (m, a, n) with n <= n_max; returns the
-    number of triples checked."""
+    """Assert the identity for every (m, a, n) with n <= n_max, raising
+    IdentityError at the first that fails; returns the number of triples
+    checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     fact = _factorials(n_max + 1)
@@ -103,7 +112,7 @@ def whitworth_sweep(n_max: int) -> int:
     for n, m, row in _left_sides(n_max, fact):
         for a, num in enumerate(row):
             if num * (a + 1) * comb(n - m + 1, a + 1) != fact[n + 1]:
-                raise AssertionError(f"identity fails at m={m}, a={a}, n={n}")
+                raise IdentityError(m, a, n)
         checked += len(row)
     return checked
 

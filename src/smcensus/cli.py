@@ -130,9 +130,8 @@ def _cmd_simulate(args, out) -> list[CheckResult]:
                             {"x": args.x, "window": distributions.line_gap_window(args.x),
                              "freq": _freq(samples, distributions.FIT_CELLS)})]
     if args.kind == "dependence":
-        results = [distributions.gap_dependence_check(args.x, pattern, args.seed,
-                                                      args.samples)
-                   for pattern in distributions.legal_identification_patterns()]
+        results = distributions.gap_dependence_cells(
+            args.x, distributions.legal_identification_patterns(), args.seed, args.samples)
         return [CheckResult("simulate_dependence", res.passed, dataclasses.asdict(res))
                 for res in results]
     return [distributions.asymptotic_dominance_probe(args.n, args.seed,

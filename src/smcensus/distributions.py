@@ -31,7 +31,9 @@ option counts against the cyclic gap law (each level l of a grid read in
 one option-count request over all its chains, weighted by the uniform
 prefix law of ``counting._uniform_prefixes``), a Jensen inequality
 grid, and the Monte Carlo comparison of the extended gap under
-correlated versus independent slot indicators.
+correlated versus independent slot indicators, in which every slot
+identification pattern at one x reads the same draw
+(``gap_dependence_cells``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_thresho
 PLAIN = "plain"
 EXTENDED = "extended"
 
-MC_BLOCK = 1024  # gap_dependence_check draws whole blocks of samples
+MC_BLOCK = 1024  # gap_dependence_cells draws whole blocks, shared by its patterns
 SLOTS = (-1, 0, 1, 2)
 
 
@@ -114,7 +116,8 @@ class CyclicGapMoments:
 
 def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
     """E of the cyclic gap, overall and conditioned on whether the marked
-    point was among the chosen; asserts the 2(n+1)/(l+1) ceiling."""
+    point was among the chosen.  c08 compares the overall one with its
+    2(n+1)/(l+1) ceiling."""
     _check_cyclic(n, l)
     # split counts: a length-k arc containing the mark starts at the mark
     # (mark chosen) or at one of k-1 earlier points (mark unchosen)
@@ -124,7 +127,6 @@ def cyclic_gap_expectation(n: int, l: int) -> CyclicGapMoments:
         sum(k * (k - 1) * comb(n - k, l - 2) for k in range(1, n + 1)), comb(n, l))
     e_all = Fraction(
         sum(k * k * comb(n - k, l - 2) for k in range(1, n + 1)), comb(n + 1, l))
-    assert e_all <= Fraction(2 * (n + 1), l + 1), "expectation ceiling violated"
     return CyclicGapMoments(e_all, e_unchosen, e_chosen)
 
 
@@ -257,8 +259,8 @@ def line_gap_window(x) -> int:
 
 
 # The widest window a line-gap sampler takes: its scan table is a Python
-# big-int loop linear in the window, and `simulate --kind dependence`
-# builds five, about half a second of work at this cap (x >= 2e-4).
+# big-int loop linear in the window, about a tenth of a second of work at
+# this cap (x >= 2e-4).
 WINDOW_CAP = 2 * 10 ** 5
 
 
@@ -441,49 +443,59 @@ class GapDependenceResult:
 
 def gap_dependence_check(x: float, pattern, seed: int,
                          samples: int = 10 ** 6) -> GapDependenceResult:
-    """Paired Monte Carlo estimate of E[log gap] for the extended variant
-    with identified slots versus fully independent slots.
+    """The one-cell view of gap_dependence_cells: the result of one pattern."""
+    return gap_dependence_cells(x, (pattern,), seed, samples)[0]
 
-    Both estimates share the branch draw, the base marking and the slot
-    uniforms (an identified class reuses its representative's uniform), so
-    the difference estimator is tight; pass iff the dependent mean does
-    not exceed the independent one by more than SE_RULE standard errors
-    of the paired difference.  The sample count is rounded up to whole
-    blocks of MC_BLOCK and drawn in the balanced rounds of
-    ``rng.lane_rounds``.
+
+def gap_dependence_cells(x: float, patterns, seed: int,
+                         samples: int = 10 ** 6) -> list[GapDependenceResult]:
+    """Paired Monte Carlo estimates of E[log gap] for the extended variant
+    with identified slots versus fully independent slots, one result per
+    pattern in ``patterns``, all from one draw.
+
+    Every estimate shares the branch draw, the base marking and the slot
+    uniforms (an identified class reads its representative's mark), so
+    each difference estimator is tight: common random numbers between the
+    dependent and independent gaps, and across the patterns.  Each round
+    draws once and computes the independent gaps and their logs once;
+    each pattern then adds one dependent gap computation.  A pattern
+    passes iff its dependent mean does not exceed the independent one by
+    more than SE_RULE standard errors of its paired difference.  The
+    sample count is rounded up to whole blocks of MC_BLOCK and drawn in
+    the balanced rounds of ``rng.lane_rounds``; a pattern's result does
+    not depend on which other patterns share the draw.
     """
     _check_x(x)
     _check_count(samples)
-    classes = _pattern_classes(tuple(pattern))
+    patterns = [tuple(pattern) for pattern in patterns]
+    classes = [_pattern_classes(pattern) for pattern in patterns]
     thr, scan = _marking(x)
     total = -(-samples // MC_BLOCK) * MC_BLOCK
 
-    sum_d = sum_i = 0.0
-    sum_diff = sum_diff2 = 0.0
+    sum_i = 0.0
+    sums = [[0.0, 0.0, 0.0] for _ in patterns]  # per pattern: dependent, diff, diff^2
     lanes, rounds = lane_rounds(seed, total)
     for m in rounds:
         branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
         b_ind = {j: slot_u[j] < thr for j in SLOTS}
-        b_dep = {j: slot_u[classes[j]] < thr for j in SLOTS}
-
-        n_ind = _gap_from_slots(in_a, b_ind, down, up, branch)
-        n_dep = _gap_from_slots(in_a, b_dep, down, up, branch)
-        log_i = np.log(n_ind)
-        log_d = np.log(n_dep)
-        diff = log_d - log_i
-        sum_d += float(log_d.sum())
+        log_i = np.log(_gap_from_slots(in_a, b_ind, down, up, branch))
         sum_i += float(log_i.sum())
-        sum_diff += float(diff.sum())
-        sum_diff2 += float((diff * diff).sum())
+        for cls, cell in zip(classes, sums):
+            b_dep = {j: b_ind[cls[j]] for j in SLOTS}
+            log_d = np.log(_gap_from_slots(in_a, b_dep, down, up, branch))
+            diff = log_d - log_i
+            cell[0] += float(log_d.sum())
+            cell[1] += float(diff.sum())
+            cell[2] += float((diff * diff).sum())
 
-    mean_d = sum_d / total
-    mean_i = sum_i / total
-    mean_diff = sum_diff / total
-    var_diff = max(sum_diff2 / total - mean_diff * mean_diff, 0.0)
-    stderr = math.sqrt(var_diff / total)
-    passed = mean_diff <= SE_RULE * stderr
-    return GapDependenceResult(tuple(pattern), x, total, mean_d, mean_i,
-                               mean_diff, stderr, passed)
+    results = []
+    for pattern, (sum_d, sum_diff, sum_diff2) in zip(patterns, sums):
+        mean_diff = sum_diff / total
+        var_diff = max(sum_diff2 / total - mean_diff * mean_diff, 0.0)
+        stderr = math.sqrt(var_diff / total)
+        results.append(GapDependenceResult(pattern, x, total, sum_d / total, sum_i / total,
+                                           mean_diff, stderr, mean_diff <= SE_RULE * stderr))
+    return results
 
 
 def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:

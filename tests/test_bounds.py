@@ -216,6 +216,28 @@ def test_whitworth_negative_control(monkeypatch):
         whitworth_sweep(40)
 
 
+def test_c10_reports_the_failing_whitworth_triple(monkeypatch):
+    # the fault above, through the criterion: a FAIL record, not a raise
+    real = math.comb
+    monkeypatch.setattr(bounds, "comb",
+                        lambda n, k: real(n, k) + 1 if (n, k) == (7, 3) else real(n, k))
+    res = verify.criterion_identities(verify.RunConfig())
+    assert not res.passed
+    assert res.fields["details"] == {"whitworth_triples": None,
+                                     "failures": [("whitworth", 0, 2, 6)]}
+
+
+def test_c11_fails_on_a_term_majorant_constant_too_small(monkeypatch):
+    # c = 1 in c log k / k^2 falls below the plain term 2 log k / ((k+1)(k+2))
+    # for large k; c11's verdict is already FAIL (the extended series), so the
+    # control is the majorant detail itself
+    monkeypatch.setitem(GAP_INTEGRALS, PLAIN, GAP_INTEGRALS[PLAIN]._replace(c=1))
+    monkeypatch.setattr(verify, "SCAN_LIMIT", 1000)
+    res = verify.criterion_constants(verify.RunConfig(series_truncation=10 ** 5))
+    assert not res.passed
+    assert res.fields["details"]["majorants"] == {"plain": False, "extended": True}
+
+
 def test_whitworth_sweep_small():
     assert whitworth_sweep(12) == sum((n + 1) * (n + 2) // 2 for n in range(13))
     assert whitworth_sweep(0) == 1

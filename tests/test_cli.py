@@ -13,9 +13,10 @@ from smcensus import cli, distributions, rotations, verify
 from smcensus.cli import main
 from smcensus.bounds import SERIES_MIN_TRUNCATION
 from smcensus.counting import FamilyError
-from smcensus.instances import instance_I2, irving_leather, serialize_instance
+from smcensus.instances import N_CAP, instance_I2, irving_leather, serialize_instance
 from smcensus.matchings import BRUTE_FORCE_CAP
 from smcensus.posets import PosetError
+from smcensus.rng import Xoshiro256StarStar
 
 
 def run_cli(capsys, *argv):
@@ -377,6 +378,32 @@ def assert_usage_error(capsys, argv, error, message):
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--n", str(N_CAP + 1)],
+    ["rotations", "--n", str(N_CAP + 1)],
+    ["grids", "--n", str(N_CAP + 1)],
+    ["enumerate", "--n", str(N_CAP + 1)],
+    ["simulate", "--kind", "asymptotic", "--n", str(N_CAP + 1)],
+    ["random", "--n", str(2 ** 31)],
+])
+def test_instances_past_the_size_cap_exit_2_before_any_is_built(monkeypatch, capsys, argv):
+    def no_shuffle(*args):
+        raise AssertionError("a preference row was drawn")
+
+    monkeypatch.setattr(Xoshiro256StarStar, "shuffle", no_shuffle)
+    assert_usage_error(capsys, argv, "InstanceError",
+                       f"n={argv[-1]} is above the instance-size cap {N_CAP}")
+
+
+def test_instance_file_past_the_size_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    rows = [[0]] * (N_CAP + 1)  # the cap is checked before the rows are validated
+    path.write_text(json.dumps({"n": N_CAP + 1, "job_prefs": rows, "applicant_prefs": rows}),
+                    encoding="utf-8")
+    assert_usage_error(capsys, ["enumerate", "--in", str(path)], "InstanceError",
+                       f"n={N_CAP + 1} is above the instance-size cap {N_CAP}")
 
 
 @pytest.mark.parametrize("value", ["two", "", "0", "-1", str(verify.max_threads() + 1)])

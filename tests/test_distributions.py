@@ -10,12 +10,14 @@ import pytest
 from oracles import (CyclicGapSampler, LineGapSampler, gap_from_slots_where,
                      jensen_pair_check, line_gap_log_mean)
 from smcensus import distributions, rng, verify
-from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, PLAIN, SLOTS, WINDOW_CAP,
+from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, MC_BLOCK, PLAIN, SLOTS,
+                                    WINDOW_CAP,
                                     DistributionError, _gap_from_slots,
                                     asymptotic_dominance_probe,
                                     cyclic_gap_expectation, cyclic_gap_pmf,
                                     cyclic_gap_pmf_bruteforce, dominance_check,
-                                    dominance_check_grid, gap_dependence_check,
+                                    dominance_check_grid, gap_dependence_cells,
+                                    gap_dependence_check,
                                     jensen_grid,
                                     legal_identification_patterns,
                                     line_gap_cells, line_gap_pmf,
@@ -57,6 +59,23 @@ def test_cyclic_moments():
             assert mm.given_marked_unchosen == Fraction(2 * (n + 1), l + 1)
             assert mm.given_marked_chosen == Fraction(n + 1, l)
             assert mm.expectation <= Fraction(2 * (n + 1), l + 1)
+
+
+def test_c08_reports_an_expectation_above_its_ceiling(monkeypatch):
+    real = distributions.cyclic_gap_expectation
+
+    def above_ceiling(n, l):
+        moments = real(n, l)
+        if (n, l) != (7, 4):
+            return moments
+        return distributions.CyclicGapMoments(Fraction(2 * (n + 1), l + 1) + Fraction(1, 100),
+                                              moments.given_marked_unchosen,
+                                              moments.given_marked_chosen)
+
+    monkeypatch.setattr(distributions, "cyclic_gap_expectation", above_ceiling)
+    res = verify.criterion_distributions(verify.RunConfig())
+    assert not res.passed
+    assert res.fields["details"]["failures"] == [("expectation", 7, 4)]
 
 
 # ------------------------------------------------------------------ oracles
@@ -459,18 +478,30 @@ def test_c12_fails_on_a_grid_with_one_inequality_reversed(monkeypatch):
     assert res.fields["details"]["failures"] == [want]
 
 
+C12_XS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
 def scale_dependent_gaps(monkeypatch, shift: float) -> None:
-    """Multiply every dependent gap by e^shift: the paired log-gap
+    """Multiply every dependent gap by e^shift: each paired log-gap
     difference moves up by shift and keeps its standard error.  Each round
-    of gap_dependence_check computes its independent gaps, then its
-    dependent ones, so the dependent gaps are every second call."""
-    real = distributions._gap_from_slots
-    calls = itertools.count()
+    of gap_dependence_cells draws once, computes the independent gaps, then
+    one pattern's dependent gaps after another, so every gap computed after
+    the first since the last draw is a dependent one."""
+    real_gap, real_draws = distributions._gap_from_slots, distributions._extended_draws
+    independent_next = [False]
+
+    def draws(*args):
+        independent_next[0] = True
+        return real_draws(*args)
 
     def scaled(*args):
-        gap = real(*args)
-        return gap * math.exp(shift) if next(calls) % 2 else gap
+        gap = real_gap(*args)
+        if independent_next[0]:
+            independent_next[0] = False
+            return gap
+        return gap * math.exp(shift)
 
+    monkeypatch.setattr(distributions, "_extended_draws", draws)
     monkeypatch.setattr(distributions, "_gap_from_slots", scaled)
 
 
@@ -487,13 +518,58 @@ def test_dependence_check_decides_at_se_rule_standard_errors(monkeypatch):
 
 
 def test_c12_fails_when_the_dependent_log_gap_is_shifted_up(monkeypatch):
-    scale_dependent_gaps(monkeypatch, 0.05)
+    cells = []
+    real = distributions.gap_dependence_cells
+
+    def spy(*args, **kwargs):
+        results = real(*args, **kwargs)
+        cells.extend(results)
+        return results
+
+    monkeypatch.setattr(distributions, "gap_dependence_cells", spy)
+    # identifying slots lowers E log gap by at most about 0.086 (x = 0.1,
+    # both pairs identified), so a shift of 0.25 fails every cell
+    scale_dependent_gaps(monkeypatch, 0.25)
     res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=20000))
     assert not res.passed
+    assert len(cells) == 25 and not any(cell.passed for cell in cells)
     failures = res.fields["details"]["failures"]
-    assert len(failures) == 10  # the first ten of 25 cells, every one failing
+    # the first ten of 25 cells in pattern-major order: every x of the
+    # first two patterns
+    patterns = legal_identification_patterns()
+    assert [f[1:3] for f in failures] == [(p, x) for p in patterns[:2] for x in C12_XS]
     for tag, _, _, diff_mean, diff_stderr in failures:
         assert tag == "dependence" and diff_mean > SE_RULE * diff_stderr
+
+
+# 1000 is not a whole number of MC_BLOCKs; 40000 rounds up to 40 blocks
+# drawn in three lane rounds
+@pytest.mark.parametrize("samples", [1000, 40000])
+def test_dependence_cells_equal_one_cell_views_bit_for_bit(samples):
+    patterns = legal_identification_patterns()
+    for xi, x in enumerate(C12_XS):
+        cells = gap_dependence_cells(x, patterns, seed=700 + xi, samples=samples)
+        assert [cell.pattern for cell in cells] == list(patterns)
+        for pattern, cell in zip(patterns, cells):
+            one = gap_dependence_check(x, pattern, seed=700 + xi, samples=samples)
+            assert repr(cell) == repr(one), (x, pattern)  # float reprs round-trip exactly
+            assert cell.samples == -(-samples // MC_BLOCK) * MC_BLOCK
+
+
+def test_c12_draws_once_per_x_for_all_five_patterns(monkeypatch):
+    real = distributions._extended_draws
+    calls = itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return real(*args)
+
+    monkeypatch.setattr(distributions, "_extended_draws", counted)
+    res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=40000))
+    assert res.fields["details"]["dependence_cells"] == 25
+    rounds = len(rng.lane_rounds(0, -(-40000 // MC_BLOCK) * MC_BLOCK)[1])
+    assert rounds == 3
+    assert next(calls) == 5 * rounds  # not 25 * rounds, one draw per cell
 
 
 def test_identification_patterns():

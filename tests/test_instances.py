@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcensus.instances import (InstanceError, PreferenceProfile, instance_I2,
+from smcensus.instances import (N_CAP, InstanceError, PreferenceProfile, instance_I2,
                                 irving_leather, parse_instance, random_instance,
                                 serialize_instance)
 
@@ -72,6 +72,19 @@ def test_random_instance_valid_over_many_seeds():
 def test_random_instance_rejects_zero():
     with pytest.raises(InstanceError):
         random_instance(0, 1)
+
+
+def test_profiles_up_to_the_size_cap_and_not_past_it():
+    rows = (tuple(range(N_CAP)),) * N_CAP
+    assert PreferenceProfile(N_CAP, rows, rows).n == N_CAP
+    # the cap is checked before the rows are validated
+    past = [[0]] * (N_CAP + 1)
+    text = f'{{"n": {N_CAP + 1}, "job_prefs": {past}, "applicant_prefs": {past}}}'
+    for build in (lambda: PreferenceProfile(N_CAP + 1, past, past),
+                  lambda: random_instance(N_CAP + 1, 0),
+                  lambda: parse_instance(text)):
+        with pytest.raises(InstanceError, match=f"above the instance-size cap {N_CAP}"):
+            build()
 
 
 def test_two_matching_fixture():
