@@ -22,16 +22,23 @@ closed form, which stays the labelled oracle for the law.
 
 The series sums run in blocks of _BLOCK terms, and both float kernels
 evaluate chunks of at most _CHUNK values of k in buffers allocated once
-per call.  A window array holds k .. k+m+span-1 for a chunk of m values
-and steps forward in place; each factor k + s is its shifted view
-window[s:s+m], exact as every value is an integer below 2^53.  Every term
-is the same sequence of elementwise operations as in one block-sized
-array, so the results are bit-identical to it: ``gap_log_series`` takes
-the same pairwise ``np.sum`` of a block buffer, and the scan carries one
-running sum through its chunks in the order of one ``np.cumsum`` and keeps
-the first maximum.  The scan's ceiling holds at every n it covers by the
-error bound of recursive summation, and ``finite_reveal_log_ceiling``
-carries it past the last n with the plain series.
+per call; no kernel holds a block.  A window array holds k .. k+m+span-1
+for a chunk of m values and steps forward in place; each factor k + s is
+its shifted view window[s:s+m], exact as every value is an integer below
+2^53.  Every term is the same sequence of elementwise operations as in one
+block-sized array, so the results are bit-identical to it.
+``gap_log_series`` follows numpy's pairwise tree over each block
+(``_pairwise_sum``): it splits the block as numpy's pairwise_sum does
+down to leaves of at most max(_CHUNK, _PAIRWISE_LEAF) terms, evaluates
+each leaf into the chunk buffers, takes its ``np.sum`` and adds the parts
+back in numpy's order, so each block sum is the bits of ``np.sum`` over
+the whole block, the order _SUM_PAD covers.  num's scale, a power of two,
+multiplies the block sum rather than each term: it commutes with every
+rounding.  The scan carries one running sum through its chunks in the
+order of one ``np.cumsum`` and keeps the first maximum.  The scan's
+ceiling holds at every n it covers by the error bound of recursive
+summation, and ``finite_reveal_log_ceiling`` carries it past the last n
+with the plain series.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -66,8 +73,9 @@ EXTENDED_LOG_LIMIT = 0.6331
 SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
 _SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
-_BLOCK = 10 ** 6  # terms per block: one np.sum of the series
-_CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
+_BLOCK = 10 ** 6  # terms per block: one pairwise sum of the series, added in order
+_CHUNK = 1 << 15  # values per evaluation chunk or series leaf: its buffers stay in cache
+_PAIRWISE_LEAF = 128  # numpy's pairwise_sum adds this many values without a split
 
 
 def _factorial_row(n: int, fact: list[int]) -> list[int]:
@@ -280,13 +288,31 @@ GAP_INTEGRALS = {
 }
 
 
+def _pairwise_sum(leaf, n: int, cap: int) -> float:
+    """np.sum of n values in numpy's pairwise order without holding them:
+    split n as numpy's pairwise_sum does (the left part n // 2 rounded down
+    to a multiple of 8) until a part holds at most cap values, take
+    leaf(m), the np.sum of the next m values, left to right, and add the
+    parts back in that order.  numpy sums up to _PAIRWISE_LEAF values in
+    one unrolled loop and never splits them, so cap must be at least that;
+    then each leaf is a subtree of numpy's own and the result its bits."""
+    if n <= cap:
+        return leaf(n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, half, cap) + _pairwise_sum(leaf, n - half, cap)
+
+
 def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     """Enclosure of sum_k log k * int_0^1 pmf_k dx truncated at K.
 
-    The terms (log k num(k)) / den(k) come from GAP_INTEGRALS, chunk by
-    chunk into the block buffer; work holds log k, then den.  The tail
-    past K is at most the integral from K of c log k / k^2 (see
-    verify_term_majorants), which is decreasing past e: c (log K + 1) / K.
+    The terms (log k num(k)) / den(k) come from GAP_INTEGRALS, one leaf of
+    each block's pairwise tree at a time, into two chunk buffers: logs
+    holds log k, work num(k) / scale, and whichever is free takes den.
+    The scale, a power of two, multiplies each block sum instead of each
+    term, which moves no bit.  The tail past K is at most the integral
+    from K of c log k / k^2 (see verify_term_majorants), which is
+    decreasing past e: c (log K + 1) / K.
     """
     law = GAP_INTEGRALS[check_variant(variant)]
     min_k = SERIES_MIN_TRUNCATION[variant]
@@ -295,25 +321,28 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     partial = 0.0
     for k, (num, den) in law.heads.items():
         partial += math.log(k) * num / den
+    scale = law.num.scale  # num = scale * unit, exactly in floats too
+    unit = law.num._replace(scale=1, add=law.num.add // scale)
     first = max(2, law.start)
-    m = min(_CHUNK, K - first + 1)
+    cap = max(_CHUNK, _PAIRWISE_LEAF)
+    m = min(cap, K - first + 1)
     span = max(law.num.shifts + law.den.shifts)
     kk = np.arange(first, first + m + span, dtype=np.float64)  # k .. k+m+span-1
-    work = np.empty(m)
-    buf = np.empty(min(_BLOCK, K - first + 1))
+    logs, work = np.empty(m), np.empty(m)
+
+    def leaf(n: int) -> float:
+        logk = np.log(kk[:n], out=logs[:n])
+        if unit.shifts:  # terms = unit * log k: the product commutes exactly
+            terms, free = unit.fill(kk, n, work[:n]), logs
+            terms *= logk
+        else:  # a constant num is all scale: unit is 1
+            terms, free = logk, work
+        terms /= law.den.fill(kk, n, free[:n])
+        np.add(kk, n, out=kk)
+        return float(np.sum(terms))
+
     for lo in range(first, K + 1, _BLOCK):
-        size = min(_BLOCK, K + 1 - lo)
-        for at in range(0, size, _CHUNK):
-            n = min(_CHUNK, size - at)
-            out, logk = buf[at:at + n], np.log(kk[:n], out=work[:n])
-            if law.num.shifts:  # out = num * log k: the product commutes exactly
-                law.num.fill(kk, n, out)
-                out *= logk
-            else:  # a constant num, its value at any k
-                np.multiply(logk, law.num(0), out=out)
-            out /= law.den.fill(kk, n, work[:n])
-            kk += n
-        partial += float(np.sum(buf[:size]))
+        partial += scale * _pairwise_sum(leaf, min(_BLOCK, K + 1 - lo), cap)
     tail = law.c * (math.log(K) + 1.0) / K
     return Interval(partial - _SUM_PAD, partial + tail + _SUM_PAD, K)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -545,18 +545,21 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000) -> CheckR
     tops at a chain boundary are skipped, mirroring the interior-only
     analysis.  This is a slack sanity probe, not an exact criterion.
     The record's fields are ``n``, the ``worst_shortfall`` and the number
-    of tested ``cells``.
+    of tested ``cells``.  The probe lists every downset of the lattice and
+    raises ``rotations.StateCapError`` past ``rotations.STATE_CAP`` of them.
     """
     _check_count(samples)
     from .instances import random_instance
     from .posets import enumerate_downset_masks
-    from .rotations import build_rotation_poset, to_finite_poset
+    from .rotations import STATE_CAP, StateCapError, build_rotation_poset, to_finite_poset
 
     profile = random_instance(n, seed)
     rposet = build_rotation_poset(profile)
     fp = to_finite_poset(rposet)
     below_incl = [b | (1 << e) for e, b in enumerate(fp.below)]
-    downsets = list(enumerate_downset_masks(fp))
+    downsets = list(islice(enumerate_downset_masks(fp), STATE_CAP + 1))
+    if len(downsets) > STATE_CAP:
+        raise StateCapError(f"more than {STATE_CAP} downsets of the rotation poset")
 
     chains = list(rposet.m_chains) + list(rposet.w_chains)
     nch = 2 * n

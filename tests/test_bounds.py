@@ -128,9 +128,14 @@ def _traced_peak_mib(call):
 
 
 # the smallest truncation, one past a chunk, and across the 10^6-term block
-# ends, with a partial chunk at each block's end
+# ends, with a partial chunk at each block's end; then a last block of 1, 8,
+# 128 and 129 terms after the first (which starts at k = 2 plain, 4
+# extended): one value, one unrolled numpy loop, numpy's largest unsplit sum
+# and one past it
 @pytest.mark.parametrize("K", [10, (1 << 15) + 1, 10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1,
-                               2 * 10 ** 6 + 12345])
+                               2 * 10 ** 6 + 12345] +
+                         [10 ** 6 + first - 1 + last for first in (2, 4)
+                          for last in (1, 8, 128, 129)])
 @pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
 def test_chunked_series_equals_block_oracle(K, variant):
     assert gap_log_series(K, variant) == _oracle_series(K, variant)
@@ -142,7 +147,9 @@ def test_chunked_scan_equals_block_oracle(limit):
 
 
 # a first chunk of one value, chunk edges (one value short, exact and one
-# past) and, for the larger chunks, a 10^6-term block end they do not divide
+# past) and, for the larger chunks, a 10^6-term block end they do not divide;
+# the series never splits numpy's 128-value sums, so at chunks 1 and 7 it
+# walks leaves of 128
 @pytest.mark.parametrize("chunk", [1, 7, 4099, bounds._CHUNK])
 def test_kernels_are_chunk_invariant(monkeypatch, chunk):
     monkeypatch.setattr(bounds, "_CHUNK", chunk)
@@ -185,11 +192,31 @@ def test_summation_bound_holds_at_every_n(monkeypatch, chunk):
     assert abs(margin - float(8 * drift / 3)) <= 4 * math.ulp(scan.certified_hi)
 
 
+# one value, the unrolled loop's edges, numpy's unsplit 128 and past it, a
+# split that 8 does not divide (136 halves to 64 + 72), chunk edges and a block
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, (1 << 15) - 1,
+                               (1 << 15) + 1, 10 ** 6])
+def test_pairwise_leaf_walk_equals_np_sum(n):
+    rng = np.random.default_rng(n)
+    values = rng.random(n) * 10.0 ** rng.integers(-6, 7, n)  # many exponents
+    for cap in (bounds._PAIRWISE_LEAF, 129, 4099, bounds._CHUNK):
+        at = 0
+
+        def leaf(m):
+            nonlocal at
+            at += m
+            return float(np.sum(values[at - m:at]))
+
+        assert bounds._pairwise_sum(leaf, n, cap) == float(np.sum(values)), cap
+        assert at == n
+
+
 def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
-    # one 8 MB block buffer for the series; a block-sized array would be
-    # 8 MB per temporary (about 30 MiB for the series, 61 MiB for the scan);
-    # the scan holds its four chunk buffers, 1 MiB in all
-    assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 12
+    # the series holds its window and two chunk buffers, 0.75 MiB in all;
+    # a block-sized array would be 8 MB per temporary (about 30 MiB for the
+    # series, 61 MiB for the scan); the scan holds its four chunk buffers,
+    # 1 MiB in all
+    assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 1
     assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 2
 
 

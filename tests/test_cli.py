@@ -460,6 +460,16 @@ def test_bijection_state_cap_exits_2(monkeypatch, tmp_path, capsys):
                        "StateCapError", "more than 9 stable matchings")
 
 
+def test_asymptotic_probe_state_cap_exits_2(monkeypatch, capsys):
+    # the pinned probe instance (n = 50, seed 0) has 20 downsets
+    argv = ["simulate", "--kind", "asymptotic", "--n", "50", "--samples", "1500"]
+    monkeypatch.setattr(rotations, "STATE_CAP", 20)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(rotations, "STATE_CAP", 19)
+    assert_usage_error(capsys, argv, "StateCapError", "more than 19 downsets")
+
+
 QUICK_VERIFY = ["verify", "--seed", "42", "--max-n", "4",
                 "--instances", "6", "--samples", "4000", "--truncate", "100000"]
 

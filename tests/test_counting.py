@@ -873,6 +873,21 @@ def test_family_bounds_criterion_fails_when_every_count_is_one(monkeypatch):
                                                    / len(logs))
 
 
+def test_family_bounds_criterion_fails_on_option_counts_one_too_small(monkeypatch):
+    # every option count misses one option (a member always has its own, so
+    # a count stays at least 1): the worked family diag2 fails every variant
+    counts = OptionCountTable._counts
+    monkeypatch.setattr(OptionCountTable, "_counts",
+                        lambda self, i, sets: np.maximum(counts(self, i, sets) - 1, 1))
+    result = verify.criterion_family_bounds(verify.RunConfig(mc_samples=20000))
+    assert not result.passed
+    failures = result.fields["details"]["failures"]
+    assert [f[:2] for f in failures[:5]] == [
+        ("diag2", v) for v in ("averaged", "worst_member", "mean_product", "fixed_order",
+                               "averaged_mc")]
+    assert all(value < target for _, _, value, target in failures)
+
+
 # ------------------------------- c06 and c09 compute once per distinct input
 
 def test_family_bounds_run_once_per_distinct_family(monkeypatch):

@@ -22,7 +22,8 @@ from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
                              poset_from_below, random_tangled_grid,
                              validate_tangled_grid)
 from smcensus.rotations import Rotation, _with_chains, build_rotation_poset, to_finite_poset
-from smcensus.verify import RunConfig, _profile_for, _sweep_one, instance_plan, run_sweep
+from smcensus.verify import (RunConfig, _profile_for, _sweep_one, criterion_diamond, instance_plan,
+                             run_sweep)
 
 
 def chain(k):
@@ -42,6 +43,26 @@ def test_chain_and_antichain_counts():
 def test_product_grid_counts():
     for n in range(1, 9):
         assert count_downsets(grid_diamond(n).poset) == comb(2 * n, n)
+
+
+def test_c04_fails_on_a_diamond_that_drops_one_cover(monkeypatch):
+    # without the cover (0, 1), element 1 no longer needs 0 below it, so each
+    # diamond of side n >= 2 gains downsets ({1} at n = 2); side 1 has no cover
+    real = grid_diamond
+
+    def dropped(n):
+        grid = real(n)
+        return TangledGrid(FinitePoset(grid.poset.size, grid.poset.covers[1:]),
+                           grid.m_chains, grid.w_chains)
+
+    assert criterion_diamond(RunConfig()).passed
+    monkeypatch.setattr(posets_module, "grid_diamond", dropped)
+    result = criterion_diamond(RunConfig())
+    assert not result.passed
+    failures = result.fields["details"]["failures"]
+    assert [n for n, _, _ in failures] == list(range(2, 9))
+    assert failures[0] == (2, 7, 6)
+    assert all(got > want for _, got, want in failures)
 
 
 def test_cover_validation():
