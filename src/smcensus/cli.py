@@ -194,20 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_args(p)
     p.add_argument("--method", choices=("brute", "rotations", "both"),
                    default="both")
+    p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("rotations", help="rotation poset and structure checks")
     add_instance_args(p)
+    p.set_defaults(handler=_cmd_rotations)
 
     p = sub.add_parser("grids", help="tangled grid embedding or diamond grids")
     add_instance_args(p)
     p.add_argument("--diamond", type=int, help="diamond grid side size")
+    p.set_defaults(handler=_cmd_grids)
 
     p = sub.add_parser("bounds", help="exponential bound report")
     p.add_argument("--n", type=int, default=1)
+    p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("series", help="series constant enclosures")
     p.add_argument("--which", choices=tuple(SERIES_VARIANTS), required=True)
     p.add_argument("--truncate", type=int, default=10 ** 7)
+    p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("simulate", help="samplers and Monte Carlo checks")
     p.add_argument("--kind", choices=("cyclic", "plain", "extended",
@@ -218,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10 ** 5)
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=42)
@@ -230,24 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="worker count, 1..os.cpu_count() (default 1)")
     p.add_argument("--only", help="comma-separated check ids to run, e.g. c10,c11 "
-                   "(default: all of c01..c14)")
+                   f"(default: all of {CHECK_IDS[0]}..{CHECK_IDS[-1]})")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("random", help="emit a random instance as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=_cmd_random)
     return parser
-
-
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "rotations": _cmd_rotations,
-    "grids": _cmd_grids,
-    "series": _cmd_series,
-    "bounds": _cmd_bounds,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "random": _cmd_random,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -262,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"cannot write --out {args.out}: "
                                  f"{exc.strerror or exc}") from exc
             close = True
-        records = _HANDLERS[args.command](args, out)
+        records = args.handler(args, out)
         for res in records:
             _emit(out, res.to_json())
         return 0 if all(r.passed for r in records) else 1

@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .rotations import RotationPoset
 
 STATE_CAP = 2 * 10 ** 6  # live transfer states; the cost of a count, unlike poset size
+DIAMOND_CAP = 60  # diamond side: its downset count takes ~1.5 s at 60, ~8 s at 80
 
 
 class PosetError(ValueError):
@@ -265,9 +266,12 @@ def validate_tangled_grid(grid: TangledGrid) -> None:
 
 def grid_diamond(n: int) -> TangledGrid:
     """The untangled n x n grid under the product order; rows are m-chains,
-    columns are w-chains.  Its downset count is binom(2n, n)."""
+    columns are w-chains.  Its downset count is binom(2n, n).  The side
+    n runs over 1..DIAMOND_CAP."""
     if n < 1:
         raise PosetError("n must be >= 1")
+    if n > DIAMOND_CAP:
+        raise PosetError(f"n={n} is above the diamond side cap {DIAMOND_CAP}")
     covers = []
     for r in range(n):
         for c in range(n):

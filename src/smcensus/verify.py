@@ -1,8 +1,11 @@
 """The acceptance suite: every headline check as a machine-readable result.
 
-Each criterion function returns a `record.CheckResult` whose fields are
-the criterion's name and details; run_verify_suite executes all of them
-against one RunConfig, in id order, and the CLI writes each as one line.
+A criterion is declared in one place: a function decorated with
+`@criterion(id, name)` that returns (passed, details).  The decorator
+lists it in CRITERIA, in id order, and a call to it returns the timed
+`record.CheckResult` whose fields are the name and details;
+run_verify_suite executes the listed ones against one RunConfig, and the
+CLI writes each as one line.
 The instance sweep (brute-force enumeration, rotation poset, bijection,
 structure checks, grid embedding) is computed once and shared by the
 criteria that consume it, optionally split across worker processes;
@@ -22,12 +25,13 @@ and c13 decide by `record.SE_RULE`, c13 through `record.law_fit`.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from math import comb
 
 import numpy as np
@@ -139,54 +143,69 @@ def run_sweep(config: RunConfig) -> list[dict]:
     return [_sweep_one(job, grids) for job in jobs]
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        out.elapsed = time.perf_counter() - t0
-        return out
-    return wrapper
+@dataclass(frozen=True)
+class Criterion:
+    id: str
+    name: str
+    reads_sweep: bool  # takes the instance sweep as its `sweep` argument
+    function: str      # the module attribute run_verify_suite calls
 
 
-@_timed
-def criterion_bijection(config: RunConfig, sweep: list[dict]) -> CheckResult:
+CRITERIA: list[Criterion] = []  # in id order: the order of declaration
+
+
+def criterion(check_id: str, name: str):
+    """Declare a criterion: the decorated function takes the RunConfig (and
+    the sweep rows, when it has a `sweep` parameter) and returns (passed,
+    details).  A call returns the timed `CheckResult(check_id, passed,
+    {"name": name, "details": details}, elapsed)`."""
+    def declare(fn):
+        reads_sweep = "sweep" in inspect.signature(fn).parameters
+        CRITERIA.append(Criterion(check_id, name, reads_sweep, fn.__name__))
+
+        @wraps(fn)
+        def timed(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, details = fn(*args, **kwargs)
+            return CheckResult(check_id, passed, {"name": name, "details": details},
+                               time.perf_counter() - t0)
+        return timed
+    return declare
+
+
+@criterion("c01", "stable matchings equal rotation-poset downsets")
+def criterion_bijection(config: RunConfig, sweep: list[dict]) -> tuple[bool, dict]:
     bad = [(r["n"], r["seed"]) for r in sweep
            if not (r["sets_equal"]
                    and r["brute_count"] == r["downset_count"] == r["via_count"])]
     elapsed = sum(r["bijection_elapsed"] for r in sweep)
     within_target = elapsed < 60.0
-    return CheckResult("c01", not bad and within_target, {
-        "name": "stable matchings equal rotation-poset downsets",
-        "details": {"instances": len(sweep), "failures": bad[:10],
-                    "within_runtime_target": within_target}})
+    return not bad and within_target, {"instances": len(sweep), "failures": bad[:10],
+                                       "within_runtime_target": within_target}
 
 
-@_timed
-def criterion_structure(config: RunConfig, sweep: list[dict]) -> CheckResult:
+@criterion("c02", "rotation poset structural claims")
+def criterion_structure(config: RunConfig, sweep: list[dict]) -> tuple[bool, dict]:
     # `smcensus rotations --n N --seed S` names the failing claims
     bad = [(r["n"], r["seed"]) for r in sweep if not r["structure_passed"]]
-    return CheckResult("c02", not bad, {"name": "rotation poset structural claims",
-                                        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
-@_timed
-def criterion_embedding(config: RunConfig, sweep: list[dict]) -> CheckResult:
+@criterion("c03", "tangled grid embedding invariants")
+def criterion_embedding(config: RunConfig, sweep: list[dict]) -> tuple[bool, dict]:
     bad = [(r["n"], r["seed"]) for r in sweep
            if not r["grid_ok"] or r["grid_downsets"] < r["poset_downsets"]]
-    return CheckResult("c03", not bad, {"name": "tangled grid embedding invariants",
-                                        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
-@_timed
-def criterion_diamond(config: RunConfig) -> CheckResult:
+@criterion("c04", "diamond grid downsets equal central binomials")
+def criterion_diamond(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     for n in range(1, 9):
         got = posets.count_downsets(posets.grid_diamond(n).poset)
         if got != comb(2 * n, n):
             bad.append((n, got, comb(2 * n, n)))
-    return CheckResult("c04", not bad, {
-        "name": "diamond grid downsets equal central binomials",
-        "details": {"failures": bad}})
+    return not bad, {"failures": bad}
 
 
 _TABLE_ROWS = {
@@ -203,8 +222,8 @@ def _table_value(expr: str, n_max: int) -> int:
     return {"N+1": n_max + 1, "N": n_max, "2": 2, "1": 1}[expr]
 
 
-@_timed
-def criterion_table(config: RunConfig) -> CheckResult:
+@criterion("c05", "worked family option counts and bounds")
+def criterion_table(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     orders = list(_TABLE_ROWS["pair_then_zero"])
     revealed = [sum(1 << j for j in order[:order.index(0)]) for order in orders]
@@ -229,8 +248,7 @@ def criterion_table(config: RunConfig) -> CheckResult:
         prod = reveal_bound(fam, BoundMode("mean_product"))
         if prod.product != Fraction(3 * n_max + 6, 6) ** 3 or prod.product < 3 * n_max:
             bad.append((n_max, "mean_product", str(prod.product)))
-    return CheckResult("c05", not bad, {"name": "worked family option counts and bounds",
-                                        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
 def _pm_graphs(config: RunConfig, count: int, max_side: int,
@@ -261,8 +279,8 @@ def family_bound_families(config: RunConfig):
         yield f"grid{si}", counting.downset_top_family(grid)
 
 
-@_timed
-def criterion_family_bounds(config: RunConfig) -> CheckResult:
+@criterion("c06", "family-size bound holds for every variant")
+def criterion_family_bounds(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     mc_samples = max(200, config.mc_samples // 500)
     margins: dict[str, list[float]] = {}  # variant -> value - log |S| per family
@@ -287,16 +305,14 @@ def criterion_family_bounds(config: RunConfig) -> CheckResult:
             mc_se = se if mc_se is None else min(mc_se, se)
     # families of one or two members are tight, so the smallest margins are
     # often 0; the mean margins move with every bound
-    return CheckResult("c06", not bad, {
-        "name": "family-size bound holds for every variant",
-        "details": {"failures": bad[:10],
-                    "min_margin": {**{v: min(ms) for v, ms in margins.items()},
-                                   "averaged_mc_se": mc_se},
-                    "mean_margin": {v: math.fsum(ms) / len(ms) for v, ms in margins.items()}}})
+    return not bad, {"failures": bad[:10],
+                     "min_margin": {**{v: min(ms) for v, ms in margins.items()},
+                                    "averaged_mc_se": mc_se},
+                     "mean_margin": {v: math.fsum(ms) / len(ms) for v, ms in margins.items()}}
 
 
-@_timed
-def criterion_bregman(config: RunConfig) -> CheckResult:
+@criterion("c07", "perfect matchings below degree-factorial bound")
+def criterion_bregman(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     for gi, g in enumerate(_pm_graphs(config, 200, 7, need_pm=False, stream=8)):
         pm = counting.count_perfect_matchings(g)
@@ -309,13 +325,11 @@ def criterion_bregman(config: RunConfig) -> CheckResult:
         pm = counting.count_perfect_matchings(g)
         if abs(math.log(pm) - counting.bregman_log_bound(g)) > 1e-9:
             bad.append(("complete", n, pm))
-    return CheckResult("c07", not bad, {
-        "name": "perfect matchings below degree-factorial bound",
-        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
-@_timed
-def criterion_distributions(config: RunConfig) -> CheckResult:
+@criterion("c08", "cyclic gap law exact against enumeration")
+def criterion_distributions(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     for n in range(2, 13):
         for l in range(2, n + 1):
@@ -330,8 +344,7 @@ def criterion_distributions(config: RunConfig) -> CheckResult:
                     or m.given_marked_chosen != Fraction(n + 1, l) \
                     or m.expectation > Fraction(2 * (n + 1), l + 1):
                 bad.append(("expectation", n, l))
-    return CheckResult("c08", not bad, {"name": "cyclic gap law exact against enumeration",
-                                        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
 def dominance_grids(config: RunConfig) -> list[tuple[str, posets.TangledGrid]]:
@@ -341,8 +354,8 @@ def dominance_grids(config: RunConfig) -> list[tuple[str, posets.TangledGrid]]:
         for si in range(20)]
 
 
-@_timed
-def criterion_dominance(config: RunConfig) -> CheckResult:
+@criterion("c09", "option counts dominated by cyclic gap law")
+def criterion_dominance(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     reports = 0  # (grid, chain, l) comparisons checked
     grids = dominance_grids(config)
@@ -355,13 +368,11 @@ def criterion_dominance(config: RunConfig) -> CheckResult:
             if not rep.passed:
                 f = rep.fields
                 bad.append((tag, f["chain"], f["l"], f["witnesses"][:2]))
-    return CheckResult("c09", not bad, {
-        "name": "option counts dominated by cyclic gap law",
-        "details": {"grids": len(grids), "reports": reports, "failures": bad[:10]}})
+    return not bad, {"grids": len(grids), "reports": reports, "failures": bad[:10]}
 
 
-@_timed
-def criterion_identities(config: RunConfig) -> CheckResult:
+@criterion("c10", "summation identity, pmf integrals, normalization")
+def criterion_identities(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     try:
         checked = bounds.whitworth_sweep(40)
@@ -380,13 +391,11 @@ def criterion_identities(config: RunConfig) -> CheckResult:
             bad.append(("plain_norm", i))
         if distributions.line_gap_total(x, 40, EXTENDED) != 1:
             bad.append(("extended_norm", i))
-    return CheckResult("c10", not bad, {
-        "name": "summation identity, pmf integrals, normalization",
-        "details": {"whitworth_triples": checked, "failures": bad[:10]}})
+    return not bad, {"whitworth_triples": checked, "failures": bad[:10]}
 
 
-@_timed
-def criterion_constants(config: RunConfig) -> CheckResult:
+@criterion("c11", "series constants and exponential bases")
+def criterion_constants(config: RunConfig) -> tuple[bool, dict]:
     details: dict = {}
     ok = True
     t0 = time.perf_counter()
@@ -424,12 +433,11 @@ def criterion_constants(config: RunConfig) -> CheckResult:
     within_target = time.perf_counter() - t0 < 120.0
     details["within_runtime_target"] = within_target
     ok &= within_target
-    return CheckResult("c11", bool(ok), {"name": "series constants and exponential bases",
-                                         "details": details})
+    return bool(ok), details
 
 
-@_timed
-def criterion_jensen_and_dependence(config: RunConfig) -> CheckResult:
+@criterion("c12", "Jensen grid and correlated-slot comparison")
+def criterion_jensen_and_dependence(config: RunConfig) -> tuple[bool, dict]:
     points, lhs, rhs = distributions.jensen_grid(10, 10)
     failed = points[~(lhs >= rhs - distributions.JENSEN_TOL)]
     bad = [("jensen", *point) for point in failed.tolist()]
@@ -441,13 +449,11 @@ def criterion_jensen_and_dependence(config: RunConfig) -> CheckResult:
     cells = [row[pi] for pi in range(len(patterns)) for row in by_x]  # pattern-major
     bad += [("dependence", res.pattern, res.x, res.diff_mean, res.diff_stderr)
             for res in cells if not res.passed]
-    return CheckResult("c12", not bad, {
-        "name": "Jensen grid and correlated-slot comparison",
-        "details": {"dependence_cells": len(cells), "failures": bad[:10]}})
+    return not bad, {"dependence_cells": len(cells), "failures": bad[:10]}
 
 
-@_timed
-def criterion_samplers(config: RunConfig) -> CheckResult:
+@criterion("c13", "sampler goodness of fit and determinism")
+def criterion_samplers(config: RunConfig) -> tuple[bool, dict]:
     bad = []
     n, l = 3, 2
     fits = [("cyclic", f"cyclic({n},{l})", partial(distributions.sample_cyclic_gap, n, l),
@@ -459,12 +465,11 @@ def criterion_samplers(config: RunConfig) -> CheckResult:
         if not np.array_equal(a, sample(config.seed, SAMPLER_DRAWS)):
             bad.append((f"{name}_determinism",))
         bad += [(tag, *cell) for cell in law_fit(a, *cells)]
-    return CheckResult("c13", not bad, {"name": "sampler goodness of fit and determinism",
-                                        "details": {"draws": SAMPLER_DRAWS, "failures": bad[:10]}})
+    return not bad, {"draws": SAMPLER_DRAWS, "failures": bad[:10]}
 
 
-@_timed
-def criterion_global_sanity(config: RunConfig, sweep: list[dict]) -> CheckResult:
+@criterion("c14", "counts below the exponential ceilings")
+def criterion_global_sanity(config: RunConfig, sweep: list[dict]) -> tuple[bool, dict]:
     bad = []
     for r in sweep:
         if r["brute_count"] > 3.55 ** r["n"]:
@@ -475,35 +480,18 @@ def criterion_global_sanity(config: RunConfig, sweep: list[dict]) -> CheckResult
     for n in range(1, 7):
         if comb(2 * n, n) > 11.11 ** n:
             bad.append(("diamond", n))
-    return CheckResult("c14", not bad, {"name": "counts below the exponential ceilings",
-                                        "details": {"failures": bad[:10]}})
+    return not bad, {"failures": bad[:10]}
 
 
-CHECK_IDS = tuple(f"c{i:02d}" for i in range(1, 15))
-SWEEP_CHECKS = frozenset({"c01", "c02", "c03", "c14"})  # read the instance sweep
+CHECK_IDS = tuple(c.id for c in CRITERIA)
 
 
 def run_verify_suite(config: RunConfig, only=None) -> list[CheckResult]:
     """Run every criterion, or only those whose ids (from CHECK_IDS) are in
     ``only``, in id order.  The instance sweep runs only when a selected
     criterion reads it; no criterion's result depends on which others run."""
-    selected = sorted(set(CHECK_IDS if only is None else only))
-    sweep = run_sweep(config) if SWEEP_CHECKS.intersection(selected) else None
+    selected = [c for c in CRITERIA if only is None or c.id in only]
+    sweep = run_sweep(config) if any(c.reads_sweep for c in selected) else None
     # each criterion is looked up by name when it runs, so a wrapped one is seen
-    runs = {
-        "c01": lambda: criterion_bijection(config, sweep),
-        "c02": lambda: criterion_structure(config, sweep),
-        "c03": lambda: criterion_embedding(config, sweep),
-        "c04": lambda: criterion_diamond(config),
-        "c05": lambda: criterion_table(config),
-        "c06": lambda: criterion_family_bounds(config),
-        "c07": lambda: criterion_bregman(config),
-        "c08": lambda: criterion_distributions(config),
-        "c09": lambda: criterion_dominance(config),
-        "c10": lambda: criterion_identities(config),
-        "c11": lambda: criterion_constants(config),
-        "c12": lambda: criterion_jensen_and_dependence(config),
-        "c13": lambda: criterion_samplers(config),
-        "c14": lambda: criterion_global_sanity(config, sweep),
-    }
-    return [runs[check_id]() for check_id in selected]
+    return [globals()[c.function](config, *([sweep] if c.reads_sweep else []))
+            for c in selected]

@@ -49,6 +49,14 @@ def test_every_traced_name_resolves(tracer):
     assert not missing
 
 
+def test_each_traced_criterion_span_names_the_criterion_of_its_id(tracer):
+    # verify.cNN_s times the function CRITERIA lists for cNN
+    spans = {label.removeprefix("verify."): name for module, name, label, _ in tracer.TARGETS
+             if module == "smcensus.verify" and isinstance(label, str)
+             and label.removeprefix("verify.") in verify.CHECK_IDS}
+    assert spans == {c.id: c.function for c in verify.CRITERIA}
+
+
 def _reads(part):
     """The (index, name) pairs of the `_arg` calls in a tracer hook or label,
     and the attributes it reads off `result`."""

@@ -375,6 +375,8 @@ def assert_usage_error(capsys, argv, error, message):
     # before any key block is allocated
     (["simulate", "--kind", "cyclic", "--n", "1048576"],
      "ValueError", "1048577 keys per lane exceed the 1048576 a round holds"),
+    # past the side cap, refused before the grid is built or counted
+    (["grids", "--diamond", "61"], "PosetError", "n=61 is above the diamond side cap 60"),
 ])
 def test_rejected_arguments_exit_2_with_json_error(capsys, argv, error, message):
     assert_usage_error(capsys, argv, error, message)

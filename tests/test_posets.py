@@ -15,7 +15,7 @@ from oracles import count_downsets_bruteforce
 import smcensus.posets as posets_module
 from smcensus.counting import BipartiteGraph, perfect_matching_family
 from smcensus.instances import instance_I2, irving_leather, random_instance
-from smcensus.posets import (FinitePoset, PosetError, TangledGrid, _bits,
+from smcensus.posets import (DIAMOND_CAP, FinitePoset, PosetError, TangledGrid, _bits,
                              _downsets_with_tops, count_downsets,
                              embed_in_tangled_grid, enumerate_downset_masks,
                              enumerate_downsets, grid_diamond, grid_key, grid_to_json,
@@ -386,6 +386,13 @@ def test_diamond_counts_match_binomial_and_references():
             assert got == count_downsets_reference(poset)
         if poset.size <= 16:
             assert got == count_downsets_bruteforce(poset)
+
+
+def test_diamond_side_is_capped():
+    # the cap is on the side: the largest diamond is built, the next refused
+    assert grid_diamond(DIAMOND_CAP).poset.size == DIAMOND_CAP ** 2
+    with pytest.raises(PosetError, match=f"above the diamond side cap {DIAMOND_CAP}"):
+        grid_diamond(DIAMOND_CAP + 1)
 
 
 def shuffled_random_poset(size, rng):

@@ -8,8 +8,10 @@ own definition (dunders are exempt); test-only code belongs in tests/
 referenced by a bare name, an attribute or a string constant (the harness
 wraps functions by name); a method or property only by an attribute, and
 not by one read off an imported outside module (``np.random`` is no
-reference to a method ``random``).  Methods that share a name are told
-apart by no one."""
+reference to a method ``random``).  A function decorated with
+``@criterion(...)`` is referenced by its decorator: run_verify_suite runs
+it through ``verify.CRITERIA``.  Methods that share a name are told apart
+by no one."""
 
 import ast
 from collections import Counter
@@ -76,6 +78,12 @@ def _definitions(tree):
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
+def _declared_criterion(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "criterion"
+        for d in node.decorator_list)
+
+
 def unreferenced_names():
     total = [Counter(), Counter(), Counter()]
     defined = []
@@ -87,7 +95,8 @@ def unreferenced_names():
         if path in SRC:
             defined += [(f"{path.stem}.{qual}", name, method, _references(d, outside))
                         for qual, name, d, method in _definitions(tree)
-                        if not (name.startswith("__") and name.endswith("__"))]
+                        if not (name.startswith("__") and name.endswith("__"))
+                        and not _declared_criterion(d)]
     return {qual: name for qual, name, method, own in defined
             if _uses(total, name, method) - _uses(own, name, method) <= 0}
 
