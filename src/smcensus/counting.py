@@ -7,29 +7,38 @@ log X_i over random members and/or random orders bounds log |S|; taking
 the plain expectation instead of the log gives a weaker product bound.
 
 X_i depends on the order only through the set T revealed before i, so
-each family carries one columnar option-count table
-(``TupleFamily.option_counts``).  Component values are small integer
-codes, and each revealed set T owns one row of an int64 group-id matrix,
+option counts are read from one columnar option-count table
+(``OptionCountTable``) over a stack of equal-arity families; a family's
+own table (``TupleFamily.option_counts``) is the one-family stack.
+Component values are small integer codes, per family, and each revealed
+set T owns one row of an int64 group-id matrix over all stacked members,
 built from the row of T without its top bit and only for the sets asked
 for (and their top-bit ancestors): exact evaluation reads every set,
-Monte Carlo only the sampled ones.  The table takes one request form, a
-list of (component, set) pairs: one bincount over group * card_i +
-code_i gives X_i for a whole batch of them.  Monte Carlo reveal orders
+Monte Carlo only the sampled ones.  The empty set's row is the family
+index, so a group never spans two families.  The table takes one request
+form, a list of (component, set) pairs: one bincount over group * card_i
++ code_i gives X_i for a whole batch of them.  Monte Carlo reveal orders
 are drawn on the lanes of ``rng.XoshiroLanes``, one order per lane, and
 tallied as one int64 code per (component, revealed set) pair, which caps
 Monte Carlo at MC_COMPONENT_LIMIT = 57 components.  ``option_count`` of
 tests/oracles.py recomputes a single X_i from its definition and is the
 oracle the table is tested against.
 
-Every bound takes one path.  ``_request`` turns a ``BoundMode`` into one
-list of (component, revealed set, weight) triples and the common total
-each component's weights sum to: 1 for a single order, n! for uniform
-orders, the sample count for Monte Carlo.  One ``histograms`` call turns
-it into an exact int64 (component x member x X_i) array, which refuses
-totals whose pooled sums would overflow int64, and ``_aggregate``
-reduces it through ``_reduce``, the variant's statistic per component
-with the histogram row it comes from: exact bounds sum those rows as
-Fractions, Monte Carlo bounds take a standard error from them.
+Every bound takes one path, ``reveal_bounds``: any families of one arity
+under any modes.  ``_request`` turns a ``BoundMode`` into one list of
+(component, revealed set, weight) triples and the common total each
+component's weights sum to: 1 for a single order, n! for uniform orders,
+the sample count for Monte Carlo (drawn once per call).  Modes with one
+reveal law share a weight column, the laws' pairs are merged into one
+request, and one ``law_histograms`` call over the stacked table turns it
+into an exact int64 (law x component x member x X_i) array, one
+``np.add.at`` per column in steps of at most _CHUNK_CELLS (set, member)
+cells; it refuses a column whose pooled sums would overflow int64.
+``_aggregate`` reduces each family's member slice through ``_reduce``,
+the variant's statistic for every component with the histogram rows it
+comes from: exact bounds sum those rows per count as integers, one
+Fraction each, and Monte Carlo bounds take a standard error from them.
+``reveal_bound`` and ``reveal_bounds_exact`` are its one-family views.
 
 Adapters cover the worked three-component family, perfect matchings of a
 bipartite graph (degree-factorial bound), and downsets of a tangled grid
@@ -42,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial
 from operator import and_, or_, rshift
 
@@ -59,7 +68,7 @@ VARIANTS = ("fixed_order", "averaged", "worst_member", "mean_product")
 BOUND_TOL = 1e-9  # exact margins below this are decided at 60 digits
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-_CHUNK_CELLS = 1 << 18  # (set, member) cells per histogram step, bounding temporaries
+_CHUNK_CELLS = 1 << 15  # (set, member) cells per histogram step, bounding temporaries
 MC_COMPONENT_LIMIT = 57  # largest n whose reveal codes, n + bit_length(n - 1) bits, fit an int64
 
 
@@ -93,43 +102,58 @@ class TupleFamily:
 
     @cached_property
     def option_counts(self) -> OptionCountTable:
-        """This family's option-count table; it lives as long as the family."""
-        return OptionCountTable(self)
+        """This family's option-count table, the one-family stack; it lives
+        as long as the family."""
+        return OptionCountTable((self,))
 
 
 class OptionCountTable:
-    """X_i(s, T) for every member s and revealed set T, in numpy columns.
+    """X_i(s, T) for every member s of a stack of equal-arity families and
+    every revealed set T, in numpy columns.
 
     T is the bitmask of components revealed before i: X_i depends on a
-    reveal order only through that set.  Component i's values are codes
-    0..card_i-1, one int64 column over the members.  Each T built so far
-    owns one row of the int64 group-id matrix: members share an id iff
-    they agree on every component in T, and a row's ids are dense,
-    0..groups(T)-1.  The row of T comes from the row of T without its top
-    bit, in one vectorised step for all missing sets with that top bit;
-    only the sets asked for and their top-bit ancestors are built.
+    reveal order only through that set.  The families' members are
+    concatenated into one row of columns, family by family; component i's
+    values are each family's own codes 0..card-1, one int64 column over
+    the members, and the card of component i is the largest over the
+    families.  Each T built so far owns one row of the int64 group-id
+    matrix: members share an id iff they belong to one family and agree on
+    every component in T, and a row's ids are dense, 0..groups(T)-1 (the
+    row of the empty set holds the family index, so no group spans two
+    families and every X_i equals that family's own).  The row of T comes
+    from the row of T without its top bit, in one vectorised step for all
+    missing sets with that top bit; only the sets asked for and their
+    top-bit ancestors are built.
 
     A request is a list of components with one revealed set each.  Each
     set's ids are shifted by the group counts of the sets before it, so
     ids are distinct across the batch, and one bincount over group *
     card_i + code_i marks the (group, value) pairs present: X_i of a
-    member is the number of values in its group.  ``histograms`` sums
-    weights per (component, member, X_i) into an exact int64 array and
-    raises FamilyError when the weights' total times the member count or
-    the widest card + 1 (the pooled sums and count moments taken from it)
-    would not fit in int64.
+    member is the number of values in its group.  ``law_histograms`` sums
+    each weight column (one reveal law) per (component, member, X_i) into
+    an exact int64 array, one ``np.add.at`` per column, and raises
+    FamilyError when a column's total times the largest family or the
+    widest card + 1 (the pooled sums and count moments taken from it)
+    would not fit in int64.  Requests run in steps of at most _CHUNK_CELLS
+    (set, member) cells, which bounds their temporaries however many
+    families are stacked.
     """
 
-    def __init__(self, family: TupleFamily):
-        self.n = family.n
-        self.size = len(family.members)
-        self._cards = [len(comp) for comp in family.components]
-        index = [{v: k for k, v in enumerate(comp)} for comp in family.components]
-        self._codes = np.array([[index[i][m[i]] for m in family.members] for i in range(self.n)],
-                               dtype=np.int64).reshape(self.n, self.size)
+    def __init__(self, families: tuple[TupleFamily, ...]):
+        if not families:
+            raise FamilyError("a table needs at least one family")
+        self.n = families[0].n
+        if any(fam.n != self.n for fam in families):
+            raise FamilyError("stacked families differ in arity")
+        sizes = [len(fam.members) for fam in families]
+        self.size = sum(sizes)
+        self.bounds = list(accumulate(sizes, initial=0))  # family f: members bounds[f]:bounds[f+1]
+        self._widest = max(sizes)
+        self._cards = [max(len(fam.components[i]) for fam in families) for i in range(self.n)]
+        self._codes = np.concatenate([_value_codes(fam) for fam in families], axis=1)
         self._slot = {0: 0}                            # revealed set -> row
-        self._ids = np.zeros((1, self.size), np.int64)  # group ids, capacity rows
-        self._groups = np.ones(1, np.int64)             # groups per row
+        self._ids = np.repeat(np.arange(len(families), dtype=np.int64), sizes)[None, :]
+        self._groups = np.array([len(families)], np.int64)  # groups per row
 
     @property
     def rows_built(self) -> int:
@@ -204,21 +228,43 @@ class OptionCountTable:
     def histograms(self, i: list[int], sets: list[int], weights: list[int]) -> np.ndarray:
         """H[c, member, x]: the total weight of the sets r with i[r] = c
         and X_c = x, an exact int64 (component x member x widest card + 1)
-        array; component c's rows each sum to the weight of its sets."""
+        array; component c's rows each sum to the weight of its sets.  The
+        one-column view of ``law_histograms``."""
+        return self.law_histograms(i, sets, [weights])[0]
+
+    def law_histograms(self, i: list[int], sets: list[int], columns) -> np.ndarray:
+        """H[law, c, member, x] for one weight column per law, each column
+        holding one weight per set: ``histograms`` of every column from one
+        pass over the option counts."""
         self._check(i, sets)
         width = max(self._cards, default=0) + 1
-        total = sum(weights)
-        if total * max(self.size, width) > INT64_MAX:
-            raise FamilyError(f"weight total {total} overflows int64 option-count sums")
-        hist = np.zeros(self.n * self.size * width, np.int64)
+        for column in columns:
+            total = sum(column)
+            if total * max(self._widest, width) > INT64_MAX:
+                raise FamilyError(f"weight total {total} overflows int64 option-count sums")
+        hist = np.zeros((len(columns), self.n * self.size * width), np.int64)
         cells = np.arange(self.size) * width
-        weights = np.asarray(weights, dtype=np.int64).reshape(-1, 1)
+        weights = np.array(columns, np.int64).reshape(len(columns), len(sets), 1)
         step = max(1, _CHUNK_CELLS // max(self.size, 1))
         for lo in range(0, len(sets), step):
             comps, chunk = i[lo:lo + step], sets[lo:lo + step]
             block = np.array(comps, np.int64)[:, None] * (self.size * width)
-            np.add.at(hist, self._counts(comps, chunk) + block + cells, weights[lo:lo + step])
-        return hist.reshape(self.n, self.size, width)
+            index = self._counts(comps, chunk) + block + cells
+            for law_hist, law_weights in zip(hist, weights[:, lo:lo + step]):
+                used = law_weights[:, 0] != 0
+                if used.all():
+                    np.add.at(law_hist, index, law_weights)
+                else:  # a sparse law (one order, sampled orders) adds only its own sets
+                    np.add.at(law_hist, index[used], law_weights[used])
+        return hist.reshape(len(columns), self.n, self.size, width)
+
+
+def _value_codes(family: TupleFamily) -> np.ndarray:
+    """Component i's value codes 0..card_i-1 over the members, one int64
+    row per component."""
+    index = [{v: k for k, v in enumerate(comp)} for comp in family.components]
+    return np.array([[index[i][m[i]] for m in family.members] for i in range(family.n)],
+                    dtype=np.int64).reshape(family.n, len(family.members))
 
 
 def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
@@ -235,10 +281,10 @@ def _refine(ids: np.ndarray, groups: np.ndarray, codes: np.ndarray,
     return before[keys] - first[:, None], before[offsets + groups * card] - first
 
 
-def _mix_log(hist: np.ndarray, total: int) -> float:
+def _mix_log(hist: list[int], total: int) -> float:
     """sum of w / total * log c over one histogram row (column c = count);
     each w / total is an integer ratio, so it rounds once."""
-    return math.fsum(w / total * math.log(c) for c, w in enumerate(hist.tolist()) if w)
+    return math.fsum(w / total * math.log(c) for c, w in enumerate(hist) if w)
 
 
 @dataclass(frozen=True)
@@ -328,29 +374,33 @@ def _request(n: int, mode: BoundMode, seed: int) -> tuple[list[int], list[int], 
 
 
 def _reduce(variant: str, hists: np.ndarray, total: int):
-    """One component's statistic from its (member x X_i) histogram matrix,
-    each row out of ``total``: (statistic, the histogram row it comes from,
-    that row's total).
+    """Every component's statistic from its (member x X_i) histogram
+    matrix, each row out of ``total``, for a (component x member x X)
+    array: (statistics, the (component x X) histogram rows they come
+    from, those rows' total).
 
     averaged / fixed_order: mean log of the pooled histogram (the column
     sums); worst_member: the largest member mean log; mean_product: the
     largest member mean count, a Fraction.  Ties go to the later member.
     """
+    picks = np.arange(len(hists))
     if variant in ("fixed_order", "averaged"):
-        pooled_total = total * len(hists)
-        pooled = hists.sum(axis=0)
-        return _mix_log(pooled, pooled_total), pooled, pooled_total
+        pooled = hists.sum(axis=1)
+        pooled_total = total * hists.shape[1]
+        return [_mix_log(row, pooled_total) for row in pooled.tolist()], pooled, pooled_total
     if variant == "worst_member":
         # a float screen keeps the members within 1e-12 of the largest mean
         # log (it errs by a few ulps); math.fsum decides among them exactly
-        logs = np.array([0.0] + [math.log(c) for c in range(1, hists.shape[1])])
+        logs = np.array([0.0] + [math.log(c) for c in range(1, hists.shape[2])])
         approx = hists @ logs
-        candidates = np.flatnonzero(approx >= approx.max() * (1 - 1e-12)).tolist()
-        stat, best = max((_mix_log(hists[mi], total), mi) for mi in candidates)
-        return stat, hists[best], total
-    means = hists @ np.arange(hists.shape[1])
-    best = len(means) - 1 - int(np.argmax(means[::-1]))
-    return Fraction(int(means[best]), total), hists[best], total
+        near = approx >= approx.max(axis=1, initial=0.0)[:, None] * (1 - 1e-12)
+        best = [max((_mix_log(rows[mi].tolist(), total), mi) for mi in np.flatnonzero(keep))
+                for rows, keep in zip(hists, near)]
+        return [stat for stat, _ in best], hists[picks, [mi for _, mi in best]], total
+    means = hists @ np.arange(hists.shape[2])
+    best = hists.shape[1] - 1 - np.argmax(means[:, ::-1], axis=1)
+    return ([Fraction(m, total) for m in means[picks, best].tolist()],
+            hists[picks, best], total)
 
 
 def _log_value(variant: str, per_component) -> float:
@@ -359,66 +409,101 @@ def _log_value(variant: str, per_component) -> float:
     return math.fsum(per_component)
 
 
-def _aggregate(family: TupleFamily, variant: str, hists: np.ndarray, total: int,
-               samples: int = 0) -> BoundResult:
-    """The bound from one request's (component x member x X) histogram
-    array, each component's rows out of ``total``: exact, or the averaged
-    bound over ``samples`` Monte Carlo orders with its standard error."""
-    per_component = []
-    errs = []
-    log_mix: dict[int, Fraction] = {}
-    product = Fraction(1)
-    for i, values in enumerate(family.components):
-        stat, hist, hist_total = _reduce(variant, hists[i, :, :len(values) + 1], total)
-        per_component.append(stat)
-        pairs = [(c, w) for c, w in enumerate(hist.tolist()) if w]
-        if samples:  # standard error of the mean log over the sampled orders
-            second = math.fsum(w / hist_total * math.log(c) ** 2 for c, w in pairs)
-            errs.append(math.sqrt(max(second - stat * stat, 0.0) / samples))
-        elif variant == "mean_product":
-            product *= stat
-        else:
-            for c, w in pairs:
-                log_mix[c] = log_mix.get(c, 0) + Fraction(w, hist_total)
+def _aggregate(variant: str, hists: np.ndarray, total: int, samples: int = 0) -> BoundResult:
+    """The bound from one law's (component x member x X) histogram array,
+    each component's rows out of ``total``: exact, or the averaged bound
+    over ``samples`` Monte Carlo orders with its standard error.  An exact
+    bound's log_mix sums its rows per count as integers, one Fraction per
+    count."""
+    per_component, rows, row_total = _reduce(variant, hists, total)
     value = _log_value(variant, per_component)
-    if samples:
+    if samples:  # standard error of the mean log over the sampled orders
+        errs = []
+        for stat, row in zip(per_component, rows.tolist()):
+            second = math.fsum(w / row_total * math.log(c) ** 2 for c, w in enumerate(row) if w)
+            errs.append(math.sqrt(max(second - stat * stat, 0.0) / samples))
         stderr = math.sqrt(math.fsum(e * e for e in errs))
         return BoundResult(variant, value, tuple(per_component), False, stderr=stderr)
     if variant == "mean_product":
-        return BoundResult(variant, value, tuple(per_component), True, product=product)
-    return BoundResult(variant, value, tuple(per_component), True, log_mix=log_mix)
+        return BoundResult(variant, value, tuple(per_component), True,
+                           product=math.prod(per_component, start=Fraction(1)))
+    mix = [sum(ws) for ws in zip(*rows.tolist())]  # Python ints: no int64 overflow
+    return BoundResult(variant, value, tuple(per_component), True,
+                       log_mix={c: Fraction(w, row_total) for c, w in enumerate(mix) if w})
 
 
-def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundResult:
-    """Bound log |S| per the chosen mode: seeded Monte Carlo over uniform
-    reveal orders, with a reported standard error, when ``mode.samples`` is
-    set, else exact.  Exact uniform orders take at most EXACT_COMPONENT_LIMIT
-    components, Monte Carlo MC_COMPONENT_LIMIT; past them FamilyError is raised."""
-    if not family.members:
-        raise FamilyError("family is empty")
-    n = family.n
+def _check_mode(n: int, mode: BoundMode) -> None:
     if mode.orders != "uniform" and sorted(mode.orders) != list(range(n)):
         raise FamilyError(f"reveal order {mode.orders!r} is not a permutation of range({n})")
     if mode.orders == "uniform" and not mode.samples and n > EXACT_COMPONENT_LIMIT:
         raise FamilyError(
             f"exact uniform-order expectation supports up to {EXACT_COMPONENT_LIMIT}"
             " components; set samples for Monte Carlo")
-    comps, sets, weights, total = _request(n, mode, seed)
-    hists = family.option_counts.histograms(comps, sets, weights)
-    return _aggregate(family, mode.variant, hists, total, mode.samples)
+
+
+def reveal_bounds(families, modes, seed: int = 0) -> list[tuple[BoundResult, ...]]:
+    """Bound log |S| of every family, all of one arity, under every mode:
+    one tuple of results per family, in the order of ``modes``, each equal
+    to ``reveal_bound(family, mode, seed)``.
+
+    Modes that share a reveal law (the exact uniform variants) share one
+    weight column; the laws' (component, set) pairs are merged into one
+    request, asked once of one table that stacks the families (for n <=
+    EXACT_COMPONENT_LIMIT the uniform law's pairs hold every fixed-order
+    and sampled pair), and the Monte Carlo orders are drawn once per call.
+    Each family's bounds are reduced from its own members' slice of the
+    histograms."""
+    families = tuple(families)
+    if not families:
+        raise FamilyError("no families to bound")
+    if any(not fam.members for fam in families):
+        raise FamilyError("family is empty")
+    n = families[0].n  # the table refuses a stack of mixed arity
+    for mode in modes:
+        _check_mode(n, mode)
+    laws: dict[tuple, int] = {}  # (orders, samples) -> weight column
+    requests = []
+    for mode in modes:
+        if (mode.orders, mode.samples) not in laws:
+            laws[mode.orders, mode.samples] = len(requests)
+            requests.append(_request(n, mode, seed))
+    pairs: dict[tuple[int, int], int] = {}  # (component, set) -> request row
+    for comps, sets, _, _ in requests:
+        for pair in zip(comps, sets):
+            pairs.setdefault(pair, len(pairs))
+    columns = [[0] * len(pairs) for _ in requests]
+    for column, (comps, sets, weights, _) in zip(columns, requests):
+        for pair, w in zip(zip(comps, sets), weights):
+            column[pairs[pair]] = w
+    # a lone family reads its own table, which keeps the rows it built
+    table = families[0].option_counts if len(families) == 1 else OptionCountTable(families)
+    hists = table.law_histograms([i for i, _ in pairs], [T for _, T in pairs], columns)
+    out = []
+    for lo, hi in zip(table.bounds, table.bounds[1:]):
+        results = []
+        for mode in modes:
+            law = laws[mode.orders, mode.samples]
+            results.append(_aggregate(mode.variant, hists[law, :, lo:hi], requests[law][3],
+                                      mode.samples))
+        out.append(tuple(results))
+    return out
+
+
+def reveal_bound(family: TupleFamily, mode: BoundMode, seed: int = 0) -> BoundResult:
+    """Bound log |S| per the chosen mode: seeded Monte Carlo over uniform
+    reveal orders, with a reported standard error, when ``mode.samples`` is
+    set, else exact.  Exact uniform orders take at most EXACT_COMPONENT_LIMIT
+    components, Monte Carlo MC_COMPONENT_LIMIT; past them FamilyError is
+    raised.  The one-family, one-mode view of ``reveal_bounds``."""
+    [(result,)] = reveal_bounds((family,), (mode,), seed)
+    return result
 
 
 def reveal_bounds_exact(family: TupleFamily) -> dict[str, BoundResult]:
-    """All exact uniform-order variants at once, sharing the per-component
-    option-count histograms (they dominate the cost)."""
-    if not family.members:
-        raise FamilyError("family is empty")
-    if family.n > EXACT_COMPONENT_LIMIT:
-        raise FamilyError(f"needs at most {EXACT_COMPONENT_LIMIT} components")
-    comps, sets, weights, total = _request(family.n, BoundMode("averaged"), 0)
-    hists = family.option_counts.histograms(comps, sets, weights)
-    return {variant: _aggregate(family, variant, hists, total)
-            for variant in ("averaged", "worst_member", "mean_product")}
+    """All exact uniform-order variants at once, sharing one request."""
+    variants = ("averaged", "worst_member", "mean_product")
+    [results] = reveal_bounds((family,), [BoundMode(v) for v in variants])
+    return dict(zip(variants, results))
 
 
 def _reveal_tallies(n: int, samples: int, seed: int) -> tuple[list[int], list[int], list[int]]:

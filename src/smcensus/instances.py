@@ -106,9 +106,13 @@ def parse_instance(text: str) -> PreferenceProfile:
         raise InstanceError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance must be a JSON object")
-    missing = {"n", "job_prefs", "applicant_prefs"} - set(data)
+    keys = {"n", "job_prefs", "applicant_prefs"}
+    missing = keys - set(data)
     if missing:
         raise InstanceError(f"missing keys: {sorted(missing)}")
+    unknown = set(data) - keys  # a misspelt or foreign key is refused, not ignored
+    if unknown:
+        raise InstanceError(f"unknown keys: {sorted(unknown)}")
     n = data["n"]
     if not _is_int(n):
         raise InstanceError("n must be an integer")

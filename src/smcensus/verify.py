@@ -19,8 +19,13 @@ embeds, validates and counts each distinct grid once; a worker process
 gives each of its jobs a dict of its own.  For the same reason c06
 bounds each distinct family once and c09 checks each distinct grid once
 (6-11 of c06's 20 grid families and 7-9 of c09's 21 grids are distinct),
-while failures, margins and counts still run over every tag.  c06, c12
-and c13 decide by `record.SE_RULE`, c13 through `record.law_fit`.
+while failures, margins and counts still run over every tag.  c06's
+distinct families (54-63 of its 73 tags at seeds 1, 2, 5, 21, 42 and 77)
+are grouped by arity, 2-6 and 8, and each arity's families are bounded under
+all five modes by one `counting.reveal_bounds` call: one stacked
+option-count table, one histogram request and one Monte Carlo draw per
+arity, each family's results equal to bounding it alone.  c06, c12 and
+c13 decide by `record.SE_RULE`, c13 through `record.law_fit`.
 """
 
 from __future__ import annotations
@@ -251,8 +256,10 @@ def criterion_table(config: RunConfig) -> tuple[bool, dict]:
     return not bad, {"failures": bad[:10]}
 
 
-def _pm_graphs(config: RunConfig, count: int, max_side: int,
-               need_pm: bool, stream: int) -> list[BipartiteGraph]:
+def _random_graphs(config: RunConfig, count: int, max_side: int, stream: int, keep) -> list:
+    """``count`` values keep(g) of random bipartite graphs g from one seeded
+    stream, skipping the graphs where keep returns None; the side cycles
+    over 2..max_side by how many were kept plus how many drawn."""
     rng = Xoshiro256StarStar(config.seed, stream=stream)
     half = bernoulli_threshold(Fraction(1, 2))
     out = []
@@ -261,10 +268,19 @@ def _pm_graphs(config: RunConfig, count: int, max_side: int,
         n = 2 + (len(out) + attempt) % (max_side - 1)
         g = counting.random_bipartite_graph(n, n, half, rng)
         attempt += 1
-        if need_pm and counting.count_perfect_matchings(g) == 0:
-            continue
-        out.append(g)
+        kept = keep(g)
+        if kept is not None:
+            out.append(kept)
     return out
+
+
+def _matching_family(graph: BipartiteGraph) -> counting.TupleFamily | None:
+    """The graph's perfect-matching family, None when it has no perfect
+    matching; the matchings are enumerated once."""
+    try:
+        return counting.perfect_matching_family(graph)
+    except counting.FamilyError:
+        return None
 
 
 def family_bound_families(config: RunConfig):
@@ -272,11 +288,21 @@ def family_bound_families(config: RunConfig):
     random graphs, and downsets of random tangled grids."""
     for n_max in (2, 5, 10):
         yield f"diag{n_max}", counting.diagonal_pair_family(n_max)
-    for gi, g in enumerate(_pm_graphs(config, 50, 6, need_pm=True, stream=7)):
-        yield f"pm{gi}", counting.perfect_matching_family(g)
+    for gi, fam in enumerate(_random_graphs(config, 50, 6, 7, _matching_family)):
+        yield f"pm{gi}", fam
     for si in range(20):
         grid = posets.random_tangled_grid(2 + si % 3, config.seed * 77 + si)
         yield f"grid{si}", counting.downset_top_family(grid)
+
+
+FAMILY_BOUNDS = ("averaged", "worst_member", "mean_product", "fixed_order", "averaged_mc")
+
+
+def _family_bound_modes(n: int, mc_samples: int) -> tuple[BoundMode, ...]:
+    """c06's five modes for families of n components, in FAMILY_BOUNDS order."""
+    return (BoundMode("averaged"), BoundMode("worst_member"), BoundMode("mean_product"),
+            BoundMode("fixed_order", orders=tuple(range(n))),
+            BoundMode("averaged", samples=mc_samples))
 
 
 @criterion("c06", "family-size bound holds for every variant")
@@ -285,15 +311,17 @@ def criterion_family_bounds(config: RunConfig) -> tuple[bool, dict]:
     mc_samples = max(200, config.mc_samples // 500)
     margins: dict[str, list[float]] = {}  # variant -> value - log |S| per family
     mc_se = None  # smallest Monte Carlo margin in standard errors
+    tagged = list(family_bound_families(config))
+    by_arity: dict[int, dict[counting.TupleFamily, None]] = {}  # distinct families, first seen
+    for _, fam in tagged:
+        by_arity.setdefault(fam.n, {})[fam] = None
     bounds_of: dict[counting.TupleFamily, dict] = {}  # equal families, equal bounds
-    for tag, fam in family_bound_families(config):
-        results = bounds_of.get(fam)
-        if results is None:
-            results = bounds_of[fam] = counting.reveal_bounds_exact(fam)
-            ident = tuple(range(fam.n))
-            results["fixed_order"] = reveal_bound(fam, BoundMode("fixed_order", orders=ident))
-            results["averaged_mc"] = reveal_bound(
-                fam, BoundMode("averaged", samples=mc_samples), seed=config.seed)
+    for n, fams in by_arity.items():
+        stacked = counting.reveal_bounds(fams, _family_bound_modes(n, mc_samples), config.seed)
+        for fam, results in zip(fams, stacked):
+            bounds_of[fam] = dict(zip(FAMILY_BOUNDS, results))
+    for tag, fam in tagged:
+        results = bounds_of[fam]
         target = math.log(len(fam.members))
         for variant, res in results.items():
             if not bound_holds(res, fam):
@@ -314,7 +342,7 @@ def criterion_family_bounds(config: RunConfig) -> tuple[bool, dict]:
 @criterion("c07", "perfect matchings below degree-factorial bound")
 def criterion_bregman(config: RunConfig) -> tuple[bool, dict]:
     bad = []
-    for gi, g in enumerate(_pm_graphs(config, 200, 7, need_pm=False, stream=8)):
+    for gi, g in enumerate(_random_graphs(config, 200, 7, 8, lambda g: g)):
         pm = counting.count_perfect_matchings(g)
         bound_log = counting.bregman_log_bound(g)
         if pm > 0 and math.log(pm) > bound_log + 1e-9:

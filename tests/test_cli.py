@@ -444,6 +444,15 @@ def test_malformed_instance_file_exits_2(tmp_path, capsys):
                        "InstanceError", "job_prefs row 1 not a permutation")
 
 
+@pytest.mark.parametrize("command", ["enumerate", "rotations", "grids"])
+def test_instance_file_with_an_unknown_key_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "extra.json"
+    instance = json.loads(serialize_instance(instance_I2()))
+    path.write_text(json.dumps({**instance, "comment": "I2"}), encoding="utf-8")
+    assert_usage_error(capsys, [command, "--in", str(path)],
+                       "InstanceError", "unknown keys: ['comment']")
+
+
 @pytest.mark.parametrize("exc", [PosetError("downset count needs more than 5 states"),
                                  FamilyError("family is empty")])
 def test_cap_and_family_errors_exit_2(monkeypatch, capsys, exc):

@@ -726,9 +726,9 @@ TIES = {"worst_member": [{1: 1, 4: 1}, {2: 2}], "mean_product": [{1: 1, 3: 1}, {
 @pytest.mark.parametrize("variant", ["averaged", "worst_member", "mean_product"])
 def test_reduce_breaks_ties_like_the_dict_oracle(variant):
     for dicts in TIES.values():
-        stat, hist, total = counting._reduce(variant, _as_matrix(dicts, 5), 2)
+        [stat], hist, total = counting._reduce(variant, _as_matrix(dicts, 5)[None], 2)
         want_stat, want_hist, want_total = _ref_reduce(variant, dicts, 2)
-        assert (stat, _as_dicts(hist[None])[0], total) == (want_stat, want_hist, want_total)
+        assert (stat, _as_dicts(hist)[0], total) == (want_stat, want_hist, want_total)
     if variant in TIES:
         assert want_hist == TIES[variant][1]  # the later member
 
@@ -891,25 +891,49 @@ def test_family_bounds_criterion_fails_on_option_counts_one_too_small(monkeypatc
 # ------------------------------- c06 and c09 compute once per distinct input
 
 def test_family_bounds_run_once_per_distinct_family(monkeypatch):
+    """c06 bounds each distinct family once, in one reveal_bounds call per
+    arity, and draws the Monte Carlo orders once per arity."""
     config = verify.RunConfig(seed=21, mc_samples=20000)
     families = [fam for _, fam in verify.family_bound_families(config)]
-    exact, bounds = [], []
-    reveal_exact, reveal = counting.reveal_bounds_exact, counting.reveal_bound
+    bounded, drawn = [], []
+    reveal, tallies = counting.reveal_bounds, counting._reveal_tallies
 
-    def counted_exact(fam):
-        exact.append(fam)
-        return reveal_exact(fam)
+    def counted(fams, modes, seed=0):
+        bounded.append(list(fams))
+        return reveal(fams, modes, seed)
 
-    def counted(fam, mode, seed=0):
-        bounds.append(fam)
-        return reveal(fam, mode, seed)
+    def counted_tallies(n, samples, seed):
+        drawn.append(n)
+        return tallies(n, samples, seed)
 
-    monkeypatch.setattr(counting, "reveal_bounds_exact", counted_exact)
-    monkeypatch.setattr(verify, "reveal_bound", counted)
+    monkeypatch.setattr(counting, "reveal_bounds", counted)
+    monkeypatch.setattr(counting, "_reveal_tallies", counted_tallies)
     verify.criterion_family_bounds(config)
-    assert Counter(exact) == Counter(dict.fromkeys(families, 1))
-    assert Counter(bounds) == Counter(dict.fromkeys(families, 2))  # fixed order, Monte Carlo
+    arities = {fam.n for fam in families}
+    assert Counter(fam for call in bounded for fam in call) == \
+        Counter(dict.fromkeys(families, 1))
+    assert sorted(call[0].n for call in bounded) == sorted(arities)
+    assert all(fam.n == call[0].n for call in bounded for fam in call)
+    assert Counter(drawn) == Counter(dict.fromkeys(arities, 1))
     assert len(set(families)) < len(families)
+
+
+def test_family_graphs_enumerate_their_matchings_once(monkeypatch):
+    """c06 enumerates each random graph's perfect matchings once: the call
+    that rejects a graph without one is the call that builds the family."""
+    enumerated = []
+    real = counting.perfect_matchings
+
+    def counted(graph):
+        enumerated.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(counting, "perfect_matchings", counted)
+    tagged = list(verify.family_bound_families(verify.RunConfig(seed=21)))
+    pms = [fam for tag, fam in tagged if tag.startswith("pm")]
+    assert len(pms) == 50
+    assert len(enumerated) == len(set(map(id, enumerated)))  # no graph enumerated twice
+    assert sum(1 for g in enumerated if real(g)) == 50
 
 
 def test_dominance_runs_once_per_distinct_grid(monkeypatch):
@@ -985,6 +1009,127 @@ def test_deduplicated_dominance_names_the_failures_of_a_plain_loop(monkeypatch):
     assert (res.passed, res.fields["details"]) == plain_dominance(config)
 
 
+def _shared(tagged):
+    """The first item that two or more (tag, item) pairs share, with its tags."""
+    tags = {}
+    for tag, item in tagged:
+        tags.setdefault(item, []).append(tag)
+    return next((item, ts) for item, ts in tags.items() if len(ts) > 1)
+
+
+def test_a_fault_in_one_distinct_family_fails_every_tag_that_shares_it(monkeypatch):
+    # the Monte Carlo bound of one distinct family reads -1 with no
+    # standard error: each tag bounding that family fails once, no other
+    config = verify.RunConfig(seed=21, mc_samples=20000)
+    target, tags = _shared(verify.family_bound_families(config))
+    reveal = counting.reveal_bounds
+
+    def faulty(fams, modes, seed=0):
+        return [tuple(dataclasses.replace(res, value=-1.0, stderr=0.0)
+                      if fam == target and res.stderr is not None else res for res in results)
+                for fam, results in zip(fams, reveal(fams, modes, seed))]
+
+    monkeypatch.setattr(counting, "reveal_bounds", faulty)
+    res = verify.criterion_family_bounds(config)
+    assert not res.passed
+    assert 2 <= len(tags) <= 10  # every failure is listed
+    assert [f[:3] for f in res.fields["details"]["failures"]] == \
+        [(tag, "averaged_mc", -1.0) for tag in tags]
+
+
+def test_a_fault_in_one_distinct_grid_fails_every_tag_that_shares_it(monkeypatch):
+    config = verify.RunConfig(seed=21)
+    target, tags = _shared(verify.dominance_grids(config))
+    check = dominance_check_grid
+
+    def faulty(grid):
+        reports = check(grid)
+        if grid == target:  # the first report of that grid fails
+            reports[0] = verify.CheckResult("dominance", False,
+                                            {**reports[0].fields, "witnesses": ["fault"]})
+        return reports
+
+    monkeypatch.setattr(verify.distributions, "dominance_check_grid", faulty)
+    res = verify.criterion_dominance(config)
+    assert not res.passed
+    assert 2 <= len(tags) <= 10
+    assert [(f[0], f[3]) for f in res.fields["details"]["failures"]] == \
+        [(tag, ["fault"]) for tag in tags]
+
+
+# ------------------------------------------- stacked tables and reveal_bounds
+
+@pytest.mark.parametrize("mc_samples", [10 ** 6, 20000], ids=["default", "samples-20000"])
+@pytest.mark.parametrize("seed", [21, 42])
+def test_stacked_bounds_equal_one_family_at_a_time(seed, mc_samples):
+    """Every c06 family, stacked by arity as c06 stacks them, bounded under
+    its five modes equals reveal_bound of that family alone, mode by mode."""
+    config = verify.RunConfig(seed=seed, mc_samples=mc_samples)
+    by_arity = {}
+    for _, fam in verify.family_bound_families(config):
+        by_arity.setdefault(fam.n, {})[fam] = None
+    assert max(len(fams) for fams in by_arity.values()) > 1
+    for n, fams in by_arity.items():
+        modes = verify._family_bound_modes(n, max(200, mc_samples // 500))
+        stacked = counting.reveal_bounds(list(fams), modes, seed)
+        assert stacked == [tuple(reveal_bound(TupleFamily(fam.components, fam.members), mode,
+                                              seed) for mode in modes) for fam in fams]
+
+
+@st.composite
+def stacks(draw):
+    """One to three families of one arity, each with its own cards (values
+    listed in descending order, so codes differ from values)."""
+    n = draw(st.integers(1, 4))
+    fams = []
+    for _ in range(draw(st.integers(1, 3))):
+        cards = [draw(st.integers(1, 4)) for _ in range(n)]
+        members = draw(st.sets(st.tuples(*(st.integers(0, c - 1) for c in cards)),
+                               min_size=1, max_size=12))
+        fams.append(TupleFamily(tuple(tuple(range(c))[::-1] for c in cards),
+                                tuple(sorted(members))))
+    return fams
+
+
+@given(stacks())
+@settings(max_examples=60, deadline=None)
+def test_mixed_card_stacks_equal_option_count_and_the_dict_oracle(fams):
+    n = fams[0].n
+    table = OptionCountTable(tuple(fams))
+    pairs = [(i, T) for T in range(1 << n) for i in range(n) if not T >> i & 1]
+    comps, sets = [i for i, _ in pairs], [T for _, T in pairs]
+    uniform = [factorial(T.bit_count()) * factorial(n - 1 - T.bit_count()) for T in sets]
+    distinct = list(range(1, len(pairs) + 1))  # so a misaligned weight shows
+    counts = table.counts(comps, sets)
+    hists = table.law_histograms(comps, sets, [uniform, distinct])
+    for fam, lo, hi in zip(fams, table.bounds, table.bounds[1:]):
+        ref = OptionCountTableReference(fam)
+        assert counts[:, lo:hi].tolist() == [list(ref.row(i, T)) for i, T in pairs]
+        for mi, member in enumerate(fam.members):
+            for (i, T), row in zip(pairs, counts[:, lo:hi].tolist()):
+                prefix = [j for j in range(n) if T >> j & 1]
+                assert row[mi] == option_count(fam, member, _order_with_prefix(prefix, i, n), i)
+        for law, weights in enumerate((uniform, distinct)):
+            for i in range(n):
+                mine = [(T, w) for (c, T), w in zip(pairs, weights) if c == i]
+                assert _as_dicts(hists[law, i, lo:hi]) == ref.histograms(i, mine)
+
+
+def test_stacks_take_one_arity_and_nonempty_families():
+    with pytest.raises(FamilyError, match="differ in arity"):
+        OptionCountTable((diagonal_pair_family(2), TupleFamily(((0,),), ((0,),))))
+    with pytest.raises(FamilyError, match="differ in arity"):
+        counting.reveal_bounds([diagonal_pair_family(2), TupleFamily(((0,),), ((0,),))],
+                               [BoundMode("averaged")])
+    with pytest.raises(FamilyError, match="family is empty"):
+        counting.reveal_bounds([diagonal_pair_family(2), TupleFamily(((0,),) * 3, ())],
+                               [BoundMode("averaged")])
+    with pytest.raises(FamilyError, match="at least one family"):
+        OptionCountTable(())
+    with pytest.raises(FamilyError, match="no families"):
+        counting.reveal_bounds([], [BoundMode("averaged")])
+
+
 # ----------------------------------------------- orders checked at the boundary
 
 @pytest.mark.parametrize("orders", [
@@ -1038,3 +1183,17 @@ def test_weight_total_past_int64_is_rejected():
         == 6 * (counting.INT64_MAX // 6)
     with pytest.raises(FamilyError, match="overflows int64"):
         fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6 + 1])
+
+
+def test_stacked_weight_total_past_int64_is_rejected():
+    # the pooled sums stay within one family, so the guard reads the largest
+    # (diag2, six members), not the nine stacked members; each column is
+    # checked on its own
+    table = OptionCountTable((diagonal_pair_family(1), diagonal_pair_family(2)))
+    limit = counting.INT64_MAX // 6
+    hists = table.law_histograms([0], [0], [[1], [limit]])
+    assert hists.shape == (2, 3, 9, 4)
+    assert [int(hists[law, 0, lo:hi].sum()) for law in (0, 1)
+            for lo, hi in ((0, 3), (3, 9))] == [3, 6, 3 * limit, 6 * limit]
+    with pytest.raises(FamilyError, match="overflows int64"):
+        table.law_histograms([0], [0], [[1], [limit + 1]])
