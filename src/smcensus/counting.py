@@ -8,10 +8,9 @@ the plain expectation instead of the log gives a weaker product bound.
 
 X_i depends on the order only through the set T revealed before i, so
 option counts are read from one columnar option-count table
-(``OptionCountTable``) over a stack of equal-arity families; a family's
-own table (``TupleFamily.option_counts``) is the one-family stack.
-Component values are small integer codes, per family, and each revealed
-set T owns one row of an int64 group-id matrix over all stacked members,
+(``OptionCountTable``) over a stack of equal-arity families, built per
+request.  Component values are small integer codes, per family, and each
+revealed set T owns one row of an int64 group-id matrix over all stacked members,
 built from the row of T without its top bit and only for the sets asked
 for (and their top-bit ancestors): exact evaluation reads every set,
 Monte Carlo only the sampled ones.  The empty set's row is the family
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, repeat
 from math import factorial
 from operator import and_, or_, rshift
@@ -99,12 +98,6 @@ class TupleFamily:
     @property
     def n(self) -> int:
         return len(self.components)
-
-    @cached_property
-    def option_counts(self) -> OptionCountTable:
-        """This family's option-count table, the one-family stack; it lives
-        as long as the family."""
-        return OptionCountTable((self,))
 
 
 class OptionCountTable:
@@ -225,17 +218,11 @@ class OptionCountTable:
                             minlength=int(groups.sum()) * card)
         return np.count_nonzero(pairs.reshape(-1, card), axis=1)[gid]
 
-    def histograms(self, i: list[int], sets: list[int], weights: list[int]) -> np.ndarray:
-        """H[c, member, x]: the total weight of the sets r with i[r] = c
-        and X_c = x, an exact int64 (component x member x widest card + 1)
-        array; component c's rows each sum to the weight of its sets.  The
-        one-column view of ``law_histograms``."""
-        return self.law_histograms(i, sets, [weights])[0]
-
     def law_histograms(self, i: list[int], sets: list[int], columns) -> np.ndarray:
-        """H[law, c, member, x] for one weight column per law, each column
-        holding one weight per set: ``histograms`` of every column from one
-        pass over the option counts."""
+        """H[law, c, member, x]: the total weight, in the law's column of
+        one weight per set, of the sets r with i[r] = c and X_c = x; an
+        exact int64 (law x component x member x widest card + 1) array,
+        every column from one pass over the option counts."""
         self._check(i, sets)
         width = max(self._cards, default=0) + 1
         for column in columns:
@@ -254,7 +241,7 @@ class OptionCountTable:
                 used = law_weights[:, 0] != 0
                 if used.all():
                     np.add.at(law_hist, index, law_weights)
-                else:  # a sparse law (one order, sampled orders) adds only its own sets
+                elif used.any():  # a sparse law (one order, sampled orders) adds only its own sets
                     np.add.at(law_hist, index[used], law_weights[used])
         return hist.reshape(len(columns), self.n, self.size, width)
 
@@ -475,8 +462,7 @@ def reveal_bounds(families, modes, seed: int = 0) -> list[tuple[BoundResult, ...
     for column, (comps, sets, weights, _) in zip(columns, requests):
         for pair, w in zip(zip(comps, sets), weights):
             column[pairs[pair]] = w
-    # a lone family reads its own table, which keeps the rows it built
-    table = families[0].option_counts if len(families) == 1 else OptionCountTable(families)
+    table = OptionCountTable(families)
     hists = table.law_histograms([i for i, _ in pairs], [T for _, T in pairs], columns)
     out = []
     for lo, hi in zip(table.bounds, table.bounds[1:]):
@@ -639,14 +625,14 @@ def perfect_matching_family(graph: BipartiteGraph) -> TupleFamily:
     return TupleFamily(comps, tuple(pms))
 
 
-def bregman_log_bound(graph: BipartiteGraph) -> float:
-    """log of prod_i (d_i!)^(1/d_i) over right-vertex degrees; isolated
-    vertices contribute nothing (they force zero matchings anyway)."""
-    total = 0.0
-    for d in graph.right_degrees():
-        if d > 0:
-            total += math.lgamma(d + 1) / d
-    return total
+def bregman_bound(graph: BipartiteGraph) -> tuple[int, int]:
+    """Bregman's bound prod_i (d_i!)^(1/d_i) over the positive right
+    degrees, as integers (L, P) with bound^L = P: L the lcm of those
+    degrees and P = prod_i (d_i!)^(L/d_i).  Isolated vertices contribute
+    nothing (they force zero matchings anyway)."""
+    degrees = [d for d in graph.right_degrees() if d > 0]
+    L = math.lcm(*degrees)
+    return L, math.prod(factorial(d) ** (L // d) for d in degrees)
 
 
 def downset_top_family(grid: TangledGrid) -> TupleFamily:

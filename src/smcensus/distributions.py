@@ -27,11 +27,12 @@ inversion of ``rng.ScanTable``, into one int64 array; the scalar
 samplers of tests/oracles.py are the oracles they are tested against.
 
 The module also hosts the stochastic-dominance check of revealed-chain
-option counts against the cyclic gap law (each level l of a grid read in
-one option-count request over all its chains, weighted by the uniform
-prefix law of ``counting._uniform_prefixes``), a Jensen inequality
-grid, and the Monte Carlo comparison of the extended gap under
-correlated versus independent slot indicators, in which every slot
+option counts against the cyclic gap law (all levels l of a grid read in
+one option-count request over all its chains, one weight column per l,
+each prefix weighted by the uniform law of ``counting._uniform_prefixes``),
+a Jensen inequality grid decided by its integer identity
+(``jensen_margins``), and the Monte Carlo comparison of the extended gap
+under correlated versus independent slot indicators, in which every slot
 identification pattern at one x reads the same draw
 (``gap_dependence_cells``).
 """
@@ -43,11 +44,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from math import comb
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
 
-from .counting import INT64_MAX, TupleFamily, _uniform_prefixes, downset_top_family
+from .counting import (INT64_MAX, OptionCountTable, TupleFamily, _uniform_prefixes,
+                       downset_top_family)
 from .posets import TangledGrid
 from .record import SE_RULE, CheckResult
 from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_threshold,
@@ -353,11 +356,13 @@ def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> Ch
 
 
 def _conditional_option_histograms(fam: TupleFamily, n: int, chains, levels):
-    """{l: H} for each l in ``levels``, from one histogram request per l:
-    H[chain] is the (member x option count) integer weight matrix over the
-    prefixes with exactly l opposite-side chains revealed before the chain,
-    for every chain in ``chains``, each prefix weighted by the uniform
-    order law of ``counting._uniform_prefixes``."""
+    """{l: H} for each l in ``levels``, from one histogram request with one
+    weight column per l: H[chain] is the (member x option count) integer
+    weight matrix over the prefixes with exactly l opposite-side chains
+    revealed before the chain, for every chain in ``chains``, each prefix
+    weighted by the uniform order law of ``counting._uniform_prefixes``.
+    The request lists the pairs level by level, so each column's nonzero
+    weights, its level's, are one contiguous run."""
     requests = {l: ([], [], []) for l in levels}
     for chain in chains:
         opposite = ((1 << n) - 1) << n if chain < n else (1 << n) - 1
@@ -367,12 +372,19 @@ def _conditional_option_histograms(fam: TupleFamily, n: int, chains, levels):
                 request[0].append(chain)
                 request[1].append(T)
                 request[2].append(w)
-    return {l: fam.option_counts.histograms(*request) for l, request in requests.items()}
+    comps = [c for request in requests.values() for c in request[0]]
+    sets = [T for request in requests.values() for T in request[1]]
+    columns, start = [], 0
+    for _, _, weights in requests.values():
+        columns.append([0] * start + weights + [0] * (len(sets) - start - len(weights)))
+        start += len(weights)
+    hists = OptionCountTable((fam,)).law_histograms(comps, sets, columns)
+    return dict(zip(requests, hists))
 
 
 def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
     """dominance_check for every chain and every l, sharing one family and
-    one histogram request per l."""
+    one histogram request."""
     n = grid.n
     hists = _conditional_option_histograms(downset_top_family(grid), n, range(2 * n),
                                            range(2, n + 1))
@@ -382,24 +394,19 @@ def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
 
 # ------------------------------------------------------------ Jensen grid
 
-JENSEN_TOL = 1e-12  # a Jensen pair passes iff lhs >= rhs - JENSEN_TOL
-
-
-def jensen_grid(a_max: int, x_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two sides of the two-indicator Jensen inequality lhs >= rhs at
-    every grid point a0, a1, a2 in 1..a_max and x = xi / x_steps, xi in
-    0..x_steps, as one array expression: (points, lhs, rhs), points an int
-    (point x 4) matrix of (a0, a1, a2, xi) rows in lexicographic order."""
-    a = np.arange(1, a_max + 1)
-    a0, a1, a2, xi = np.meshgrid(a, a, a, np.arange(x_steps + 1), indexing="ij")
-    x = xi / x_steps
-    log_a0, log_a012 = np.log(a0), np.log(a0 + a1 + a2)
-    lhs = (x * x * log_a0
-           + x * (1 - x) * (np.log(a0 + a1) + np.log(a0 + a2))
-           + (1 - x) * (1 - x) * log_a012)
-    rhs = x * log_a0 + (1 - x) * log_a012
+def jensen_margins(a_max: int, x_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two-indicator Jensen inequality lhs >= rhs at every grid point
+    a0, a1, a2 in 1..a_max and x = xi / x_steps, xi in 0..x_steps, in
+    integers: lhs - rhs = x (1-x) log((a0+a1)(a0+a2) / (a0 (a0+a1+a2))) has
+    the sign of the margin xi (x_steps-xi) ((a0+a1)(a0+a2) - a0 (a0+a1+a2)).
+    Returns (points, margins), points an int (point x 4) matrix of (a0, a1,
+    a2, xi) rows in lexicographic order; a point holds iff its margin >= 0."""
+    a = np.arange(1, a_max + 1, dtype=np.int64)
+    a0, a1, a2, xi = np.meshgrid(a, a, a, np.arange(x_steps + 1, dtype=np.int64),
+                                 indexing="ij")
+    margins = xi * (x_steps - xi) * ((a0 + a1) * (a0 + a2) - a0 * (a0 + a1 + a2))
     points = np.stack([a0, a1, a2, xi], axis=-1).reshape(-1, 4)
-    return points, lhs.ravel(), rhs.ravel()
+    return points, margins.ravel()
 
 
 # ----------------------------------------- correlated extended-gap check
@@ -532,18 +539,41 @@ PROBE_TOL = 0.02           # the probe's slack on Pr[X <= y] besides 3 sigma
 PROBE_TARGETS = 5          # the longest m-chains the probe tests
 
 
+def _chain_closures(poset, chains) -> tuple[list[list[int]], list[list[int]]]:
+    """Per chain of ``poset``, by top index j (0 the sentinel, j the j-th
+    element on top): the in-closure of the chain's first j elements and
+    the mask of its elements past them."""
+    prefix = [list(accumulate((poset.below[e] | 1 << e for e in ch), or_, initial=0))
+              for ch in chains]
+    suffix = [[sum(1 << e for e in ch[j:]) for j in range(len(ch) + 1)] for ch in chains]
+    return prefix, suffix
+
+
+def _chain_option_count(prefix, suffix, tops, revealed, u: int) -> int:
+    """X_u from ``_chain_closures`` tables: the tops j chain u can still
+    take once each chain c in ``revealed`` shows top tops[c], i.e. those
+    whose in-closure, joined with the revealed ones, meets no element above
+    any of the tops.  O(n * chain length), without listing downsets."""
+    in_mask = out_els = 0
+    for c in revealed:
+        in_mask |= prefix[c][tops[c]]
+        out_els |= suffix[c][tops[c]]
+    return sum((in_mask | p) & (out_els | q) == 0 for p, q in zip(prefix[u], suffix[u]))
+
+
 def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000) -> CheckResult:
     """Monte Carlo probe of the asymptotic domination of chain option
     counts by the extended gap law, on the rotation poset of one random
     instance.
 
     For sampled (downset, reveal order) pairs and each target m-chain, the
-    option count X is computed structurally and bucketed by the fraction
-    x of other w-chains revealed first, excluding the chain's own partner
-    at the current top (whose early reveal is the gap-1 shortcut).  The
-    probe requires Pr[X <= y] >= Pr[gap <= y] - PROBE_TOL - 3 sigma per bucket;
-    tops at a chain boundary are skipped, mirroring the interior-only
-    analysis.  This is a slack sanity probe, not an exact criterion.
+    option count X is computed structurally (``_chain_option_count``) and
+    bucketed by the fraction x of other w-chains revealed first, excluding
+    the chain's own partner at the current top (whose early reveal is the
+    gap-1 shortcut).  The probe requires Pr[X <= y] >= Pr[gap <= y] -
+    PROBE_TOL - 3 sigma per bucket; tops at a chain boundary are skipped,
+    mirroring the interior-only analysis.  This is a slack sanity probe,
+    not an exact criterion.
     The record's fields are ``n``, the ``worst_shortfall`` and the number
     of tested ``cells``.  The probe lists every downset of the lattice and
     raises ``rotations.StateCapError`` past ``rotations.STATE_CAP`` of them.
@@ -556,13 +586,11 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000) -> CheckR
     profile = random_instance(n, seed)
     rposet = build_rotation_poset(profile)
     fp = to_finite_poset(rposet)
-    below_incl = [b | (1 << e) for e, b in enumerate(fp.below)]
     downsets = list(islice(enumerate_downset_masks(fp), STATE_CAP + 1))
     if len(downsets) > STATE_CAP:
         raise StateCapError(f"more than {STATE_CAP} downsets of the rotation poset")
 
     chains = list(rposet.m_chains) + list(rposet.w_chains)
-    nch = 2 * n
     target_ids = sorted(range(n), key=lambda u: -len(chains[u]))[:PROBE_TARGETS]
     target_ids = [u for u in target_ids if len(chains[u]) >= 3]
     if not target_ids:
@@ -576,59 +604,25 @@ def asymptotic_dominance_probe(n: int, seed: int, samples: int = 4000) -> CheckR
         for idx, (u, _) in enumerate(rot.edges):
             partner_w[(u, t)] = n + rot.edges[(idx + 1) % k][1]
 
-    # per chain: prefix in-closures and suffix element masks per top index
-    chain_prefix = []
-    chain_suffix = []
-    for ch in chains:
-        pref = [0]
-        for e in ch:
-            pref.append(pref[-1] | below_incl[e])
-        suf = [0] * (len(ch) + 1)
-        for j in range(len(ch) - 1, -1, -1):
-            suf[j] = suf[j + 1] | (1 << ch[j])
-        chain_prefix.append(pref)
-        chain_suffix.append(suf)
-
-    def top_index(ci: int, mask: int) -> int:
-        idx = 0
-        for j, e in enumerate(chains[ci]):
-            if mask >> e & 1:
-                idx = j + 1
-        return idx  # 0 = sentinel, j+1 = element j is the top
-
+    prefix, suffix = _chain_closures(fp, chains)
     rng = Xoshiro256StarStar(seed, stream=1)
     hists: dict[tuple[float, int], dict[int, int]] = {}
     for _ in range(samples):
         d_mask = downsets[rng.randrange(len(downsets))]
-        order = rng.permutation(nch)
-        pos_of = [0] * nch
-        for pos, c in enumerate(order):
-            pos_of[c] = pos
+        order = rng.permutation(2 * n)
+        # a downset holds a prefix of each chain: its length is the top index
+        tops = [sum(d_mask >> e & 1 for e in ch) for ch in chains]
         for u in target_ids:
-            ti = top_index(u, d_mask)
+            ti = tops[u]
             if ti == 0 or ti >= len(chains[u]):
                 continue  # boundary top, outside the interior analysis
-            rot_top = chains[u][ti - 1]
-            wpair = partner_w.get((u, rot_top))
-            in_mask = 0
-            out_els = 0
-            l_count = 0
-            my_pos = pos_of[u]
-            for pos in range(my_pos):
-                c = order[pos]
-                cti = top_index(c, d_mask)
-                in_mask |= chain_prefix[c][cti]
-                out_els |= chain_suffix[c][cti]
-                if c >= n and c != wpair:
-                    l_count += 1
-            x = l_count / n
+            wpair = partner_w.get((u, chains[u][ti - 1]))
+            revealed = order[:order.index(u)]
+            x = sum(1 for c in revealed if c >= n and c != wpair) / n
             bucket = min(PROBE_XS, key=lambda v: abs(v - x))
             if abs(bucket - x) > 0.05:
                 continue
-            options = 0
-            for j in range(len(chains[u]) + 1):
-                if (in_mask | chain_prefix[u][j]) & (out_els | chain_suffix[u][j]) == 0:
-                    options += 1
+            options = _chain_option_count(prefix, suffix, tops, revealed, u)
             hist = hists.setdefault((bucket, u), {})
             hist[options] = hist.get(options, 0) + 1
 

@@ -3,8 +3,10 @@
 A record is a verdict (`passed`) on a named check plus the JSON-ready
 fields that back it.  `to_json` puts the name first and the verdict last;
 the CLI writes it with sorted keys, so field order never shows.  Every
-verdict taken from samples allows `SE_RULE` standard errors: c06, c12,
-and the sampler fits of c13 and `simulate` through `law_fit`.
+acceptance verdict taken from samples allows `SE_RULE` standard errors:
+c06, c12, and the sampler fits of c13 and `simulate` through `law_fit`.
+The asymptotic probe (`simulate --kind asymptotic`) still allows its own
+`distributions.PROBE_TOL` plus 3 standard errors.
 """
 
 from __future__ import annotations

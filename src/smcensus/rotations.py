@@ -8,9 +8,10 @@ exhaustive lattice BFS over all elimination sequences, in
 tests/oracles.py, is its labelled oracle.  Along the chain a successor
 table is kept up to date per elimination instead of being rebuilt at
 every matching (Gusfield, SIAM J. Comput. 16, 1987); `exposed_rotations`
-rebuilds it from scratch and is the table's oracle.  The poset's downsets are in bijection with
-the stable matchings, which is the central equality this module exposes
-and the test suite verifies against brute force.  The builder and the
+reads a fresh table, and the from-scratch successor scan of
+tests/oracles.py is the table's oracle.  The poset's downsets are in
+bijection with the stable matchings, which is the central equality this
+module exposes and the test suite verifies against brute force.  The builder and the
 bijection each give every matching they make one full blocking-pair
 test, all of an instance's in one `stable_rows` batch.
 """
@@ -66,29 +67,10 @@ def canonical_rotation(edges) -> Rotation:
 
 
 def exposed_rotations(profile: PreferenceProfile, matching: Matching) -> list[Rotation]:
-    """All rotations exposed in a stable matching, via the successor construction.
-
-    For each job u matched to v, the successor applicant is the first w
-    below v on u's list preferring u to its own partner; cycles of
-    u -> partner(successor(u)) are exactly the exposed rotations.  Built
-    from scratch: the labelled oracle of `_SuccessorTable`.
-    """
-    n = profile.n
+    """All rotations exposed in a stable matching, read off a fresh
+    `_SuccessorTable`; NotExposedError when the matching is unstable."""
     _require_stable(profile, matching)
-    arank = profile.applicant_rank_table
-    partner = [0] * n
-    for u, v in enumerate(matching):
-        partner[v] = u
-
-    jrank = profile.job_rank_table
-    succ = [-1] * n
-    for u in range(n):
-        for pos in range(jrank[u][matching[u]] + 1, n):
-            w = profile.job_prefs[u][pos]
-            if arank[w][u] < arank[w][partner[w]]:
-                succ[u] = partner[w]
-                break
-    return _rotation_cycles(succ, matching)
+    return _SuccessorTable(profile, matching).exposed()
 
 
 def _require_stable(profile: PreferenceProfile, matching: Matching) -> None:

@@ -18,13 +18,20 @@ src/ calls them.
 * ``option_count`` -- one option count X_i straight from its definition,
   a filter of the family's members; the oracle of the columnar
   ``OptionCountTable``;
+* ``exposed_rotations_by_scan`` -- the exposed rotations of a stable
+  matching by a from-scratch successor scan and a plain cycle walk; the
+  oracle of ``rotations._SuccessorTable`` (and so of
+  ``exposed_rotations``, which reads a fresh table);
 * ``build_rotation_poset_bfs`` -- the rotation poset by breadth-first
-  search over every elimination sequence, capped at
-  ``rotations.STATE_CAP`` states (read at call time); the oracle of the
-  chain builder ``build_rotation_poset``;
+  search over every elimination sequence, each state's exposed rotations
+  from ``exposed_rotations_by_scan``, capped at ``rotations.STATE_CAP``
+  states (read at call time); the oracle of the chain builder
+  ``build_rotation_poset``;
 * ``count_downsets_bruteforce`` -- the downset count by a 2^size subset
   filter;
-* ``jensen_pair_check`` -- one point of ``jensen_grid`` in scalar floats;
+* ``jensen_pair_check`` -- the two sides of the two-indicator Jensen
+  inequality at one point, in scalar floats; the oracle of the integer
+  margins of ``distributions.jensen_margins``;
 * ``stable_by_permutation_filter`` -- the stable matchings by the literal
   filter of all n! perfect matchings (``all_permutations``), the oracle of
   the forward-checked ``enumerate_stable_bruteforce``;
@@ -43,7 +50,7 @@ import numpy as np
 
 from smcensus import posets, rotations
 from smcensus.counting import FamilyError, TupleFamily
-from smcensus.distributions import (JENSEN_TOL, PLAIN, SLOTS, DistributionError,
+from smcensus.distributions import (PLAIN, SLOTS, DistributionError,
                                     _arc_containing_zero, _check_cyclic, _check_x,
                                     check_variant, line_gap_pmf, line_gap_tail,
                                     line_gap_window)
@@ -220,8 +227,9 @@ def count_downsets_bruteforce(poset: FinitePoset) -> int:
 
 
 def jensen_pair_check(a0, a1, a2, x):
-    """lhs/rhs of the two-indicator Jensen inequality; pass iff lhs >= rhs - JENSEN_TOL.
-    The scalar oracle of ``jensen_grid``."""
+    """lhs, rhs of the two-indicator Jensen inequality lhs >= rhs in
+    floats, and whether it holds.  The scalar oracle of
+    ``distributions.jensen_margins``."""
     if a0 <= 0 or a1 <= 0 or a2 <= 0:
         raise DistributionError("a0, a1, a2 must be positive")
     if not 0 <= x <= 1:
@@ -231,7 +239,7 @@ def jensen_pair_check(a0, a1, a2, x):
            + x * (1 - x) * (math.log(a0 + a1) + math.log(a0 + a2))
            + (1 - x) * (1 - x) * math.log(a0 + a1 + a2))
     rhs = x * math.log(a0) + (1 - x) * math.log(a0 + a1 + a2)
-    return lhs, rhs, lhs >= rhs - JENSEN_TOL
+    return lhs, rhs, lhs >= rhs
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +279,37 @@ def shuffle_by_randrange(rng: Xoshiro256StarStar, xs: list) -> None:
         xs[i], xs[j] = xs[j], xs[i]
 
 
+def exposed_rotations_by_scan(profile: PreferenceProfile,
+                              matching: Matching) -> list[rotations.Rotation]:
+    """The rotations exposed in a stable matching, from scratch: job u
+    matched to v has as successor the first applicant w below v on u's
+    list who prefers u to their own partner, and the exposed rotations
+    are the cycles of u -> partner(successor(u)), each found by walking
+    from its smallest job.  Sorted by edges; NotExposedError when the
+    matching is unstable."""
+    if unstable_pairs(profile, matching):
+        raise rotations.NotExposedError("matching is unstable")
+    n = profile.n
+    arank = profile.applicant_rank_table
+    partner = [0] * n
+    for u, v in enumerate(matching):
+        partner[v] = u
+    nxt = [-1] * n  # job -> the job whose applicant it moves to
+    for u in range(n):
+        for w in profile.job_prefs[u][profile.job_rank_table[u][matching[u]] + 1:]:
+            if arank[w][u] < arank[w][partner[w]]:
+                nxt[u] = partner[w]
+                break
+    out = []
+    for start in range(n):
+        cycle = [start]
+        while len(cycle) <= n and nxt[cycle[-1]] not in (-1, start):
+            cycle.append(nxt[cycle[-1]])
+        if nxt[cycle[-1]] == start and min(cycle) == start:
+            out.append(rotations.Rotation(tuple((u, matching[u]) for u in cycle)))
+    return sorted(out, key=lambda r: r.edges)
+
+
 def build_rotation_poset_bfs(profile: PreferenceProfile) -> rotations.RotationPoset:
     """Labelled oracle: breadth-first exploration of all elimination
     sequences from the job-optimal matching; the order is read off the
@@ -292,7 +331,7 @@ def build_rotation_poset_bfs(profile: PreferenceProfile) -> rotations.RotationPo
         next_frontier = []
         for mask in frontier:
             matching = states[mask]
-            for rot in rotations.exposed_rotations(profile, matching):
+            for rot in exposed_rotations_by_scan(profile, matching):
                 rid = rot_ids.get(rot.edges)
                 if rid is None:
                     rid = len(rots)

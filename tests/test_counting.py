@@ -17,7 +17,7 @@ from smcensus import counting, verify
 from smcensus.counting import (EXACT_COMPONENT_LIMIT, MC_COMPONENT_LIMIT, BipartiteGraph,
                                BoundMode, BoundResult, FamilyError,
                                OptionCountTable, TupleFamily, bound_holds,
-                               bregman_log_bound, count_perfect_matchings,
+                               bregman_bound, count_perfect_matchings,
                                diagonal_pair_family, downset_top_family,
                                perfect_matching_family, random_bipartite_graph,
                                reveal_bound, reveal_bounds_exact)
@@ -162,10 +162,14 @@ def test_perfect_matching_family_and_bregman():
     g = BipartiteGraph(3, 3, frozenset((u, v) for u in range(3) for v in range(3)))
     fam = perfect_matching_family(g)
     assert len(fam.members) == 6
-    assert abs(bregman_log_bound(g) - math.log(6)) < 1e-12
+    assert bregman_bound(g) == (3, 6 ** 3)  # ((3!)^(1/3))^3 = 3!, cubed: tight
     single = BipartiteGraph(2, 2, frozenset({(0, 0), (1, 1)}))
     assert count_perfect_matchings(single) == 1
-    assert bregman_log_bound(single) == 0.0
+    assert bregman_bound(single) == (1, 1)
+    # right degrees 2, 3, 1: L = 6 and P = (2!)^3 (3!)^2 (1!)^6
+    mixed = BipartiteGraph(3, 3, frozenset({(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)}))
+    assert bregman_bound(mixed) == (6, 2 ** 3 * 6 ** 2)
+    assert bregman_bound(BipartiteGraph(2, 2, frozenset())) == (1, 1)
 
 
 def test_bregman_on_random_graphs():
@@ -174,8 +178,11 @@ def test_bregman_on_random_graphs():
     for _ in range(60):
         g = random_bipartite_graph(5, 5, half, rng)
         pm = count_perfect_matchings(g)
-        if pm:
-            assert math.log(pm) <= bregman_log_bound(g) + 1e-9
+        L, P = bregman_bound(g)
+        assert pm ** L <= P
+        # (L, P) encodes the bound's float form, the sum of log(d!) / d
+        want = math.fsum(math.lgamma(d + 1) / d for d in g.right_degrees() if d)
+        assert math.isclose(math.log(P) / L, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_unequal_sides_rejected():
@@ -213,7 +220,7 @@ def _order_with_prefix(prefix, i, n):
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
 def test_table_matches_option_count_for_every_order(fam):
-    table = fam.option_counts
+    table = OptionCountTable((fam,))
     for order in permutations(range(fam.n)):
         for i in range(fam.n):
             row = table.counts([i], [_revealed(order, i)])[0].tolist()
@@ -222,7 +229,7 @@ def test_table_matches_option_count_for_every_order(fam):
 
 
 def test_table_rejects_rows_outside_the_family():
-    table = diagonal_pair_family(2).option_counts
+    table = OptionCountTable((diagonal_pair_family(2),))
     with pytest.raises(FamilyError, match="no row"):
         table.counts([0], [0b001])  # component 0 cannot be revealed before itself
     with pytest.raises(FamilyError, match="no row"):
@@ -336,11 +343,20 @@ def test_monte_carlo_matches_naive_per_sample_loop(fam, variant):
     assert math.isclose(res.stderr, stderr, rel_tol=1e-12)
 
 
-def test_monte_carlo_builds_only_sampled_rows():
+def test_monte_carlo_builds_only_sampled_rows(monkeypatch):
     fam = downset_top_family(random_tangled_grid(6, 1))
     assert fam.n == 12 > EXACT_COMPONENT_LIMIT
+    tables = []
+    law_histograms = OptionCountTable.law_histograms
+
+    def spied(self, *args):
+        tables.append(self)
+        return law_histograms(self, *args)
+
+    monkeypatch.setattr(OptionCountTable, "law_histograms", spied)
     res = reveal_bound(fam, BoundMode("averaged", samples=300), seed=1)
-    assert fam.option_counts.rows_built <= 300 * 12
+    [table] = tables
+    assert table.rows_built <= 300 * 12
     assert bound_holds(res, fam)
 
 
@@ -437,7 +453,6 @@ def test_a_million_orders_stay_within_a_memory_bound():
     where one key block for all orders alone would be 61 MiB."""
     fam = downset_top_family(random_tangled_grid(4, 3))
     assert fam.n == 8
-    fam.option_counts.counts([0], [0])  # build the table outside the traced span
     tracemalloc.start()
     try:
         res = reveal_bound(fam, BoundMode("averaged", samples=10 ** 6), seed=5)
@@ -636,11 +651,9 @@ MC_SAMPLES = 200  # c06's Monte Carlo sample count at --samples 20000
 
 def _family_group(name):
     """(family, its grid for c09's dominance check or None): the oracle
-    families, or every family of c06 / c09 at one seed, built fresh so
-    each table starts empty."""
+    families, or every family of c06 / c09 at one seed."""
     if name == "oracle":
-        return [(TupleFamily(p.values[0].components, p.values[0].members), None)
-                for p in ORACLE_FAMILIES]
+        return [(p.values[0], None) for p in ORACLE_FAMILIES]
     check, seed = name.split("@")
     config = verify.RunConfig(seed=int(seed))
     if check == "c06":
@@ -655,7 +668,7 @@ FAMILY_GROUPS = ["oracle", "c06@42", "c06@7", "c09@42", "c09@7"]
 def test_columnar_table_equals_dict_oracle(group):
     variants = ("averaged", "worst_member", "mean_product")
     for fam, grid in _family_group(group):
-        table, ref, n = fam.option_counts, OptionCountTableReference(fam), fam.n
+        table, ref, n = OptionCountTable((fam,)), OptionCountTableReference(fam), fam.n
         ident, explicit = tuple(range(n)), _explicit_orders(n)
         tallies = _ref_tallies(n, MC_SAMPLES, 42)
         want = {"uniform": [], "explicit": [], "mc": []}  # per component, member dicts
@@ -672,7 +685,7 @@ def test_columnar_table_equals_dict_oracle(group):
                         "mc": (list(tallies[i]), list(tallies[i].values()))}
             for kind, (ts, ws) in weighted.items():
                 want[kind].append(ref.histograms(i, zip(ts, ws)))
-                assert _as_dicts(table.histograms([i] * len(ts), ts, ws)[i]) == \
+                assert _as_dicts(table.law_histograms([i] * len(ts), ts, [ws])[0, i]) == \
                     want[kind][-1], (kind, i)
         uniform = [(hists, factorial(n)) for hists in want["uniform"]]
         assert reveal_bounds_exact(fam) == {v: _ref_aggregate(v, uniform) for v in variants}
@@ -735,14 +748,14 @@ def test_reduce_breaks_ties_like_the_dict_oracle(variant):
 
 def test_histograms_in_small_chunks_equal_the_dict_oracle(monkeypatch):
     for p in ORACLE_FAMILIES:
-        fam = TupleFamily(p.values[0].components, p.values[0].members)  # a fresh table
+        fam = p.values[0]
         ref = OptionCountTableReference(fam)
         monkeypatch.setattr(counting, "_CHUNK_CELLS", 3 * len(fam.members))  # 3 sets a step
         for i in range(fam.n):
             sets = [T for T in range(1 << fam.n) if not T >> i & 1]
             weights = list(range(1, len(sets) + 1))  # distinct, so a misaligned weight shows
-            assert _as_dicts(fam.option_counts.histograms([i] * len(sets), sets, weights)[i]) \
-                == ref.histograms(i, zip(sets, weights))
+            hists = OptionCountTable((fam,)).law_histograms([i] * len(sets), sets, [weights])
+            assert _as_dicts(hists[0, i]) == ref.histograms(i, zip(sets, weights))
 
 
 @pytest.mark.parametrize("step", [None, 3], ids=["one-step", "3-sets-a-step"])
@@ -750,16 +763,16 @@ def test_histograms_of_many_components_equal_one_component_at_a_time(monkeypatch
     """The Monte Carlo batch, one component per set, against the dict
     oracle component by component, padded to the widest card + 1."""
     for p in ORACLE_FAMILIES:
-        fam = TupleFamily(p.values[0].components, p.values[0].members)
+        fam = p.values[0]
         ref = OptionCountTableReference(fam)
         if step:
             monkeypatch.setattr(counting, "_CHUNK_CELLS", step * len(fam.members))
         pairs = [(i, T) for T in range(1 << fam.n) for i in range(fam.n) if not T >> i & 1]
         comps, sets = [i for i, _ in pairs], [T for _, T in pairs]
         weights = list(range(1, len(pairs) + 1))
-        table = fam.option_counts
+        table = OptionCountTable((fam,))
         assert table.counts(comps, sets).tolist() == [list(ref.row(i, T)) for i, T in pairs]
-        hists = table.histograms(comps, sets, weights)
+        [hists] = table.law_histograms(comps, sets, [weights])
         width = max(len(c) for c in fam.components) + 1
         assert hists.shape == (fam.n, len(fam.members), width)
         for i in range(fam.n):
@@ -768,11 +781,11 @@ def test_histograms_of_many_components_equal_one_component_at_a_time(monkeypatch
 
 
 def test_component_lists_are_checked_per_set():
-    table = diagonal_pair_family(2).option_counts
+    table = OptionCountTable((diagonal_pair_family(2),))
     with pytest.raises(FamilyError, match="2 components for 1 sets"):
         table.counts([0, 1], [0])
     with pytest.raises(FamilyError, match="no row for component 1 after set 0b10"):
-        table.histograms([0, 1], [0b10, 0b10], [1, 1])
+        table.law_histograms([0, 1], [0b10, 0b10], [[1, 1]])
     with pytest.raises(FamilyError, match="no row for component 3"):
         table.counts([0, 3], [0, 0])
 
@@ -804,7 +817,7 @@ def check_by_walk(n, i, sets):
     ([0, 1], [0], "2 components for 1 sets"),
 ])
 def test_option_count_checks_name_the_first_offender(i, sets, message):
-    table = diagonal_pair_family(2).option_counts  # three components
+    table = OptionCountTable((diagonal_pair_family(2),))  # three components
     i = [i] * len(sets) if isinstance(i, int) else i  # one component for every set
     assert check_by_walk(3, i, sets) == message
     with pytest.raises(FamilyError) as exc:
@@ -815,7 +828,7 @@ def test_option_count_checks_name_the_first_offender(i, sets, message):
 @given(st.integers(-1, 4), st.lists(st.integers(-2, 20), max_size=12), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_option_count_check_matches_pair_walk(i, sets, as_list):
-    table = diagonal_pair_family(2).option_counts
+    table = OptionCountTable((diagonal_pair_family(2),))
     comps = [(i + k) % 4 - (k % 5 == 4) for k in range(len(sets))] if as_list \
         else [i] * len(sets)
     want = check_by_walk(3, comps, sets)
@@ -827,21 +840,23 @@ def test_option_count_check_matches_pair_walk(i, sets, as_list):
     assert got == want
 
 
-def test_dominance_makes_one_histogram_request_per_grid_and_level(monkeypatch):
-    """c09 reads each grid's laws for 2 <= l <= n, every chain in one
-    request per l."""
+def test_dominance_makes_one_histogram_request_per_grid(monkeypatch):
+    """c09 reads each grid's laws for 2 <= l <= n, every chain, in one
+    request with one weight column per l; each (chain, set) pair weighs
+    in exactly one column."""
     calls = []
-    histograms = OptionCountTable.histograms
+    law_histograms = OptionCountTable.law_histograms
 
-    def counted(self, i, sets, weights):
-        calls.append(sorted(set(i)))
-        return histograms(self, i, sets, weights)
+    def counted(self, i, sets, columns):
+        calls.append((sorted(set(i)), len(columns)))
+        assert all(sum(w != 0 for w in ws) == 1 for ws in zip(*columns))
+        return law_histograms(self, i, sets, columns)
 
-    monkeypatch.setattr(OptionCountTable, "histograms", counted)
+    monkeypatch.setattr(OptionCountTable, "law_histograms", counted)
     for _, grid in verify.dominance_grids(verify.RunConfig()):
         calls.clear()
         dominance_check_grid(grid)
-        assert calls == [list(range(2 * grid.n))] * (grid.n - 1)
+        assert calls == [(list(range(2 * grid.n)), grid.n - 1)]
 
 
 def test_dominance_criterion_fails_on_inflated_counts(monkeypatch):
@@ -1072,8 +1087,8 @@ def test_stacked_bounds_equal_one_family_at_a_time(seed, mc_samples):
     for n, fams in by_arity.items():
         modes = verify._family_bound_modes(n, max(200, mc_samples // 500))
         stacked = counting.reveal_bounds(list(fams), modes, seed)
-        assert stacked == [tuple(reveal_bound(TupleFamily(fam.components, fam.members), mode,
-                                              seed) for mode in modes) for fam in fams]
+        assert stacked == [tuple(reveal_bound(fam, mode, seed) for mode in modes)
+                           for fam in fams]
 
 
 @st.composite
@@ -1179,10 +1194,11 @@ def test_only_the_five_bound_modes_are_accepted(variant, orders, samples):
 def test_weight_total_past_int64_is_rejected():
     fam = diagonal_pair_family(2)
     # six members: a total of 2^63 // 6 still fits every pooled column sum
-    assert fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6]).sum() \
+    table = OptionCountTable((fam,))
+    assert table.law_histograms([0], [0], [[counting.INT64_MAX // 6]]).sum() \
         == 6 * (counting.INT64_MAX // 6)
     with pytest.raises(FamilyError, match="overflows int64"):
-        fam.option_counts.histograms([0], [0], [counting.INT64_MAX // 6 + 1])
+        table.law_histograms([0], [0], [[counting.INT64_MAX // 6 + 1]])
 
 
 def test_stacked_weight_total_past_int64_is_rejected():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import (CyclicGapSampler, LineGapSampler, gap_from_slots_where,
-                     jensen_pair_check, line_gap_log_mean)
+                     jensen_pair_check, line_gap_log_mean, option_count)
 from smcensus import distributions, rng, verify
-from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, MC_BLOCK, PLAIN, SLOTS,
+from smcensus.distributions import (EXTENDED, FIT_CELLS, MC_BLOCK, PLAIN, SLOTS,
                                     WINDOW_CAP,
                                     DistributionError, _gap_from_slots,
                                     asymptotic_dominance_probe,
@@ -18,14 +18,17 @@ from smcensus.distributions import (EXTENDED, FIT_CELLS, JENSEN_TOL, MC_BLOCK, P
                                     cyclic_gap_pmf_bruteforce, dominance_check,
                                     dominance_check_grid, gap_dependence_cells,
                                     gap_dependence_check,
-                                    jensen_grid,
+                                    jensen_margins,
                                     legal_identification_patterns,
                                     line_gap_cells, line_gap_pmf,
                                     line_gap_tail, line_gap_terms,
                                     line_gap_total,
                                     sample_cyclic_gap, sample_line_gap)
-from smcensus.posets import grid_diamond, random_tangled_grid
+from smcensus.counting import downset_top_family
+from smcensus.instances import random_instance
+from smcensus.posets import TangledGrid, grid_diamond, random_tangled_grid
 from smcensus.record import SE_RULE, law_fit
+from smcensus.rotations import build_rotation_poset
 
 
 def test_small_cyclic_pmf():
@@ -449,33 +452,42 @@ def test_jensen_examples():
         jensen_pair_check(0, 1, 1, 0.5)
 
 
-def test_jensen_grid_matches_the_scalar_check_at_every_point():
-    points, lhs, rhs = jensen_grid(10, 10)
+def test_jensen_margins_match_the_scalar_check_at_every_point():
+    """The integer margin has the sign of the oracle's lhs - rhs, which
+    equals x (1-x) log((a0+a1)(a0+a2) / (a0 (a0+a1+a2))) up to rounding."""
+    points, margins = jensen_margins(10, 10)
     assert points.shape == (10 * 10 * 10 * 11, 4)
     assert points.tolist() == [[a0, a1, a2, xi] for a0 in range(1, 11) for a1 in range(1, 11)
                                for a2 in range(1, 11) for xi in range(11)]
-    for (a0, a1, a2, xi), l, r in zip(points.tolist(), lhs.tolist(), rhs.tolist()):
-        want_l, want_r, ok = jensen_pair_check(a0, a1, a2, Fraction(xi, 10))
-        assert math.isclose(l, want_l, rel_tol=1e-15, abs_tol=0.0)
-        assert math.isclose(r, want_r, rel_tol=1e-15, abs_tol=0.0)
-        assert (l >= r - JENSEN_TOL) == ok
+    for (a0, a1, a2, xi), margin in zip(points.tolist(), margins.tolist()):
+        lhs, rhs, ok = jensen_pair_check(a0, a1, a2, Fraction(xi, 10))
+        x = xi / 10
+        identity = x * (1 - x) * math.log((a0 + a1) * (a0 + a2) / (a0 * (a0 + a1 + a2)))
+        assert abs((lhs - rhs) - identity) < 1e-14
+        assert margin == xi * (10 - xi) * a1 * a2
+        assert (margin > 0, margin == 0) == (lhs > rhs, lhs == rhs)
+        assert ok
 
 
 def test_c12_fails_on_a_grid_with_one_inequality_reversed(monkeypatch):
-    grid = jensen_grid
+    """The margin of the point the float oracle finds widest, negated:
+    c12 names that one point."""
+    margins_of = jensen_margins
 
     def reversed_at(a_max, x_steps):
-        points, lhs, rhs = grid(a_max, x_steps)
-        k = int(np.argmax(lhs - rhs))  # the widest margin, now a violation
-        lhs[k], rhs[k] = rhs[k], lhs[k]
-        return points, lhs, rhs
+        points, margins = margins_of(a_max, x_steps)
+        margins[k] = -margins[k]
+        return points, margins
 
-    monkeypatch.setattr(distributions, "jensen_grid", reversed_at)
-    points, lhs, rhs = reversed_at(10, 10)
-    want = ("jensen", *points[int(np.argmax(rhs - lhs))].tolist())
+    points, _ = jensen_margins(10, 10)
+    gaps = [lhs - rhs for lhs, rhs, _ in (jensen_pair_check(a0, a1, a2, Fraction(xi, 10))
+                                          for a0, a1, a2, xi in points.tolist())]
+    k = int(np.argmax(gaps))  # the widest margin, now a violation
+    monkeypatch.setattr(distributions, "jensen_margins", reversed_at)
     res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=1000))
     assert not res.passed
-    assert res.fields["details"]["failures"] == [want]
+    assert res.fields["details"]["failures"] == [("jensen", 1, 10, 10, 5)]
+    assert points[k].tolist() == [1, 10, 10, 5]
 
 
 C12_XS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -599,6 +611,31 @@ def test_asymptotic_probe():
     res = asymptotic_dominance_probe(50, seed=3, samples=1500)
     assert res.passed, res.fields["worst_shortfall"]
     assert res.fields["cells"] >= 1
+
+
+def test_probe_option_count_matches_the_oracle():
+    """The probe's structural X_u equals option_count on the downset-top
+    family of the rotation poset, at every downset, for several reveal
+    orders and every chain."""
+    draw = rng.Xoshiro256StarStar(11)
+    cases = 0
+    for n in (6, 8, 10, 12, 16):
+        for seed in range(30):
+            rposet = build_rotation_poset(random_instance(n, seed))
+            chains = rposet.m_chains + rposet.w_chains
+            fam = downset_top_family(TangledGrid(rposet.finite_poset, rposet.m_chains,
+                                                 rposet.w_chains))
+            prefix, suffix = distributions._chain_closures(rposet.finite_poset, chains)
+            for member in fam.members:
+                tops = [0 if e < 0 else chain.index(e) + 1 for chain, e in zip(chains, member)]
+                for _ in range(4):
+                    order = tuple(draw.permutation(2 * n))
+                    for pos, u in enumerate(order):
+                        got = distributions._chain_option_count(prefix, suffix, tops,
+                                                                order[:pos], u)
+                        assert got == option_count(fam, member, order, u), (n, seed, order, u)
+                        cases += 1
+    assert cases > 30000
 
 
 @pytest.mark.parametrize("n, samples, cause", [

@@ -1,9 +1,11 @@
+import ast
+import inspect
 import time
 from math import comb
 
 import pytest
 
-from oracles import build_rotation_poset_bfs
+from oracles import build_rotation_poset_bfs, exposed_rotations_by_scan
 from smcensus import matchings, posets, rotations, verify
 from smcensus.instances import (PreferenceProfile, instance_I2, irving_leather,
                                 random_instance)
@@ -63,7 +65,7 @@ def test_eliminate_agrees_with_exposure_oracle():
             [random_instance(n, 300 + n) for n in range(3, 9)]:
         rposet = build_rotation_poset(profile)
         for matching in stable_matching_bijection(profile, rposet).values():
-            exposed = exposed_rotations(profile, matching)
+            exposed = exposed_rotations_by_scan(profile, matching)
             for rot in rposet.rotations:
                 if any(matching[u] != v for u, v in rot.edges):
                     continue
@@ -206,9 +208,9 @@ def test_builder_ids_are_chain_steps():
     for profile in profiles + [irving_leather(k) for k in range(5)]:
         m = gale_shapley(profile, "jobs")
         for step, rot in enumerate(build_rotation_poset(profile).rotations):
-            assert exposed_rotations(profile, m)[0] == rot, step
+            assert exposed_rotations_by_scan(profile, m)[0] == rot, step
             m = eliminate(m, rot, profile)
-        assert exposed_rotations(profile, m) == []
+        assert exposed_rotations_by_scan(profile, m) == []
         assert m == gale_shapley(profile, "applicants")
 
 
@@ -234,18 +236,32 @@ def _chain_sources():
 def test_successor_table_matches_oracle_along_chain(pick):
     """At every step of a maximal elimination chain (the builder's, which
     takes the first exposed rotation, and the one taking the last) the
-    incrementally kept table exposes what the from-scratch oracle does."""
+    incrementally kept table, and a fresh one read by `exposed_rotations`,
+    expose what the from-scratch oracle does."""
     for profile in _chain_sources():
         table = rotations._SuccessorTable(profile, gale_shapley(profile, "jobs"))
         steps = 0
         while True:
             exposed = table.exposed()
-            assert exposed == exposed_rotations(profile, tuple(table.matching)), steps
+            matching = tuple(table.matching)
+            assert exposed == exposed_rotations_by_scan(profile, matching), steps
+            assert exposed == exposed_rotations(profile, matching), steps
             if not exposed:
                 break
             table.eliminate(exposed[pick])
             steps += 1
         assert tuple(table.matching) == gale_shapley(profile, "applicants")
+
+
+@pytest.mark.parametrize("oracle", [build_rotation_poset_bfs, exposed_rotations_by_scan])
+def test_oracles_do_not_read_the_successor_table(oracle):
+    """The lattice BFS and its exposure scan check the chain builder's
+    successor table, so neither may reach that table, directly or
+    through `exposed_rotations`."""
+    tree = ast.parse(inspect.getsource(oracle))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"_SuccessorTable", "exposed_rotations"}
 
 
 def _count_calls(monkeypatch, name, module=rotations):
@@ -261,7 +277,7 @@ def _count_calls(monkeypatch, name, module=rotations):
 
 
 def test_builder_scans_each_chain_state_once(monkeypatch):
-    oracle_calls = _count_calls(monkeypatch, "exposed_rotations")
+    exposed_calls = _count_calls(monkeypatch, "exposed_rotations")
     single_calls = _count_calls(monkeypatch, "is_stable")
     batch_calls = _count_calls(monkeypatch, "stable_rows")
     for profile in (instance_I2(), irving_leather(3), random_instance(50, 4601)):
@@ -273,7 +289,7 @@ def test_builder_scans_each_chain_state_once(monkeypatch):
         assert len(states) == len(set(states)) == len(rposet.rotations) + 1
         assert states[0] == gale_shapley(profile, "jobs")
         assert states[-1] == gale_shapley(profile, "applicants")
-    assert oracle_calls == single_calls == []
+    assert exposed_calls == single_calls == []
 
 
 def test_bijection_keeps_the_state_cap(monkeypatch):

@@ -6,6 +6,9 @@ control applies one targeted fault by monkeypatching and requires the
 criterion to FAIL through run_verify_suite, the path the CLI takes.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,14 +82,26 @@ def _one_matching_too_many(monkeypatch):
     monkeypatch.setattr(counting, "count_perfect_matchings", lambda g: real(g) + 1)
 
 
+def _ceiling_floor(base: int, n: int) -> int:
+    """floor((base / 100)^n), exactly."""
+    return base ** n // 100 ** n
+
+
+def _counts_past_the_ceiling(monkeypatch):
+    # every instance's stable-matching count one past floor(3.55^n)
+    real = verify.run_sweep
+    monkeypatch.setattr(verify, "run_sweep", lambda config: [
+        dict(r, brute_count=_ceiling_floor(355, r["n"]) + 1) for r in real(config)])
+
+
 # check id -> a fault it must fail under.  c01's is `verify --inject-fault`;
-# c04, c06 and c08-c13 have theirs beside the code they test; c14 has none,
-# for the reason the README gives
+# c04, c06 and c08-c13 have theirs beside the code they test
 FAULTS = {
     "c02": _chains_unordered,
     "c03": _m_chains_reversed,
     "c05": _option_counts_inflated,
     "c07": _one_matching_too_many,
+    "c14": _counts_past_the_ceiling,
 }
 
 
@@ -96,3 +111,41 @@ def test_criterion_fails_under_its_fault(monkeypatch, check_id):
     [res] = verify.run_verify_suite(verify.RunConfig(), [check_id])
     assert (res.check, res.passed) == (check_id, False)
     assert res.fields["details"]["failures"]
+
+
+def test_c07_fails_when_a_complete_graph_falls_short_of_its_bound(monkeypatch):
+    # one matching too few passes every random row but breaks the equality
+    # K_{n,n} attains, n! = the bound
+    real = counting.count_perfect_matchings
+    monkeypatch.setattr(counting, "count_perfect_matchings", lambda g: max(real(g) - 1, 0))
+    [res] = verify.run_verify_suite(verify.RunConfig(), ["c07"])
+    assert not res.passed
+    assert [f[:2] for f in res.fields["details"]["failures"]] == [("complete", n)
+                                                                 for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("key, base, max_n", [("brute_count", 355, None),
+                                              ("grid_downsets", 1111, 6)],
+                         ids=["matchings-3.55", "grid-11.11"])
+def test_c14_decides_at_the_floor_of_each_ceiling(key, base, max_n):
+    """At every n of the plan (the grid rows stop at n = 6), a count of
+    floor(ceiling^n) passes and one more fails."""
+    config = verify.RunConfig()
+    sweep = verify.run_sweep(config)
+    ns = sorted({r["n"] for r in sweep if max_n is None or r["n"] <= max_n})
+    assert ns == list(range(1, (max_n or config.max_n) + 1))
+    for n in ns:
+        for extra, passed in ((0, True), (1, False)):
+            count = _ceiling_floor(base, n) + extra
+            rows = [dict(r, **{key: count}) if r["n"] == n else r for r in sweep]
+            res = verify.criterion_global_sanity(config, rows)
+            assert res.passed is passed, (n, count)
+
+
+def test_verify_holds_no_float_allowance():
+    """A criterion decides exactly or by record.SE_RULE standard errors:
+    verify.py has no float literal below 1e-6 to act as a tolerance."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    small = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, float) and abs(node.value) < 1e-6]
+    assert small == []
