@@ -13,32 +13,26 @@ add, den the same with scale 1 and add 0, multiplied left to right), and
 the constant c of the term majorant.  The int value of the factor data
 gives ``series_coefficient`` its one ``Fraction``, and its coefficients,
 multiplied out, give ``verify_term_majorants`` its proof of
-c den(k) - k^2 num(k) >= 0; the
-float kernel of ``gap_log_series`` sums (log k num(k)) / den(k) with the
-same factors in the same order and bounds the tail by c.  c10's
-``integral_check`` integrates the expanded law (``line_gap_pmf_poly``,
-built from ``distributions.line_gap_terms``) and compares it with this
-closed form, which stays the labelled oracle for the law.
+c den(k) - k^2 num(k) >= 0; the float kernel ``_term_chunks`` evaluates
+(log k num(k)) / den(k) with the same factors in the same order, and
+``gap_log_series`` bounds the tail by c.  c10's ``integral_check``
+integrates the expanded law (``line_gap_pmf_poly``, built from
+``distributions.line_gap_terms``) and compares it with this closed form,
+which stays the labelled oracle for the law.
 
-The series sums run in blocks of _BLOCK terms, and both float kernels
-evaluate chunks of at most _CHUNK values of k in buffers allocated once
-per call; no kernel holds a block.  A window array holds k .. k+m+span-1
-for a chunk of m values and steps forward in place; each factor k + s is
-its shifted view window[s:s+m], exact as every value is an integer below
-2^53.  Every term is the same sequence of elementwise operations as in one
-block-sized array, so the results are bit-identical to it.
-``gap_log_series`` follows numpy's pairwise tree over each block
-(``_pairwise_sum``): it splits the block as numpy's pairwise_sum does
-down to leaves of at most max(_CHUNK, _PAIRWISE_LEAF) terms, evaluates
-each leaf into the chunk buffers, takes its ``np.sum`` and adds the parts
-back in numpy's order, so each block sum is the bits of ``np.sum`` over
-the whole block, the order _SUM_PAD covers.  num's scale, a power of two,
-multiplies the block sum rather than each term: it commutes with every
-rounding.  The scan carries one running sum through its chunks in the
-order of one ``np.cumsum`` and keeps the first maximum.  The scan's
-ceiling holds at every n it covers by the error bound of recursive
-summation, and ``finite_reveal_log_ceiling`` carries it past the last n
-with the plain series.
+The scan and both series read their float terms from one kernel,
+``_term_chunks``: chunks of at most _CHUNK values of k in buffers
+allocated once per call.  A window array holds k .. k+m+span-1 for a
+chunk of m values and steps forward in place; each factor k + s is its
+shifted view window[s:s+m], exact as every value is an integer below
+2^53.  The scan carries one running sum through its chunks in the order
+of one ``np.cumsum`` and keeps the first maximum; ``gap_log_series``
+takes each chunk's ``np.sum`` in whatever order numpy takes and adds the
+chunk sums in order.  Both are certified by one rounding bound,
+``_drift``, on a float sum of nonnegative terms none of which passes
+through more than a given number of additions.  The scan's ceiling holds
+at every n it covers, and ``finite_reveal_log_ceiling`` carries it past
+the last n with the plain series.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -72,10 +66,8 @@ PLAIN_LOG_LIMIT = 1.2038
 EXTENDED_LOG_LIMIT = 0.6331
 SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series takes
 
-_SUM_PAD = 1e-10  # covers term evaluation and pairwise-summation rounding
-_BLOCK = 10 ** 6  # terms per block: one pairwise sum of the series, added in order
-_CHUNK = 1 << 15  # values per evaluation chunk or series leaf: its buffers stay in cache
-_PAIRWISE_LEAF = 128  # numpy's pairwise_sum adds this many values without a split
+_SUM_PAD = 1e-10  # covers the rounding of each float term and of the steps after a sum
+_CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
 
 
 def _factorial_row(n: int, fact: list[int]) -> list[int]:
@@ -149,14 +141,15 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
 
     Write f(n) = 2 log(n+1)/(n+1) + 2 (n+2)/(n+1) S_n, S_n the sum of
     t_k = log k / ((k+1)(k+2)) over 2 <= k <= n; t'_k >= 0 are the float
-    terms, s'_n their float running sum (one rounded add per term), f'(n)
+    terms (the plain law's from ``_term_chunks``, whose num 2 is all
+    scale), s'_n their float running sum (one rounded add per term), f'(n)
     the float f from s'_n, u = 2^-53, gamma_m = m u / (1 - m u),
     gamma = gamma_(limit-2) and s' = s'_limit.  Then at every n <= limit:
     1. |s'_n - sum_(k<=n) t'_k| <= gamma_(n-2) sum_(k<=n) t'_k, recursive
        summation of n - 1 nonnegative terms (Higham, Accuracy and Stability
        of Numerical Algorithms, sec. 4.2), and gamma_(n-2) <= gamma;
     2. sum_(k<=n) t'_k <= sum_(k<=limit) t'_k <= s' / (1 - gamma) by 1, so
-       that error is at most D = gamma s' / (1 - gamma);
+       that error is at most D = gamma s' / (1 - gamma), ``_drift``;
     3. f puts 2 (n+2)/(n+1) <= 8/3 on it (n >= 2; f(1) has no sum), and
        2 _SUM_PAD = 2e-10 covers the rounding of the terms (np.log within a
        few ulps), of f from s'_n and of D, about 1e-15 in all;
@@ -167,23 +160,16 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
         raise ValueError("limit must be >= 1")
     best_v, best_n = 2 * math.log(2) / 2, 1
     run = 0.0  # the running sum at the last k scanned
-    m = min(_CHUNK, limit - 1)
-    kk = np.arange(2, m + 4, dtype=np.float64)  # the window k .. k+m+1
-    logs = np.empty(m + 1)  # log k .. log(k+m)
-    cs = np.empty(m)  # the terms, then their running sum
-    f = np.empty(m)
-    for at in range(2, limit + 1, _CHUNK):
-        n = min(_CHUNK, limit + 1 - at)
+    f = np.empty(min(_CHUNK, limit - 1))
+    for kk, logs, terms in _term_chunks(GAP_INTEGRALS[PLAIN], 2, limit):
+        n = len(terms)
         k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
-        np.log(kk[:n + 1], out=logs[:n + 1])
-        terms = np.multiply(k1, k2, out=cs[:n])
-        np.divide(logs[:n], terms, out=terms)
         terms[0] += run
         np.cumsum(terms, out=terms)
         run = float(terms[-1])
         # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at a
         # time in that order; logs[:n] is free once the terms are made
-        fk = np.multiply(logs[1:n + 1], 2.0, out=f[:n])
+        fk = np.multiply(logs[1:], 2.0, out=f[:n])
         fk /= k1
         rest = np.multiply(k2, 2.0, out=logs[:n])
         rest /= k1
@@ -192,10 +178,7 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
         i = int(np.argmax(fk))
         if float(fk[i]) > best_v:
             best_v, best_n = float(fk[i]), int(kk[i])
-        kk += n
-    adds = max(limit - 2, 0) * 2.0 ** -53  # m u for gamma_m
-    gamma = adds / (1 - adds)
-    drift = gamma * run / (1 - gamma)
+    drift = _drift(max(limit - 2, 0), run)
     return ScanResult(best_v, best_n, best_v + 8 / 3 * drift + 2 * _SUM_PAD)
 
 
@@ -288,31 +271,50 @@ GAP_INTEGRALS = {
 }
 
 
-def _pairwise_sum(leaf, n: int, cap: int) -> float:
-    """np.sum of n values in numpy's pairwise order without holding them:
-    split n as numpy's pairwise_sum does (the left part n // 2 rounded down
-    to a multiple of 8) until a part holds at most cap values, take
-    leaf(m), the np.sum of the next m values, left to right, and add the
-    parts back in that order.  numpy sums up to _PAIRWISE_LEAF values in
-    one unrolled loop and never splits them, so cap must be at least that;
-    then each leaf is a subtree of numpy's own and the result its bits."""
-    if n <= cap:
-        return leaf(n)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(leaf, half, cap) + _pairwise_sum(leaf, n - half, cap)
+def _term_chunks(law: GapIntegral, first: int, last: int):
+    """The float terms (log k num(k)) / den(k) / num.scale, k = first ..
+    last, in chunks of at most _CHUNK: per chunk of n values the window
+    (k .. k+n+span-1 first), log k .. log(k+n) and the n terms, views valid
+    until the next chunk.  A num with shifts puts den in the logs' buffer.
+    The scale, a power of two, is the caller's: it moves no bit."""
+    unit = law.num._replace(scale=1, add=law.num.add // law.num.scale)
+    m = min(_CHUNK, last - first + 1)
+    span = max(law.num.shifts + law.den.shifts)
+    kk = np.arange(first, first + m + span, dtype=np.float64)
+    logs, work = np.empty(m + 1), np.empty(m)
+    for at in range(first, last + 1, _CHUNK):
+        n = min(_CHUNK, last + 1 - at)
+        logk = np.log(kk[:n + 1], out=logs[:n + 1])[:n]
+        if unit.shifts:  # unit * log k: the product commutes exactly
+            terms = unit.fill(kk, n, work[:n])
+            terms *= logk
+            terms /= law.den.fill(kk, n, logs[:n])
+        else:  # a constant num is all scale: unit is 1
+            terms = np.divide(logk, law.den.fill(kk, n, work[:n]), out=work[:n])
+        yield kk, logs[:n + 1], terms
+        kk += n
+
+
+def _drift(adds: int, s: float) -> float:
+    """How far a float sum s of nonnegative terms lies from their exact sum
+    S when no term passes through more than `adds` additions, in any order:
+    |s - S| <= gamma S <= gamma s / (1 - gamma), gamma = adds u / (1 - adds u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)."""
+    mu = adds * 2.0 ** -53
+    gamma = mu / (1 - mu)
+    return gamma * s / (1 - gamma)
 
 
 def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     """Enclosure of sum_k log k * int_0^1 pmf_k dx truncated at K.
 
-    The terms (log k num(k)) / den(k) come from GAP_INTEGRALS, one leaf of
-    each block's pairwise tree at a time, into two chunk buffers: logs
-    holds log k, work num(k) / scale, and whichever is free takes den.
-    The scale, a power of two, multiplies each block sum instead of each
-    term, which moves no bit.  The tail past K is at most the integral
-    from K of c log k / k^2 (see verify_term_majorants), which is
-    decreasing past e: c (log K + 1) / K.
+    The heads, then each chunk's ``np.sum`` of ``_term_chunks``, in any
+    order numpy takes, times num's scale, added in order: a term passes
+    through at most _CHUNK - 1 additions in its chunk and one per chunk and
+    head after it, which ``_drift`` bounds; _SUM_PAD covers each term's
+    rounding.  The tail past K is at most the integral from K of
+    c log k / k^2 (see verify_term_majorants), decreasing past e:
+    c (log K + 1) / K.
     """
     law = GAP_INTEGRALS[check_variant(variant)]
     min_k = SERIES_MIN_TRUNCATION[variant]
@@ -321,30 +323,11 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     partial = 0.0
     for k, (num, den) in law.heads.items():
         partial += math.log(k) * num / den
-    scale = law.num.scale  # num = scale * unit, exactly in floats too
-    unit = law.num._replace(scale=1, add=law.num.add // scale)
-    first = max(2, law.start)
-    cap = max(_CHUNK, _PAIRWISE_LEAF)
-    m = min(cap, K - first + 1)
-    span = max(law.num.shifts + law.den.shifts)
-    kk = np.arange(first, first + m + span, dtype=np.float64)  # k .. k+m+span-1
-    logs, work = np.empty(m), np.empty(m)
-
-    def leaf(n: int) -> float:
-        logk = np.log(kk[:n], out=logs[:n])
-        if unit.shifts:  # terms = unit * log k: the product commutes exactly
-            terms, free = unit.fill(kk, n, work[:n]), logs
-            terms *= logk
-        else:  # a constant num is all scale: unit is 1
-            terms, free = logk, work
-        terms /= law.den.fill(kk, n, free[:n])
-        np.add(kk, n, out=kk)
-        return float(np.sum(terms))
-
-    for lo in range(first, K + 1, _BLOCK):
-        partial += scale * _pairwise_sum(leaf, min(_BLOCK, K + 1 - lo), cap)
+    for chunks, (_, _, terms) in enumerate(_term_chunks(law, max(2, law.start), K), 1):
+        partial += law.num.scale * float(np.sum(terms))
+    pad = _drift(_CHUNK - 1 + chunks + len(law.heads), partial) + _SUM_PAD
     tail = law.c * (math.log(K) + 1.0) / K
-    return Interval(partial - _SUM_PAD, partial + tail + _SUM_PAD, K)
+    return Interval(partial - pad, partial + tail + pad, K)
 
 
 def verify_term_majorants(variant: str) -> bool:
@@ -444,7 +427,8 @@ REPORT_DIGITS = 12  # significant digits of each reported bound value
 
 def bound_report(n: int) -> dict:
     """Per-n values of the exponential bounds at 50-digit working precision,
-    plus the one-time base comparisons."""
+    plus the one-time base comparisons, each decided on ``mpmath.iv``
+    intervals: a straddling one (its comparison is None) counts as False."""
     if n < 1:
         raise ValueError("n must be >= 1")
     import mpmath as mp
@@ -457,11 +441,8 @@ def bound_report(n: int) -> dict:
             "exp(1.2663 n)": mp.exp(mp.mpf("1.2663") * n),
             "3.55^n": mp.mpf("3.55") ** n,
         }
-        checks = {
-            "exp(2.4076) <= 11.11": mp.exp(mp.mpf("2.4076")) <= mp.mpf("11.11"),
-            "exp(1.2662) <= 3.55": mp.exp(mp.mpf("1.2662")) <= mp.mpf("3.55"),
-            "exp(1.2663) <= 3.55": mp.exp(mp.mpf("1.2663")) <= mp.mpf("3.55"),
-        }
+        checks = {f"exp({e}) <= {base}": (mp.iv.exp(mp.iv.mpf(e)) <= mp.iv.mpf(base)) is True
+                  for e, base in (("2.4076", "11.11"), ("1.2662", "3.55"), ("1.2663", "3.55"))}
         return {
             "n": n,
             "values": {k: mp.nstr(v, REPORT_DIGITS) for k, v in values.items()},

@@ -59,7 +59,6 @@ from .rng import (ScanTable, Xoshiro256StarStar, XoshiroLanes, bernoulli_thresho
 PLAIN = "plain"
 EXTENDED = "extended"
 
-MC_BLOCK = 1024  # gap_dependence_cells draws whole blocks, shared by its patterns
 SLOTS = (-1, 0, 1, 2)
 
 
@@ -467,21 +466,20 @@ def gap_dependence_cells(x: float, patterns, seed: int,
     draws once and computes the independent gaps and their logs once;
     each pattern then adds one dependent gap computation.  A pattern
     passes iff its dependent mean does not exceed the independent one by
-    more than SE_RULE standard errors of its paired difference.  The
-    sample count is rounded up to whole blocks of MC_BLOCK and drawn in
-    the balanced rounds of ``rng.lane_rounds``; a pattern's result does
-    not depend on which other patterns share the draw.
+    more than SE_RULE standard errors of its paired difference.  Exactly
+    ``samples`` lanes are drawn, in the balanced rounds of
+    ``rng.lane_rounds``; a pattern's result does not depend on which
+    other patterns share the draw.
     """
     _check_x(x)
     _check_count(samples)
     patterns = [tuple(pattern) for pattern in patterns]
     classes = [_pattern_classes(pattern) for pattern in patterns]
     thr, scan = _marking(x)
-    total = -(-samples // MC_BLOCK) * MC_BLOCK
 
     sum_i = 0.0
     sums = [[0.0, 0.0, 0.0] for _ in patterns]  # per pattern: dependent, diff, diff^2
-    lanes, rounds = lane_rounds(seed, total)
+    lanes, rounds = lane_rounds(seed, samples)
     for m in rounds:
         branch, in_a, slot_u, down, up = _extended_draws(lanes, m, thr, scan)
         b_ind = {j: slot_u[j] < thr for j in SLOTS}
@@ -497,10 +495,10 @@ def gap_dependence_cells(x: float, patterns, seed: int,
 
     results = []
     for pattern, (sum_d, sum_diff, sum_diff2) in zip(patterns, sums):
-        mean_diff = sum_diff / total
-        var_diff = max(sum_diff2 / total - mean_diff * mean_diff, 0.0)
-        stderr = math.sqrt(var_diff / total)
-        results.append(GapDependenceResult(pattern, x, total, sum_d / total, sum_i / total,
+        mean_diff = sum_diff / samples
+        var_diff = max(sum_diff2 / samples - mean_diff * mean_diff, 0.0)
+        stderr = math.sqrt(var_diff / samples)
+        results.append(GapDependenceResult(pattern, x, samples, sum_d / samples, sum_i / samples,
                                            mean_diff, stderr, mean_diff <= SE_RULE * stderr))
     return results
 

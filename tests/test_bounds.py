@@ -1,7 +1,10 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
 # ------------------------------------------------------------------ oracles
 # The direct loops the bounds kernels replaced: (1-x)^m by repeated
 # multiplication, one Fraction per integral term and per Whitworth term,
-# one numpy array per 10^6-term block of the series, and one for the scan.
+# one numpy array per chunk of the series, and one for the scan.
 
 
 def _oracle_poly_mul(a, b):
@@ -80,19 +83,37 @@ def _oracle_num_den(k, variant):
     return 2 * k * (k + 7) + 72, (k + 3) * (k + 5) * (k + 6) * (k + 7)
 
 
-def _oracle_series(K, variant):
-    """gap_log_series with each block evaluated as one array."""
+def _oracle_terms(K, variant):
+    """The series' float terms up to K: the heads, then one array per chunk
+    of bounds._CHUNK values of k, evaluated at once."""
     law = GAP_INTEGRALS[variant]
-    partial = 0.0
-    for k, (num, den) in law.heads.items():
-        partial += math.log(k) * num / den
-    for lo in range(max(2, law.start), K + 1, 10 ** 6):
-        hi = min(lo + 10 ** 6 - 1, K)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
+    heads = [math.log(k) * num / den for k, (num, den) in law.heads.items()]
+    chunks = []
+    for lo in range(max(2, law.start), K + 1, bounds._CHUNK):
+        k = np.arange(lo, min(lo + bounds._CHUNK, K + 1), dtype=np.float64)
         num, den = _oracle_num_den(k, variant)
-        partial += float(np.sum(np.log(k) * num / den))
-    tail = law.c * (math.log(K) + 1.0) / K
-    return Interval(partial - 1e-10, partial + tail + 1e-10, K)
+        chunks.append(np.log(k) * num / den)
+    return heads, chunks
+
+
+def _oracle_partial(K, variant):
+    """The heads and then each chunk's np.sum, added in order, and the most
+    additions any one term passes through."""
+    heads, chunks = _oracle_terms(K, variant)
+    partial = 0.0
+    for part in heads + [float(np.sum(chunk)) for chunk in chunks]:
+        partial += part
+    return partial, bounds._CHUNK - 1 + len(chunks) + len(heads)
+
+
+def _oracle_series(K, variant):
+    """gap_log_series from the per-chunk oracle, padded by the rounding
+    bound of its additions written out and 1e-10."""
+    partial, adds = _oracle_partial(K, variant)
+    gamma = adds * 2.0 ** -53 / (1 - adds * 2.0 ** -53)
+    pad = gamma * partial / (1 - gamma) + 1e-10
+    tail = GAP_INTEGRALS[variant].c * (math.log(K) + 1.0) / K
+    return Interval(partial - pad, partial + tail + pad, K)
 
 
 def _oracle_scan(limit):
@@ -127,11 +148,8 @@ def _traced_peak_mib(call):
             tracemalloc.stop()
 
 
-# the smallest truncation, one past a chunk, and across the 10^6-term block
-# ends, with a partial chunk at each block's end; then a last block of 1, 8,
-# 128 and 129 terms after the first (which starts at k = 2 plain, 4
-# extended): one value, one unrolled numpy loop, numpy's largest unsplit sum
-# and one past it
+# the smallest truncation, one past a chunk, and long sums of 31 to 62
+# chunks ending at assorted offsets into their last chunk
 @pytest.mark.parametrize("K", [10, (1 << 15) + 1, 10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1,
                                2 * 10 ** 6 + 12345] +
                          [10 ** 6 + first - 1 + last for first in (2, 4)
@@ -147,9 +165,9 @@ def test_chunked_scan_equals_block_oracle(limit):
 
 
 # a first chunk of one value, chunk edges (one value short, exact and one
-# past) and, for the larger chunks, a 10^6-term block end they do not divide;
-# the series never splits numpy's 128-value sums, so at chunks 1 and 7 it
-# walks leaves of 128
+# past) and, for the larger chunks, a long sum of many chunks; the scan is
+# bitwise the one-array oracle at every chunk, the series the per-chunk
+# oracle at that chunk
 @pytest.mark.parametrize("chunk", [1, 7, 4099, bounds._CHUNK])
 def test_kernels_are_chunk_invariant(monkeypatch, chunk):
     monkeypatch.setattr(bounds, "_CHUNK", chunk)
@@ -192,23 +210,63 @@ def test_summation_bound_holds_at_every_n(monkeypatch, chunk):
     assert abs(margin - float(8 * drift / 3)) <= 4 * math.ulp(scan.certified_hi)
 
 
-# one value, the unrolled loop's edges, numpy's unsplit 128 and past it, a
-# split that 8 does not divide (136 halves to 64 + 72), chunk edges and a block
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, (1 << 15) - 1,
-                               (1 << 15) + 1, 10 ** 6])
-def test_pairwise_leaf_walk_equals_np_sum(n):
-    rng = np.random.default_rng(n)
-    values = rng.random(n) * 10.0 ** rng.integers(-6, 7, n)  # many exponents
-    for cap in (bounds._PAIRWISE_LEAF, 129, 4099, bounds._CHUNK):
-        at = 0
+# over three chunks and a partial one, at the real chunk and at a small one
+@pytest.mark.parametrize("chunk", [7, bounds._CHUNK])
+@pytest.mark.parametrize("variant", [PLAIN, EXTENDED])
+def test_series_sum_stays_within_its_drift_bound(monkeypatch, chunk, variant):
+    # the series' float partial sum lies within _drift of the exact sum of
+    # its float terms, whatever order numpy sums each chunk in
+    monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    K = max(2, GAP_INTEGRALS[variant].start) + 3 * chunk + 4
+    assert gap_log_series(K, variant) == _oracle_series(K, variant)
+    heads, chunks = _oracle_terms(K, variant)
+    partial, adds = _oracle_partial(K, variant)
+    assert adds == chunk - 1 + 4 + len(heads)
+    exact = sum(map(_scaled, heads + [t for part in chunks for t in part.tolist()]))
+    assert Fraction(abs(_scaled(partial) - exact), 1 << 1074) \
+        <= Fraction(bounds._drift(adds, partial))
 
-        def leaf(m):
-            nonlocal at
-            at += m
-            return float(np.sum(values[at - m:at]))
 
-        assert bounds._pairwise_sum(leaf, n, cap) == float(np.sum(values)), cap
-        assert at == n
+def test_series_enclosures_contain_the_exact_partial_sums():
+    # lo <= sum_(k<=K) log k series_coefficient(k) <= hi, the sum taken by
+    # mpmath at 30 digits from the exact coefficients, with no float kernel
+    cuts = [10, 10 ** 3, 10 ** 4, bounds._CHUNK + 2]
+    with mp.workdps(30):
+        logs = [mp.log(k) for k in range(1, cuts[-1] + 1)]
+        for variant in (PLAIN, EXTENDED):
+            total, done = mp.mpf(0), min(GAP_INTEGRALS[variant].heads,
+                                         default=GAP_INTEGRALS[variant].start) - 1
+            for K in cuts:
+                coeffs = (series_coefficient(k, variant) for k in range(done + 1, K + 1))
+                total += mp.fsum(logs[k - 1] * c.numerator / c.denominator
+                                 for k, c in enumerate(coeffs, done + 1))
+                done = K
+                iv = gap_log_series(K, variant)
+                assert iv.lo <= total <= iv.hi, (variant, K)
+
+
+def test_series_enclosures_contain_the_series_values():
+    # the 30-digit values of both series (the baseline's Euler-Maclaurin
+    # evaluation) lie in the enclosures at 10^5 and 10^7 terms
+    for variant, value in ((PLAIN, 1.20356491674961), (EXTENDED, 0.693972344676595)):
+        for K in (10 ** 5, 10 ** 7):
+            iv = gap_log_series(K, variant)
+            assert iv.lo <= value <= iv.hi, (variant, K)
+
+
+def test_only_the_term_kernel_takes_logs():
+    # the scan and the series read their terms from one kernel, so they
+    # cannot evaluate their terms two ways
+    tree = ast.parse(inspect.getsource(bounds))
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_term_chunks")
+
+    def np_logs(node):
+        return sum(isinstance(sub, ast.Attribute) and sub.attr == "log"
+                   and isinstance(sub.value, ast.Name) and sub.value.id == "np"
+                   for sub in ast.walk(node))
+
+    assert np_logs(tree) == np_logs(kernel) == 1
 
 
 def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
@@ -350,9 +408,10 @@ def test_extended_series_value_exceeds_historic_limit():
 
 
 def test_series_enclosures_are_bit_exact():
-    # the float partial sums keep one operation order; these are its bits
-    for variant, lo, hi in ((PLAIN, 1.2033146628953877, 1.203564921604687),
-                            (EXTENDED, 0.6937221040351844, 0.6939723627444838)):
+    # the bits of np.sum over each chunk in the installed numpy's order; a
+    # numpy that sums in another order moves them, within the drift bound
+    for variant, lo, hi in ((PLAIN, 1.2033146628910094, 1.203564921609065),
+                            (EXTENDED, 0.6937221040326607, 0.6939723627470082)):
         iv = gap_log_series(10 ** 5, variant)
         assert (iv.lo, iv.hi) == (lo, hi), variant
 
@@ -506,7 +565,15 @@ def test_pmf_polynomials_evaluate_to_pmf():
 def test_bound_report():
     rep = bound_report(3)
     assert all(rep["checks"].values())
+    assert all(type(ok) is bool for ok in rep["checks"].values())
     assert rep["values"]["3.55^n"] == "44.738875"
     assert float(rep["values"]["exp(2.4076 n)"]) < float(rep["values"]["11.11^n"])
     with pytest.raises(ValueError):
         bound_report(0)
+
+
+def test_base_checks_count_a_straddling_interval_as_false(monkeypatch):
+    # at 4 bits every exp interval overlaps its base, so no check can pass
+    monkeypatch.setattr(mp.iv, "prec", 4)
+    checks = bound_report(1)["checks"]
+    assert len(checks) == 3 and not any(checks.values())

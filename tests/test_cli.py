@@ -199,14 +199,14 @@ CLI_REPORT_BYTES = [
     (["grids", "--n", "4", "--seed", "2"], 0,
      "56b2974f378dde8dbf31547cbb19b9b0692946e9f17c669dae083883fd6a67da"),
     (["series", "--which", "tg", "--truncate", "100000"], 0,
-     "c82bbc6a7b7a33cf71c89bd829e36e8e21dc213062f713138aa3083ab10e8d81"),
+     "0acf2b73eee225c0910d26c4e201a3443167f3185a9a4b37dc2ebba4fa68e0cc"),
     (["series", "--which", "sm", "--truncate", "100000"], 1,
-     "abd289f912bf4f3a2bbda7e53adee9458b21835a6eee69dded272f6cb425d7be"),
-    # past the first 10^6-term block, ending partway through a chunk
+     "16e87df6fc9356bd718219b561594754964bdd8606d870e0a085c69d98d1ebce"),
+    # 61 whole chunks and part of one more
     (["series", "--which", "tg", "--truncate", "2000017"], 0,
-     "fc4b3bbed49fd8a719bb6b46b850fce08b8197fcc9fead84bb308c1ea36793e6"),
+     "291aa74d302d42046817c49c5fc7df9100d64e67523f7c2d8a9f1c50d836d520"),
     (["series", "--which", "sm", "--truncate", "2000017"], 1,
-     "e94ae04a0fa7e11492c42801a5a3d9e6c4a316b2ccccbbda75e591168e5aa44a"),
+     "8eb829258fcb1c47b4c14f02025abaa196ad1797cf18e124a6e4b16d49881693"),
     (["bounds", "--n", "3"], 0,
      "f14d13af67ec82452f109448ffc34faf84e74d81da9671a43eb5e92acd92d836"),
     (["simulate", "--kind", "cyclic", "--n", "5", "--l", "3", "--samples", "2000"], 0,
@@ -216,7 +216,7 @@ CLI_REPORT_BYTES = [
     (["simulate", "--kind", "extended", "--x", "0.3", "--samples", "2000"], 0,
      "679bb4679e02219f5bd6e1f6900b0c8e5cb476928de985a585eca35381361ccb"),
     (["simulate", "--kind", "dependence", "--x", "0.3", "--samples", "4000"], 0,
-     "e1e9bd5b085bdf4ea5e88756c67fb4d8340bd9039d836230fb76cf9852c79d4c"),
+     "b95cb4b8ff221e58bd449776ddf023075f9de9639291e1994364e0fff04ba4e8"),
     (["simulate", "--kind", "asymptotic", "--n", "50", "--samples", "1500"], 0,
      "796e693c1a7a29873c7d66471f4ddf396498b4b7d0dd7056ad103f0504e1eb95"),
     (["random", "--n", "4", "--seed", "7"], 0,
@@ -224,7 +224,7 @@ CLI_REPORT_BYTES = [
     # the identity and constants checks at the default 10^7 truncation and
     # 10^6 scan limit (c11 is the known extended-series failure)
     (["verify", "--only", "c10,c11"], 1,
-     "aab8ecabbcb114a1f738c7224cc4165bf325577a4087ca736892dd2d26045c7c"),
+     "7e5c88a51185f5d705bfb63af36a3be868affd337ac7ac6ab050586750c77419"),
     # the option-count bounds with their margins and the dominance check,
     # 200 Monte Carlo orders per family, at two seeds
     (["verify", "--only", "c06,c09", "--samples", "20000", "--seed", "42"], 0,
@@ -508,7 +508,7 @@ def test_verify_quick_run_report_bytes(quick_verify):
     # the quick run's report, byte for byte; a change to any value shows here
     text = "".join(line + "\n" for line in quick_verify[1])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        "0f7676013766a185e62ba7904c93aef0a4716f20f330ab60f1086ee05c1b84c7"
+        "c2c8d4667b3dbcffa52492dc60f483c68084acbdd3586fda4ac21e2b443da74a"
 
 
 @pytest.mark.slow

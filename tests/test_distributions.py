@@ -10,7 +10,7 @@ import pytest
 from oracles import (CyclicGapSampler, LineGapSampler, gap_from_slots_where,
                      jensen_pair_check, line_gap_log_mean, option_count)
 from smcensus import distributions, rng, verify
-from smcensus.distributions import (EXTENDED, FIT_CELLS, MC_BLOCK, PLAIN, SLOTS,
+from smcensus.distributions import (EXTENDED, FIT_CELLS, PLAIN, SLOTS,
                                     WINDOW_CAP,
                                     DistributionError, _gap_from_slots,
                                     asymptotic_dominance_probe,
@@ -554,8 +554,7 @@ def test_c12_fails_when_the_dependent_log_gap_is_shifted_up(monkeypatch):
         assert tag == "dependence" and diff_mean > SE_RULE * diff_stderr
 
 
-# 1000 is not a whole number of MC_BLOCKs; 40000 rounds up to 40 blocks
-# drawn in three lane rounds
+# one lane round, and 40000 drawn in three lane rounds
 @pytest.mark.parametrize("samples", [1000, 40000])
 def test_dependence_cells_equal_one_cell_views_bit_for_bit(samples):
     patterns = legal_identification_patterns()
@@ -565,7 +564,7 @@ def test_dependence_cells_equal_one_cell_views_bit_for_bit(samples):
         for pattern, cell in zip(patterns, cells):
             one = gap_dependence_check(x, pattern, seed=700 + xi, samples=samples)
             assert repr(cell) == repr(one), (x, pattern)  # float reprs round-trip exactly
-            assert cell.samples == -(-samples // MC_BLOCK) * MC_BLOCK
+            assert cell.samples == samples
 
 
 def test_c12_draws_once_per_x_for_all_five_patterns(monkeypatch):
@@ -579,7 +578,7 @@ def test_c12_draws_once_per_x_for_all_five_patterns(monkeypatch):
     monkeypatch.setattr(distributions, "_extended_draws", counted)
     res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=40000))
     assert res.fields["details"]["dependence_cells"] == 25
-    rounds = len(rng.lane_rounds(0, -(-40000 // MC_BLOCK) * MC_BLOCK)[1])
+    rounds = len(rng.lane_rounds(0, 40000)[1])
     assert rounds == 3
     assert next(calls) == 5 * rounds  # not 25 * rounds, one draw per cell
 
@@ -596,7 +595,7 @@ def test_identification_patterns():
 def test_dependence_check_small():
     res = gap_dependence_check(0.3, ((0, 2),), seed=1, samples=60000)
     assert res.passed
-    assert res.samples == 60416  # whole blocks of 1024
+    assert res.samples == 60000  # exactly the samples asked for
     empty = gap_dependence_check(0.3, (), seed=1, samples=20000)
     assert empty.passed and empty.diff_mean == 0.0
 
