@@ -16,9 +16,9 @@ multiplied out, give ``verify_term_majorants`` its proof of
 c den(k) - k^2 num(k) >= 0; the float kernel ``_term_chunks`` evaluates
 (log k num(k)) / den(k) with the same factors in the same order, and
 ``gap_log_series`` bounds the tail by c.  c10's ``integral_check``
-integrates the expanded law (``line_gap_pmf_poly``, built from
-``distributions.line_gap_terms``) and compares it with this closed form,
-which stays the labelled oracle for the law.
+integrates the law's terms (``distributions.line_gap_terms``) without
+reading any of this and compares the result with this closed form, which
+stays the labelled oracle for the law.
 
 The scan and both series read their float terms from one kernel,
 ``_term_chunks``: chunks of at most _CHUNK values of k in buffers
@@ -37,15 +37,18 @@ the last n with the plain series.
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
 so n! times the left side is N = sum_j C(m,j) g_n[j+a], and each triple is
-the test N (a+1) C(n-m+1, a+1) == (n+1)!, with no lcm and no division.
-``whitworth_sweep`` gets the N of every a at once as a binomial
-transform: from row = g_n, m steps row <- [row[s] + row[s+1]] leave
-row[a] = N.
+the test N (a+1) C(n-m+1, a+1) == (n+1)!, with no lcm and no division,
+the binomials read from one table per call.  ``whitworth_sweep`` gets the
+N of every a at once as a binomial transform: from row = g_n, m steps
+row <- [row[s] + row[s+1]] leave row[a] = N.
 
-The pmf integrals expand the law term by term: each (1 - x)^b row is one
-Pascal step from the row of b - 1, kept in a cache of the last
-_ROWS_KEPT rows, and the integral is one sum over the weight row
-L // (j + 1), L = lcm(1..d+1), kept for the longest polynomial so far.
+A pmf term a x^2 (1 - x)^b integrates to a V_b[2] / L, V_b[i] =
+L int_0^1 x^i (1 - x)^b dx, over the weight row W[i] = L // (i + 1),
+L = lcm(1..len W), kept for the longest polynomial so far.  V_0 = W, and
+Pascal's rule V_b[i] = V_(b-1)[i] - V_(b-1)[i+1] makes each V_b of an
+ascending sweep one subtraction per entry from the last _ROWS_KEPT rows
+kept (at most _MOMENT_CAP entries each); any other b expands the law
+into a polynomial, (1 - x)^b stepped likewise, for one sum over W.
 """
 
 from __future__ import annotations
@@ -70,24 +73,12 @@ _SUM_PAD = 1e-10  # covers the rounding of each float term and of the steps afte
 _CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
 
 
-def _factorial_row(n: int, fact: list[int]) -> list[int]:
-    """g_n[t] = t! (n-t)! for t = 0..n, so 1 / C(n, t) = g_n[t] / n!."""
-    return [fact[t] * fact[n - t] for t in range(n + 1)]
-
-
-def _factorials(top: int) -> list[int]:
-    fact = [1] * (top + 1)
-    for i in range(1, top + 1):
-        fact[i] = fact[i - 1] * i
-    return fact
-
-
 def _left_sides(n_max: int, fact: list[int]):
     """(n, m, row) for every m <= n <= n_max, where row[a] for a = 0..n-m is
     n! times the identity's left side: the binomial transform of g_n, one
     step row[s] + row[s+1] per increment of m."""
     for n in range(0, n_max + 1):
-        row = _factorial_row(n, fact)
+        row = [fact[t] * fact[n - t] for t in range(n + 1)]  # g_n
         for m in range(0, n + 1):
             yield n, m, row
             row = [lo + hi for lo, hi in zip(row, row[1:])]
@@ -107,11 +98,13 @@ def whitworth_sweep(n_max: int) -> int:
     checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    fact = _factorials(n_max + 1)
+    fact = [math.factorial(i) for i in range(n_max + 2)]
+    pascal = [[comb(N, j) for j in range(N + 1)] for N in range(n_max + 2)]
     checked = 0
     for n, m, row in _left_sides(n_max, fact):
+        binom = pascal[n - m + 1]
         for a, num in enumerate(row):
-            if num * (a + 1) * comb(n - m + 1, a + 1) != fact[n + 1]:
+            if num * (a + 1) * binom[a + 1] != fact[n + 1]:
                 raise IdentityError(m, a, n)
         checked += len(row)
     return checked
@@ -349,8 +342,10 @@ def verify_term_majorants(variant: str) -> bool:
 
 # ----------------------------------------------------------- pmf integrals
 
-_ROWS_KEPT = 4  # rows of (1 - x)^b kept: an extended pmf reads three consecutive b
+_ROWS_KEPT = 4  # rows kept per cache: an extended pmf reads three consecutive b
+_MOMENT_CAP = 256  # entries kept of a moment row, however long the weight row
 _rows: dict[int, list[int]] = {}  # b -> coefficients of (1 - x)^b, the last few built
+_moments: dict[int, list[int]] = {}  # b -> V_b, the last few built under the current W
 _weights: list = [1, [1]]  # [L, the row L // (j + 1)], L = lcm(1..len), longest so far
 
 
@@ -361,8 +356,32 @@ def _poly_int_01(coeffs: list[int]) -> Fraction:
     if len(coeffs) > len(_weights[1]):
         lcm = math.lcm(*range(1, len(coeffs) + 1))
         _weights[:] = [lcm, [lcm // (j + 1) for j in range(len(coeffs))]]
+        _moments.clear()
     lcm, row = _weights
     return Fraction(sum(map(operator.mul, coeffs, row)), lcm)
+
+
+def _moment_integral(k: int, variant: str) -> Fraction | None:
+    """sum a V_b[2] / L over the law's terms; None when a V_b is neither kept
+    nor in reach or ends before V_b[2], as on a W too short for the degree."""
+    total = 0
+    for a, b in line_gap_terms(k, variant):
+        if b not in _moments:
+            if b - 1 in _moments:
+                row, steps = _moments[b - 1], 1
+            elif b <= 8:  # where both c10 sweeps start
+                row, steps = _weights[1][:_MOMENT_CAP], b
+            else:
+                return None
+            for _ in range(steps):
+                row = list(map(operator.sub, row, row[1:]))
+            if len(_moments) >= _ROWS_KEPT:
+                del _moments[next(iter(_moments))]
+            _moments[b] = row
+        if len(_moments[b]) < 3:
+            return None
+        total += a * _moments[b][2]
+    return Fraction(total, _weights[0])
 
 
 def _one_minus_x_pow(b: int) -> list[int]:
@@ -414,9 +433,10 @@ def series_coefficient(k: int, variant: str) -> Fraction:
 
 
 def integral_check(k: int, variant: str = PLAIN) -> tuple[Fraction, Fraction, bool]:
-    """Integrate the pmf polynomial exactly and compare with the closed form."""
-    integral = _poly_int_01(line_gap_pmf_poly(k, variant))
+    """Integrate the pmf exactly, on its moment rows where they reach, else
+    as its expanded polynomial, and compare with the closed form."""
     closed = series_coefficient(k, variant)
+    integral = _moment_integral(k, variant) or _poly_int_01(line_gap_pmf_poly(k, variant))
     return integral, closed, integral == closed
 
 

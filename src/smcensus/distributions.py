@@ -330,28 +330,32 @@ def dominance_check(grid: TangledGrid, chain_index: int, l: int) -> CheckResult:
     return _dominance_report(n, chain_index, l, hists[l][chain_index])
 
 
-def _dominance_report(n: int, chain_index: int, l: int, hists: np.ndarray) -> CheckResult:
-    """Compare each member's option-count law, a row of the (member x
-    count) integer weight matrix ``hists``, with the cyclic gap law.
+def _gap_cdf(n: int, l: int) -> tuple:
+    """The cyclic gap law's support, its CDF there and the CDF's int64 parts."""
+    pmf = cyclic_gap_pmf(n, l)
+    cdf = list(accumulate(p for _, p in pmf))
+    return ([y for y, _ in pmf], cdf, np.array([p.numerator for p in cdf], dtype=np.int64),
+            np.array([p.denominator for p in cdf], dtype=np.int64))
+
+
+def _dominance_report(n: int, chain: int, l: int, hists: np.ndarray, law=None) -> CheckResult:
+    """Compare each member's option-count law, a row of the (member x count)
+    integer weight matrix ``hists``, with the cyclic gap law (``_gap_cdf``).
 
     Pr[X <= y] < Pr[gap <= y] is cum * den < num * total over integers,
     cum the row's cumulative weight at y and num / den the gap CDF there;
     Fractions are built only for the witnesses.
     """
-    pmf = cyclic_gap_pmf(n, l)
-    ys = [y for y, _ in pmf]
-    ref_cdf = list(accumulate(p for _, p in pmf))
+    ys, ref_cdf, num, den = law or _gap_cdf(n, l)
     totals = hists.sum(axis=1)
     cum = np.cumsum(hists, axis=1)[:, np.minimum(ys, hists.shape[1] - 1)]
-    num = np.array([p.numerator for p in ref_cdf], dtype=np.int64)
-    den = np.array([p.denominator for p in ref_cdf], dtype=np.int64)
     if int(totals.max(initial=0)) * int(den.max()) > INT64_MAX:
         raise DistributionError("option-count weights too large for the dominance check")
     below = cum * den < totals[:, None] * num
     witnesses = [(mi, ys[k], Fraction(int(cum[mi, k]), int(totals[mi])), ref_cdf[k])
                  for mi, k in zip(*(idx.tolist() for idx in np.nonzero(below)))]
     return CheckResult("dominance", not witnesses,
-                       {"chain": chain_index, "l": l, "witnesses": witnesses})
+                       {"chain": chain, "l": l, "witnesses": witnesses})
 
 
 def _conditional_option_histograms(fam: TupleFamily, n: int, chains, levels):
@@ -382,12 +386,13 @@ def _conditional_option_histograms(fam: TupleFamily, n: int, chains, levels):
 
 
 def dominance_check_grid(grid: TangledGrid) -> list[CheckResult]:
-    """dominance_check for every chain and every l, sharing one family and
-    one histogram request."""
+    """dominance_check for every chain and every l, sharing one family,
+    one histogram request and one gap law per l."""
     n = grid.n
     hists = _conditional_option_histograms(downset_top_family(grid), n, range(2 * n),
                                            range(2, n + 1))
-    return [_dominance_report(n, chain, l, hists[l][chain])
+    laws = {l: _gap_cdf(n, l) for l in range(2, n + 1)}
+    return [_dominance_report(n, chain, l, hists[l][chain], laws[l])
             for chain in range(2 * n) for l in range(2, n + 1)]
 
 
@@ -464,7 +469,7 @@ def gap_dependence_cells(x: float, patterns, seed: int,
     each difference estimator is tight: common random numbers between the
     dependent and independent gaps, and across the patterns.  Each round
     draws once and computes the independent gaps and their logs once;
-    each pattern then adds one dependent gap computation.  A pattern
+    each pattern identifying slots then adds one dependent gap.  A pattern
     passes iff its dependent mean does not exceed the independent one by
     more than SE_RULE standard errors of its paired difference.  Exactly
     ``samples`` lanes are drawn, in the balanced rounds of
@@ -474,7 +479,7 @@ def gap_dependence_cells(x: float, patterns, seed: int,
     _check_x(x)
     _check_count(samples)
     patterns = [tuple(pattern) for pattern in patterns]
-    classes = [_pattern_classes(pattern) for pattern in patterns]
+    classes = [c if any(j != c[j] for j in c) else None for c in map(_pattern_classes, patterns)]
     thr, scan = _marking(x)
 
     sum_i = 0.0
@@ -486,12 +491,9 @@ def gap_dependence_cells(x: float, patterns, seed: int,
         log_i = np.log(_gap_from_slots(in_a, b_ind, down, up, branch))
         sum_i += float(log_i.sum())
         for cls, cell in zip(classes, sums):
-            b_dep = {j: b_ind[cls[j]] for j in SLOTS}
-            log_d = np.log(_gap_from_slots(in_a, b_dep, down, up, branch))
-            diff = log_d - log_i
-            cell[0] += float(log_d.sum())
-            cell[1] += float(diff.sum())
-            cell[2] += float((diff * diff).sum())
+            log_d = log_i if cls is None else np.log(_gap_from_slots(  # None: no slot identified
+                in_a, {j: b_ind[cls[j]] for j in SLOTS}, down, up, branch))
+            _add_paired_sums(cell, log_d, log_i)
 
     results = []
     for pattern, (sum_d, sum_diff, sum_diff2) in zip(patterns, sums):
@@ -501,6 +503,14 @@ def gap_dependence_cells(x: float, patterns, seed: int,
         results.append(GapDependenceResult(pattern, x, samples, sum_d / samples, sum_i / samples,
                                            mean_diff, stderr, mean_diff <= SE_RULE * stderr))
     return results
+
+
+def _add_paired_sums(cell: list[float], log_d: np.ndarray, log_i: np.ndarray) -> None:
+    """Add one round's dependent, difference and squared-difference sums."""
+    diff = log_d - log_i
+    cell[0] += float(log_d.sum())
+    cell[1] += float(diff.sum())
+    cell[2] += float((diff * diff).sum())
 
 
 def _gap_from_slots(in_a, b, down, up, branch) -> np.ndarray:

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -480,9 +481,11 @@ def test_integral_checks():
 
 @pytest.fixture
 def cold_integral_caches():
-    """Empty the integral kernel's row and weight caches before and after."""
+    """Empty the integral kernel's row, moment-row and weight caches before
+    and after."""
     def clear():
         bounds._rows.clear()
+        bounds._moments.clear()
         bounds._weights[:] = [1, [1]]
 
     clear()
@@ -524,6 +527,8 @@ def test_integral_caches_stay_bounded(cold_integral_caches):
             assert integral_check(k, variant)[2]
             longest = max(longest, len(line_gap_pmf_poly(k, variant)))
             assert len(bounds._rows) <= bounds._ROWS_KEPT
+            assert len(bounds._moments) <= bounds._ROWS_KEPT
+            assert all(len(row) <= bounds._MOMENT_CAP for row in bounds._moments.values())
             assert len(bounds._weights[1]) == longest
     assert longest == 207
     # a shorter polynomial reuses the longest row and gives the same value
@@ -531,14 +536,97 @@ def test_integral_caches_stay_bounded(cold_integral_caches):
     assert len(bounds._weights[1]) == 207
 
 
-def test_pmf_polynomials_and_integrals_match_oracles():
+C10_SWEEP = [(k, PLAIN) for k in range(1, 201)] + [(k, EXTENDED) for k in range(2, 201)]
+
+
+@pytest.fixture(scope="module")
+def c10_oracle():
+    """(k, variant) -> (pmf polynomial, its integral) over c10's ranges,
+    from the oracle expansion, with no closed form and no kernel cache."""
     qpow = _oracle_powers(204)
-    for variant, first in ((PLAIN, 1), (EXTENDED, 2)):
-        for k in range(first, 201):
-            poly = _oracle_pmf_poly(k, variant, qpow)
-            assert line_gap_pmf_poly(k, variant) == poly, (variant, k)
-            integral, closed, ok = integral_check(k, variant)
-            assert integral == _oracle_int_01(poly) == closed and ok, (variant, k)
+    return {(k, variant): (poly, _oracle_int_01(poly))
+            for k, variant in C10_SWEEP
+            for poly in [_oracle_pmf_poly(k, variant, qpow)]}
+
+
+def test_pmf_polynomials_and_integrals_match_oracles(c10_oracle):
+    for (k, variant), (poly, integral) in c10_oracle.items():
+        assert line_gap_pmf_poly(k, variant) == poly, (variant, k)
+        assert integral_check(k, variant) == (integral, integral, True), (variant, k)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after_a_pass"])
+def test_integrals_in_any_order_match_the_expansion_oracle(cold_integral_caches, c10_oracle,
+                                                           order, warm):
+    # ascending runs the moment rows from plain into extended, descending
+    # and shuffled mostly the expanded polynomial, and every k agrees
+    sweep = {"ascending": C10_SWEEP, "descending": C10_SWEEP[::-1],
+             "shuffled": random.Random(38).sample(C10_SWEEP, len(C10_SWEEP))}[order]
+    if warm:
+        for k, variant in C10_SWEEP:
+            integral_check(k, variant)
+    for k, variant in sweep:
+        want = c10_oracle[k, variant][1]
+        assert integral_check(k, variant) == (want, want, True), (variant, k)
+
+
+def test_a_warm_ascending_sweep_expands_no_polynomial(cold_integral_caches, c10_oracle,
+                                                      monkeypatch):
+    for k, variant in C10_SWEEP:  # the first pass sets the weight row's length
+        integral_check(k, variant)
+    expanded = []
+    real = bounds.line_gap_pmf_poly
+    monkeypatch.setattr(bounds, "line_gap_pmf_poly",
+                        lambda k, variant: expanded.append(k) or real(k, variant))
+    for k, variant in C10_SWEEP:
+        assert integral_check(k, variant)[0] == c10_oracle[k, variant][1], (variant, k)
+    assert expanded == []
+
+
+def test_c10_sweep_after_a_high_degree(cold_integral_caches, c10_oracle):
+    # k = 5000 leaves a weight row of 5007 entries: the moment rows start
+    # from its first _MOMENT_CAP and stay exact under its L
+    assert integral_check(5000, EXTENDED)[2]
+    for k, variant in C10_SWEEP:
+        want = c10_oracle[k, variant][1]
+        assert integral_check(k, variant) == (want, want, True), (variant, k)
+        assert len(bounds._moments) <= bounds._ROWS_KEPT
+        assert all(len(row) <= bounds._MOMENT_CAP for row in bounds._moments.values())
+    assert len(bounds._weights[1]) == 5007
+
+
+def test_moment_rows_do_not_outlive_their_weight_row(cold_integral_caches, c10_oracle):
+    # rows kept under one L, then a longer weight row with a new L: the
+    # sweep goes on by the expanded polynomial, not from the old rows, and
+    # the moment rows start again from the new weight row at a low b
+    integral_check(300, PLAIN)
+    for k in range(1, 60):
+        assert integral_check(k, PLAIN)[2]
+    assert sorted(bounds._moments) == [55, 56, 57, 58]
+    old_lcm = bounds._weights[0]
+    integral_check(1000, PLAIN)
+    assert bounds._weights[0] != old_lcm and not bounds._moments
+    for k in [*range(60, 80), *range(1, 80)]:
+        want = c10_oracle[k, PLAIN][1]
+        assert integral_check(k, PLAIN) == (want, want, True), k
+    assert sorted(bounds._moments) == [75, 76, 77, 78]
+
+
+def test_the_moment_path_reads_no_closed_form():
+    # c10 checks the closed form against the law: the warm path's helpers,
+    # and every bounds function they call, never read it
+    tree = ast.parse(inspect.getsource(bounds))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), ["_moment_integral"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            names = {sub.id for sub in ast.walk(defs[name]) if isinstance(sub, ast.Name)}
+            todo.extend(names & defs.keys())
+            assert not names & {"GAP_INTEGRALS", "series_coefficient", "Factors"}, name
+    assert seen == {"_moment_integral"}
 
 
 @pytest.mark.parametrize("k, variant, error", [

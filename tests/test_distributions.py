@@ -493,28 +493,14 @@ def test_c12_fails_on_a_grid_with_one_inequality_reversed(monkeypatch):
 C12_XS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def scale_dependent_gaps(monkeypatch, shift: float) -> None:
-    """Multiply every dependent gap by e^shift: each paired log-gap
-    difference moves up by shift and keeps its standard error.  Each round
-    of gap_dependence_cells draws once, computes the independent gaps, then
-    one pattern's dependent gaps after another, so every gap computed after
-    the first since the last draw is a dependent one."""
-    real_gap, real_draws = distributions._gap_from_slots, distributions._extended_draws
-    independent_next = [False]
-
-    def draws(*args):
-        independent_next[0] = True
-        return real_draws(*args)
-
-    def scaled(*args):
-        gap = real_gap(*args)
-        if independent_next[0]:
-            independent_next[0] = False
-            return gap
-        return gap * math.exp(shift)
-
-    monkeypatch.setattr(distributions, "_extended_draws", draws)
-    monkeypatch.setattr(distributions, "_gap_from_slots", scaled)
+def shift_dependent_logs(monkeypatch, shift: float) -> None:
+    """Add shift to every dependent log gap where gap_dependence_cells sums
+    it, after a pattern identifying no slots has taken the independent logs
+    as its own: each paired log-gap difference moves up by shift and keeps
+    its standard error."""
+    real = distributions._add_paired_sums
+    monkeypatch.setattr(distributions, "_add_paired_sums",
+                        lambda cell, log_d, log_i: real(cell, log_d + shift, log_i))
 
 
 def test_dependence_check_decides_at_se_rule_standard_errors(monkeypatch):
@@ -522,7 +508,7 @@ def test_dependence_check_decides_at_se_rule_standard_errors(monkeypatch):
     assert base.passed and base.diff_stderr > 0
     for se, passed in ((SE_RULE - 1, True), (SE_RULE + 1, False)):
         with monkeypatch.context() as m:
-            scale_dependent_gaps(m, se * base.diff_stderr - base.diff_mean)
+            shift_dependent_logs(m, se * base.diff_stderr - base.diff_mean)
             res = gap_dependence_check(0.3, ((-1, 1),), seed=5, samples=20000)
         assert math.isclose(res.diff_mean, se * base.diff_stderr, rel_tol=1e-9)
         assert math.isclose(res.diff_stderr, base.diff_stderr, rel_tol=1e-9)
@@ -541,7 +527,7 @@ def test_c12_fails_when_the_dependent_log_gap_is_shifted_up(monkeypatch):
     monkeypatch.setattr(distributions, "gap_dependence_cells", spy)
     # identifying slots lowers E log gap by at most about 0.086 (x = 0.1,
     # both pairs identified), so a shift of 0.25 fails every cell
-    scale_dependent_gaps(monkeypatch, 0.25)
+    shift_dependent_logs(monkeypatch, 0.25)
     res = verify.criterion_jensen_and_dependence(verify.RunConfig(mc_samples=20000))
     assert not res.passed
     assert len(cells) == 25 and not any(cell.passed for cell in cells)
