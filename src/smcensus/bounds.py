@@ -20,19 +20,26 @@ integrates the law's terms (``distributions.line_gap_terms``) without
 reading any of this and compares the result with this closed form, which
 stays the labelled oracle for the law.
 
-The scan and both series read their float terms from one kernel,
-``_term_chunks``: chunks of at most _CHUNK values of k in buffers
-allocated once per call.  A window array holds k .. k+m+span-1 for a
-chunk of m values and steps forward in place; each factor k + s is its
-shifted view window[s:s+m], exact as every value is an integer below
-2^53.  The scan carries one running sum through its chunks in the order
-of one ``np.cumsum`` and keeps the first maximum; ``gap_log_series``
-takes each chunk's ``np.sum`` in whatever order numpy takes and adds the
-chunk sums in order.  Both are certified by one rounding bound,
-``_drift``, on a float sum of nonnegative terms none of which passes
-through more than a given number of additions.  The scan's ceiling holds
-at every n it covers, and ``finite_reveal_log_ceiling`` carries it past
-the last n with the plain series.
+The scan and both series are one pass, ``series_and_scan``, over one
+kernel, ``_term_chunks``: chunks of at most _CHUNK values of k in buffers
+allocated once per call.  A window array holds k .. k+m+span+1 for a
+step of m values and steps forward in place; each factor k + s is its
+shifted view, exact as every value is an integer below 2^53, which
+TRUNCATION_CAP keeps far below.  Each step takes np.log once over the
+window and makes every law's chunk from it: the plain law's from k = 2,
+the extended law's from k = 4 at an offset of two, so each law keeps its
+own chunk partition and each result is the one it gives alone.  The scan
+carries one running sum through the plain chunks in the order of one
+``np.cumsum`` and keeps the first maximum; each series takes each chunk's
+``np.sum`` in whatever order numpy takes and adds the chunk sums in
+order, before the scan's cumsum overwrites the plain terms they share.
+Both are certified by one rounding bound, ``_drift``, on a float sum of
+nonnegative terms none of which passes through more than a given number
+of additions.  c11 asks for all three sums in one call;
+``gap_log_series`` and ``finite_reveal_log_bound_scan`` are its one-law
+calls.  The scan's ceiling holds at every n it covers, and
+``finite_reveal_log_ceiling`` carries it past the last n with the plain
+series.
 
 The Whitworth identity sum_j C(m,j)/C(n,j+a) = (n+1)/((a+1) C(n-m+1, a+1))
 is checked in integers.  With g_n[t] = t! (n-t)!, 1 / C(n, t) = g_n[t] / n!,
@@ -44,7 +51,8 @@ row <- [row[s] + row[s+1]] leave row[a] = N.
 
 A pmf term a x^2 (1 - x)^b integrates to a V_b[2] / L, V_b[i] =
 L int_0^1 x^i (1 - x)^b dx, over the weight row W[i] = L // (i + 1),
-L = lcm(1..len W), kept for the longest polynomial so far.  V_0 = W, and
+L = lcm(1..len W), kept for the longest polynomial so far and never
+shorter than _MOMENT_CAP, so growth clears no row c10 reaches.  V_0 = W, and
 Pascal's rule V_b[i] = V_(b-1)[i] - V_(b-1)[i+1] makes each V_b of an
 ascending sweep one subtraction per entry from the last _ROWS_KEPT rows
 kept (at most _MOMENT_CAP entries each); any other b expands the law
@@ -71,6 +79,7 @@ SERIES_MIN_TRUNCATION = {PLAIN: 10, EXTENDED: 8}  # smallest K gap_log_series ta
 
 _SUM_PAD = 1e-10  # covers the rounding of each float term and of the steps after a sum
 _CHUNK = 1 << 15  # values per evaluation chunk: its buffers stay in cache
+TRUNCATION_CAP = 10 ** 9  # the largest k a series or scan sums: one series there takes seconds
 
 
 def _left_sides(n_max: int, fact: list[int]):
@@ -151,28 +160,7 @@ def finite_reveal_log_bound_scan(limit: int) -> ScanResult:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    best_v, best_n = 2 * math.log(2) / 2, 1
-    run = 0.0  # the running sum at the last k scanned
-    f = np.empty(min(_CHUNK, limit - 1))
-    for kk, logs, terms in _term_chunks(GAP_INTEGRALS[PLAIN], 2, limit):
-        n = len(terms)
-        k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
-        terms[0] += run
-        np.cumsum(terms, out=terms)
-        run = float(terms[-1])
-        # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at a
-        # time in that order; logs[:n] is free once the terms are made
-        fk = np.multiply(logs[1:], 2.0, out=f[:n])
-        fk /= k1
-        rest = np.multiply(k2, 2.0, out=logs[:n])
-        rest /= k1
-        rest *= terms
-        fk += rest
-        i = int(np.argmax(fk))
-        if float(fk[i]) > best_v:
-            best_v, best_n = float(fk[i]), int(kk[i])
-    drift = _drift(max(limit - 2, 0), run)
-    return ScanResult(best_v, best_n, best_v + 8 / 3 * drift + 2 * _SUM_PAD)
+    return series_and_scan({}, limit)[0]
 
 
 def finite_reveal_log_ceiling(limit: int, plain_hi: float) -> float:
@@ -264,28 +252,54 @@ GAP_INTEGRALS = {
 }
 
 
-def _term_chunks(law: GapIntegral, first: int, last: int):
-    """The float terms (log k num(k)) / den(k) / num.scale, k = first ..
-    last, in chunks of at most _CHUNK: per chunk of n values the window
-    (k .. k+n+span-1 first), log k .. log(k+n) and the n terms, views valid
-    until the next chunk.  A num with shifts puts den in the logs' buffer.
-    The scale, a power of two, is the caller's: it moves no bit."""
-    unit = law.num._replace(scale=1, add=law.num.add // law.num.scale)
-    m = min(_CHUNK, last - first + 1)
-    span = max(law.num.shifts + law.den.shifts)
-    kk = np.arange(first, first + m + span, dtype=np.float64)
-    logs, work = np.empty(m + 1), np.empty(m)
-    for at in range(first, last + 1, _CHUNK):
-        n = min(_CHUNK, last + 1 - at)
-        logk = np.log(kk[:n + 1], out=logs[:n + 1])[:n]
-        if unit.shifts:  # unit * log k: the product commutes exactly
-            terms = unit.fill(kk, n, work[:n])
-            terms *= logk
-            terms /= law.den.fill(kk, n, logs[:n])
-        else:  # a constant num is all scale: unit is 1
-            terms = np.divide(logk, law.den.fill(kk, n, work[:n]), out=work[:n])
-        yield kk, logs[:n + 1], terms
-        kk += n
+def _term_chunks(lasts: dict[str, int]):
+    """The float terms (log k num(k)) / den(k) / num.scale of each variant
+    in `lasts`, k = first .. lasts[variant] with first = max(2, start), in
+    chunks of at most _CHUNK counted from its own first k.  Step j makes
+    chunk j of every law from one window and one log row, both starting at
+    k = 2 + j _CHUNK: it yields {variant: (k, window, logs, terms)} over the
+    laws whose chunk j is not empty, k the int first k of the chunk,
+    window[i] the k of terms[i] (k .. k+n+span-1) and logs[i] = log
+    window[i] for i <= n, views valid until the next step.  A num with
+    shifts puts den in the log row when it is the only law, else in a
+    buffer of its own.  The scale, a power of two, is the caller's: it
+    moves no bit.  Every k is checked against TRUNCATION_CAP before the
+    first chunk."""
+    top = max(lasts.values())
+    if top > TRUNCATION_CAP:
+        raise ValueError(f"k runs to {top}, above the series cap {TRUNCATION_CAP}")
+    lanes = []  # per law: variant, law, num over its scale, offset of its first k, count of k
+    for variant, last in lasts.items():
+        law = GAP_INTEGRALS[variant]
+        at = max(2, law.start) - 2
+        unit = law.num._replace(scale=1, add=law.num.add // law.num.scale)
+        lanes.append((variant, law, unit, at, last - 1 - at))
+    most = max(lane[4] for lane in lanes)
+    m = min(_CHUNK, most)
+    width = max(at + m + max(law.num.shifts + law.den.shifts) for _, law, _, at, _ in lanes)
+    reach = 1 + max(lane[3] for lane in lanes)  # a log row runs this far past its longest chunk
+    kk = np.arange(2, 2 + width, dtype=np.float64)
+    logs = np.empty(width)
+    work = [np.empty(m) for _ in lanes]
+    spare = logs if len(lanes) == 1 else np.empty(width)
+    for done in range(0, most, _CHUNK):
+        w = min(_CHUNK, most - done) + reach
+        np.log(kk[:w], out=logs[:w])
+        step = {}
+        for (variant, law, unit, at, count), buf in zip(lanes, work):
+            n = min(_CHUNK, count - done)
+            if n <= 0:
+                continue
+            window, logk, out = kk[at:], logs[at:at + n + 1], buf[:n]
+            if unit.shifts:  # unit * log k: the product commutes exactly
+                terms = unit.fill(window, n, out)
+                terms *= logk[:n]
+                terms /= law.den.fill(window, n, spare[at:at + n])
+            else:  # a constant num is all scale: unit is 1
+                terms = np.divide(logk[:n], law.den.fill(window, n, out), out=out)
+            step[variant] = 2 + at + done, window, logk, terms
+        yield step
+        kk += _CHUNK
 
 
 def _drift(adds: int, s: float) -> float:
@@ -298,6 +312,75 @@ def _drift(adds: int, s: float) -> float:
     return gamma * s / (1 - gamma)
 
 
+def series_and_scan(truncations: dict[str, int], limit: int = 0
+                    ) -> tuple[ScanResult | None, dict[str, Interval]]:
+    """The enclosure of each variant's series truncated at its K in
+    `truncations` (``gap_log_series``) and the scan over 1..limit
+    (``finite_reveal_log_bound_scan``; None at limit 0), from one walk of
+    ``_term_chunks`` to the largest k any of them reads.  Each series adds
+    its chunk's ``np.sum`` before the scan runs its cumsum in place on the
+    plain terms they share; every law keeps its own chunk partition, so each
+    result is bit for bit the one it gives when asked for alone."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    partials = {}
+    for variant, K in truncations.items():
+        law = GAP_INTEGRALS[check_variant(variant)]
+        min_k = SERIES_MIN_TRUNCATION[variant]
+        if K < min_k:
+            raise ValueError(f"K must be >= {min_k}")
+        partials[variant] = 0.0
+        for k, (num, den) in law.heads.items():
+            partials[variant] += math.log(k) * num / den
+    lasts = dict(truncations)
+    if limit:
+        lasts[PLAIN] = max(limit, lasts.get(PLAIN, 0))
+    chunks = dict.fromkeys(truncations, 0)
+    best_v, best_n = 2 * math.log(2) / 2, 1
+    run = 0.0  # the scan's running sum at the last k scanned
+    f = np.empty(min(_CHUNK, max(limit - 1, 0)))
+    for step in _term_chunks(lasts):
+        for variant, K in truncations.items():
+            if variant in step:
+                k, _, _, terms = step[variant]
+                if k <= K:
+                    scale = GAP_INTEGRALS[variant].num.scale
+                    partials[variant] += scale * float(np.sum(terms[:K + 1 - k]))
+                    chunks[variant] += 1
+        if not limit or PLAIN not in step:
+            continue
+        k, kk, logs, terms = step[PLAIN]
+        n = min(len(terms), limit + 1 - k)
+        if n > 0:
+            terms = terms[:n]
+            k1, k2 = kk[1:n + 1], kk[2:n + 2]  # k + 1 and k + 2
+            terms[0] += run
+            np.cumsum(terms, out=terms)
+            run = float(terms[-1])
+            # f = 2 log(k+1) / (k+1) + 2 (k+2) / (k+1) * cs, one operation at
+            # a time in that order; logs[:n] is free once the terms are made
+            fk = np.multiply(logs[1:n + 1], 2.0, out=f[:n])
+            fk /= k1
+            rest = np.multiply(k2, 2.0, out=logs[:n])
+            rest /= k1
+            rest *= terms
+            fk += rest
+            i = int(np.argmax(fk))
+            if float(fk[i]) > best_v:
+                best_v, best_n = float(fk[i]), int(kk[i])
+    series = {}
+    for variant, K in truncations.items():
+        law, partial = GAP_INTEGRALS[variant], partials[variant]
+        pad = _drift(_CHUNK - 1 + chunks[variant] + len(law.heads), partial) + _SUM_PAD
+        tail = law.c * (math.log(K) + 1.0) / K
+        series[variant] = Interval(partial - pad, partial + tail + pad, K)
+    scan = None
+    if limit:
+        drift = _drift(max(limit - 2, 0), run)
+        scan = ScanResult(best_v, best_n, best_v + 8 / 3 * drift + 2 * _SUM_PAD)
+    return scan, series
+
+
 def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     """Enclosure of sum_k log k * int_0^1 pmf_k dx truncated at K.
 
@@ -307,20 +390,9 @@ def gap_log_series(K: int, variant: str = PLAIN) -> Interval:
     head after it, which ``_drift`` bounds; _SUM_PAD covers each term's
     rounding.  The tail past K is at most the integral from K of
     c log k / k^2 (see verify_term_majorants), decreasing past e:
-    c (log K + 1) / K.
+    c (log K + 1) / K.  A one-law call of ``series_and_scan``.
     """
-    law = GAP_INTEGRALS[check_variant(variant)]
-    min_k = SERIES_MIN_TRUNCATION[variant]
-    if K < min_k:
-        raise ValueError(f"K must be >= {min_k}")
-    partial = 0.0
-    for k, (num, den) in law.heads.items():
-        partial += math.log(k) * num / den
-    for chunks, (_, _, terms) in enumerate(_term_chunks(law, max(2, law.start), K), 1):
-        partial += law.num.scale * float(np.sum(terms))
-    pad = _drift(_CHUNK - 1 + chunks + len(law.heads), partial) + _SUM_PAD
-    tail = law.c * (math.log(K) + 1.0) / K
-    return Interval(partial - pad, partial + tail + pad, K)
+    return series_and_scan({variant: K})[1][variant]
 
 
 def verify_term_majorants(variant: str) -> bool:
@@ -343,7 +415,7 @@ def verify_term_majorants(variant: str) -> bool:
 # ----------------------------------------------------------- pmf integrals
 
 _ROWS_KEPT = 4  # rows kept per cache: an extended pmf reads three consecutive b
-_MOMENT_CAP = 256  # entries kept of a moment row, however long the weight row
+_MOMENT_CAP = 207  # entries of a moment row: c10's V_204[2] (extended, k = 200) needs 207
 _rows: dict[int, list[int]] = {}  # b -> coefficients of (1 - x)^b, the last few built
 _moments: dict[int, list[int]] = {}  # b -> V_b, the last few built under the current W
 _weights: list = [1, [1]]  # [L, the row L // (j + 1)], L = lcm(1..len), longest so far
@@ -352,10 +424,13 @@ _weights: list = [1, [1]]  # [L, the row L // (j + 1)], L = lcm(1..len), longest
 def _poly_int_01(coeffs: list[int]) -> Fraction:
     """Exact integral over [0, 1]: one sum of c_j L // (j + 1) over L =
     lcm(1..len), the row kept for the longest polynomial integrated so far
-    (a longer L is a common denominator of a shorter polynomial too)."""
+    and never shorter than _MOMENT_CAP, so that the moment rows of an
+    ascending sweep outlive every growth short of it (a longer L is a
+    common denominator of a shorter polynomial too)."""
     if len(coeffs) > len(_weights[1]):
-        lcm = math.lcm(*range(1, len(coeffs) + 1))
-        _weights[:] = [lcm, [lcm // (j + 1) for j in range(len(coeffs))]]
+        size = max(len(coeffs), _MOMENT_CAP)
+        lcm = math.lcm(*range(1, size + 1))
+        _weights[:] = [lcm, [lcm // (j + 1) for j in range(size)]]
         _moments.clear()
     lcm, row = _weights
     return Fraction(sum(map(operator.mul, coeffs, row)), lcm)

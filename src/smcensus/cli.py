@@ -5,8 +5,9 @@ them, one JSON line each (`check`, the record's fields and `passed`, in
 sorted key order) on stdout or --out FILE, and sets the exit code from
 them: 0 when every record passed, 1 when at least one failed.  `random`
 writes an instance and no record.  Exit code 2 is a usage error: a
-rejected argument or input, an instance past a state cap included, is
-reported as one JSON line ({"error": type, "message": text}) on stderr.
+rejected argument or input, an instance past a state cap or a series
+past `bounds.TRUNCATION_CAP` included, is reported as one JSON line
+({"error": type, "message": text}) on stderr.
 verify --threads N (1..os.cpu_count(), default 1) sets the verify worker
 count; it affects speed only, never results.  simulate --kind
 cyclic|plain|extended passes by `record.law_fit`, c13's rule.
@@ -149,7 +150,9 @@ def _cmd_verify(args, out) -> list[CheckResult]:
     _check_range("--samples", args.samples, 1)
     _check_range("--instances", args.instances, 0)
     _check_range("--max-n", args.max_n, 2, matchings.BRUTE_FORCE_CAP)
-    _check_range("--truncate", args.truncate, max(bounds.SERIES_MIN_TRUNCATION.values()))
+    min_k = max(bounds.SERIES_MIN_TRUNCATION.values())
+    _check_range("--truncate", args.truncate, min_k)
+    _check_range("--truncate", args.truncate, min_k, bounds.TRUNCATION_CAP)
     _check_range("--threads", args.threads, 1, max_threads())
     config = RunConfig(
         seed=args.seed,

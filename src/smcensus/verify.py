@@ -432,8 +432,9 @@ def criterion_constants(config: RunConfig) -> tuple[bool, dict]:
     ok = True
     t0 = time.perf_counter()
 
-    scan = bounds.finite_reveal_log_bound_scan(SCAN_LIMIT)
-    plain = bounds.gap_log_series(config.series_truncation, PLAIN)
+    K = config.series_truncation
+    scan, series = bounds.series_and_scan({PLAIN: K, EXTENDED: K}, SCAN_LIMIT)
+    plain, ext = series[PLAIN], series[EXTENDED]
     past_hi = bounds.finite_reveal_log_ceiling(SCAN_LIMIT, plain.hi)
     details["finite_scan"] = {"max": scan.max_value, "argmax": scan.argmax,
                               "certified_hi": scan.certified_hi, "past_limit_hi": past_hi}
@@ -445,7 +446,6 @@ def criterion_constants(config: RunConfig) -> tuple[bool, dict]:
                                "within": plain.hi <= bounds.PLAIN_LOG_LIMIT}
     ok &= plain.hi <= bounds.PLAIN_LOG_LIMIT
 
-    ext = bounds.gap_log_series(config.series_truncation, EXTENDED)
     details["extended_series"] = {"lo": ext.lo, "hi": ext.hi,
                                   "certified_base": ext.certified_base,
                                   "limit": bounds.EXTENDED_LOG_LIMIT,

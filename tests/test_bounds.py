@@ -15,8 +15,8 @@ from smcensus.bounds import (EXTENDED_LOG_LIMIT, GAP_INTEGRALS, PLAIN_LOG_LIMIT,
                              bound_report, finite_reveal_log_bound,
                              finite_reveal_log_bound_scan, gap_log_series,
                              integral_check, line_gap_pmf_poly,
-                             series_coefficient, verify_term_majorants,
-                             whitworth_sweep)
+                             series_and_scan, series_coefficient,
+                             verify_term_majorants, whitworth_sweep)
 from smcensus.distributions import (EXTENDED, PLAIN, DistributionError,
                                     line_gap_pmf, line_gap_tail, line_gap_terms)
 
@@ -181,6 +181,50 @@ def test_kernels_are_chunk_invariant(monkeypatch, chunk):
         assert finite_reveal_log_bound_scan(limit) == _oracle_scan(limit), limit
 
 
+def _three(K, limit):
+    """c11's three results from one pass: the scan, then the plain and the
+    extended series."""
+    scan, series = series_and_scan({PLAIN: K, EXTENDED: K}, limit)
+    return scan, series[PLAIN], series[EXTENDED]
+
+
+def _oracle_three(K, limit):
+    return _oracle_scan(limit), _oracle_series(K, PLAIN), _oracle_series(K, EXTENDED)
+
+
+# K at chunk edges, the plain law's last chunk holding a full chunk, 1 or
+# 2 terms (the last two leave the extended law's chunk of that step empty),
+# and the scan's limit below, at and above K, at edges too
+@pytest.mark.parametrize("chunk", [1, 7, 4099, bounds._CHUNK])
+def test_one_pass_equals_the_oracles_at_chunk_edges(monkeypatch, chunk):
+    monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    first = -(-9 // chunk)  # the least j with 1 + j chunk >= 10
+    for j in (first + 1, first + 3):
+        for K in (1 + j * chunk, 2 + j * chunk, 3 + j * chunk):
+            laws = [set(step) for step in bounds._term_chunks({PLAIN: K, EXTENDED: K})]
+            assert (EXTENDED in laws[-1]) == ((K - 2) % chunk >= 2), K
+            for limit in (1, K - chunk, K, K + 1, K + 2 * chunk):
+                assert _three(K, limit) == _oracle_three(K, limit), (K, limit)
+
+
+# c11's shape (limit below K) and verify --truncate 10's (limit above K)
+@pytest.mark.parametrize("K, limit", [(2 * 10 ** 6 + 12345, 10 ** 6), (10, 10 ** 6),
+                                      (10 ** 6 + 1, 10 ** 6 + 1)])
+def test_one_pass_equals_the_oracles_at_c11s_sizes(K, limit):
+    assert _three(K, limit) == _oracle_three(K, limit)
+
+
+def test_one_pass_refuses_past_the_truncation_cap():
+    cap = bounds.TRUNCATION_CAP
+    for call in (lambda: gap_log_series(cap + 1, EXTENDED),
+                 lambda: finite_reveal_log_bound_scan(cap + 1),
+                 lambda: series_and_scan({PLAIN: 10}, cap + 1)):
+        with pytest.raises(ValueError, match=f"above the series cap {cap}"):
+            call()
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        series_and_scan({PLAIN: 10}, -1)
+
+
 def _scaled(x):
     """The float x as an exact integer multiple of 2^-1074."""
     num, den = x.as_integer_ratio()
@@ -277,6 +321,9 @@ def test_chunked_kernels_keep_peak_memory_below_a_block_of_temporaries():
     # 1 MiB in all
     assert _traced_peak_mib(lambda: gap_log_series(3 * 10 ** 6, EXTENDED)) < 1
     assert _traced_peak_mib(lambda: finite_reveal_log_bound_scan(2 * 10 ** 6)) < 2
+    # one pass for all three of c11's sums holds the window, the log row,
+    # each law's terms, the extended law's den and the scan's f: 1.5 MiB
+    assert _traced_peak_mib(lambda: _three(3 * 10 ** 6, 2 * 10 ** 6)) < 2
 
 
 def test_factor_data_gives_the_closed_forms():
@@ -529,7 +576,7 @@ def test_integral_caches_stay_bounded(cold_integral_caches):
             assert len(bounds._rows) <= bounds._ROWS_KEPT
             assert len(bounds._moments) <= bounds._ROWS_KEPT
             assert all(len(row) <= bounds._MOMENT_CAP for row in bounds._moments.values())
-            assert len(bounds._weights[1]) == longest
+            assert len(bounds._weights[1]) == max(longest, bounds._MOMENT_CAP)
     assert longest == 207
     # a shorter polynomial reuses the longest row and gives the same value
     assert integral_check(1, PLAIN)[:2] == (Fraction(1, 3), Fraction(1, 3))
@@ -582,6 +629,21 @@ def test_a_warm_ascending_sweep_expands_no_polynomial(cold_integral_caches, c10_
     for k, variant in C10_SWEEP:
         assert integral_check(k, variant)[0] == c10_oracle[k, variant][1], (variant, k)
     assert expanded == []
+
+
+def test_a_cold_c10_sweep_keeps_its_moment_rows(cold_integral_caches, c10_oracle,
+                                               monkeypatch):
+    # as in a fresh process: the first weight row is built _MOMENT_CAP long,
+    # so no later growth clears the moment rows partway through the sweeps
+    expanded = []
+    real = bounds._poly_int_01
+    monkeypatch.setattr(bounds, "_poly_int_01",
+                        lambda coeffs: expanded.append(len(coeffs)) or real(coeffs))
+    cold = [integral_check(k, variant) for k, variant in C10_SWEEP]
+    assert expanded == [3]  # k = 1, before there is any weight row
+    warm = [integral_check(k, variant) for k, variant in C10_SWEEP]
+    assert cold == warm == [(c10_oracle[key][1],) * 2 + (True,) for key in C10_SWEEP]
+    assert expanded == [3]
 
 
 def test_c10_sweep_after_a_high_degree(cold_integral_caches, c10_oracle):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import build_rotation_poset_bfs
-from smcensus import cli, distributions, rotations, verify
+from smcensus import bounds, cli, distributions, rotations, verify
 from smcensus.cli import main
 from smcensus.bounds import SERIES_MIN_TRUNCATION
 from smcensus.counting import FamilyError
@@ -406,6 +406,47 @@ def test_instance_file_past_the_size_cap_exits_2(tmp_path, capsys):
                     encoding="utf-8")
     assert_usage_error(capsys, ["enumerate", "--in", str(path)], "InstanceError",
                        f"n={N_CAP + 1} is above the instance-size cap {N_CAP}")
+
+
+def _no_logs(*args, **kwargs):
+    raise AssertionError("a chunk of series terms was evaluated")
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["series", "--which", "tg", "--truncate", "{k}"], "ValueError",
+     "k runs to {k}, above the series cap {cap}"),
+    (["series", "--which", "sm", "--truncate", "{k}"], "ValueError",
+     "k runs to {k}, above the series cap {cap}"),
+    (["verify", "--only", "c11", "--truncate", "{k}"], "UsageError",
+     "--truncate must be in 10..{cap}, got {k}"),
+])
+@pytest.mark.parametrize("k", [bounds.TRUNCATION_CAP + 1, 10 ** 17], ids=["cap+1", "1e17"])
+def test_truncations_past_the_cap_exit_2_before_any_chunk(monkeypatch, capsys, argv, error,
+                                                          message, k):
+    # refused before any term is evaluated: 10^17 would walk 3 10^12 chunks
+    monkeypatch.setattr(bounds.np, "log", _no_logs)
+    assert_usage_error(capsys, [a.format(k=k) for a in argv], error,
+                       message.format(k=k, cap=bounds.TRUNCATION_CAP))
+
+
+@pytest.mark.parametrize("which", ["tg", "sm"])
+def test_series_runs_at_the_cap_and_not_one_past(monkeypatch, capsys, which):
+    cap = 3 * 10 ** 4 + 5
+    monkeypatch.setattr(bounds, "TRUNCATION_CAP", cap)
+    code, lines = run_cli(capsys, "series", "--which", which, "--truncate", str(cap))
+    assert code == (0 if which == "tg" else 1) and lines[0]["truncation"] == cap
+    assert_usage_error(capsys, ["series", "--which", which, "--truncate", str(cap + 1)],
+                       "ValueError", f"above the series cap {cap}")
+
+
+def test_verify_c11_runs_at_the_cap_and_not_one_past(monkeypatch, capsys):
+    # the cap must hold the scan's SCAN_LIMIT too, so the low cap sits above it
+    cap = verify.SCAN_LIMIT + 7
+    monkeypatch.setattr(bounds, "TRUNCATION_CAP", cap)
+    code, lines = run_cli(capsys, "verify", "--only", "c11", "--truncate", str(cap))
+    assert code == 1 and [line["check"] for line in lines] == ["c11"]  # its honest FAIL
+    assert_usage_error(capsys, ["verify", "--only", "c11", "--truncate", str(cap + 1)],
+                       "UsageError", f"--truncate must be in 10..{cap}, got {cap + 1}")
 
 
 @pytest.mark.parametrize("value", ["two", "", "0", "-1", str(verify.max_threads() + 1)])
